@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 use revpebble::graph::generators::{iscas_proxy, ProxyShape};
+use revpebble::graph::json::{parse_json, JsonValue};
 use revpebble::graph::slp::h_operator_sized;
 use revpebble::graph::{parse_bench, Dag};
 
@@ -258,42 +259,31 @@ pub struct ParsedBenchEntry {
     pub certified: Option<u64>,
 }
 
-/// Extracts the value of a string field from one JSON entry line.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts the value of a numeric field from one JSON entry line.
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..]
-        .find([',', '}'])
-        .map(|i| i + start)
-        .unwrap_or(line.len());
-    line[start..end].trim().parse().ok()
-}
-
-/// Parses the line-oriented `BENCH_sat.json` format written by
-/// [`write_bench_json`] — one entry object per line — without an external
-/// JSON crate. Malformed lines are skipped; the regression gate treats a
-/// file that yields no entries as an error.
+/// Parses `BENCH_sat.json` — the `entries` array [`write_bench_json`]
+/// writes, in any JSON layout — with [`parse_json`]. Entries lacking
+/// `bench`, `id` or `wall_s` are skipped, and text that is not JSON
+/// yields none; the regression gate treats a file that yields no entries
+/// as an error.
 pub fn parse_bench_json(text: &str) -> Vec<ParsedBenchEntry> {
-    text.lines()
-        .map(|line| line.trim().trim_end_matches(','))
-        .filter(|line| line.starts_with("{\"bench\":"))
-        .filter_map(|line| {
+    let Ok(root) = parse_json(text) else {
+        return Vec::new();
+    };
+    let entries = root
+        .get("entries")
+        .and_then(JsonValue::as_array)
+        .unwrap_or_default();
+    entries
+        .iter()
+        .filter_map(|entry| {
+            let count = |key: &str| entry.get(key).and_then(JsonValue::as_u64);
             Some(ParsedBenchEntry {
-                bench: json_str_field(line, "bench")?,
-                id: json_str_field(line, "id")?,
-                wall_s: json_num_field(line, "wall_s")?,
-                imports: json_num_field(line, "imports").map(|v| v as u64),
-                exports: json_num_field(line, "exports").map(|v| v as u64),
-                dropped: json_num_field(line, "dropped").map(|v| v as u64),
-                certified: json_num_field(line, "certified").map(|v| v as u64),
+                bench: entry.get("bench")?.as_str()?.to_owned(),
+                id: entry.get("id")?.as_str()?.to_owned(),
+                wall_s: entry.get("wall_s")?.as_f64()?,
+                imports: count("imports"),
+                exports: count("exports"),
+                dropped: count("dropped"),
+                certified: count("certified"),
             })
         })
         .collect()
@@ -702,6 +692,51 @@ mod tests {
         assert_eq!(parsed[1].imports, Some(4));
         assert_eq!(parsed[1].exports, Some(6));
         assert_eq!(parsed[1].dropped, Some(0));
+    }
+
+    #[test]
+    fn parser_reads_pretty_printed_entries_with_reordered_keys() {
+        let compact = concat!(
+            "{ \"schema\": 1, \"entries\": [\n",
+            "{\"bench\":\"gate\",\"id\":\"fast\",\"wall_s\":0.250000,\"propagations\":10,",
+            "\"conflicts\":1,\"arena_gcs\":0,\"imports\":7,\"exports\":3,\"dropped\":1,",
+            "\"certified\":20},\n",
+            "{\"bench\":\"gate\",\"id\":\"slow\",\"wall_s\":2.000000,\"propagations\":99,",
+            "\"conflicts\":9,\"arena_gcs\":1,\"imports\":0,\"exports\":0,\"dropped\":0}\n",
+            "] }\n"
+        );
+        let pretty = r#"{
+  "entries": [
+    {
+      "certified": 20,
+      "dropped": 1,
+      "exports": 3,
+      "imports": 7,
+      "arena_gcs": 0,
+      "conflicts": 1,
+      "propagations": 10,
+      "wall_s": 0.25,
+      "id": "fast",
+      "bench": "gate"
+    },
+    {
+      "id": "slow",
+      "bench": "gate",
+      "dropped": 0,
+      "wall_s": 2.0,
+      "imports": 0,
+      "exports": 0,
+      "propagations": 99,
+      "conflicts": 9,
+      "arena_gcs": 1
+    }
+  ],
+  "schema": 1
+}
+"#;
+        let expected = parse_bench_json(compact);
+        assert_eq!(expected.len(), 2);
+        assert_eq!(parse_bench_json(pretty), expected);
     }
 
     #[test]

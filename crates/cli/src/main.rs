@@ -289,14 +289,14 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
             };
             eprintln!(
                 "  worker {index}: {role} after {:.1?} ({} queries, {} conflicts)",
-                worker.elapsed, worker.search.queries, worker.sat.conflicts
+                worker.elapsed, worker.result.search.queries, worker.result.sat.conflicts
             );
         }
         // The winning configuration decides the strategy's move semantics
         // (the race may cross `--mode`), so name it on stdout where the
         // step counts it explains are printed.
         if let (Some(winning), false) = (outcome.winning_report(), args.json) {
-            println!("portfolio winner: {}", winning.describe());
+            println!("portfolio winner: {}", describe_options(&winning.config));
         }
     }
     if args.json {

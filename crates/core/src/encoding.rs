@@ -54,7 +54,7 @@ pub enum BoundMode {
     /// [`minimize`] search.
     ///
     /// [`PebbleSolver::resolve_with_budget`]: crate::solver::PebbleSolver::resolve_with_budget
-    /// [`minimize`]: crate::solver::minimize
+    /// [`minimize`]: crate::session::PebblingSession::minimize
     Assumed,
 }
 

@@ -1,9 +1,10 @@
 //! The space/time trade-off frontier.
 //!
 //! The paper's central pitch is "empower the designer to exchange memory
-//! for time and vice versa" (Section II-A, Fig. 3). This module sweeps the
-//! pebble budget and reports, for every feasible budget, the best step
-//! count found — the full frontier behind figures like Fig. 5.
+//! for time and vice versa" (Section II-A, Fig. 3). A frontier session
+//! ([`PebblingSession::sweep_frontier`](crate::session::PebblingSession::sweep_frontier))
+//! sweeps the pebble budget and reports, for every feasible budget, the
+//! best step count found — the full frontier behind figures like Fig. 5.
 //!
 //! By default the sweep rides **one** persistent assumption-bounded
 //! [`PebbleEncoding`](crate::encoding::PebbleEncoding): every budget probe
@@ -20,6 +21,7 @@
 //! sweep's (including early-stop truncation), only the wall-clock
 //! differs.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,8 +31,8 @@ use revpebble_sat::{CancelToken, Heartbeat};
 use crate::bounds::pebble_lower_bound;
 use crate::encoding::BoundMode;
 use crate::exec::{scatter, Executor};
-use crate::session::{ProbeEvent, ProbeEventSender};
-use crate::solver::{PebbleOutcome, PebbleSolver, SolverOptions};
+use crate::session::{achieved_budget, ProbeEvent, ProbeEventSender};
+use crate::solver::{solve_fixed, PebbleOutcome, PebbleSolver, SolverOptions};
 use crate::strategy::Strategy;
 
 /// One point of the trade-off frontier.
@@ -46,73 +48,53 @@ pub struct FrontierPoint {
     pub timed_out: bool,
 }
 
-/// Options for [`frontier`].
-#[derive(Debug, Clone, Copy)]
-pub struct FrontierOptions {
-    /// Base solver options (the pebble budget field is overridden).
-    pub base: SolverOptions,
-    /// Per-budget time budget.
-    pub per_budget: Duration,
-    /// Probe budgets from `min_pebbles` (default: the structural lower
-    /// bound) …
-    pub min_pebbles: Option<usize>,
-    /// … to `max_pebbles` (default: the node count).
-    pub max_pebbles: Option<usize>,
-    /// Stop after the first infeasible/timed-out budget below the smallest
-    /// feasible one (the frontier is monotone, so further probes only
-    /// confirm failures).
-    pub stop_at_first_failure: bool,
-    /// Drive every budget probe through **one** persistent
-    /// assumption-bounded encoding/solver instance (the default) instead
-    /// of rebuilding per budget. The points are identical; only the work
-    /// to reach them differs.
-    pub incremental: bool,
-}
-
-impl Default for FrontierOptions {
-    fn default() -> Self {
-        FrontierOptions {
-            base: SolverOptions::default(),
-            per_budget: Duration::from_secs(10),
-            min_pebbles: None,
-            max_pebbles: None,
-            stop_at_first_failure: true,
-            incremental: true,
+impl FrontierPoint {
+    fn new(pebbles: usize, outcome: PebbleOutcome) -> Self {
+        let (strategy, timed_out) = match outcome {
+            PebbleOutcome::Solved(s) => (Some(s), false),
+            PebbleOutcome::Timeout { .. } => (None, true),
+            PebbleOutcome::StepLimit { .. } | PebbleOutcome::Infeasible { .. } => (None, false),
+        };
+        FrontierPoint {
+            pebbles,
+            strategy,
+            timed_out,
         }
     }
 }
 
-/// Sweeps pebble budgets downward from `max` to `min`, collecting the best
-/// strategy per budget. Probing downward lets each successful strategy
-/// seed expectations for the next, and the sweep stops early at the first
-/// failure when requested. See the [module docs](self) for the persistent
-/// incremental engine behind the default configuration.
-pub fn frontier(dag: &Dag, options: FrontierOptions) -> Vec<FrontierPoint> {
-    frontier_with_events(dag, options, None)
+/// Options of one frontier sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrontierOptions {
+    /// Base solver options (the pebble budget field is overridden).
+    pub(crate) base: SolverOptions,
+    /// Per-budget time budget.
+    pub(crate) per_budget: Duration,
+    /// Probe budgets from `min_pebbles` (default: the structural lower
+    /// bound) …
+    pub(crate) min_pebbles: Option<usize>,
+    /// … to `max_pebbles` (default: the node count).
+    pub(crate) max_pebbles: Option<usize>,
+    /// Drive every budget probe through **one** persistent
+    /// assumption-bounded encoding/solver instance instead of rebuilding
+    /// per budget. The points are identical; only the work to reach them
+    /// differs.
+    pub(crate) incremental: bool,
 }
 
-/// [`frontier`] with a live probe-event stream: every budget probe emits
-/// [`ProbeEvent::ProbeStarted`] and a solved/refuted event — the view the
-/// session's frontier executor streams to its
-/// [`on_event`](crate::session::PebblingSession::on_event) callback.
-pub fn frontier_with_events(
-    dag: &Dag,
-    options: FrontierOptions,
-    events: Option<ProbeEventSender>,
-) -> Vec<FrontierPoint> {
-    frontier_on(dag, options, events, None, None, None)
-}
-
-/// The sweep engine under [`frontier_with_events`] and the session
-/// runtime: optionally cancellable via an ambient [`CancelToken`], and —
-/// for the fresh (non-incremental) sweep only — optionally fanned out as
-/// per-budget jobs on a shared [`Executor`]. The incremental sweep stays
-/// sequential by construction: its whole point is one persistent solver
-/// carrying state from budget to budget.
+/// Sweeps pebble budgets downward from `max` to `min`, collecting the
+/// best strategy per budget, and stops at the first failure: the
+/// frontier is monotone, so further probes would only confirm failures.
+/// Every budget probe emits [`ProbeEvent::ProbeStarted`] and a
+/// solved/refuted event. The sweep stops early once `cancel` fires.
+/// Only the fresh (non-incremental) sweep fans out on `executor`, as
+/// per-budget jobs: the incremental sweep stays sequential by
+/// construction, its whole point being one persistent solver carrying
+/// state from budget to budget.
 pub(crate) fn frontier_on(
     dag: &Dag,
     options: FrontierOptions,
-    events: Option<ProbeEventSender>,
+    events: &ProbeEventSender,
     executor: Option<&Executor>,
     cancel: Option<&CancelToken>,
     heartbeat: Option<Heartbeat>,
@@ -123,14 +105,9 @@ pub(crate) fn frontier_on(
     let max = options.max_pebbles.unwrap_or_else(|| dag.num_nodes());
     if !options.incremental {
         if let Some(executor) = executor {
-            return frontier_scatter(dag, options, events, executor, cancel, heartbeat, min, max);
+            return frontier_scatter(dag, options, events, executor, cancel, heartbeat, min..=max);
         }
     }
-    let emit = |event: ProbeEvent| {
-        if let Some(events) = &events {
-            let _ = events.send(event);
-        }
-    };
     let mut points = Vec::new();
     // One persistent instance for the whole sweep: every probe re-enters
     // it with only the assumed budget changed, and each probe's refuted
@@ -149,48 +126,38 @@ pub(crate) fn frontier_on(
             break;
         }
         let probe = points.len();
-        emit(ProbeEvent::ProbeStarted {
-            worker: 0,
-            probe,
-            budget: pebbles,
-        });
         let outcome = match persistent.as_mut() {
-            Some(solver) => solver.resolve_with_budget(pebbles),
+            Some(solver) => {
+                events.send(ProbeEvent::ProbeStarted {
+                    worker: 0,
+                    probe,
+                    budget: pebbles,
+                });
+                let outcome = solver.resolve_with_budget(pebbles);
+                let achieved = outcome
+                    .strategy()
+                    .map(|strategy| achieved_budget(dag, options.base.encoding.weighted, strategy));
+                events.resolved(0, probe, pebbles, achieved);
+                outcome
+            }
             None => {
-                let mut probe = options.base;
-                probe.encoding.max_pebbles = Some(pebbles);
-                probe.timeout = Some(options.per_budget);
-                let mut solver = PebbleSolver::new(dag, probe);
-                solver.set_cancel_token(cancel.cloned());
-                solver.set_heartbeat(heartbeat.clone());
-                solver.solve()
+                let options = probe_options(&options, pebbles);
+                solve_fixed(
+                    dag,
+                    options,
+                    0,
+                    probe,
+                    cancel.cloned(),
+                    heartbeat.clone(),
+                    events,
+                )
+                .outcome
             }
         };
-        let (strategy, timed_out) = match outcome {
-            PebbleOutcome::Solved(s) => (Some(s), false),
-            PebbleOutcome::Timeout { .. } => (None, true),
-            PebbleOutcome::StepLimit { .. } | PebbleOutcome::Infeasible { .. } => (None, false),
-        };
-        emit(match &strategy {
-            Some(s) => ProbeEvent::ProbeSolved {
-                worker: 0,
-                probe,
-                budget: pebbles,
-                achieved: crate::session::achieved_budget(dag, options.base.encoding.weighted, s),
-            },
-            None => ProbeEvent::ProbeRefuted {
-                worker: 0,
-                probe,
-                budget: pebbles,
-            },
-        });
-        let failed = strategy.is_none();
-        points.push(FrontierPoint {
-            pebbles,
-            strategy,
-            timed_out,
-        });
-        if failed && options.stop_at_first_failure {
+        let point = FrontierPoint::new(pebbles, outcome);
+        let failed = point.strategy.is_none();
+        points.push(point);
+        if failed {
             break;
         }
     }
@@ -198,24 +165,30 @@ pub(crate) fn frontier_on(
     points
 }
 
+/// The options of a fresh probe at budget `pebbles`.
+fn probe_options(options: &FrontierOptions, pebbles: usize) -> SolverOptions {
+    let mut probe = options.base;
+    probe.encoding.max_pebbles = Some(pebbles);
+    probe.timeout = Some(options.per_budget);
+    probe
+}
+
 /// The fresh sweep as independent per-budget jobs on a shared pool: one
-/// job per budget, descending. With `stop_at_first_failure` the result is
-/// truncated at the highest-budget failure afterwards, so the returned
-/// points match the sequential sweep's exactly — the probes below the cut
-/// are wasted work the parallelism paid for the latency win.
-#[allow(clippy::too_many_arguments)]
+/// job per budget, descending. The result is truncated at the
+/// highest-budget failure afterwards, so the returned points match the
+/// sequential sweep's exactly — the probes below the cut are wasted work
+/// the parallelism paid for the latency win.
 fn frontier_scatter(
     dag: &Dag,
     options: FrontierOptions,
-    events: Option<ProbeEventSender>,
+    events: &ProbeEventSender,
     executor: &Executor,
     cancel: Option<&CancelToken>,
     heartbeat: Option<Heartbeat>,
-    min: usize,
-    max: usize,
+    budgets: RangeInclusive<usize>,
 ) -> Vec<FrontierPoint> {
     let dag = Arc::new(dag.clone());
-    let tasks: Vec<_> = (min..=max)
+    let tasks: Vec<_> = budgets
         .rev()
         .enumerate()
         .map(|(worker, pebbles)| {
@@ -224,60 +197,15 @@ fn frontier_scatter(
             let cancel = cancel.cloned();
             let heartbeat = heartbeat.clone();
             move || {
-                let emit = |event: ProbeEvent| {
-                    if let Some(events) = &events {
-                        let _ = events.send(event);
-                    }
-                };
-                emit(ProbeEvent::ProbeStarted {
-                    worker,
-                    probe: 0,
-                    budget: pebbles,
-                });
-                let mut probe = options.base;
-                probe.encoding.max_pebbles = Some(pebbles);
-                probe.timeout = Some(options.per_budget);
-                let mut solver = PebbleSolver::new(&dag, probe);
-                solver.set_cancel_token(cancel);
-                solver.set_heartbeat(heartbeat);
-                let outcome = solver.solve();
-                let (strategy, timed_out) = match outcome {
-                    PebbleOutcome::Solved(s) => (Some(s), false),
-                    PebbleOutcome::Timeout { .. } => (None, true),
-                    PebbleOutcome::StepLimit { .. } | PebbleOutcome::Infeasible { .. } => {
-                        (None, false)
-                    }
-                };
-                emit(match &strategy {
-                    Some(s) => ProbeEvent::ProbeSolved {
-                        worker,
-                        probe: 0,
-                        budget: pebbles,
-                        achieved: crate::session::achieved_budget(
-                            &dag,
-                            options.base.encoding.weighted,
-                            s,
-                        ),
-                    },
-                    None => ProbeEvent::ProbeRefuted {
-                        worker,
-                        probe: 0,
-                        budget: pebbles,
-                    },
-                });
-                FrontierPoint {
-                    pebbles,
-                    strategy,
-                    timed_out,
-                }
+                let options = probe_options(&options, pebbles);
+                let run = solve_fixed(&dag, options, worker, 0, cancel, heartbeat, &events);
+                FrontierPoint::new(pebbles, run.outcome)
             }
         })
         .collect();
     let mut descending = scatter(executor, tasks);
-    if options.stop_at_first_failure {
-        if let Some(cut) = descending.iter().position(|point| point.strategy.is_none()) {
-            descending.truncate(cut + 1);
-        }
+    if let Some(cut) = descending.iter().position(|point| point.strategy.is_none()) {
+        descending.truncate(cut + 1);
     }
     descending.reverse();
     descending
@@ -326,17 +254,26 @@ mod tests {
         }
     }
 
+    /// An incremental sweep over the structural budget range.
+    fn sweep() -> FrontierOptions {
+        FrontierOptions {
+            base: base(),
+            per_budget: Duration::from_secs(30),
+            min_pebbles: None,
+            max_pebbles: None,
+            incremental: true,
+        }
+    }
+
+    /// The sweep a session without an executor, token or observer runs.
+    fn frontier(dag: &Dag, options: FrontierOptions) -> Vec<FrontierPoint> {
+        frontier_on(dag, options, &ProbeEventSender::default(), None, None, None)
+    }
+
     #[test]
     fn paper_example_frontier_is_monotone() {
         let dag = paper_example();
-        let points = frontier(
-            &dag,
-            FrontierOptions {
-                base: base(),
-                per_budget: Duration::from_secs(30),
-                ..FrontierOptions::default()
-            },
-        );
+        let points = frontier(&dag, sweep());
         // Budgets 4..=6 are feasible, 3 fails.
         let feasible: Vec<(usize, usize)> = points
             .iter()
@@ -354,10 +291,8 @@ mod tests {
     fn incremental_and_fresh_sweeps_agree_point_for_point() {
         let dag = paper_example();
         let options = |incremental| FrontierOptions {
-            base: base(),
-            per_budget: Duration::from_secs(30),
             incremental,
-            ..FrontierOptions::default()
+            ..sweep()
         };
         let persistent = frontier(&dag, options(true));
         let fresh = frontier(&dag, options(false));
@@ -375,14 +310,13 @@ mod tests {
     fn scattered_fresh_sweep_matches_the_sequential_points() {
         let dag = paper_example();
         let options = FrontierOptions {
-            base: base(),
-            per_budget: Duration::from_secs(30),
             incremental: false,
-            ..FrontierOptions::default()
+            ..sweep()
         };
         let sequential = frontier(&dag, options);
         let executor = Executor::new(2);
-        let scattered = frontier_on(&dag, options, None, Some(&executor), None, None);
+        let events = ProbeEventSender::default();
+        let scattered = frontier_on(&dag, options, &events, Some(&executor), None, None);
         let shape = |points: &[FrontierPoint]| -> Vec<(usize, Option<usize>)> {
             points
                 .iter()
@@ -397,18 +331,8 @@ mod tests {
         let dag = paper_example();
         let token = CancelToken::new();
         token.cancel();
-        let points = frontier_on(
-            &dag,
-            FrontierOptions {
-                base: base(),
-                per_budget: Duration::from_secs(30),
-                ..FrontierOptions::default()
-            },
-            None,
-            None,
-            Some(&token),
-            None,
-        );
+        let events = ProbeEventSender::default();
+        let points = frontier_on(&dag, sweep(), &events, None, Some(&token), None);
         assert!(points.is_empty(), "a pre-cancelled sweep probes nothing");
     }
 
@@ -418,11 +342,9 @@ mod tests {
         let points = frontier(
             &dag,
             FrontierOptions {
-                base: base(),
-                per_budget: Duration::from_secs(30),
                 min_pebbles: Some(5),
                 max_pebbles: Some(6),
-                ..FrontierOptions::default()
+                ..sweep()
             },
         );
         assert_eq!(points.len(), 2);
@@ -435,11 +357,9 @@ mod tests {
         let points = frontier(
             &dag,
             FrontierOptions {
-                base: base(),
-                per_budget: Duration::from_secs(30),
                 min_pebbles: Some(4),
                 max_pebbles: Some(6),
-                ..FrontierOptions::default()
+                ..sweep()
             },
         );
         let table = render_frontier(&points, &dag);

@@ -16,16 +16,18 @@
 //! - the paper's SAT encoding ([`encoding::PebbleEncoding`]) with
 //!   sequential and parallel move semantics, several cardinality
 //!   encodings, and a weighted-node extension;
-//! - the search loops ([`PebbleSolver`], [`solver::minimize`]) including
-//!   the timeout methodology of the paper's Table I — budget minimization
-//!   runs *incrementally*: one assumption-bounded encoding and solver
-//!   instance serves every `(steps, pebbles)` probe
+//! - the search loops ([`PebbleSolver`] and the budget minimization
+//!   behind [`PebblingSession::minimize`]) including the timeout
+//!   methodology of the paper's Table I — budget minimization runs
+//!   *incrementally*: one assumption-bounded encoding and solver instance
+//!   serves every `(steps, pebbles)` probe
 //!   ([`PebbleSolver::resolve_with_budget`]);
-//! - a multi-threaded [`PortfolioSolver`] racing several solver
-//!   configurations with first-winner-takes-all cancellation, plus races
-//!   over whole budget schedules with optional clause sharing;
+//! - multi-threaded [`portfolio`] races over several solver
+//!   configurations with first-winner-takes-all cancellation, and over
+//!   whole budget schedules with optional clause sharing;
 //! - **the one front door**: [`session::PebblingSession`], a builder that
-//!   reaches every engine above, validates its configuration into a
+//!   reaches every engine above — it is the only way to run one —
+//!   validates its configuration into a
 //!   typed [`session::SessionError`] before running, streams
 //!   [`session::ProbeEvent`]s while solving, and unifies every result
 //!   into one [`session::Report`].
@@ -69,22 +71,21 @@ pub use config::PebbleConfig;
 pub use encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
 pub use exact::{exact_min_pebbles, solve_exact, ExactOutcome};
 pub use exec::{scatter, scatter_settle, Executor, TaskFailure};
-pub use frontier::{frontier, frontier_with_events, FrontierOptions, FrontierPoint};
+pub use frontier::FrontierPoint;
 pub use portfolio::{
-    default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio,
-    minimize_portfolio_with, minimize_portfolio_with_sharing, MinimizeConfig,
-    MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, PortfolioSolver,
-    ShareOptions, SharingReport, WorkerReport,
+    default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio, MinimizeConfig,
+    MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, RaceWorker, ShareOptions,
+    SharingReport, WorkerReport,
 };
 pub use session::{
-    AdmitGuard, BatchReport, BatchSession, Engine, PebblingSession, ProbeEvent, ProbeEventSender,
-    Report, SessionError, SessionHandle, SessionOutcome, SessionPlan, SessionRuntime, StopReason,
+    AdmitGuard, BatchReport, BatchSession, Engine, PebblingSession, ProbeEvent, Report,
+    SessionError, SessionHandle, SessionOutcome, SessionPlan, SessionRuntime, StopReason,
     WorkerSummary,
 };
 pub use sharing::SharedSearchState;
 pub use solver::{
-    minimize, BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeResult, PebbleOutcome,
-    PebbleSolver, RetryPolicy, SearchStats, SolverOptions, StepSchedule,
+    BudgetSchedule, MinimizeResult, PebbleOutcome, PebbleRun, PebbleSolver, RetryPolicy,
+    SearchStats, SolverOptions, StepSchedule,
 };
 pub use strategy::{InvalidStrategy, Move, Step, Strategy};
 

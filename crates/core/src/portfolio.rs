@@ -1,4 +1,4 @@
-//! A multi-threaded portfolio over solver configurations.
+//! Multi-threaded portfolio races over solver configurations.
 //!
 //! The paper's methodology (Table I) probes one `(P, configuration)` pair
 //! at a time under a wall-clock budget. But the configuration space the
@@ -10,31 +10,39 @@
 //! the choice: submit one job per configuration to a shared
 //! [`Executor`], each on its own
 //! [`PebbleEncoding`](crate::encoding::PebbleEncoding), race them on the
-//! same instance, and let the first worker to find a strategy cancel the
-//! rest through a shared race [`CancelToken`] threaded all the way into
-//! the CDCL search loop ([`revpebble_sat::Solver::set_cancel_token`]).
+//! same instance, and let the first worker to finish cancel the rest
+//! through a shared race [`CancelToken`] threaded all the way into the
+//! CDCL search loop ([`revpebble_sat::Solver::set_cancel_token`]).
+//!
+//! A [`PebblingSession`](crate::session::PebblingSession) with a
+//! portfolio runs one of two races, both on the same driver:
+//!
+//! - with a fixed budget, workers race diverse solver configurations
+//!   ([`default_portfolio`]) and the first strategy wins;
+//! - with [`minimize`](crate::session::PebblingSession::minimize),
+//!   workers race whole budget-minimization searches
+//!   ([`default_minimize_portfolio`]): each drives one incremental
+//!   assumption-bounded encoding through its own [`BudgetSchedule`], and
+//!   the first complete search wins — so the portfolio explores budget
+//!   schedules, not just option sets.
 //!
 //! ```
-//! use revpebble_core::{PortfolioSolver, SolverOptions, EncodingOptions};
+//! use revpebble_core::{PebblingSession, SessionOutcome};
 //! use revpebble_graph::generators::paper_example;
 //!
 //! let dag = paper_example();
-//! let base = SolverOptions {
-//!     encoding: EncodingOptions { max_pebbles: Some(4), ..EncodingOptions::default() },
-//!     ..SolverOptions::default()
+//! let report = PebblingSession::new(&dag)
+//!     .pebbles(4)
+//!     .portfolio(4)
+//!     .run()
+//!     .expect("valid");
+//! let SessionOutcome::Portfolio(race) = &report.outcome else {
+//!     unreachable!("a fixed-budget portfolio runs the fixed-budget race");
 //! };
-//! let result = PortfolioSolver::with_default_portfolio(&dag, base, 4).solve();
-//! let strategy = result.outcome.into_strategy().expect("solvable");
+//! assert!(race.winner.is_some());
+//! let strategy = report.into_strategy().expect("solvable");
 //! strategy.validate(&dag, Some(4)).expect("valid");
-//! assert!(result.winner.is_some());
 //! ```
-//!
-//! Beyond single-budget races, [`minimize_portfolio_with_sharing`] races
-//! whole *budget-minimization searches*: every worker drives one
-//! incremental assumption-bounded encoding through its own
-//! [`BudgetSchedule`] (binary search vs. descending strides), and the
-//! first complete search cancels the rest — so the portfolio explores
-//! budget schedules, not just option sets.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,52 +52,46 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use revpebble_graph::Dag;
 use revpebble_sat::card::CardEncoding;
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelToken, Heartbeat, PoolConfig, PoolStats, SharedClausePool, SolverStats};
+use revpebble_sat::{CancelToken, Heartbeat, PoolConfig, PoolStats, SharedClausePool};
 
 use crate::encoding::MoveMode;
 use crate::exec::{scatter_settle, Executor};
-use crate::session::{ProbeEvent, ProbeEventSender};
+use crate::session::ProbeEventSender;
 use crate::sharing::SharedSearchState;
 use crate::solver::{
-    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeResult,
-    PebbleOutcome, PebbleSolver, RetryPolicy, SearchStats, SolverOptions, StepSchedule,
+    run_minimize_with_context, solve_fixed, BudgetSchedule, MinimizeContext, MinimizeResult,
+    PebbleOutcome, PebbleRun, RetryPolicy, SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
 /// Sentinel for "no worker has claimed the win yet".
 const NO_WINNER: usize = usize::MAX;
 
-/// What one portfolio worker did, for diagnostics and benchmarking.
+/// What one race worker did, for diagnostics and benchmarking.
 #[derive(Debug, Clone)]
-pub struct WorkerReport {
+pub struct RaceWorker<C, R> {
     /// The configuration this worker ran.
-    pub options: SolverOptions,
-    /// The worker's own outcome (the winner's is also the portfolio's).
-    pub outcome: PebbleOutcome,
-    /// Outer-search statistics (queries issued, largest `K`, conflicts).
-    pub search: SearchStats,
-    /// SAT-solver statistics as of the worker's last query.
-    pub sat: SolverStats,
+    pub config: C,
+    /// The worker's own result (the winner's decides the race).
+    pub result: R,
     /// Wall-clock time from spawn to return.
     pub elapsed: Duration,
     /// `true` when the worker gave up because the race token fired — a
     /// rival won, or an ambient session token was cancelled — as opposed
-    /// to exhausting its own budgets.
+    /// to finishing its own search.
     pub cancelled: bool,
     /// The panic payload when this worker's job panicked instead of
-    /// returning. The entry is a placeholder (default statistics, a
-    /// `Timeout` outcome) kept in configuration order so winner indices
-    /// stay valid; the race certifies from the survivors.
+    /// returning. The entry is a placeholder (a default result) kept in
+    /// configuration order so winner indices stay valid; the race
+    /// certifies from the survivors.
     pub panicked: Option<String>,
 }
 
-impl WorkerReport {
-    /// A compact single-line description of the worker's configuration,
-    /// e.g. `linear/seq/sequential-counter/stride1`.
-    pub fn describe(&self) -> String {
-        describe_options(&self.options)
-    }
-}
+/// What one fixed-budget race worker did.
+pub type WorkerReport = RaceWorker<SolverOptions, PebbleRun>;
+
+/// What one minimize race worker did.
+pub type MinimizeWorkerReport = RaceWorker<MinimizeConfig, MinimizeResult>;
 
 /// A compact single-line description of one configuration,
 /// e.g. `exponential/par/totalizer/stride1`.
@@ -113,7 +115,7 @@ pub fn describe_options(options: &SolverOptions) -> String {
     )
 }
 
-/// The result of a [`PortfolioSolver::solve`] run.
+/// The result of a fixed-budget race.
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// The portfolio's verdict: the winner's strategy, or the most
@@ -133,7 +135,6 @@ impl PortfolioOutcome {
         self.winner.map(|idx| &self.workers[idx])
     }
 }
-
 /// Builds `n` diverse configurations from `base`, cycling through the
 /// deepening schedules × cardinality encodings × move semantics the
 /// encoding layer supports (`base`'s own combination first). Extra
@@ -207,203 +208,163 @@ pub fn default_portfolio(base: SolverOptions, n: usize) -> Vec<SolverOptions> {
     configs
 }
 
-/// Races several solver configurations on one pebbling instance;
-/// first-winner-takes-all. See the [module docs](self).
-#[derive(Debug)]
-pub struct PortfolioSolver<'a> {
-    dag: &'a Dag,
-    configs: Vec<SolverOptions>,
+/// The session-side context a race runs under: the pool its workers fan
+/// out on, the ambient session token (the race token is its child), the
+/// probe-event sink every worker shares and the watchdog heartbeat.
+pub(crate) struct RaceContext<'a> {
+    pub(crate) executor: &'a Executor,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) events: &'a ProbeEventSender,
+    pub(crate) heartbeat: Option<Heartbeat>,
 }
 
-impl<'a> PortfolioSolver<'a> {
-    /// Creates a portfolio running one worker per configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty, the DAG is empty, or the DAG fails
-    /// [`Dag::validate_for_pebbling`].
-    pub fn new(dag: &'a Dag, configs: Vec<SolverOptions>) -> Self {
-        assert!(
-            !configs.is_empty(),
-            "a portfolio needs at least one configuration"
-        );
-        assert!(dag.num_nodes() > 0, "cannot pebble an empty DAG");
-        dag.validate_for_pebbling()
-            .expect("every sink must be an output");
-        PortfolioSolver { dag, configs }
-    }
-
-    /// Creates a portfolio of `n` diverse variations of `base`; `n == 0`
-    /// spawns one worker per available core (see [`default_portfolio`]).
-    pub fn with_default_portfolio(dag: &'a Dag, base: SolverOptions, n: usize) -> Self {
-        Self::new(dag, default_portfolio(base, n))
-    }
-
-    /// The worker configurations, in spawn order.
-    pub fn configs(&self) -> &[SolverOptions] {
-        &self.configs
-    }
-
-    /// Races every configuration on a private pool (one worker per
-    /// configuration, the historical behaviour) and returns the
-    /// first-found strategy plus per-worker reports. The winning worker
-    /// cancels the race token, which stops the rivals' searches inside
-    /// the CDCL loop, so the call returns shortly after the first win
-    /// even when rival configurations would run far longer.
-    pub fn solve(&self) -> PortfolioOutcome {
-        let executor = Executor::new(self.configs.len());
-        self.solve_on(&executor, None, None, None)
-    }
-
-    /// [`solve`](Self::solve) on a caller-provided [`Executor`], under an
-    /// optional ambient cancel token (the race token is its child), with
-    /// an optional live probe-event stream: each worker emits
-    /// [`ProbeEvent::ProbeStarted`] before its search and a
-    /// solved/refuted event after — the session runtime's view into the
-    /// race.
-    pub(crate) fn solve_on(
-        &self,
-        executor: &Executor,
-        cancel: Option<&CancelToken>,
-        events: Option<ProbeEventSender>,
-        heartbeat: Option<Heartbeat>,
-    ) -> PortfolioOutcome {
-        let race = cancel.map_or_else(CancelToken::new, CancelToken::child);
-        let winner = Arc::new(AtomicUsize::new(NO_WINNER));
-        let dag = Arc::new(self.dag.clone());
-        let tasks: Vec<_> = self
-            .configs
-            .iter()
-            .enumerate()
-            .map(|(index, &options)| {
-                let race = race.clone();
-                let winner = Arc::clone(&winner);
-                let events = events.clone();
-                let dag = Arc::clone(&dag);
-                let heartbeat = heartbeat.clone();
-                move || {
-                    let start = Instant::now();
-                    // Containment: the worker runs under its own child of
-                    // the race token, so an injected spurious cancel (or
-                    // an injected transient, which has no other channel
-                    // here) degrades this one worker without stopping the
-                    // race. The winner still cancels the shared parent.
-                    let worker_token = race.child();
-                    if options
-                        .sat
-                        .faults
-                        .trip(FaultSite::ExecJob, Some(&worker_token))
-                    {
-                        worker_token.cancel();
-                    }
-                    let budget = options.encoding.max_pebbles.unwrap_or_default();
-                    let emit = |event: ProbeEvent| {
-                        if let Some(events) = &events {
-                            let _ = events.send(event);
-                        }
-                    };
-                    emit(ProbeEvent::ProbeStarted {
-                        worker: index,
-                        probe: 0,
-                        budget,
-                    });
-                    let mut solver = PebbleSolver::new(&dag, options);
-                    solver.set_cancel_token(Some(worker_token.clone()));
-                    solver.set_heartbeat(heartbeat);
-                    let outcome = solver.solve();
-                    let solved = matches!(outcome, PebbleOutcome::Solved(_));
-                    emit(match &outcome {
-                        PebbleOutcome::Solved(strategy) => ProbeEvent::ProbeSolved {
-                            worker: index,
-                            probe: 0,
-                            budget,
-                            achieved: crate::session::achieved_budget(
-                                &dag,
-                                options.encoding.weighted,
-                                strategy,
-                            ),
-                        },
-                        _ => ProbeEvent::ProbeRefuted {
-                            worker: index,
-                            probe: 0,
-                            budget,
-                        },
-                    });
-                    if solved
-                        && winner
-                            .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                    {
-                        race.cancel();
-                    }
-                    WorkerReport {
-                        options,
-                        search: solver.stats(),
-                        sat: solver.sat_stats(),
-                        elapsed: start.elapsed(),
-                        cancelled: !solved && worker_token.is_cancelled(),
-                        outcome,
-                        panicked: None,
-                    }
+/// The one race driver: runs `body` once per configuration as jobs on
+/// the context's executor, first-winner-takes-all. `body` gets the
+/// worker's index, configuration and own token, and returns its result
+/// plus whether it finished — the claim to the win. The first finished
+/// worker cancels the race token, which stops the rivals inside the CDCL
+/// loop. `options` names the solver options a configuration's probes
+/// share; their fault plan arms the worker's `exec.job` fail point.
+/// Returns one entry per configuration, in order, and the winner's index.
+fn race<C, R, F>(
+    ctx: &RaceContext<'_>,
+    configs: &[C],
+    options: fn(&C) -> &SolverOptions,
+    body: F,
+) -> (Vec<RaceWorker<C, R>>, Option<usize>)
+where
+    C: Copy + Send + 'static,
+    R: Default + Send + 'static,
+    F: Fn(usize, C, &CancelToken) -> (R, bool) + Send + Sync + 'static,
+{
+    let race = ctx.cancel.map_or_else(CancelToken::new, CancelToken::child);
+    let winner = Arc::new(AtomicUsize::new(NO_WINNER));
+    let body = Arc::new(body);
+    let tasks: Vec<_> = configs
+        .iter()
+        .enumerate()
+        .map(|(index, &config)| {
+            let race = race.clone();
+            let winner = Arc::clone(&winner);
+            let body = Arc::clone(&body);
+            move || {
+                let start = Instant::now();
+                // Containment: the worker runs under its own child of the
+                // race token, so a spurious cancellation (injected at
+                // `exec.job`, or an external child-holder) degrades this
+                // one worker without stopping the race. The winner still
+                // cancels the shared parent, which shines through every
+                // child.
+                let worker_token = race.child();
+                if options(&config)
+                    .sat
+                    .faults
+                    .trip(FaultSite::ExecJob, Some(&worker_token))
+                {
+                    worker_token.cancel();
                 }
+                let (result, finished) = body(index, config, &worker_token);
+                if finished
+                    && winner
+                        .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                {
+                    race.cancel();
+                }
+                RaceWorker {
+                    config,
+                    result,
+                    elapsed: start.elapsed(),
+                    cancelled: !finished && worker_token.is_cancelled(),
+                    panicked: None,
+                }
+            }
+        })
+        .collect();
+    // Panic isolation: a panicked worker becomes a placeholder entry (in
+    // configuration order, so winner indices stay valid) and the race
+    // certifies from the survivors.
+    let workers = scatter_settle(ctx.executor, tasks)
+        .into_iter()
+        .zip(configs)
+        .map(|(slot, &config)| {
+            slot.unwrap_or_else(|failure| RaceWorker {
+                config,
+                result: R::default(),
+                elapsed: Duration::ZERO,
+                cancelled: false,
+                panicked: Some(failure.message),
             })
-            .collect();
-        // Panic isolation: a panicked worker becomes a placeholder entry
-        // (in configuration order, so winner indices stay valid) and the
-        // race certifies from the survivors.
-        let workers: Vec<WorkerReport> = scatter_settle(executor, tasks)
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| match slot {
-                Ok(report) => report,
-                Err(failure) => WorkerReport {
-                    options: self.configs[index],
-                    outcome: PebbleOutcome::Timeout { steps_reached: 0 },
-                    search: SearchStats::default(),
-                    sat: SolverStats::default(),
-                    elapsed: Duration::ZERO,
-                    cancelled: false,
-                    panicked: Some(failure.message),
-                },
-            })
-            .collect();
+        })
+        .collect();
+    let winner = match winner.load(Ordering::Acquire) {
+        NO_WINNER => None,
+        index => Some(index),
+    };
+    (workers, winner)
+}
 
-        let winner = match winner.load(Ordering::Acquire) {
-            NO_WINNER => None,
-            index => Some(index),
-        };
-        let outcome = match winner {
-            Some(index) => workers[index].outcome.clone(),
-            None => Self::most_definite(&workers),
-        };
-        PortfolioOutcome {
-            outcome,
-            winner,
-            workers,
-        }
-    }
-
-    /// When nobody solved the instance, report the most definite failure:
-    /// a structural `Infeasible` beats an exhausted `StepLimit` beats a
-    /// plain `Timeout`.
-    fn most_definite(workers: &[WorkerReport]) -> PebbleOutcome {
-        let rank = |outcome: &PebbleOutcome| match outcome {
-            PebbleOutcome::Solved(_) => 3,
-            PebbleOutcome::Infeasible { .. } => 2,
-            PebbleOutcome::StepLimit { .. } => 1,
-            PebbleOutcome::Timeout { .. } => 0,
-        };
-        workers
-            .iter()
-            .map(|worker| &worker.outcome)
-            .max_by_key(|outcome| rank(outcome))
-            .expect("portfolio has at least one worker")
-            .clone()
+/// Races fixed-budget searches over `configs` (the budget rides in each
+/// configuration's `encoding.max_pebbles`): the first strategy wins.
+/// Each worker emits [`ProbeEvent::ProbeStarted`](crate::session::ProbeEvent::ProbeStarted)
+/// before its search and a solved/refuted event after.
+pub(crate) fn race_fixed(
+    dag: &Dag,
+    configs: &[SolverOptions],
+    ctx: &RaceContext<'_>,
+) -> PortfolioOutcome {
+    let dag = Arc::new(dag.clone());
+    let events = ctx.events.clone();
+    let heartbeat = ctx.heartbeat.clone();
+    let (workers, winner) = race(
+        ctx,
+        configs,
+        |options| options,
+        move |index, options, token| {
+            let run = solve_fixed(
+                &dag,
+                options,
+                index,
+                0,
+                Some(token.clone()),
+                heartbeat.clone(),
+                &events,
+            );
+            let solved = matches!(run.outcome, PebbleOutcome::Solved(_));
+            (run, solved)
+        },
+    );
+    let outcome = match winner {
+        Some(index) => workers[index].result.outcome.clone(),
+        None => most_definite(&workers),
+    };
+    PortfolioOutcome {
+        outcome,
+        winner,
+        workers,
     }
 }
 
-/// One worker's slice of a [`minimize_portfolio_with_sharing`] race: a
-/// solver configuration paired with a budget schedule.
+/// When nobody solved the instance, report the most definite failure:
+/// a structural `Infeasible` beats an exhausted `StepLimit` beats a
+/// plain `Timeout`.
+fn most_definite(workers: &[WorkerReport]) -> PebbleOutcome {
+    let rank = |outcome: &PebbleOutcome| match outcome {
+        PebbleOutcome::Solved(_) => 3,
+        PebbleOutcome::Infeasible { .. } => 2,
+        PebbleOutcome::StepLimit { .. } => 1,
+        PebbleOutcome::Timeout { .. } => 0,
+    };
+    workers
+        .iter()
+        .map(|worker| &worker.result.outcome)
+        .max_by_key(|outcome| rank(outcome))
+        .expect("portfolio has at least one worker")
+        .clone()
+}
+
+/// One worker's slice of a minimize race: a solver configuration paired
+/// with a budget schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct MinimizeConfig {
     /// Options every probe of this worker shares.
@@ -422,27 +383,9 @@ pub fn describe_minimize_config(config: &MinimizeConfig) -> String {
     format!("{schedule}/{}", describe_options(&config.base))
 }
 
-/// What one [`minimize_portfolio_with_sharing`] worker did.
-#[derive(Debug, Clone)]
-pub struct MinimizeWorkerReport {
-    /// The configuration this worker ran.
-    pub config: MinimizeConfig,
-    /// The worker's own (possibly cancelled-early) search result.
-    pub result: MinimizeResult,
-    /// Wall-clock time from spawn to return.
-    pub elapsed: Duration,
-    /// `true` when the race token fired on this worker — a rival finished
-    /// first, or an ambient session token was cancelled.
-    pub cancelled: bool,
-    /// The panic payload when this worker's job panicked instead of
-    /// returning (the entry is then a placeholder in configuration
-    /// order; the race certifies from the survivors).
-    pub panicked: Option<String>,
-}
-
-/// What a [`minimize_portfolio_with_sharing`] race shares between its
-/// workers. [`Default`] shares everything; [`ShareOptions::isolated`] is
-/// the PR-2 behaviour (workers only share first-winner cancellation).
+/// What a minimize race shares between its workers. [`Default`] shares
+/// everything; with [`ShareOptions::isolated`] workers share only
+/// first-winner cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShareOptions {
     /// Exchange short learnt clauses through one [`SharedClausePool`].
@@ -574,10 +517,8 @@ fn clause_share_modes(configs: &[MinimizeConfig]) -> Vec<ClauseShareMode> {
 /// `0.0..0.05`). Worker 0 is left untouched so every diversified
 /// portfolio still contains the stock configuration.
 ///
-/// [`minimize_portfolio_with_sharing`]-based races apply this
-/// automatically when [`ShareOptions::diversify`] is set; it is public so
-/// custom portfolios can diversify hand-built configuration lists the
-/// same way.
+/// Minimize races apply this automatically when
+/// [`ShareOptions::diversify`] is set.
 pub fn diversify_minimize_portfolio(configs: &mut [MinimizeConfig]) {
     for (worker, config) in configs.iter_mut().enumerate().skip(1) {
         let mut rng = StdRng::seed_from_u64(0x5EED_0000 ^ worker as u64);
@@ -615,7 +556,7 @@ pub struct SharingReport {
     pub pool: PoolStats,
 }
 
-/// The result of a [`minimize_portfolio_with_sharing`] race.
+/// The result of a minimize race.
 #[derive(Debug, Clone)]
 pub struct MinimizePortfolioOutcome {
     /// The smallest certified budget across *all* workers (a cancelled
@@ -680,94 +621,37 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
     }
 }
 
-/// Races `configs` minimize searches on one instance without any sharing
-/// beyond first-to-complete cancellation — the isolated (PR-2) race kept
-/// as the comparison baseline for [`minimize_portfolio_with_sharing`].
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the DAG is unfit for pebbling.
-pub fn minimize_portfolio_with(
-    dag: &Dag,
-    configs: Vec<MinimizeConfig>,
-    per_query: Duration,
-) -> MinimizePortfolioOutcome {
-    minimize_portfolio_with_sharing(dag, configs, per_query, ShareOptions::isolated())
-}
-
-/// Races `configs` minimize searches on one instance,
-/// first-to-complete-takes-all: each worker drives its own incremental
-/// assumption-bounded encoding through its budget schedule, and the first
-/// worker to finish a *complete* search with a certified budget raises the
-/// shared stop flag. The returned `best` is the smallest budget certified
-/// by anyone — a cancelled rival may have descended further than the
-/// winner.
+/// Races minimize searches over `configs`, first-to-complete-takes-all:
+/// each worker drives its own incremental assumption-bounded encoding
+/// through its budget schedule, and the first worker to finish a
+/// *complete* search with a certified budget cancels the race. The
+/// returned `best` is the smallest budget certified by anyone — a
+/// cancelled rival may have descended further than the winner.
 ///
 /// With [`ShareOptions::clauses`] the workers exchange short learnt
 /// clauses through one [`SharedClausePool`] — verbatim when every
 /// worker's options equal worker 0's, and through the pebble-variable
 /// prefix contract as soon as any worker differs in cardinality
 /// encoding, budget or step cap (the pool is one namespace, so verbatim
-/// and canonical payloads never mix). With [`ShareOptions::bounds`] they pool
-/// certified refutations and the budget floor on one
+/// and canonical payloads never mix). With [`ShareOptions::bounds`] they
+/// pool certified refutations and the budget floor on one
 /// [`SharedSearchState`], wired to every worker agreeing with worker 0
 /// on move semantics, weighting and step cap. Workers diverging on move
 /// semantics or weighting silently race isolated — sharing across those
 /// axes would be unsound. [`ShareOptions::diversify`] additionally
 /// jitters every non-reference worker's CDCL heuristics (see
 /// [`diversify_minimize_portfolio`]).
-///
-/// # Panics
-///
-/// Panics if `configs` is empty or the DAG is unfit for pebbling.
-pub fn minimize_portfolio_with_sharing(
-    dag: &Dag,
-    configs: Vec<MinimizeConfig>,
-    per_query: Duration,
-    share: ShareOptions,
-) -> MinimizePortfolioOutcome {
-    let executor = Executor::new(configs.len().max(1));
-    minimize_portfolio_on(
-        dag,
-        configs,
-        per_query,
-        share,
-        None,
-        &executor,
-        None,
-        RetryPolicy::none(),
-        None,
-    )
-}
-
-/// The minimize-race engine under [`minimize_portfolio_with_sharing`]
-/// and the session runtime's portfolio engines: the same race, run as
-/// jobs on a caller-provided [`Executor`] under an optional ambient
-/// cancel token (the race token is its child), with an optional live
-/// probe-event stream every worker clones.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn minimize_portfolio_on(
+pub(crate) fn race_minimize(
     dag: &Dag,
     mut configs: Vec<MinimizeConfig>,
     per_query: Duration,
     share: ShareOptions,
-    events: Option<ProbeEventSender>,
-    executor: &Executor,
-    cancel: Option<&CancelToken>,
     retry: RetryPolicy,
-    heartbeat: Option<Heartbeat>,
+    ctx: &RaceContext<'_>,
 ) -> MinimizePortfolioOutcome {
-    assert!(
-        !configs.is_empty(),
-        "a minimize portfolio needs at least one configuration"
-    );
-    assert!(dag.num_nodes() > 0, "cannot pebble an empty DAG");
-    dag.validate_for_pebbling()
-        .expect("every sink must be an output");
     if share.diversify {
         diversify_minimize_portfolio(&mut configs);
     }
-    let race = cancel.map_or_else(CancelToken::new, CancelToken::child);
     let pool = share.clauses.then(|| {
         Arc::new(SharedClausePool::with_config(PoolConfig {
             max_workers: configs.len().max(1),
@@ -794,101 +678,33 @@ pub(crate) fn minimize_portfolio_on(
                 && config.base.max_steps == reference.max_steps
         })
         .collect();
-    let winner = Arc::new(AtomicUsize::new(NO_WINNER));
-    let owned_dag = Arc::new(dag.clone());
-    let tasks: Vec<_> = configs
-        .iter()
-        .enumerate()
-        .map(|(index, &config)| {
-            let race = race.clone();
-            let winner = Arc::clone(&winner);
-            let dag = Arc::clone(&owned_dag);
-            let clause_mode = clause_mode[index];
-            let compatible = compatible[index];
-            // Containment: the worker runs under its own child of the
-            // race token, so a spurious cancellation (injected at
-            // `exec.job`, or an external child-holder) degrades this one
-            // worker without stopping the race. The winner still cancels
-            // the shared parent, which shines through every child.
-            let worker_token = race.child();
-            let ctx = MinimizeContext {
-                cancel: Some(worker_token.clone()),
-                pool: pool
-                    .clone()
-                    .filter(|_| clause_mode != ClauseShareMode::None),
-                prefix: clause_mode == ClauseShareMode::Prefix,
-                shared: shared.clone().filter(|_| compatible),
+    let body = {
+        let dag = Arc::new(dag.clone());
+        let (pool, shared, compatible) = (pool.clone(), shared.clone(), compatible.clone());
+        let events = ctx.events.clone();
+        let heartbeat = ctx.heartbeat.clone();
+        move |index: usize, config: MinimizeConfig, token: &CancelToken| {
+            let mode = clause_mode[index];
+            let run = MinimizeContext {
+                base: config.base,
+                per_query,
+                schedule: config.schedule,
+                incremental: true,
+                cancel: Some(token.clone()),
+                pool: pool.clone().filter(|_| mode != ClauseShareMode::None),
+                prefix: mode == ClauseShareMode::Prefix,
+                shared: shared.clone().filter(|_| compatible[index]),
                 events: events.clone(),
                 worker: index,
                 retry,
                 heartbeat: heartbeat.clone(),
             };
-            move || {
-                let start = Instant::now();
-                if config
-                    .base
-                    .sat
-                    .faults
-                    .trip(FaultSite::ExecJob, Some(&worker_token))
-                {
-                    worker_token.cancel();
-                }
-                let options = MinimizeOptions {
-                    base: config.base,
-                    per_query,
-                    schedule: config.schedule,
-                    incremental: true,
-                };
-                let result = run_minimize_with_context(&dag, options, ctx);
-                let finished = result.best.is_some() && !worker_token.is_cancelled();
-                if finished
-                    && winner
-                        .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    race.cancel();
-                }
-                MinimizeWorkerReport {
-                    config,
-                    cancelled: !finished && worker_token.is_cancelled(),
-                    result,
-                    elapsed: start.elapsed(),
-                    panicked: None,
-                }
-            }
-        })
-        .collect();
-    // Panic isolation: a panicked worker becomes a placeholder entry (in
-    // configuration order, so winner indices stay valid); its floor of 0
-    // and empty result never contribute to the certified aggregates.
-    let workers: Vec<MinimizeWorkerReport> = scatter_settle(executor, tasks)
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| match slot {
-            Ok(report) => report,
-            Err(failure) => MinimizeWorkerReport {
-                config: configs[index],
-                result: MinimizeResult {
-                    best: None,
-                    probes: Vec::new(),
-                    probe_stats: Vec::new(),
-                    search: SearchStats::default(),
-                    sat: SolverStats::default(),
-                    floor: 0,
-                    step_tightenings: 0,
-                    floor_raises: 0,
-                    retries: 0,
-                },
-                elapsed: Duration::ZERO,
-                cancelled: false,
-                panicked: Some(failure.message),
-            },
-        })
-        .collect();
-    let winner = match winner.load(Ordering::Acquire) {
-        NO_WINNER => None,
-        index => Some(index),
+            let result = run_minimize_with_context(&dag, run);
+            let finished = result.best.is_some() && !token.is_cancelled();
+            (result, finished)
+        }
     };
+    let (workers, winner) = race(ctx, &configs, |config| &config.base, body);
     let best = workers
         .iter()
         .filter_map(|worker| worker.result.best.clone())
@@ -939,7 +755,38 @@ mod tests {
     use super::*;
     use crate::encoding::EncodingOptions;
     use crate::session::{PebblingSession, SessionOutcome};
-    use revpebble_graph::generators::paper_example;
+    use crate::solver::PebbleSolver;
+    use proptest::prelude::*;
+    use revpebble_graph::generators::{paper_example, random_dag};
+
+    /// Runs a race the way a session without an installed executor does:
+    /// on a private pool with one thread per worker, under no session
+    /// token.
+    fn privately<T>(workers: usize, race: impl FnOnce(&RaceContext<'_>) -> T) -> T {
+        let executor = Executor::new(workers);
+        let events = ProbeEventSender::default();
+        race(&RaceContext {
+            executor: &executor,
+            cancel: None,
+            events: &events,
+            heartbeat: None,
+        })
+    }
+
+    fn race_configs(dag: &Dag, configs: &[SolverOptions]) -> PortfolioOutcome {
+        privately(configs.len(), |ctx| race_fixed(dag, configs, ctx))
+    }
+
+    fn race_minimize_configs(
+        dag: &Dag,
+        configs: Vec<MinimizeConfig>,
+        per_query: Duration,
+        share: ShareOptions,
+    ) -> MinimizePortfolioOutcome {
+        privately(configs.len(), |ctx| {
+            race_minimize(dag, configs, per_query, share, RetryPolicy::none(), ctx)
+        })
+    }
 
     /// Session-backed equivalents of the retired free-function shims:
     /// the tests still cover the session → engine plumbing end to end.
@@ -1090,12 +937,12 @@ mod tests {
     #[test]
     fn portfolio_with_two_workers_solves_and_reports_both() {
         let dag = paper_example();
-        let result = PortfolioSolver::with_default_portfolio(&dag, budgeted(6), 2).solve();
+        let result = race_configs(&dag, &default_portfolio(budgeted(6), 2));
         assert!(matches!(result.outcome, PebbleOutcome::Solved(_)));
         assert_eq!(result.workers.len(), 2);
         let report = result.winning_report().expect("winner report");
-        assert!(matches!(report.outcome, PebbleOutcome::Solved(_)));
-        assert!(report.search.queries > 0);
+        assert!(matches!(report.result.outcome, PebbleOutcome::Solved(_)));
+        assert!(report.result.search.queries > 0);
     }
 
     #[test]
@@ -1123,7 +970,7 @@ mod tests {
             ..budgeted(3)
         };
         let start = Instant::now();
-        let result = PortfolioSolver::new(&dag, vec![budgeted(4), doomed]).solve();
+        let result = race_configs(&dag, &[budgeted(4), doomed]);
         let elapsed = start.elapsed();
 
         assert_eq!(result.winner, Some(0), "only the 4-pebble worker can win");
@@ -1133,9 +980,9 @@ mod tests {
         let loser = &result.workers[1];
         assert!(loser.cancelled, "loser must report being cancelled");
         assert!(
-            matches!(loser.outcome, PebbleOutcome::Timeout { .. }),
+            matches!(loser.result.outcome, PebbleOutcome::Timeout { .. }),
             "cancellation surfaces as a budget outcome, got {:?}",
-            loser.outcome
+            loser.result.outcome
         );
         // Generous CI bound; the stop flag is polled at every CDCL
         // decision, so real latency is micro- to milliseconds.
@@ -1162,7 +1009,12 @@ mod tests {
             .iter()
             .any(|c| matches!(c.schedule, BudgetSchedule::Descending { .. })));
 
-        let outcome = minimize_portfolio_with(&dag, configs, Duration::from_secs(20));
+        let outcome = race_minimize_configs(
+            &dag,
+            configs,
+            Duration::from_secs(20),
+            ShareOptions::isolated(),
+        );
         let (p, strategy) = outcome.best.expect("paper example is feasible");
         assert_eq!(p, 4, "all schedules agree on the minimum budget");
         strategy.validate(&dag, Some(4)).expect("valid");
@@ -1223,7 +1075,7 @@ mod tests {
         let mut configs = default_minimize_portfolio(base, 3);
         configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
         configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
-        let outcome = minimize_portfolio_with_sharing(
+        let outcome = race_minimize_configs(
             &dag,
             configs,
             Duration::from_secs(30),
@@ -1324,7 +1176,7 @@ mod tests {
             ..SolverOptions::default()
         };
         let configs = default_minimize_portfolio(base, 3);
-        let outcome = minimize_portfolio_with_sharing(
+        let outcome = race_minimize_configs(
             &dag,
             configs,
             Duration::from_secs(20),
@@ -1385,8 +1237,87 @@ mod tests {
         let dag = paper_example();
         let configs = default_portfolio(budgeted(6), 3);
         let expected: Vec<String> = configs.iter().map(describe_options).collect();
-        let result = PortfolioSolver::new(&dag, configs).solve();
-        let got: Vec<String> = result.workers.iter().map(WorkerReport::describe).collect();
+        let result = race_configs(&dag, &configs);
+        let got: Vec<String> = result
+            .workers
+            .iter()
+            .map(|worker| describe_options(&worker.config))
+            .collect();
         assert_eq!(got, expected);
+    }
+
+    fn decisive_base(nodes: usize) -> SolverOptions {
+        SolverOptions {
+            // Step caps above any optimum these little DAGs admit, so
+            // every probe ends in SAT or a certified StepLimit, never a
+            // timeout — the regime where engine answers are theorems.
+            max_steps: 4 * nodes + 20,
+            ..SolverOptions::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn mixed_encoding_diversified_race_matches_single_worker_incremental(
+            inputs in 2usize..5,
+            nodes in 4usize..12,
+            seed in any::<u64>(),
+        ) {
+            // Workers with *different* cardinality encodings (same move
+            // mode and weighting) cooperate through the pebble-variable
+            // prefix contract, with HordeSat heuristic jitter on top; the
+            // certified minimum must still match the single-worker
+            // incremental engine on every random DAG.
+            let dag = random_dag(inputs, nodes, seed);
+            let base = decisive_base(dag.num_nodes());
+            let per_query = Duration::from_secs(60);
+
+            let mut configs = default_minimize_portfolio(base, 3);
+            configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
+            configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
+            let shared =
+                race_minimize_configs(&dag, configs, per_query, ShareOptions::diversified());
+            let single = minimize_single(&dag, base, per_query);
+
+            let single_min = single.best.as_ref().map(|&(p, _)| p);
+            let shared_min = shared.best.as_ref().map(|&(p, _)| p);
+            if shared_min != single_min {
+                // A mismatch here is a soundness failure in the
+                // cooperative layer; dump the per-worker view before
+                // panicking, because which worker mis-certified (and via
+                // which cardinality encoding) is the whole diagnosis.
+                eprintln!(
+                    "MISMATCH shared={shared_min:?} single={single_min:?} \
+                     floor={} pool={:?}",
+                    shared.sharing.floor, shared.sharing.pool
+                );
+                for (i, w) in shared.workers.iter().enumerate() {
+                    eprintln!(
+                        "worker {i}: best={:?} floor={} probes={:?} cancelled={} \
+                         imports={} exports={} card={:?}",
+                        w.result.best.as_ref().map(|&(p, _)| p),
+                        w.result.floor,
+                        w.result.probes,
+                        w.cancelled,
+                        w.result.sat.imported_clauses,
+                        w.result.sat.exported_clauses,
+                        w.config.base.encoding.card_encoding,
+                    );
+                }
+            }
+            prop_assert_eq!(
+                shared_min, single_min,
+                "mixed-encoding diversified race must certify the single-worker minimum"
+            );
+            if let Some((p, strategy)) = &shared.best {
+                strategy.validate(&dag, Some(*p)).expect("winner's strategy is valid");
+                prop_assert!(
+                    shared.sharing.floor <= *p,
+                    "floor {} exceeds certified minimum {}", shared.sharing.floor, p
+                );
+            }
+        }
     }
 }

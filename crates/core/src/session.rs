@@ -32,10 +32,11 @@
 //!    the validated [`SessionPlan`] and unifies the result into one
 //!    [`Report`].
 //!
-//! While an engine runs, it streams [`ProbeEvent`]s over a channel; the
-//! callback installed with [`PebblingSession::on_event`] observes them
-//! live (the CLI prints progress lines from it, benches collect
-//! structured traces). The terminal [`ProbeEvent::BudgetCertified`] event
+//! While an engine runs, it streams [`ProbeEvent`]s: the callback
+//! installed with [`PebblingSession::on_event`] observes each one live, on
+//! the thread that emitted it, one call at a time (the CLI prints
+//! progress lines from it, benches collect structured traces). The
+//! terminal [`ProbeEvent::BudgetCertified`] event
 //! is emitted exactly once per session, after every worker has finished —
 //! even when a portfolio cancels rivals mid-probe — *unless* the
 //! session's own cancel token fired first: a cancelled session ends its
@@ -62,41 +63,101 @@
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use revpebble_graph::{Dag, DagError};
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverConfig};
+use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverConfig, SolverStats};
 
 use revpebble_sat::card::CardEncoding;
 
 use crate::bounds::{pebble_lower_bound, weighted_pebble_lower_bound};
 use crate::cache::{CacheKey, CachedReport, ResultCache};
 use crate::encoding::MoveMode;
-use crate::exec::{payload_message, Executor};
+use crate::exec::Executor;
 use crate::frontier::{frontier_on, FrontierOptions, FrontierPoint};
 use crate::portfolio::{
-    default_minimize_portfolio, describe_minimize_config, describe_options, minimize_portfolio_on,
-    MinimizeConfig, MinimizePortfolioOutcome, PortfolioOutcome, PortfolioSolver, ShareOptions,
+    default_minimize_portfolio, default_portfolio, describe_minimize_config, describe_options,
+    race_fixed, race_minimize, MinimizeConfig, MinimizePortfolioOutcome, PortfolioOutcome,
+    RaceContext, RaceWorker, ShareOptions,
 };
 use crate::solver::{
-    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeOptions, MinimizeResult,
-    PebbleOutcome, PebbleSolver, RetryPolicy, SolverOptions, StepSchedule,
+    run_minimize_with_context, solve_fixed, BudgetSchedule, MinimizeContext, MinimizeResult,
+    PebbleOutcome, PebbleRun, RetryPolicy, SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
-/// The channel end engines push [`ProbeEvent`]s into. Workers hold clones
-/// of one sender; the session drains the receiving end and forwards each
-/// event to the [`PebblingSession::on_event`] callback.
-pub type ProbeEventSender = mpsc::Sender<ProbeEvent>;
+/// The sink engines push [`ProbeEvent`]s into. Workers share clones of
+/// one sink; each event is counted and handed to the
+/// [`PebblingSession::on_event`] callback on the emitting thread, one
+/// call at a time.
+#[derive(Clone, Default)]
+pub(crate) struct ProbeEventSender(Arc<Mutex<EventTally>>);
+
+#[derive(Default)]
+struct EventTally {
+    emitted: u64,
+    callback: Option<SessionCallback>,
+}
+
+impl ProbeEventSender {
+    fn new(callback: Option<SessionCallback>) -> Self {
+        ProbeEventSender(Arc::new(Mutex::new(EventTally {
+            emitted: 0,
+            callback,
+        })))
+    }
+
+    fn tally(&self) -> std::sync::MutexGuard<'_, EventTally> {
+        // A panicking callback poisons the lock; the count stays exact.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts `event` and hands it to the callback, if any.
+    pub(crate) fn send(&self, event: ProbeEvent) {
+        let mut tally = self.tally();
+        tally.emitted += 1;
+        if let Some(callback) = tally.callback.as_mut() {
+            callback(event);
+        }
+    }
+
+    /// Resolves probe `probe` of `worker` at `budget`: solved when the
+    /// probe certified `achieved`, refuted otherwise.
+    pub(crate) fn resolved(
+        &self,
+        worker: usize,
+        probe: usize,
+        budget: usize,
+        achieved: Option<usize>,
+    ) {
+        self.send(match achieved {
+            Some(achieved) => ProbeEvent::ProbeSolved {
+                worker,
+                probe,
+                budget,
+                achieved,
+            },
+            None => ProbeEvent::ProbeRefuted {
+                worker,
+                probe,
+                budget,
+            },
+        });
+    }
+
+    fn emitted(&self) -> u64 {
+        self.tally().emitted
+    }
+}
 
 /// One structured progress event from a running session.
 ///
-/// Events are delivered from worker threads over a channel, in send
-/// order. Within one `worker`, `probe` indices are monotone
+/// Events are delivered on the worker threads that emit them, one at a
+/// time. Within one `worker`, `probe` indices are monotone
 /// (non-decreasing); [`BudgetCertified`](Self::BudgetCertified) is the
 /// terminal event — emitted exactly once per session, after every worker
 /// has finished, even when a portfolio cancels rivals.
@@ -560,9 +621,9 @@ pub struct Report {
     pub floor: usize,
     /// One summary per worker, in configuration order.
     pub workers: Vec<WorkerSummary>,
-    /// Events delivered over the session's channel (including the
-    /// terminal [`ProbeEvent::BudgetCertified`], which a cancelled
-    /// session never emits).
+    /// Events the session emitted (including the terminal
+    /// [`ProbeEvent::BudgetCertified`], which a cancelled session never
+    /// emits).
     pub events_emitted: u64,
     /// Why the session stopped early: its token fired (cancel /
     /// deadline / quota), workers panicked with nothing certified from
@@ -935,10 +996,12 @@ impl<'a> PebblingSession<'a> {
     }
 
     /// Installs a live observer for [`ProbeEvent`]s. The callback runs on
-    /// the session's own thread while workers solve, in channel-delivery
-    /// order; the terminal [`ProbeEvent::BudgetCertified`] arrives last
+    /// the thread that emits each event — a portfolio's worker threads
+    /// while they solve — one call at a time, in emission order; the
+    /// terminal [`ProbeEvent::BudgetCertified`] arrives last
     /// — unless the session's cancel token fired, in which case the
-    /// stream ends without certifying. `'static` + `Send` so the whole
+    /// stream ends without certifying. Keep it brief: the emitting worker
+    /// waits for each call to return. `'static` + `Send` so the whole
     /// session can be handed to an [`Executor`]; collect events through
     /// an `Arc<Mutex<_>>` or a channel sender.
     pub fn on_event(mut self, callback: impl FnMut(ProbeEvent) + Send + 'static) -> Self {
@@ -1244,13 +1307,14 @@ fn plan_hash(plan: &SessionPlan) -> u64 {
 fn run_with_runtime(
     dag: &Dag,
     plan: &SessionPlan,
-    mut callback: Option<SessionCallback>,
+    callback: Option<SessionCallback>,
     token: Option<CancelToken>,
     cache: Option<Arc<ResultCache>>,
     executor: Option<&Arc<Executor>>,
     heartbeat: Option<Heartbeat>,
 ) -> Report {
     let start = Instant::now();
+    let events = ProbeEventSender::new(callback);
     let key = cache.as_ref().map(|_| CacheKey {
         fingerprint: dag.canonical_fingerprint(),
         plan: plan_hash(plan),
@@ -1259,17 +1323,15 @@ fn run_with_runtime(
         if let Some(hit) = cache.lookup(key) {
             // Served whole from the cache: no solver runs, no workers
             // report; the stream is the terminal event alone.
-            if let Some(callback) = callback.as_mut() {
-                callback(ProbeEvent::BudgetCertified {
-                    minimum: hit.minimum,
-                });
-            }
+            events.send(ProbeEvent::BudgetCertified {
+                minimum: hit.minimum,
+            });
             return Report {
                 engine: plan.engine,
                 minimum: hit.minimum,
                 floor: hit.floor,
                 workers: Vec::new(),
-                events_emitted: 1,
+                events_emitted: events.emitted(),
                 stop_reason: None,
                 retries: 0,
                 cache_hits: 1,
@@ -1279,60 +1341,14 @@ fn run_with_runtime(
             };
         }
     }
-    let mut events_emitted: u64 = 0;
-    let (tx, rx) = mpsc::channel();
     // The engine job is a panic containment boundary: an escaping panic
     // (injected or real) becomes an `Aborted` partial report instead of
     // unwinding through the caller.
-    let (engine_result, engine_panic) = match callback.as_mut() {
-        // Live stream: the engine runs on a scoped thread while this
-        // thread drains the channel, so each event reaches the
-        // callback while rivals are still solving.
-        Some(callback) => thread::scope(|scope| {
-            let engine_plan = plan.clone();
-            let engine_token = token.clone();
-            let engine_heartbeat = heartbeat.clone();
-            let handle = scope.spawn(move || {
-                execute_plan(
-                    dag,
-                    &engine_plan,
-                    tx,
-                    engine_token.as_ref(),
-                    executor,
-                    engine_heartbeat,
-                )
-            });
-            // Drains until the engine (and every worker clone)
-            // drops its sender.
-            for event in rx {
-                events_emitted += 1;
-                callback(event);
-            }
-            match handle.join() {
-                Ok(result) => (result, None),
-                Err(payload) => (
-                    (SessionOutcome::Aborted, Vec::new()),
-                    Some(payload_message(payload.as_ref())),
-                ),
-            }
-        }),
-        // No observer: run inline — no thread spawn on the
-        // library's hottest path — and tally the buffered events
-        // afterwards so `events_emitted` stays accurate.
-        None => {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_plan(dag, plan, tx, token.as_ref(), executor, heartbeat.clone())
-            }));
-            let result = match result {
-                Ok(result) => (result, None),
-                Err(payload) => (
-                    (SessionOutcome::Aborted, Vec::new()),
-                    Some(payload_message(payload.as_ref())),
-                ),
-            };
-            events_emitted += rx.try_iter().count() as u64;
-            result
-        }
+    let (engine_result, engine_panicked) = match catch_unwind(AssertUnwindSafe(|| {
+        execute_plan(dag, plan, &events, token.as_ref(), executor, heartbeat)
+    })) {
+        Ok(result) => (result, false),
+        Err(_) => ((SessionOutcome::Aborted, Vec::new()), true),
     };
     let (outcome, workers) = engine_result;
     let (minimum, floor) = certified(dag, plan, &outcome);
@@ -1346,7 +1362,7 @@ fn run_with_runtime(
         .and_then(|token| token.poll())
         .map(StopReason::from)
         .or_else(|| {
-            if engine_panic.is_some() {
+            if engine_panicked {
                 Some(StopReason::WorkerPanicked {
                     count: failed_workers.max(1),
                 })
@@ -1362,10 +1378,7 @@ fn run_with_runtime(
     // joined — but never after the session's own token fired. A
     // cancelled session ends its stream without certifying anything.
     if stop_reason.is_none() {
-        events_emitted += 1;
-        if let Some(callback) = callback.as_mut() {
-            callback(ProbeEvent::BudgetCertified { minimum });
-        }
+        events.send(ProbeEvent::BudgetCertified { minimum });
     }
     let mut cache_misses = 0;
     if let (Some(cache), Some(key)) = (cache.as_ref(), key) {
@@ -1396,7 +1409,7 @@ fn run_with_runtime(
         floor,
         retries: workers.iter().map(|worker| worker.retries).sum(),
         workers,
-        events_emitted,
+        events_emitted: events.emitted(),
         stop_reason,
         cache_hits: 0,
         cache_misses,
@@ -1454,12 +1467,18 @@ impl SessionHandle {
     }
 
     /// The finished [`Report`], or `None` while the session still runs.
-    /// Never blocks.
+    /// Never blocks. A session job that died without reporting yields
+    /// the same [`StopReason::WorkerPanicked`] placeholder
+    /// [`join`](Self::join) returns.
     pub fn try_report(&mut self) -> Option<&Report> {
         if self.report.is_none() {
-            if let Ok(report) = self.receiver.try_recv() {
-                self.report = Some(report);
-            }
+            self.report = match self.receiver.try_recv() {
+                Ok(report) => Some(report),
+                Err(mpsc::TryRecvError::Disconnected) => {
+                    Some(self.placeholder(StopReason::WorkerPanicked { count: 1 }))
+                }
+                Err(mpsc::TryRecvError::Empty) => None,
+            };
         }
         self.report.as_ref()
     }
@@ -1903,9 +1922,6 @@ impl BatchSession {
     }
 }
 
-/// Runs the engine a validated plan names, pushing progress events into
-/// `tx`. Dropping `tx` (and every worker clone) ends the session's event
-/// stream.
 /// What a strategy certifies, in the units the encoding budgets:
 /// weight units in weighted mode, pebble counts otherwise. Every
 /// engine's `ProbeSolved { achieved }` (and the terminal minimum) uses
@@ -1918,120 +1934,153 @@ pub(crate) fn achieved_budget(dag: &Dag, weighted: bool, strategy: &Strategy) ->
     }
 }
 
+/// The counters a [`WorkerSummary`] row reads off an engine's
+/// per-worker result: `(probes, queries, SAT statistics, retries)`.
+trait Tally {
+    fn tally(&self) -> (usize, usize, SolverStats, u64);
+}
+
+impl Tally for PebbleRun {
+    fn tally(&self) -> (usize, usize, SolverStats, u64) {
+        (1, self.search.queries, self.sat, 0)
+    }
+}
+
+impl Tally for MinimizeResult {
+    fn tally(&self) -> (usize, usize, SolverStats, u64) {
+        (
+            self.probes.len(),
+            self.search.queries,
+            self.sat,
+            self.retries,
+        )
+    }
+}
+
+impl Tally for Vec<FrontierPoint> {
+    fn tally(&self) -> (usize, usize, SolverStats, u64) {
+        (self.len(), 0, SolverStats::default(), 0)
+    }
+}
+
+/// The one place a [`WorkerSummary`] row is built.
+fn summarize(config: String, tally: &impl Tally, winner: bool, elapsed: Duration) -> WorkerSummary {
+    let (probes, queries, sat, retries) = tally.tally();
+    WorkerSummary {
+        config,
+        probes,
+        queries,
+        conflicts: sat.conflicts,
+        imported: sat.imported_clauses,
+        exported: sat.exported_clauses,
+        cancelled: false,
+        winner,
+        elapsed,
+        failed: false,
+        retries,
+    }
+}
+
+/// One [`WorkerSummary`] row per race worker, in configuration order.
+fn race_rows<C, R: Tally>(
+    workers: &[RaceWorker<C, R>],
+    winner: Option<usize>,
+    describe: fn(&C) -> String,
+) -> Vec<WorkerSummary> {
+    workers
+        .iter()
+        .enumerate()
+        .map(|(index, worker)| {
+            let config = describe(&worker.config);
+            let mut row = summarize(
+                config,
+                &worker.result,
+                winner == Some(index),
+                worker.elapsed,
+            );
+            row.cancelled = worker.cancelled;
+            row.failed = worker.panicked.is_some();
+            row
+        })
+        .collect()
+}
+
+/// Runs a race of `workers` on the session's executor or, when none is
+/// installed, on a private pool with one thread per worker.
+fn on_pool<T>(
+    executor: Option<&Arc<Executor>>,
+    workers: usize,
+    cancel: Option<&CancelToken>,
+    events: &ProbeEventSender,
+    heartbeat: Option<Heartbeat>,
+    race: impl FnOnce(&RaceContext<'_>) -> T,
+) -> T {
+    let private;
+    let executor = match executor {
+        Some(executor) => executor.as_ref(),
+        None => {
+            private = Executor::new(workers.max(1));
+            &private
+        }
+    };
+    race(&RaceContext {
+        executor,
+        cancel,
+        events,
+        heartbeat,
+    })
+}
+
+/// Runs the engine a validated plan names, pushing progress events into
+/// `events`.
 fn execute_plan(
     dag: &Dag,
     plan: &SessionPlan,
-    tx: ProbeEventSender,
+    events: &ProbeEventSender,
     cancel: Option<&CancelToken>,
     executor: Option<&Arc<Executor>>,
     heartbeat: Option<Heartbeat>,
 ) -> (SessionOutcome, Vec<WorkerSummary>) {
+    let start = Instant::now();
     match plan.engine {
         Engine::Single => {
-            let budget = plan.pebbles.expect("validated: single needs a budget");
-            let start = Instant::now();
-            let _ = tx.send(ProbeEvent::ProbeStarted {
-                worker: 0,
-                probe: 0,
-                budget,
-            });
-            let mut solver = PebbleSolver::new(dag, plan.base);
-            solver.set_cancel_token(cancel.cloned());
-            solver.set_heartbeat(heartbeat);
-            let outcome = solver.solve();
-            let event = match &outcome {
-                PebbleOutcome::Solved(strategy) => ProbeEvent::ProbeSolved {
-                    worker: 0,
-                    probe: 0,
-                    budget,
-                    achieved: achieved_budget(dag, plan.base.encoding.weighted, strategy),
-                },
-                _ => ProbeEvent::ProbeRefuted {
-                    worker: 0,
-                    probe: 0,
-                    budget,
-                },
-            };
-            let _ = tx.send(event);
-            let summary = WorkerSummary {
-                config: describe_options(&plan.base),
-                probes: 1,
-                queries: solver.stats().queries,
-                conflicts: solver.sat_stats().conflicts,
-                imported: solver.sat_stats().imported_clauses,
-                exported: solver.sat_stats().exported_clauses,
-                cancelled: false,
-                winner: matches!(outcome, PebbleOutcome::Solved(_)),
-                elapsed: start.elapsed(),
-                failed: false,
-                retries: 0,
-            };
-            (SessionOutcome::Single(outcome), vec![summary])
+            let run = solve_fixed(dag, plan.base, 0, 0, cancel.cloned(), heartbeat, events);
+            let solved = run.outcome.strategy().is_some();
+            let row = summarize(describe_options(&plan.base), &run, solved, start.elapsed());
+            (SessionOutcome::Single(run.outcome), vec![row])
         }
         Engine::SinglePortfolio => {
-            let portfolio = PortfolioSolver::with_default_portfolio(dag, plan.base, plan.workers);
-            let outcome = match executor {
-                Some(executor) => portfolio.solve_on(executor, cancel, Some(tx), heartbeat),
-                None => {
-                    // No shared pool installed: preserve the historical
-                    // one-thread-per-configuration race.
-                    let private = Executor::new(portfolio.configs().len().max(1));
-                    portfolio.solve_on(&private, cancel, Some(tx), heartbeat)
-                }
-            };
-            let workers = outcome
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(index, worker)| WorkerSummary {
-                    config: describe_options(&worker.options),
-                    probes: 1,
-                    queries: worker.search.queries,
-                    conflicts: worker.sat.conflicts,
-                    imported: worker.sat.imported_clauses,
-                    exported: worker.sat.exported_clauses,
-                    cancelled: worker.cancelled,
-                    winner: outcome.winner == Some(index),
-                    elapsed: worker.elapsed,
-                    failed: worker.panicked.is_some(),
-                    retries: 0,
-                })
-                .collect();
-            (SessionOutcome::Portfolio(outcome), workers)
+            let configs = default_portfolio(plan.base, plan.workers);
+            let outcome = on_pool(executor, configs.len(), cancel, events, heartbeat, |ctx| {
+                race_fixed(dag, &configs, ctx)
+            });
+            let rows = race_rows(&outcome.workers, outcome.winner, describe_options);
+            (SessionOutcome::Portfolio(outcome), rows)
         }
         Engine::MinimizeFresh | Engine::MinimizeIncremental => {
-            let start = Instant::now();
-            let options = MinimizeOptions {
+            let ctx = MinimizeContext {
                 base: plan.base,
                 per_query: plan.per_query,
                 schedule: plan.budget_schedule,
                 incremental: plan.engine == Engine::MinimizeIncremental,
-            };
-            let ctx = MinimizeContext {
                 cancel: cancel.cloned(),
-                events: Some(tx),
+                events: events.clone(),
                 retry: plan.retry,
                 heartbeat,
                 ..MinimizeContext::default()
             };
-            let result = run_minimize_with_context(dag, options, ctx);
-            let summary = WorkerSummary {
-                config: describe_minimize_config(&MinimizeConfig {
-                    base: plan.base,
-                    schedule: plan.budget_schedule,
-                }),
-                probes: result.probes.len(),
-                queries: result.search.queries,
-                conflicts: result.sat.conflicts,
-                imported: result.sat.imported_clauses,
-                exported: result.sat.exported_clauses,
-                cancelled: false,
-                winner: result.best.is_some(),
-                elapsed: start.elapsed(),
-                failed: false,
-                retries: result.retries,
+            let result = run_minimize_with_context(dag, ctx);
+            let config = MinimizeConfig {
+                base: plan.base,
+                schedule: plan.budget_schedule,
             };
-            (SessionOutcome::Minimize(result), vec![summary])
+            let row = summarize(
+                describe_minimize_config(&config),
+                &result,
+                result.best.is_some(),
+                start.elapsed(),
+            );
+            (SessionOutcome::Minimize(result), vec![row])
         }
         Engine::MinimizePortfolio | Engine::MinimizePortfolioShared => {
             let configs = default_minimize_portfolio(plan.base, plan.workers);
@@ -2045,85 +2094,36 @@ fn execute_plan(
                     ..ShareOptions::isolated()
                 }
             };
-            let outcome = match executor {
-                Some(executor) => minimize_portfolio_on(
-                    dag,
-                    configs,
-                    plan.per_query,
-                    share,
-                    Some(tx),
-                    executor,
-                    cancel,
-                    plan.retry,
-                    heartbeat,
-                ),
-                None => {
-                    let private = Executor::new(configs.len().max(1));
-                    minimize_portfolio_on(
-                        dag,
-                        configs,
-                        plan.per_query,
-                        share,
-                        Some(tx),
-                        &private,
-                        cancel,
-                        plan.retry,
-                        heartbeat,
-                    )
-                }
-            };
-            let workers = outcome
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(index, worker)| WorkerSummary {
-                    config: describe_minimize_config(&worker.config),
-                    probes: worker.result.probes.len(),
-                    queries: worker.result.search.queries,
-                    conflicts: worker.result.sat.conflicts,
-                    imported: worker.result.sat.imported_clauses,
-                    exported: worker.result.sat.exported_clauses,
-                    cancelled: worker.cancelled,
-                    winner: outcome.winner == Some(index),
-                    elapsed: worker.elapsed,
-                    failed: worker.panicked.is_some(),
-                    retries: worker.result.retries,
-                })
-                .collect();
-            (SessionOutcome::MinimizePortfolio(outcome), workers)
+            let workers = configs.len();
+            let outcome = on_pool(executor, workers, cancel, events, heartbeat, |ctx| {
+                race_minimize(dag, configs, plan.per_query, share, plan.retry, ctx)
+            });
+            let rows = race_rows(&outcome.workers, outcome.winner, describe_minimize_config);
+            (SessionOutcome::MinimizePortfolio(outcome), rows)
         }
         Engine::Frontier => {
-            let start = Instant::now();
             let options = FrontierOptions {
                 base: plan.base,
                 per_budget: plan.per_query,
                 min_pebbles: plan.frontier_range.0,
                 max_pebbles: plan.frontier_range.1,
                 incremental: plan.incremental,
-                ..FrontierOptions::default()
             };
             let points = frontier_on(
                 dag,
                 options,
-                Some(tx),
+                events,
                 executor.map(|arc| arc.as_ref()),
                 cancel,
                 heartbeat,
             );
-            let summary = WorkerSummary {
-                config: format!("frontier/{}", describe_options(&plan.base)),
-                probes: points.len(),
-                queries: 0,
-                conflicts: 0,
-                imported: 0,
-                exported: 0,
-                cancelled: false,
-                winner: points.iter().any(|point| point.strategy.is_some()),
-                elapsed: start.elapsed(),
-                failed: false,
-                retries: 0,
-            };
-            (SessionOutcome::Frontier(points), vec![summary])
+            let row = summarize(
+                format!("frontier/{}", describe_options(&plan.base)),
+                &points,
+                points.iter().any(|point| point.strategy.is_some()),
+                start.elapsed(),
+            );
+            (SessionOutcome::Frontier(points), vec![row])
         }
     }
 }

@@ -6,7 +6,8 @@
 //! the number of steps to K+1 until a satisfying solution is found").
 //!
 //! *Table I methodology*: find the smallest `P` for which a solution is
-//! found within a time budget — [`minimize`].
+//! found within a time budget — the minimize engine behind
+//! [`PebblingSession::minimize`](crate::session::PebblingSession::minimize).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +22,7 @@ use crate::bounds::{
     parallel_step_lower_bound, pebble_lower_bound, step_lower_bound, weighted_pebble_lower_bound,
 };
 use crate::encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
-use crate::session::{ProbeEvent, ProbeEventSender};
+use crate::session::{achieved_budget, ProbeEvent, ProbeEventSender};
 use crate::sharing::SharedSearchState;
 use crate::strategy::Strategy;
 
@@ -136,6 +137,62 @@ pub struct SearchStats {
     pub max_k: usize,
     /// Total SAT conflicts across all queries.
     pub conflicts: u64,
+}
+
+/// What one fixed-budget search produced: its outcome and the solver's
+/// statistics.
+#[derive(Debug, Clone)]
+pub struct PebbleRun {
+    /// The search outcome.
+    pub outcome: PebbleOutcome,
+    /// Outer-search statistics (queries issued, largest `K`, conflicts).
+    pub search: SearchStats,
+    /// SAT-solver statistics as of the last query.
+    pub sat: SolverStats,
+}
+
+impl Default for PebbleRun {
+    /// The placeholder of a search that never ran.
+    fn default() -> Self {
+        PebbleRun {
+            outcome: PebbleOutcome::Timeout { steps_reached: 0 },
+            search: SearchStats::default(),
+            sat: SolverStats::default(),
+        }
+    }
+}
+
+/// One fixed-budget search (the budget is `options.encoding.max_pebbles`)
+/// as probe `probe` of `worker`, bracketed by its
+/// [`ProbeEvent::ProbeStarted`] and resolution events.
+pub(crate) fn solve_fixed(
+    dag: &Dag,
+    options: SolverOptions,
+    worker: usize,
+    probe: usize,
+    cancel: Option<CancelToken>,
+    heartbeat: Option<Heartbeat>,
+    events: &ProbeEventSender,
+) -> PebbleRun {
+    let budget = options.encoding.max_pebbles.unwrap_or_default();
+    events.send(ProbeEvent::ProbeStarted {
+        worker,
+        probe,
+        budget,
+    });
+    let mut solver = PebbleSolver::new(dag, options);
+    solver.set_cancel_token(cancel);
+    solver.set_heartbeat(heartbeat);
+    let outcome = solver.solve();
+    let achieved = outcome
+        .strategy()
+        .map(|strategy| achieved_budget(dag, options.encoding.weighted, strategy));
+    events.resolved(worker, probe, budget, achieved);
+    PebbleRun {
+        outcome,
+        search: solver.stats(),
+        sat: solver.sat_stats(),
+    }
 }
 
 /// Iterative-deepening solver for one pebbling instance.
@@ -394,8 +451,8 @@ impl<'a> PebbleSolver<'a> {
     /// and solver instance: the budget is assumption-activated
     /// ([`BoundMode::Assumed`]), so probes at different budgets share the
     /// transition relation, all learnt clauses, VSIDS activities and saved
-    /// phases. This is the per-probe engine of the incremental
-    /// [`minimize`] search; statistics accumulate across calls.
+    /// phases. This is the per-probe engine of the incremental minimize
+    /// search; statistics accumulate across calls.
     ///
     /// The first call switches the options to [`BoundMode::Assumed`]
     /// (subsequent [`solve`](Self::solve) calls stay incremental too).
@@ -588,9 +645,9 @@ impl<'a> PebbleSolver<'a> {
     }
 }
 
-/// How a [`minimize`] search walks the budget axis. Portfolio workers can
-/// race different schedules on the same instance (see
-/// [`minimize_portfolio_with`](crate::portfolio::minimize_portfolio_with)).
+/// How a minimize search walks the budget axis. Minimize-portfolio
+/// workers race different schedules on the same instance (see
+/// [`default_minimize_portfolio`](crate::portfolio::default_minimize_portfolio)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetSchedule {
     /// Binary search over `[lower bound, full budget]` — the paper's
@@ -607,40 +664,10 @@ pub enum BudgetSchedule {
     },
 }
 
-/// Options for [`minimize`].
-#[derive(Debug, Clone, Copy)]
-pub struct MinimizeOptions {
-    /// Options every probe shares (move mode, step schedule, `max_steps`,
-    /// …); `encoding.max_pebbles` and `timeout` are overridden per probe.
-    pub base: SolverOptions,
-    /// Wall-clock budget per probe; a probe that exhausts it counts as
-    /// unsolvable at that budget, exactly as in the paper.
-    pub per_query: Duration,
-    /// How the budget axis is walked.
-    pub schedule: BudgetSchedule,
-    /// `true`: all probes share one assumption-bounded
-    /// [`PebbleEncoding`]/solver instance, carrying learnt clauses, VSIDS
-    /// activities and saved phases from probe to probe. `false`: the
-    /// paper's original fresh-solver-per-probe methodology.
-    pub incremental: bool,
-}
-
-impl MinimizeOptions {
-    /// Incremental binary search with the given per-probe budget.
-    pub fn new(base: SolverOptions, per_query: Duration) -> Self {
-        MinimizeOptions {
-            base,
-            per_query,
-            schedule: BudgetSchedule::Binary,
-            incremental: true,
-        }
-    }
-}
-
 /// Deterministic retry policy for *transient* failures: an injected
 /// transient fault, or a probe whose own child token was cancelled while
 /// the session token stayed live (a spurious cancellation). Applied
-/// per-probe by [`minimize`] (the shared monotonicity blackboard
+/// per-probe by the minimize engine (the shared monotonicity blackboard
 /// survives, so a retried probe resumes with everything already
 /// certified) and per-session by
 /// [`BatchSession`](crate::session::BatchSession).
@@ -690,8 +717,8 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The result of a [`minimize`] search.
-#[derive(Debug, Clone)]
+/// The result of a minimize search.
+#[derive(Debug, Clone, Default)]
 pub struct MinimizeResult {
     /// The smallest pebble budget for which a strategy was found, with the
     /// strategy itself. *Model-based upper-bound tightening*: when a probe
@@ -773,10 +800,10 @@ fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
 }
 
 impl<'a> Prober<'a> {
-    fn new(dag: &'a Dag, options: &MinimizeOptions, ctx: &MinimizeContext) -> Self {
-        let mut base = options.base;
-        base.timeout = Some(options.per_query);
-        if options.incremental {
+    fn new(dag: &'a Dag, ctx: &MinimizeContext) -> Self {
+        let mut base = ctx.base;
+        base.timeout = Some(ctx.per_query);
+        if ctx.incremental {
             base.encoding.bound_mode = BoundMode::Assumed;
             let mut solver = PebbleSolver::new(dag, base);
             solver.set_cancel_token(ctx.cancel.clone());
@@ -870,8 +897,8 @@ struct MinimizeRun<'a> {
     probes: Vec<(usize, bool)>,
     probe_stats: Vec<SolverStats>,
     cancel: Option<CancelToken>,
-    /// Live probe-event stream of the owning session, if any.
-    events: Option<ProbeEventSender>,
+    /// Probe-event sink of the owning session.
+    events: ProbeEventSender,
     /// Worker index stamped on every emitted event.
     worker: usize,
     /// Emit [`ProbeEvent::ClauseSharingTick`] after each probe (set when
@@ -890,13 +917,6 @@ struct MinimizeRun<'a> {
 }
 
 impl MinimizeRun<'_> {
-    fn emit(&self, event: ProbeEvent) {
-        if let Some(events) = &self.events {
-            // A receiver that hung up only silences the stream.
-            let _ = events.send(event);
-        }
-    }
-
     /// Probes budget `p`. On success returns the budget the extracted
     /// strategy *actually certifies* — its own maximum pebble count
     /// (weight in weighted mode), which can undercut `p`. The schedules
@@ -904,7 +924,7 @@ impl MinimizeRun<'_> {
     /// budget-by-budget down to it (model-based upper-bound tightening).
     fn probe(&mut self, p: usize) -> Option<usize> {
         let probe_index = self.probes.len();
-        self.emit(ProbeEvent::ProbeStarted {
+        self.events.send(ProbeEvent::ProbeStarted {
             worker: self.worker,
             probe: probe_index,
             budget: p,
@@ -964,22 +984,10 @@ impl MinimizeRun<'_> {
         };
         self.probes.push((p, achieved.is_some()));
         self.probe_stats.push(self.prober.snapshot());
-        match achieved {
-            Some(achieved) => self.emit(ProbeEvent::ProbeSolved {
-                worker: self.worker,
-                probe: probe_index,
-                budget: p,
-                achieved,
-            }),
-            None => self.emit(ProbeEvent::ProbeRefuted {
-                worker: self.worker,
-                probe: probe_index,
-                budget: p,
-            }),
-        }
+        self.events.resolved(self.worker, probe_index, p, achieved);
         if self.share_ticks {
             let snapshot = self.prober.snapshot();
-            self.emit(ProbeEvent::ClauseSharingTick {
+            self.events.send(ProbeEvent::ClauseSharingTick {
                 worker: self.worker,
                 imported: snapshot.imported_clauses,
                 exported: snapshot.exported_clauses,
@@ -988,7 +996,7 @@ impl MinimizeRun<'_> {
         let floor = self.shared.floor();
         if floor > self.last_floor {
             self.last_floor = floor;
-            self.emit(ProbeEvent::FloorRaised {
+            self.events.send(ProbeEvent::FloorRaised {
                 worker: self.worker,
                 floor,
             });
@@ -1029,73 +1037,58 @@ impl MinimizeRun<'_> {
     }
 }
 
-/// Cross-cutting hooks of one [`minimize`] run: the portfolio's
-/// cancellation token, clause-sharing pool and refutation blackboard.
-/// [`Default`] is a fully isolated run.
-#[derive(Debug, Clone, Default)]
-pub struct MinimizeContext {
+/// Options of one minimize run, plus its cross-cutting hooks: the
+/// portfolio's cancellation token, clause-sharing pool and refutation
+/// blackboard. [`Default`] hooks make a fully isolated run.
+#[derive(Clone, Default)]
+pub(crate) struct MinimizeContext {
+    /// Options every probe shares (move mode, step schedule, `max_steps`,
+    /// …); `encoding.max_pebbles` and `timeout` are overridden per probe.
+    pub(crate) base: SolverOptions,
+    /// Wall-clock budget per probe; a probe that exhausts it counts as
+    /// unsolvable at that budget, exactly as in the paper.
+    pub(crate) per_query: Duration,
+    /// How the budget axis is walked.
+    pub(crate) schedule: BudgetSchedule,
+    /// `true`: all probes share one assumption-bounded
+    /// [`PebbleEncoding`]/solver instance, carrying learnt clauses, VSIDS
+    /// activities and saved phases from probe to probe. `false`: the
+    /// paper's original fresh-solver-per-probe methodology.
+    pub(crate) incremental: bool,
     /// Cooperative cancellation (caller abandonment, the portfolio's
     /// first-winner broadcast, a session deadline or conflict quota):
     /// once the token fires, no further probes start and the current one
     /// unwinds promptly.
-    pub cancel: Option<CancelToken>,
+    pub(crate) cancel: Option<CancelToken>,
     /// Clause-sharing pool wired into the incremental engine's solver
     /// (ignored by the fresh baseline). All workers on one pool must use
     /// equal [`EncodingOptions`] — or, when [`prefix`](Self::prefix) is
     /// set, options agreeing on move mode and the weighted flag.
-    pub pool: Option<Arc<SharedClausePool>>,
+    pub(crate) pool: Option<Arc<SharedClausePool>>,
     /// Restrict the pool exchange to canonically-renamed pebble
     /// variables (see [`PebbleEncoding::enable_prefix_sharing`]); set by
     /// the portfolio when this worker's encoding options differ from the
     /// pool's reference options.
-    pub prefix: bool,
+    pub(crate) prefix: bool,
     /// Refutation blackboard shared with rival workers (ignored by the
     /// fresh baseline); a private one is created when absent. All workers
     /// on one blackboard must agree on move mode, weighted flag and
     /// `max_steps`.
-    pub shared: Option<Arc<SharedSearchState>>,
-    /// Live probe-event stream of the owning
-    /// [`PebblingSession`](crate::session::PebblingSession), if any:
-    /// every probe emits [`ProbeEvent`]s into it.
-    pub events: Option<ProbeEventSender>,
+    pub(crate) shared: Option<Arc<SharedSearchState>>,
+    /// Probe-event sink of the owning
+    /// [`PebblingSession`](crate::session::PebblingSession): every probe
+    /// emits [`ProbeEvent`]s into it.
+    pub(crate) events: ProbeEventSender,
     /// Worker index stamped on this run's events (portfolio executors
     /// number their workers; single runs use 0).
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// Per-probe [`RetryPolicy`] for transient failures (injected faults
     /// and spurious probe-token cancellations). The default never
     /// retries.
-    pub retry: RetryPolicy,
+    pub(crate) retry: RetryPolicy,
     /// Session-watchdog liveness counter, ticked by this run's SAT
     /// solver(s) on every conflict.
-    pub heartbeat: Option<Heartbeat>,
-}
-
-/// Finds the smallest pebble budget `P` for which a strategy can be found
-/// within the per-probe budget (the paper's Table I methodology, where
-/// each probe got 2 minutes of Z3 time). The budget axis is walked
-/// according to [`MinimizeOptions::schedule`]; in weighted mode the search
-/// range is `[weighted lower bound, total weight]` — weight units, which
-/// on heavy DAGs extend past `num_nodes()`.
-///
-/// `cancel` is a cooperative cancellation token (caller abandonment, the
-/// portfolio's first-winner broadcast, an ancestor deadline or quota):
-/// once it fires, no further probes start and the current one unwinds
-/// promptly. For clause sharing, a cross-worker refutation blackboard and
-/// live probe events, construct a
-/// [`session::PebblingSession`](crate::session::PebblingSession).
-pub fn minimize(
-    dag: &Dag,
-    options: MinimizeOptions,
-    cancel: Option<CancelToken>,
-) -> MinimizeResult {
-    run_minimize_with_context(
-        dag,
-        options,
-        MinimizeContext {
-            cancel,
-            ..MinimizeContext::default()
-        },
-    )
+    pub(crate) heartbeat: Option<Heartbeat>,
 }
 
 /// The minimize engine under every session executor and every worker of
@@ -1106,12 +1099,8 @@ pub fn minimize(
 /// pebble count (not the probed budget) becomes the new upper end of the
 /// search, so a slack model can collapse several budget steps into one
 /// probe ([`MinimizeResult::best`]).
-pub(crate) fn run_minimize_with_context(
-    dag: &Dag,
-    options: MinimizeOptions,
-    ctx: MinimizeContext,
-) -> MinimizeResult {
-    let weighted = options.base.encoding.weighted;
+pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> MinimizeResult {
+    let weighted = ctx.base.encoding.weighted;
     let lower = if weighted {
         weighted_pebble_lower_bound(dag)
     } else {
@@ -1122,7 +1111,7 @@ pub(crate) fn run_minimize_with_context(
     } else {
         dag.num_nodes()
     };
-    let prober = Prober::new(dag, &options, &ctx);
+    let prober = Prober::new(dag, &ctx);
     let shared = prober.shared_state();
     shared.prime_floor(lower);
     let last_floor = shared.floor();
@@ -1139,11 +1128,11 @@ pub(crate) fn run_minimize_with_context(
         worker: ctx.worker,
         share_ticks: ctx.pool.is_some(),
         last_floor,
-        faults: options.base.sat.faults,
+        faults: ctx.base.sat.faults,
         retry: ctx.retry,
         retries: 0,
     };
-    match options.schedule {
+    match ctx.schedule {
         BudgetSchedule::Binary => {
             let (mut low, mut high) = (lower, top);
             while low <= high && !run.stopped() {

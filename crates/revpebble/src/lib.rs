@@ -145,12 +145,12 @@ pub mod prelude {
     pub use crate::circuit::{compile, verify, Circuit, CompiledCircuit, VerifyOutcome};
     pub use crate::core::baselines::{bennett, cone_wise};
     pub use crate::core::{
-        minimize, AdmitGuard, BatchReport, BatchSession, BudgetSchedule, CancelReason, CancelToken,
+        AdmitGuard, BatchReport, BatchSession, BudgetSchedule, CancelReason, CancelToken,
         CardEncoding, EncodingOptions, Engine, Executor, FaultKind, FaultPlan, FaultSite,
         Heartbeat, MinimizeResult, Move, MoveMode, PebbleOutcome, PebbleSolver, PebblingSession,
-        PortfolioOutcome, PortfolioSolver, ProbeEvent, Report, ResultCache, RetryPolicy,
-        SessionError, SessionHandle, SessionOutcome, SessionRuntime, ShareOptions,
-        SharedClausePool, SharedSearchState, SolverOptions, StopReason, Strategy,
+        PortfolioOutcome, ProbeEvent, Report, ResultCache, RetryPolicy, SessionError,
+        SessionHandle, SessionOutcome, SessionRuntime, ShareOptions, SharedClausePool,
+        SharedSearchState, SolverOptions, StopReason, Strategy,
     };
     pub use crate::graph::{parse_bench, Dag, NodeId, Op, Slp, Source};
 }

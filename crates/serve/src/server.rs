@@ -4,7 +4,7 @@
 //!
 //! ## Threads
 //!
-//! - the caller's thread runs the accept loop ([`Server::run`]);
+//! - the caller's thread runs the blocking accept loop ([`Server::run`]);
 //! - `connections` handler threads each own one client connection at a
 //!   time (accepted sockets are handed over a bounded channel; overflow
 //!   is shed at the door with an `"overloaded"` response);
@@ -22,7 +22,7 @@
 //! root.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -40,6 +40,9 @@ use crate::protocol::{
 /// How often blocked reads and in-solve polls wake up to check for
 /// shutdown, disconnects and finished reports.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long [`ServerHandle::shutdown`] waits for its wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Everything the daemon needs to bind: address, pool sizes, limits.
 #[derive(Debug, Clone)]
@@ -146,6 +149,10 @@ struct Counters {
 
 struct ServerState {
     shutdown: AtomicBool,
+    /// Where [`ServerHandle::shutdown`] connects to wake the blocking
+    /// accept: the bound port on loopback (or on the bound address when
+    /// it names one interface).
+    wake_addr: SocketAddr,
     runtime: SessionRuntime,
     faults: FaultPlan,
     default_quota: Option<u64>,
@@ -187,6 +194,9 @@ impl ServerHandle {
     /// sessions, then return from [`Server::run`].
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
+        // Wake the blocking accept; it sees the flag before serving the
+        // connection. Once the daemon has stopped, the connect fails.
+        let _ = TcpStream::connect_timeout(&self.state.wake_addr, WAKE_TIMEOUT);
     }
 
     /// `true` once [`shutdown`](Self::shutdown) has been requested.
@@ -227,14 +237,19 @@ impl Server {
             .map_err(|err| ServeError::Config(err.to_string()))?
             .max_in_flight(config.max_pending);
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let wake_ip = match local_addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
         Ok(Server {
             listener,
             local_addr,
             connections: config.connections,
             state: Arc::new(ServerState {
                 shutdown: AtomicBool::new(false),
+                wake_addr: SocketAddr::new(wake_ip, local_addr.port()),
                 runtime,
                 faults: config.faults,
                 default_quota: config.quota,
@@ -292,29 +307,32 @@ impl Server {
             })
             .collect();
 
+        // A blocking accept: `ServerHandle::shutdown` wakes it with a
+        // connection of its own, which is dropped unserved.
         while !self.state.shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Err(
-                        mpsc::TrySendError::Full(stream) | mpsc::TrySendError::Disconnected(stream),
-                    ) = conn_tx.try_send(stream)
-                    {
-                        // Every handler is saturated: shed at the door.
-                        self.state
-                            .counters
-                            .overloaded
-                            .fetch_add(1, Ordering::SeqCst);
-                        let mut stream = stream;
-                        // The accepted socket may have inherited the
-                        // listener's non-blocking flag (BSD/macOS); a
-                        // blocking write must not fail with WouldBlock.
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.write_all(overloaded_response("connection").as_bytes());
-                        let _ = stream.write_all(b"\n");
-                    }
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                // Back off so a persistent failure (e.g. out of file
+                // descriptors) cannot spin.
+                Err(_) => {
+                    thread::sleep(POLL_INTERVAL);
+                    continue;
                 }
-                Err(err) if err.kind() == ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-                Err(_) => thread::sleep(POLL_INTERVAL),
+            };
+            if self.state.shutting_down() {
+                break;
+            }
+            if let Err(
+                mpsc::TrySendError::Full(mut stream) | mpsc::TrySendError::Disconnected(mut stream),
+            ) = conn_tx.try_send(stream)
+            {
+                // Every handler is saturated: shed at the door.
+                self.state
+                    .counters
+                    .overloaded
+                    .fetch_add(1, Ordering::SeqCst);
+                let _ = stream.write_all(overloaded_response("connection").as_bytes());
+                let _ = stream.write_all(b"\n");
             }
         }
 
@@ -399,12 +417,6 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         return;
     }
     let _ = stream.set_nodelay(true);
-    // On BSD/macOS an accepted socket inherits the listener's
-    // non-blocking flag, which would defeat the read timeout below and
-    // turn the poll loops into busy-spins.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }

@@ -4,9 +4,10 @@
 //! the answer — the shared-pool portfolio, the isolated portfolio and the
 //! single-worker incremental engine all certify the same minimum — and
 //! every core-derived lower bound must stay below or at that minimum.
-//! That holds even when the workers use *different* cardinality
-//! encodings (clauses then travel through the pebble-variable prefix
-//! contract) and HordeSat-style heuristic diversification on top.
+//! The mixed-encoding variant — workers on *different* cardinality
+//! encodings, sharing through the pebble-variable prefix contract — races
+//! hand-built configuration lists, so it lives next to the crate-private
+//! race in `revpebble-core`'s portfolio tests.
 
 use std::time::Duration;
 
@@ -68,85 +69,6 @@ proptest! {
             strategy.validate(&dag, Some(*p)).expect("winner's strategy is valid");
             // Core-derived lower bounds are certificates: they can meet
             // the minimum but never cross it.
-            prop_assert!(
-                shared.sharing.floor <= *p,
-                "floor {} exceeds certified minimum {}", shared.sharing.floor, p
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_encoding_diversified_race_matches_single_worker_incremental(
-        inputs in 2usize..5,
-        nodes in 4usize..12,
-        seed in any::<u64>(),
-    ) {
-        use revpebble::core::{
-            default_minimize_portfolio, minimize_portfolio_with_sharing, CardEncoding,
-        };
-
-        // Workers with *different* cardinality encodings (same move mode
-        // and weighting) cooperate through the pebble-variable prefix
-        // contract, with HordeSat heuristic jitter on top; the certified
-        // minimum must still match the single-worker incremental engine
-        // on every random DAG.
-        let dag = random_dag(inputs, nodes, seed);
-        let base = decisive_base(dag.num_nodes());
-        let per_query = Duration::from_secs(60);
-
-        let mut configs = default_minimize_portfolio(base, 3);
-        configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
-        configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
-        let shared = minimize_portfolio_with_sharing(
-            &dag,
-            configs,
-            per_query,
-            ShareOptions::diversified(),
-        );
-
-        let single_report = PebblingSession::new(&dag)
-            .solver_options(base)
-            .minimize()
-            .incremental(true)
-            .per_query_timeout(per_query)
-            .run()
-            .expect("a valid configuration");
-        let SessionOutcome::Minimize(single) = single_report.outcome else {
-            panic!("a single-worker minimize session ran");
-        };
-
-        let single_min = single.best.as_ref().map(|&(p, _)| p);
-        let shared_min = shared.best.as_ref().map(|&(p, _)| p);
-        if shared_min != single_min {
-            // A mismatch here is a soundness failure in the cooperative
-            // layer; dump the per-worker view before panicking, because
-            // which worker mis-certified (and via which cardinality
-            // encoding) is the whole diagnosis.
-            eprintln!(
-                "MISMATCH shared={shared_min:?} single={single_min:?} \
-                 floor={} pool={:?}",
-                shared.sharing.floor, shared.sharing.pool
-            );
-            for (i, w) in shared.workers.iter().enumerate() {
-                eprintln!(
-                    "worker {i}: best={:?} floor={} probes={:?} cancelled={} \
-                     imports={} exports={} card={:?}",
-                    w.result.best.as_ref().map(|&(p, _)| p),
-                    w.result.floor,
-                    w.result.probes,
-                    w.cancelled,
-                    w.result.sat.imported_clauses,
-                    w.result.sat.exported_clauses,
-                    w.config.base.encoding.card_encoding,
-                );
-            }
-        }
-        prop_assert_eq!(
-            shared_min, single_min,
-            "mixed-encoding diversified race must certify the single-worker minimum"
-        );
-        if let Some((p, strategy)) = &shared.best {
-            strategy.validate(&dag, Some(*p)).expect("winner's strategy is valid");
             prop_assert!(
                 shared.sharing.floor <= *p,
                 "floor {} exceeds certified minimum {}", shared.sharing.floor, p

@@ -364,3 +364,59 @@ fn hostile_request_names_round_trip_through_the_wire() {
     assert_eq!(value.get("name").and_then(|n| n.as_str()), Some(name));
     server.finish();
 }
+
+#[test]
+fn a_session_job_that_dies_unreported_is_answered_not_wedged() {
+    // Seed 0: the first session job panics at `exec.job` before it can
+    // report. Every wait below is bounded, so a wedged daemon fails the
+    // test instead of hanging it.
+    let server = start(ServeConfig {
+        workers: 2,
+        connections: 2,
+        faults: FaultPlan::inject(FaultSite::ExecJob, FaultKind::Panic, 0),
+        ..ServeConfig::default()
+    });
+
+    let dead = submit_frame(
+        server.addr,
+        &fast_request("dead").to_json(),
+        Duration::from_secs(10),
+    )
+    .expect("the dead job's request is answered");
+    let value = parse_json(&dead).expect("valid JSON");
+    assert_eq!(value.get("status").and_then(|s| s.as_str()), Some("ok"));
+    let report = value
+        .get("report")
+        .expect("an ok response carries a report");
+    assert_eq!(
+        report.get("stop_reason").and_then(|s| s.as_str()),
+        Some("worker-panicked"),
+        "{dead}"
+    );
+
+    let handle = server.handle.clone();
+    assert!(
+        wait_until(Duration::from_secs(10), || handle.in_flight() == 0),
+        "the dead job's admission slot must be freed"
+    );
+
+    let next = submit_frame(
+        server.addr,
+        &fast_request("next").to_json(),
+        Duration::from_secs(10),
+    )
+    .expect("the next request is served");
+    assert_eq!(status_of(&next), "ok");
+    assert!(next.contains("\"minimum\":4"), "{next}");
+
+    server.handle.shutdown();
+    assert!(
+        wait_until(Duration::from_secs(10), || server.thread.is_finished()),
+        "graceful shutdown must return"
+    );
+    let stats = server
+        .thread
+        .join()
+        .expect("the accept loop must not panic");
+    assert_eq!(stats.ok, 2);
+}
