@@ -12,6 +12,7 @@
 //! revpebble serve    [--addr A] [--workers N]        network daemon
 //! revpebble submit   <input> [--addr A]              one request to a daemon
 //! revpebble dot      <input>                         Graphviz export
+//! revpebble --help                                   usage text (also -h)
 //! ```
 //!
 //! Every solving command constructs one [`PebblingSession`] — the same
@@ -116,6 +117,7 @@ const USAGE: &str = "usage:
                              [--pebbles P | --minimize] [--portfolio N] [--share-clauses]
                              [--diversify] [--incremental] [--quota C] [--timeout S]
   revpebble dot      <input>
+  revpebble --help | -h
 inputs: a .bench file path, '-' (stdin), or a built-in:
   paper | c17 | andtree9 | chain12 | hop | b3_m4 | kummer | edwards | adder4
 portfolio: race N configurations (schedule x move mode x cardinality
@@ -146,6 +148,10 @@ output: probe events stream to stderr while solving; --json prints the
 exit codes: 0 success | 1 runtime failure | 2 invalid usage/configuration";
 
 fn run(raw: &[String]) -> Result<(), CliError> {
+    if raw.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
     let args = Args::parse(raw).map_err(CliError::Usage)?;
     if args.command == "batch" {
         return run_batch(&args);

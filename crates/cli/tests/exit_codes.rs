@@ -1,10 +1,10 @@
 //! Exit-code contract of the `revpebble` binary:
 //!
-//! - `0` — success;
+//! - `0` — success, including `--help`/`-h` (usage text on stdout);
 //! - `1` — runtime failure (infeasible budget, timeout, missing input);
 //! - `2` — invalid usage or configuration, whether rejected by the flag
-//!   parser (unknown flag) or by the `PebblingSession` plan (semantic
-//!   combination) — the CLI and the library reject identically.
+//!   parser (unknown flag, no command) or by the `PebblingSession` plan
+//!   (semantic combination) — the CLI and the library reject identically.
 
 use std::process::{Command, Output};
 
@@ -209,6 +209,31 @@ fn parse_errors_exit_two_with_usage() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = stderr(&output);
     assert!(stderr.contains("unknown flag"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn help_prints_usage_on_stdout_and_exits_zero() {
+    for args in [&["--help"][..], &["-h"], &["pebble", "paper", "--help"]] {
+        let output = revpebble(args);
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(output.stderr.is_empty(), "{args:?}: {}", stderr(&output));
+    }
+}
+
+#[test]
+fn bare_invocation_exits_two_with_usage() {
+    let output = revpebble(&[]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = stderr(&output);
+    assert!(stderr.contains("missing command"), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 

@@ -113,10 +113,6 @@ pub struct PebbleEncoding<'a> {
     /// call, kept so an UNSAT answer's core can be classified as
     /// budget-dependent or budget-free.
     last_budget_assumptions: Vec<Lit>,
-    /// Whether pebble variables are registered under their canonical
-    /// shared ids as the encoding grows (see
-    /// [`enable_prefix_sharing`](Self::enable_prefix_sharing)).
-    prefix_share: bool,
     /// Ambient cancellation (session/race scope). Each
     /// [`solve_at`](Self::solve_at) query installs a *child* of this token
     /// carrying the per-query deadline, so caller cancellation and query
@@ -147,7 +143,6 @@ impl<'a> PebbleEncoding<'a> {
             weights: dag.node_ids().map(|n| dag.node(n).weight).collect(),
             counters: Vec::new(),
             last_budget_assumptions: Vec::new(),
-            prefix_share: false,
             cancel: None,
         };
         encoding.push_time_point();
@@ -203,71 +198,12 @@ impl<'a> PebbleEncoding<'a> {
     }
 
     /// Connects the underlying solver to a portfolio clause-sharing pool
-    /// (see [`Solver::attach_clause_pool`]). Two regimes are sound:
-    ///
-    /// * **Verbatim** (the default): encodings of the *same DAG* with
-    ///   *equal* [`EncodingOptions`] — variable creation is deterministic,
-    ///   so such encodings agree on the meaning of every variable no
-    ///   matter how far each has been extended.
-    /// * **Prefix** ([`enable_prefix_sharing`](Self::enable_prefix_sharing)):
-    ///   encodings of the same DAG that agree on
-    ///   [`move_mode`](EncodingOptions::move_mode) and
-    ///   [`weighted`](EncodingOptions::weighted) but differ in
-    ///   [`card_encoding`](EncodingOptions::card_encoding) — only clauses
-    ///   confined to the pebble variables cross the pool, renamed to
-    ///   canonical ids.
+    /// (see [`Solver::attach_clause_pool`]). Sound between encodings of
+    /// the *same DAG* with *equal* [`EncodingOptions`]: variable creation
+    /// is deterministic, so such encodings agree on the meaning of every
+    /// variable no matter how far each has been extended.
     pub fn attach_clause_pool(&mut self, pool: Arc<SharedClausePool>) {
         self.solver.attach_clause_pool(pool);
-    }
-
-    /// Switches pool exchange to the *pebble-variable prefix*, renamed to
-    /// canonical shared ids (`time · num_nodes + node`): every pebble
-    /// variable created so far — and every one a future time point
-    /// creates — is registered with the solver's share translation, so
-    /// only clauses confined to pebble variables cross the pool, and they
-    /// do so under encoding-independent names.
-    ///
-    /// # Why this is sound across cardinality encodings
-    ///
-    /// Auxiliary variables (cardinality counters, change indicators)
-    /// differ between [`CardEncoding`]s, but
-    /// the *projection onto pebble variables* of the constraint set is
-    /// the same for any two encodings that agree on
-    /// [`move_mode`](EncodingOptions::move_mode) and
-    /// [`weighted`](EncodingOptions::weighted): the move axioms are
-    /// written on pebble variables only, the budget/final constraints are
-    /// assumption-activated, and every cardinality encoding enforces the
-    /// same `≤ k` semantics. A learnt clause confined to pebble variables
-    /// is entailed by that common projection (learnt clauses never depend
-    /// on assumptions), hence sound for every such rival — even one
-    /// encoding *more* time points, because a step-`k` instance extends
-    /// conservatively to `k' > k`. Workers differing in `move_mode` or
-    /// `weighted` encode genuinely different transition relations and
-    /// must not share a pool at all.
-    pub fn enable_prefix_sharing(&mut self) {
-        self.prefix_share = true;
-        for i in 0..self.vars.len() {
-            self.register_prefix_column(i);
-        }
-    }
-
-    /// Registers time point `i`'s pebble variables under their canonical
-    /// shared ids. Ids that overflow `u32` (unreachable for realistic
-    /// instances) are silently skipped — the affected clauses simply stay
-    /// private.
-    fn register_prefix_column(&mut self, i: usize) {
-        let num_nodes = self.dag.num_nodes();
-        for v in 0..num_nodes {
-            let global = i
-                .checked_mul(num_nodes)
-                .and_then(|base| base.checked_add(v))
-                .and_then(|id| u32::try_from(id).ok())
-                .filter(|&id| id != u32::MAX);
-            let Some(global) = global else {
-                return;
-            };
-            self.solver.map_shared_var(self.vars[i][v], global);
-        }
     }
 
     /// Whether the last [`solve_at`](Self::solve_at) refutation holds at
@@ -290,9 +226,6 @@ impl<'a> PebbleEncoding<'a> {
             .map(|_| self.solver.new_var())
             .collect();
         self.vars.push(column);
-        if self.prefix_share {
-            self.register_prefix_column(i);
-        }
         // Cardinality at this time point (time 0 is all-false anyway).
         if i == 0 {
             self.counters.push(None);

@@ -388,23 +388,15 @@ pub fn describe_minimize_config(config: &MinimizeConfig) -> String {
 /// first-winner cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShareOptions {
-    /// Exchange short learnt clauses through one [`SharedClausePool`].
-    /// When every worker's encoding options equal worker 0's the
-    /// exchange is verbatim; as soon as any worker differs in
-    /// cardinality encoding (or pebble budget / step cap), *all*
-    /// participants confine the exchange to the canonically-renamed
-    /// pebble-variable prefix (see
-    /// [`PebbleEncoding::enable_prefix_sharing`](crate::encoding::PebbleEncoding::enable_prefix_sharing))
-    /// — the pool is one namespace, so verbatim local ids and canonical
-    /// ids must never mix. Workers diverging on move semantics or
-    /// weighting race without the pool.
+    /// Exchange short learnt clauses verbatim through one
+    /// [`SharedClausePool`]. Only workers whose encoding options and step
+    /// cap equal worker 0's join the pool; any other worker races
+    /// isolated.
     pub clauses: bool,
     /// Share the certified-refutation blackboard
     /// ([`SharedSearchState`]): monotonicity-table entries, universal
-    /// (budget-free-core) step refutations and the budget floor. Only
-    /// wired to workers agreeing with worker 0 on move semantics, the
-    /// weighted flag and the step cap — the facts a refutation certifies
-    /// depend on nothing else.
+    /// (budget-free-core) step refutations and the budget floor. Wired to
+    /// the same workers as the clause pool.
     pub bounds: bool,
     /// Jitter the workers' CDCL heuristics (HordeSat-style
     /// diversification): per-worker RNG seeds drive restart-interval
@@ -442,66 +434,6 @@ impl ShareOptions {
             ..ShareOptions::default()
         }
     }
-}
-
-/// How one worker participates in the shared clause pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClauseShareMode {
-    /// Every worker's encoding options and step cap equal worker 0's:
-    /// every admitted learnt clause is exchanged verbatim.
-    Full,
-    /// Same move semantics and weighting as worker 0 but some pool
-    /// participant differs in cardinality encoding, budget or step cap:
-    /// only clauses confined to the canonically-renamed pebble-variable
-    /// prefix are exchanged.
-    Prefix,
-    /// Different move semantics or weighting: no clause exchange.
-    None,
-}
-
-/// Assigns every worker its pool participation mode. Clause exchange is
-/// sound verbatim between identical encodings, and through the
-/// canonically-renamed pebble-variable prefix between encodings that
-/// agree on move semantics and weighting (different cardinality encodings
-/// share the same projected theory — see
-/// [`PebbleEncoding::enable_prefix_sharing`](crate::encoding::PebbleEncoding::enable_prefix_sharing)).
-/// Workers diverging on move semantics or weighting keep racing without
-/// the pool.
-///
-/// The pool is one namespace: a verbatim publisher writes its *local*
-/// variable numbering, a prefix publisher writes *canonical* ids, and a
-/// reader cannot tell the payloads apart. Mixing the two regimes in one
-/// race would have a verbatim worker install a prefix rival's canonical
-/// ids as local literals (and vice versa) — unsound garbage that can
-/// flip probe answers. So verbatim exchange requires *every* pool
-/// participant to match worker 0 exactly; one deviating worker switches
-/// the whole pool to the prefix contract.
-fn clause_share_modes(configs: &[MinimizeConfig]) -> Vec<ClauseShareMode> {
-    let reference = configs[0].base;
-    let mut modes: Vec<ClauseShareMode> = configs
-        .iter()
-        .map(|config| {
-            if config.base.encoding == reference.encoding
-                && config.base.max_steps == reference.max_steps
-            {
-                ClauseShareMode::Full
-            } else if config.base.encoding.move_mode == reference.encoding.move_mode
-                && config.base.encoding.weighted == reference.encoding.weighted
-            {
-                ClauseShareMode::Prefix
-            } else {
-                ClauseShareMode::None
-            }
-        })
-        .collect();
-    if modes.contains(&ClauseShareMode::Prefix) {
-        for mode in &mut modes {
-            if *mode == ClauseShareMode::Full {
-                *mode = ClauseShareMode::Prefix;
-            }
-        }
-    }
-    modes
 }
 
 /// Jitters the CDCL heuristics of every worker but the first, HordeSat
@@ -629,17 +561,13 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
 /// cancelled rival may have descended further than the winner.
 ///
 /// With [`ShareOptions::clauses`] the workers exchange short learnt
-/// clauses through one [`SharedClausePool`] — verbatim when every
-/// worker's options equal worker 0's, and through the pebble-variable
-/// prefix contract as soon as any worker differs in cardinality
-/// encoding, budget or step cap (the pool is one namespace, so verbatim
-/// and canonical payloads never mix). With [`ShareOptions::bounds`] they
-/// pool certified refutations and the budget floor on one
-/// [`SharedSearchState`], wired to every worker agreeing with worker 0
-/// on move semantics, weighting and step cap. Workers diverging on move
-/// semantics or weighting silently race isolated — sharing across those
-/// axes would be unsound. [`ShareOptions::diversify`] additionally
-/// jitters every non-reference worker's CDCL heuristics (see
+/// clauses verbatim through one [`SharedClausePool`], and with
+/// [`ShareOptions::bounds`] they pool certified refutations and the
+/// budget floor on one [`SharedSearchState`]. Both are wired only to
+/// workers whose encoding options and step cap equal worker 0's (every
+/// [`default_minimize_portfolio`] worker); any other worker races
+/// isolated. [`ShareOptions::diversify`] additionally jitters every
+/// non-reference worker's CDCL heuristics (see
 /// [`diversify_minimize_portfolio`]).
 pub(crate) fn race_minimize(
     dag: &Dag,
@@ -660,21 +588,15 @@ pub(crate) fn race_minimize(
     });
     let shared = share.bounds.then(|| Arc::new(SharedSearchState::new()));
     let reference = configs[0].base;
-    // One pool, one namespace — see `clause_share_modes` for why a single
-    // prefix-mode worker switches every participant to the prefix
-    // contract.
-    let clause_mode = clause_share_modes(&configs);
-    // The refutation blackboard certifies facts about budgets under a
-    // step cap; those depend only on move semantics, weighting and the
-    // cap — not the cardinality encoding — so the bounds gate is wider
-    // than strict option equality. Incompatible workers keep racing, just
-    // without the pooled facts — and their results are excluded from the
-    // certified figures in the sharing report below.
+    // The pool copies literals verbatim, which is sound only between
+    // identical encodings, and the blackboard certifies facts under one
+    // step cap. Incompatible workers keep racing, just without either —
+    // and their results are excluded from the certified figures in the
+    // sharing report below.
     let compatible: Vec<bool> = configs
         .iter()
         .map(|config| {
-            config.base.encoding.move_mode == reference.encoding.move_mode
-                && config.base.encoding.weighted == reference.encoding.weighted
+            config.base.encoding == reference.encoding
                 && config.base.max_steps == reference.max_steps
         })
         .collect();
@@ -684,15 +606,13 @@ pub(crate) fn race_minimize(
         let events = ctx.events.clone();
         let heartbeat = ctx.heartbeat.clone();
         move |index: usize, config: MinimizeConfig, token: &CancelToken| {
-            let mode = clause_mode[index];
             let run = MinimizeContext {
                 base: config.base,
                 per_query,
                 schedule: config.schedule,
                 incremental: true,
                 cancel: Some(token.clone()),
-                pool: pool.clone().filter(|_| mode != ClauseShareMode::None),
-                prefix: mode == ClauseShareMode::Prefix,
+                pool: pool.clone().filter(|_| compatible[index]),
                 shared: shared.clone().filter(|_| compatible[index]),
                 events: events.clone(),
                 worker: index,
@@ -1064,9 +984,10 @@ mod tests {
 
     #[test]
     fn mixed_encoding_shared_race_matches_single_worker_minimum() {
-        // Three workers with *different* cardinality encodings share one
-        // pool through the pebble-variable prefix contract; the certified
-        // minimum must match the single-worker incremental engine.
+        // Workers 1 and 2 differ from worker 0 in cardinality encoding, so
+        // they race isolated while worker 0 keeps the pool and blackboard;
+        // the certified minimum must match the single-worker incremental
+        // engine.
         let dag = revpebble_graph::parse_bench(revpebble_graph::data::C17_BENCH).expect("parses");
         let base = SolverOptions {
             max_steps: 60,
@@ -1085,54 +1006,15 @@ mod tests {
         strategy.validate(&dag, Some(p)).expect("valid");
         let single = minimize_single(&dag, base, Duration::from_secs(30));
         assert_eq!(Some(p), single.best.map(|(p, _)| p));
-        // At least one worker registered on the pool (on a 1-core box a
-        // decisive race can certify and cancel its rivals before they
-        // ever attach), and the mixed-encoding workers still certify a
-        // floor no higher than the minimum.
-        assert!(
-            outcome.sharing.pool.workers >= 1,
-            "the winning worker must register on the pool, got {}",
-            outcome.sharing.pool.workers
-        );
+        for (index, worker) in outcome.workers.iter().enumerate().skip(1) {
+            let sat = worker.result.sat;
+            assert_eq!(
+                (sat.imported_clauses, sat.exported_clauses),
+                (0, 0),
+                "worker {index} has another encoding and must not touch the pool"
+            );
+        }
         assert!(outcome.sharing.floor <= p);
-    }
-
-    #[test]
-    fn one_prefix_worker_switches_the_whole_pool_to_prefix_mode() {
-        // Verbatim (local-numbering) and canonical (prefix-renamed)
-        // payloads share one pool and are indistinguishable to a reader,
-        // so the two regimes must never coexist in a race: a verbatim
-        // worker would install a rival's canonical ids as local literals.
-        let base = SolverOptions {
-            max_steps: 60,
-            ..SolverOptions::default()
-        };
-        let uniform = default_minimize_portfolio(base, 3);
-        assert!(
-            clause_share_modes(&uniform)
-                .iter()
-                .all(|&m| m == ClauseShareMode::Full),
-            "identical encodings exchange verbatim"
-        );
-        let mut mixed = default_minimize_portfolio(base, 3);
-        mixed[2].base.encoding.card_encoding = CardEncoding::Totalizer;
-        let modes = clause_share_modes(&mixed);
-        assert!(
-            modes.iter().all(|&m| m == ClauseShareMode::Prefix),
-            "one deviating worker forces the prefix contract on everyone, got {modes:?}"
-        );
-        let mut detached = default_minimize_portfolio(base, 3);
-        detached[1].base.encoding.card_encoding = CardEncoding::Pairwise;
-        detached[2].base.encoding.move_mode = MoveMode::Parallel;
-        assert_eq!(
-            clause_share_modes(&detached),
-            vec![
-                ClauseShareMode::Prefix,
-                ClauseShareMode::Prefix,
-                ClauseShareMode::None
-            ],
-            "move-mode divergence detaches that worker only"
-        );
     }
 
     #[test]
@@ -1166,6 +1048,35 @@ mod tests {
         }
         // Distinct workers draw distinct seeds.
         assert_ne!(configs[1].base.sat.seed, configs[2].base.sat.seed);
+    }
+
+    #[test]
+    fn session_portfolios_share_worker_0s_encoding_and_step_cap() {
+        // `race_minimize` wires the pool and the blackboard only to
+        // workers matching worker 0's encoding options and step cap. A
+        // session builds its race from `default_minimize_portfolio`, so
+        // every worker must match — otherwise some would silently race
+        // isolated.
+        let base = SolverOptions {
+            max_steps: 60,
+            ..SolverOptions::default()
+        };
+        for n in 0..=16 {
+            let mut configs = default_minimize_portfolio(base, n);
+            for diversified in [false, true] {
+                if diversified {
+                    diversify_minimize_portfolio(&mut configs);
+                }
+                let reference = configs[0].base;
+                for (worker, config) in configs.iter().enumerate() {
+                    assert_eq!(
+                        (config.base.encoding, config.base.max_steps),
+                        (reference.encoding, reference.max_steps),
+                        "n={n} diversified={diversified}: worker {worker} differs from worker 0"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1265,11 +1176,10 @@ mod tests {
             nodes in 4usize..12,
             seed in any::<u64>(),
         ) {
-            // Workers with *different* cardinality encodings (same move
-            // mode and weighting) cooperate through the pebble-variable
-            // prefix contract, with HordeSat heuristic jitter on top; the
-            // certified minimum must still match the single-worker
-            // incremental engine on every random DAG.
+            // Workers with *different* cardinality encodings race isolated
+            // beside a sharing worker 0, with HordeSat heuristic jitter on
+            // top; the certified minimum must still match the
+            // single-worker incremental engine on every random DAG.
             let dag = random_dag(inputs, nodes, seed);
             let base = decisive_base(dag.num_nodes());
             let per_query = Duration::from_secs(60);

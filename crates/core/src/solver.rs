@@ -221,10 +221,6 @@ pub struct PebbleSolver<'a> {
     /// Clause-sharing pool, attached to the encoding's solver when the
     /// encoding is (re)built.
     pool: Option<Arc<SharedClausePool>>,
-    /// Restrict the pool exchange to canonically-renamed pebble variables
-    /// (see [`PebbleEncoding::enable_prefix_sharing`]); set when this
-    /// worker's encoding options differ from its pool rivals'.
-    prefix_share: bool,
     /// Session-watchdog liveness counter, installed on the encoding's
     /// solver (current and rebuilt).
     heartbeat: Option<Heartbeat>,
@@ -250,7 +246,6 @@ impl<'a> PebbleSolver<'a> {
             encoding: None,
             shared: Arc::new(SharedSearchState::new()),
             pool: None,
-            prefix_share: false,
             heartbeat: None,
         }
     }
@@ -305,32 +300,13 @@ impl<'a> PebbleSolver<'a> {
 
     /// Connects this solver's (current and future) encoding to a portfolio
     /// clause-sharing pool. Sound between workers encoding the same DAG
-    /// with equal [`EncodingOptions`]; with
-    /// [`set_prefix_sharing`](Self::set_prefix_sharing) additionally
-    /// sound across differing cardinality encodings (see
+    /// with equal [`EncodingOptions`] (see
     /// [`PebbleEncoding::attach_clause_pool`]).
     pub fn set_clause_pool(&mut self, pool: Option<Arc<SharedClausePool>>) {
         if let (Some(encoding), Some(pool)) = (self.encoding.as_mut(), pool.clone()) {
             encoding.attach_clause_pool(pool);
-            if self.prefix_share {
-                encoding.enable_prefix_sharing();
-            }
         }
         self.pool = pool;
-    }
-
-    /// Restricts the pool exchange to the canonical pebble-variable
-    /// prefix (see [`PebbleEncoding::enable_prefix_sharing`]). Required
-    /// whenever pool rivals' [`EncodingOptions`] differ in the
-    /// cardinality encoding; enabling it cannot be undone on a live
-    /// encoding.
-    pub fn set_prefix_sharing(&mut self, enabled: bool) {
-        self.prefix_share = self.prefix_share || enabled;
-        if enabled {
-            if let Some(encoding) = self.encoding.as_mut() {
-                encoding.enable_prefix_sharing();
-            }
-        }
     }
 
     fn cancel_requested(&self) -> bool {
@@ -415,9 +391,6 @@ impl<'a> PebbleSolver<'a> {
                 encoding.set_heartbeat(self.heartbeat.clone());
                 if let Some(pool) = self.pool.clone() {
                     encoding.attach_clause_pool(pool);
-                }
-                if self.prefix_share {
-                    encoding.enable_prefix_sharing();
                 }
                 encoding
             }
@@ -811,7 +784,6 @@ impl<'a> Prober<'a> {
             if let Some(shared) = ctx.shared.clone() {
                 solver.set_shared_state(shared);
             }
-            solver.set_prefix_sharing(ctx.prefix);
             solver.set_clause_pool(ctx.pool.clone());
             Prober::Incremental(Box::new(solver))
         } else {
@@ -1062,14 +1034,8 @@ pub(crate) struct MinimizeContext {
     pub(crate) cancel: Option<CancelToken>,
     /// Clause-sharing pool wired into the incremental engine's solver
     /// (ignored by the fresh baseline). All workers on one pool must use
-    /// equal [`EncodingOptions`] — or, when [`prefix`](Self::prefix) is
-    /// set, options agreeing on move mode and the weighted flag.
+    /// equal [`EncodingOptions`].
     pub(crate) pool: Option<Arc<SharedClausePool>>,
-    /// Restrict the pool exchange to canonically-renamed pebble
-    /// variables (see [`PebbleEncoding::enable_prefix_sharing`]); set by
-    /// the portfolio when this worker's encoding options differ from the
-    /// pool's reference options.
-    pub(crate) prefix: bool,
     /// Refutation blackboard shared with rival workers (ignored by the
     /// fresh baseline); a private one is created when absent. All workers
     /// on one blackboard must agree on move mode, weighted flag and

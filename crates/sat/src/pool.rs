@@ -34,25 +34,24 @@
 //! # Soundness contract
 //!
 //! The pool copies literals verbatim; it has no notion of what a variable
-//! *means*. Callers must only connect solvers whose variable numbering
-//! agrees on every exchanged variable. Two regimes satisfy that:
+//! *means*. Callers must only connect solvers that build one formula
+//! with one deterministic variable numbering, so that worker A's
+//! variable `17` and worker B's variable `17` denote the same
+//! proposition. Solvers may grow that formula at different rates, as
+//! long as each growth step is a conservative extension: every model of
+//! the shorter formula extends to a model of the longer one (in
+//! `revpebble-core`, a step-`k` pebbling encoding extends to any
+//! `k' > k` by idling). Two facts then make every exchanged clause sound
+//! for every importer:
 //!
-//! * **Identical encodings** — workers built from the same deterministic
-//!   encoding of one instance, where worker A's variable `17` and worker
-//!   B's variable `17` denote the same proposition. Everything is
-//!   exchangeable.
-//! * **A common variable prefix** — workers whose encodings agree only on
-//!   a shared sub-vocabulary (in `revpebble-core`, the pebble variables
-//!   common to all cardinality encodings). Publishers must then restrict
-//!   the exchange to that prefix: [`crate::Solver::set_share_limit`]
-//!   filters by a numeric prefix bound, and
-//!   [`crate::Solver::enable_share_translation`] maps local variables to
-//!   canonical shared ids at publish time, silently skipping any clause
-//!   that touches an unmapped (non-prefix) variable.
+//! * learnt clauses are logical consequences of the clause database
+//!   alone (assumptions are decisions, never axioms);
+//! * a clause implied by a longer formula and confined to a shorter
+//!   one's variables is implied by the shorter formula too.
 //!
-//! Learnt clauses are logical consequences of the clause database alone
-//! (assumptions are decisions, never axioms), so any clause over the
-//! agreed vocabulary learnt by one such worker is sound for every other.
+//! A clause naming a variable the importer has not created yet is
+//! deferred and retried at later imports, until the importer's own
+//! formula has grown that far.
 //!
 //! # Example
 //!

@@ -202,16 +202,6 @@ pub struct Solver {
     /// Clause-sharing endpoint, when the solver runs in a cooperative
     /// portfolio (see [`Solver::attach_clause_pool`]).
     shared_pool: Option<PoolEndpoint>,
-    /// Only clauses whose variables all lie below this index are exchanged
-    /// through the pool — the portfolio's common variable prefix.
-    share_limit: usize,
-    /// Local ↔ canonical shared-id variable translation for cross-encoding
-    /// sharing (see [`Solver::enable_share_translation`]). `None` means
-    /// the pool speaks this solver's own numbering.
-    translation: Option<ShareTranslation>,
-    /// Reusable literal buffer for translating one clause on the
-    /// export/import paths.
-    xlate: Vec<Lit>,
     /// SplitMix64 state behind [`SolverConfig::activity_noise`].
     rng_state: u64,
     /// Liveness counter for the session watchdog, ticked once per
@@ -221,60 +211,18 @@ pub struct Solver {
 
 /// This solver's view of a [`SharedClausePool`]: its registration id,
 /// per-ring read cursors, and clauses seen but not yet installable
-/// (they mention variables this solver has not created or mapped yet).
+/// (they mention variables this solver has not created yet).
 #[derive(Debug)]
 struct PoolEndpoint {
     pool: Arc<SharedClausePool>,
     source: usize,
     cursors: Vec<u64>,
-    /// Clauses awaiting variables. When translation is enabled these stay
-    /// in the pool's canonical numbering until every mentioned id maps.
+    /// Clauses awaiting variables a rival's longer formula already has.
     deferred: ClauseBatch,
     /// Reusable staging buffer for [`Solver::import_shared_clauses`]:
     /// kept (empty) between imports so the pool round-trip allocates
     /// nothing once the buffers have warmed up.
     scratch: ClauseBatch,
-}
-
-/// Sentinel for an absent entry in a [`ShareTranslation`] table.
-const UNMAPPED: u32 = u32::MAX;
-
-/// A bijection between this solver's variables and the pool's canonical
-/// shared ids, sparse on both sides. Clauses are translated local →
-/// canonical at publish time and canonical → local at import time; a
-/// clause touching any unmapped variable on either side is filtered
-/// (export) or deferred (import).
-#[derive(Debug, Default)]
-struct ShareTranslation {
-    /// Canonical id per local variable index ([`UNMAPPED`] = private).
-    to_global: Vec<u32>,
-    /// Local variable index per canonical id ([`UNMAPPED`] = unknown).
-    to_local: Vec<u32>,
-}
-
-impl ShareTranslation {
-    fn map(&mut self, local: Var, global: u32) {
-        let li = local.index();
-        if self.to_global.len() <= li {
-            self.to_global.resize(li + 1, UNMAPPED);
-        }
-        let gi = global as usize;
-        if self.to_local.len() <= gi {
-            self.to_local.resize(gi + 1, UNMAPPED);
-        }
-        self.to_global[li] = global;
-        self.to_local[gi] = li as u32;
-    }
-
-    fn to_global(&self, lit: Lit) -> Option<Lit> {
-        let g = *self.to_global.get(lit.var().index())?;
-        (g != UNMAPPED).then(|| Lit::new(Var::from_index(g as usize), lit.is_positive()))
-    }
-
-    fn to_local(&self, lit: Lit) -> Option<Lit> {
-        let l = *self.to_local.get(lit.var().index())?;
-        (l != UNMAPPED).then(|| Lit::new(Var::from_index(l as usize), lit.is_positive()))
-    }
 }
 
 impl Default for Solver {
@@ -318,9 +266,6 @@ impl Solver {
             cancel: None,
             conflict_core: Vec::new(),
             shared_pool: None,
-            share_limit: usize::MAX,
-            translation: None,
-            xlate: Vec::new(),
             rng_state: config.seed,
             heartbeat: None,
         }
@@ -424,13 +369,12 @@ impl Solver {
     }
 
     /// Connects this solver to a clause-sharing pool: learnt clauses that
-    /// pass the pool's length/LBD caps (and the
-    /// [`share limit`](Self::set_share_limit)) are published, and rivals'
+    /// pass the pool's length/LBD caps are published verbatim, and rivals'
     /// clauses are installed at every restart boundary and at the start of
     /// every [`solve`](Self::solve) call.
     ///
     /// Soundness is the *caller's* obligation: every solver attached to
-    /// one pool must agree on the meaning of every exchanged variable (see
+    /// one pool must number the variables of one formula identically (see
     /// the [pool module docs](crate::pool)).
     pub fn attach_clause_pool(&mut self, pool: Arc<SharedClausePool>) {
         let source = pool.register();
@@ -443,52 +387,8 @@ impl Solver {
         });
     }
 
-    /// Disconnects the pool, returning it if one was attached.
-    pub fn detach_clause_pool(&mut self) -> Option<Arc<SharedClausePool>> {
-        self.shared_pool.take().map(|endpoint| endpoint.pool)
-    }
-
-    /// Restricts clause sharing to variables below `limit` — the common
-    /// variable prefix of the portfolio. `None` removes the restriction
-    /// (every variable of this solver is considered shared).
-    pub fn set_share_limit(&mut self, limit: Option<usize>) {
-        self.share_limit = limit.unwrap_or(usize::MAX);
-    }
-
-    /// Switches clause sharing to *translated* mode: instead of copying
-    /// literals verbatim, the solver renames variables to the canonical
-    /// shared ids registered via
-    /// [`map_shared_var`](Self::map_shared_var) on export, and back on
-    /// import. A learnt clause touching any variable without a canonical
-    /// id is kept private (the publish-time prefix filter); an incoming
-    /// clause naming an id this solver has not mapped yet is deferred
-    /// until the mapping appears. This is what makes sharing sound
-    /// between *different* encodings of one instance: only the agreed
-    /// common vocabulary ever crosses the pool (see the
-    /// [pool module docs](crate::pool)).
-    pub fn enable_share_translation(&mut self) {
-        if self.translation.is_none() {
-            self.translation = Some(ShareTranslation::default());
-        }
-    }
-
-    /// Registers `local` ↔ `global` in the share-translation table
-    /// (enabling translation if needed). `global` is the variable's
-    /// canonical id in the pool's shared numbering; `u32::MAX` is
-    /// reserved.
-    pub fn map_shared_var(&mut self, local: Var, global: u32) {
-        debug_assert_ne!(global, UNMAPPED, "u32::MAX is the unmapped sentinel");
-        self.enable_share_translation();
-        self.translation
-            .as_mut()
-            .expect("just enabled")
-            .map(local, global);
-    }
-
     /// Publishes a freshly learnt clause to the pool, if it passes the
-    /// caps and lies within the shared variable prefix (numeric
-    /// [`share limit`](Self::set_share_limit), or the mapped vocabulary
-    /// when [translation](Self::enable_share_translation) is on).
+    /// caps.
     fn export_learnt(&mut self, lits: &[Lit], lbd: u32) {
         let Some(endpoint) = self.shared_pool.as_ref() else {
             return;
@@ -506,27 +406,7 @@ impl Solver {
         {
             return;
         }
-        let payload: &[Lit] = match self.translation.as_ref() {
-            Some(translation) => {
-                self.xlate.clear();
-                for &lit in lits {
-                    // Publish-time prefix filter: one unmapped variable
-                    // keeps the whole clause private.
-                    let Some(global) = translation.to_global(lit) else {
-                        return;
-                    };
-                    self.xlate.push(global);
-                }
-                &self.xlate
-            }
-            None => {
-                if lits.iter().any(|l| l.var().index() >= self.share_limit) {
-                    return;
-                }
-                lits
-            }
-        };
-        match endpoint.pool.publish(endpoint.source, payload, lbd) {
+        match endpoint.pool.publish(endpoint.source, lits, lbd) {
             Publish::Stored => self.stats.exported_clauses += 1,
             Publish::Overwrote => {
                 self.stats.exported_clauses += 1;
@@ -538,9 +418,9 @@ impl Solver {
 
     /// Installs rivals' pooled clauses. Must run at decision level 0 (the
     /// solver imports at restart boundaries and between queries). Clauses
-    /// over variables this solver has not created (or, in translated
-    /// mode, not mapped) yet — a rival's encoding may have grown further —
-    /// are deferred and retried on later imports.
+    /// over variables this solver has not created yet — a rival's
+    /// encoding may have grown further — are deferred and retried on
+    /// later imports.
     fn import_shared_clauses(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         let Some(mut endpoint) = self.shared_pool.take() else {
@@ -558,45 +438,18 @@ impl Solver {
             endpoint
                 .pool
                 .collect_new(endpoint.source, &mut endpoint.cursors, &mut pending);
-        let limit = self.share_limit.min(self.num_vars());
-        let mut xlate = std::mem::take(&mut self.xlate);
+        let num_vars = self.num_vars();
         for idx in 0..pending.len() {
             let (lits, lbd) = pending.get(idx);
-            if !self.ok {
-                // Level-0 unsat: nothing left to strengthen; keep the
-                // rest deferred so the batch is not silently dropped.
+            // Defer a clause over variables not created yet, and after
+            // level-0 unsat (nothing left to strengthen) keep the rest so
+            // the batch is not silently dropped.
+            if !self.ok || lits.iter().any(|l| l.var().index() >= num_vars) {
                 endpoint.deferred.push(lits, lbd);
                 continue;
             }
-            match self.translation.as_ref() {
-                Some(translation) => {
-                    // Pool clauses are in canonical numbering; rename to
-                    // local variables, deferring (still canonical) any
-                    // clause naming an id we have not mapped yet.
-                    xlate.clear();
-                    let mapped = lits.iter().all(|&lit| match translation.to_local(lit) {
-                        Some(local) => {
-                            xlate.push(local);
-                            true
-                        }
-                        None => false,
-                    });
-                    if mapped {
-                        self.install_imported(&xlate, lbd);
-                    } else {
-                        endpoint.deferred.push(lits, lbd);
-                    }
-                }
-                None => {
-                    if lits.iter().any(|l| l.var().index() >= limit) {
-                        endpoint.deferred.push(lits, lbd);
-                        continue;
-                    }
-                    self.install_imported(lits, lbd);
-                }
-            }
+            self.install_imported(lits, lbd);
         }
-        self.xlate = xlate;
         pending.clear();
         endpoint.scratch = pending;
         self.shared_pool = Some(endpoint);
@@ -1864,85 +1717,6 @@ mod tests {
         );
         assert_eq!(pool.stats().workers, 2);
         assert!(pool.stats().published >= a.stats().exported_clauses);
-    }
-
-    #[test]
-    fn share_limit_blocks_out_of_prefix_clauses() {
-        use crate::pool::SharedClausePool;
-        let pool = Arc::new(SharedClausePool::new());
-        let mut a = pigeonhole(6);
-        a.attach_clause_pool(Arc::clone(&pool));
-        a.set_share_limit(Some(0)); // nothing is shared
-        assert_eq!(a.solve(), SolveResult::Unsat);
-        assert_eq!(a.stats().exported_clauses, 0);
-        assert_eq!(pool.stats().published, 0);
-    }
-
-    #[test]
-    fn translation_keeps_clauses_with_unmapped_vars_private() {
-        use crate::pool::SharedClausePool;
-        // Translation enabled but *no* variable mapped: every learnt
-        // clause touches an unmapped variable, so the publish-time prefix
-        // filter must keep all of them out of the pool.
-        let pool = Arc::new(SharedClausePool::new());
-        let mut a = pigeonhole(6);
-        a.attach_clause_pool(Arc::clone(&pool));
-        a.enable_share_translation();
-        assert_eq!(a.solve(), SolveResult::Unsat);
-        assert_eq!(a.stats().exported_clauses, 0);
-        assert_eq!(pool.stats().published, 0);
-    }
-
-    #[test]
-    fn translated_sharing_works_under_an_identity_map() {
-        use crate::pool::SharedClausePool;
-        // Identity-mapping every variable makes translated sharing
-        // equivalent to verbatim sharing: exports flow through the
-        // canonical numbering and a rival with the same map imports them.
-        let pool = Arc::new(SharedClausePool::new());
-        let mut a = pigeonhole(6);
-        let mut b = pigeonhole(6);
-        for s in [&mut a, &mut b] {
-            s.attach_clause_pool(Arc::clone(&pool));
-            for v in 0..s.num_vars() {
-                s.map_shared_var(Var::from_index(v), v as u32);
-            }
-        }
-        assert_eq!(a.solve(), SolveResult::Unsat);
-        assert!(a.stats().exported_clauses > 0);
-        assert_eq!(pool.stats().published, a.stats().exported_clauses);
-        assert_eq!(b.solve(), SolveResult::Unsat);
-        assert!(b.stats().imported_clauses > 0);
-    }
-
-    #[test]
-    fn translated_imports_rename_canonical_ids_and_defer_unknown_ones() {
-        use crate::pool::SharedClausePool;
-        let pool = Arc::new(SharedClausePool::new());
-        let publisher = pool.register();
-        let mut s = Solver::new();
-        s.attach_clause_pool(Arc::clone(&pool));
-        let v0 = s.new_var();
-        let v1 = s.new_var();
-        // Local numbering differs wildly from the canonical one.
-        s.map_shared_var(v0, 200);
-        s.map_shared_var(v1, 100);
-        let global = |id: usize| Lit::new(Var::from_index(id), true);
-        pool.publish(publisher, &[global(100), global(200)], 2);
-        s.add_clause([v1.negative()]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.stats().imported_clauses, 1);
-        // The translated clause is (v1 ∨ v0); with ¬v1 it forces v0.
-        assert_eq!(s.model_value(v0.positive()), Some(true));
-        // A clause naming an unmapped canonical id waits for the mapping.
-        pool.publish(publisher, &[global(300)], 1);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.stats().imported_clauses, 1, "deferred, not installed");
-        let v2 = s.new_var();
-        s.map_shared_var(v2, 300);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.stats().imported_clauses, 2, "installed once mapped");
-        assert_eq!(s.model_value(v2.positive()), Some(true));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! single-worker incremental engine all certify the same minimum — and
 //! every core-derived lower bound must stay below or at that minimum.
 //! The mixed-encoding variant — workers on *different* cardinality
-//! encodings, sharing through the pebble-variable prefix contract — races
+//! encodings, which race isolated beside a sharing worker 0 — races
 //! hand-built configuration lists, so it lives next to the crate-private
 //! race in `revpebble-core`'s portfolio tests.
 
