@@ -253,8 +253,8 @@ fn configure_session<'a>(
 }
 
 /// [`configure_session`] plus the `--workers` pool: fan the session's
-/// portfolio / frontier sub-jobs onto one shared `Executor` instead of a
-/// private thread per worker. `--workers 0` is rejected like the library
+/// portfolio workers onto one shared `Executor` instead of a private
+/// thread per worker. `--workers 0` is rejected like the library
 /// rejects it.
 fn session_for<'a>(dag: &'a Dag, args: &Args) -> Result<PebblingSession<'a>, CliError> {
     let faults = parse_fault_plan(args)?;
@@ -302,7 +302,10 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
         // (the race may cross `--mode`), so name it on stdout where the
         // step counts it explains are printed.
         if let (Some(winning), false) = (outcome.winning_report(), args.json) {
-            println!("portfolio winner: {}", describe_options(&winning.config));
+            println!(
+                "portfolio winner: {}",
+                describe_options(&winning.config.base)
+            );
         }
     }
     if args.json {

@@ -240,11 +240,15 @@ fn bare_invocation_exits_two_with_usage() {
 #[test]
 fn runtime_failures_exit_one() {
     // 2 pebbles are below the paper example's structural lower bound of
-    // 3: a valid configuration whose *search* fails.
-    let output = revpebble(&["pebble", "paper", "--pebbles", "2"]);
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = stderr(&output);
-    assert!(stderr.contains("infeasible"), "{stderr}");
+    // 3: a valid configuration whose *search* fails, alone or raced.
+    let single = ["pebble", "paper", "--pebbles", "2"];
+    let raced = ["pebble", "paper", "--pebbles", "2", "--portfolio", "2"];
+    for args in [&single[..], &raced[..]] {
+        let output = revpebble(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = stderr(&output);
+        assert!(stderr.contains("infeasible (lower bound 3)"), "{stderr}");
+    }
 }
 
 #[test]

@@ -15,8 +15,9 @@
 //! Jobs submit sub-jobs: a session job fans its portfolio rivals out on
 //! the same pool it runs on. With a naive pool of `N` workers, `N`
 //! session jobs would occupy every thread and their sub-jobs would wait
-//! forever — a classic nested-submit deadlock. [`scatter`] therefore
-//! never parks while its results are pending without first *helping*:
+//! forever — a classic nested-submit deadlock. [`scatter_settle`]
+//! therefore never parks while its results are pending without first
+//! *helping*:
 //! the waiting thread pops queued jobs and runs them inline
 //! ([`Executor::try_run_one`]). Progress is guaranteed on any pool size
 //! (even one worker), because every waiter is also a worker.
@@ -84,19 +85,14 @@ impl Executor {
         Executor { inner, workers }
     }
 
-    /// One worker per available core (at least one).
-    pub fn with_default_parallelism() -> Self {
-        Self::new(thread::available_parallelism().map_or(1, |cores| cores.get()))
-    }
-
     /// Number of pool threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
 
     /// Enqueues a job for the pool. Never blocks; the queue is unbounded
-    /// (backpressure is the submitters' problem — [`scatter`] waits for
-    /// results, so a batch can only ever be one fan-out ahead).
+    /// (backpressure is the submitters' problem — [`scatter_settle`]
+    /// waits for results, so a batch can only ever be one fan-out ahead).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         let mut queue = self.inner.queue.lock().expect("executor queue");
         queue.jobs.push_back(Box::new(job));
@@ -211,34 +207,13 @@ pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs every task on the pool and returns their results in task order,
 /// helping with queued jobs while waiting (see the [module docs](self)).
-/// This is the join point every engine fans out through — portfolio
-/// rivals, fresh frontier probes, batch sessions.
-///
-/// # Panics
-///
-/// Panics if any task panicked (after all other tasks finished), naming
-/// the panicked task's index and its payload message. Fan-outs that must
-/// *survive* a panicked task use [`scatter_settle`] instead.
-pub fn scatter<T, F>(executor: &Executor, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    scatter_settle(executor, tasks)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(value) => value,
-            Err(failure) => panic!("scatter {failure}"),
-        })
-        .collect()
-}
-
-/// Like [`scatter`], but converts a task panic into a typed per-task
-/// [`TaskFailure`] instead of panicking at the join: the result vector is
-/// in task order, `Ok` for tasks that returned and `Err` for tasks that
-/// panicked (with the panicked task's index and payload message). The
-/// other tasks always run to completion — one poisoned worker cannot
-/// take the fan-out down.
+/// This is the join point every fan-out goes through — the portfolio
+/// race's workers. A task panic becomes a typed per-task [`TaskFailure`]
+/// instead of unwinding at the join: the result vector is in task order,
+/// `Ok` for tasks that returned and `Err` for tasks that panicked (with
+/// the panicked task's index and payload message). The other tasks
+/// always run to completion — one poisoned worker cannot take the
+/// fan-out down.
 pub fn scatter_settle<T, F>(executor: &Executor, tasks: Vec<F>) -> Vec<Result<T, TaskFailure>>
 where
     T: Send + 'static,
@@ -308,8 +283,8 @@ mod tests {
     #[test]
     fn scatter_preserves_task_order() {
         let executor = Executor::new(4);
-        let results = scatter(&executor, (0..32).map(|i| move || i * 2).collect());
-        assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+        let results = scatter_settle(&executor, (0..32).map(|i| move || i * 2).collect());
+        assert_eq!(results, (0..32).map(|i| Ok(i * 2)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -318,14 +293,17 @@ mod tests {
         // the same pool; only help-while-waiting can finish them.
         let executor = Arc::new(Executor::new(1));
         let inner_pool = Arc::clone(&executor);
-        let results = scatter(
+        let results = scatter_settle(
             &executor,
             vec![move || {
-                let inner = scatter(&inner_pool, (0..8).map(|i| move || i + 1).collect());
-                inner.iter().sum::<usize>()
+                let inner = scatter_settle(&inner_pool, (0..8).map(|i| move || i + 1).collect());
+                inner
+                    .into_iter()
+                    .map(|slot| slot.expect("no panic"))
+                    .sum::<usize>()
             }],
         );
-        assert_eq!(results, vec![36]);
+        assert_eq!(results, vec![Ok(36)]);
     }
 
     #[test]
@@ -338,7 +316,7 @@ mod tests {
                 move || counter.fetch_add(1, Ordering::Relaxed)
             })
             .collect();
-        let _ = scatter(&executor, tasks);
+        let _ = scatter_settle(&executor, tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 
@@ -368,8 +346,8 @@ mod tests {
     fn a_panicking_job_does_not_kill_the_pool() {
         let executor = Executor::new(1);
         executor.submit(|| panic!("job panic"));
-        let results = scatter(&executor, vec![|| 7]);
-        assert_eq!(results, vec![7]);
+        let results = scatter_settle(&executor, vec![|| 7]);
+        assert_eq!(results, vec![Ok(7)]);
     }
 
     #[test]
@@ -401,20 +379,9 @@ mod tests {
             assert_eq!(failure.message, format!("worker {index} down"));
         }
         // The pool is still alive afterwards.
-        assert_eq!(scatter(&executor, vec![|| 1, || 2]), vec![1, 2]);
-    }
-
-    #[test]
-    fn scatter_names_the_panicked_task_in_its_own_panic() {
-        let executor = Executor::new(1);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
-                vec![Box::new(|| 1), Box::new(|| panic!("the payload"))];
-            scatter(&executor, tasks)
-        }));
-        let payload = result.expect_err("scatter re-panics");
-        let message = payload_message(payload.as_ref());
-        assert!(message.contains("task 1"), "{message}");
-        assert!(message.contains("the payload"), "{message}");
+        assert_eq!(
+            scatter_settle(&executor, vec![|| 1, || 2]),
+            vec![Ok(1), Ok(2)]
+        );
     }
 }

@@ -6,33 +6,21 @@
 //! sweeps the pebble budget and reports, for every feasible budget, the
 //! best step count found — the full frontier behind figures like Fig. 5.
 //!
-//! By default the sweep rides **one** persistent assumption-bounded
-//! [`PebbleEncoding`](crate::encoding::PebbleEncoding): every budget probe
-//! re-enters the same solver via
-//! [`PebbleSolver::resolve_with_budget`], so learnt clauses, variable
-//! activities, saved phases and the refuted-steps table all carry from
-//! budget to budget — the whole frontier costs one encoding instead of
-//! one per point.
-//!
-//! A *fresh* (non-incremental) sweep has no state to carry, so when the
-//! session runtime hands it an [`Executor`] the
-//! per-budget probes are submitted as independent jobs and race on the
-//! shared pool; the resulting points are identical to the sequential
-//! sweep's (including early-stop truncation), only the wall-clock
-//! differs.
-
-use std::ops::RangeInclusive;
-use std::sync::Arc;
-use std::time::Duration;
+//! Every budget probe runs through the minimize engine's probe path. By
+//! default the sweep rides **one** persistent
+//! assumption-bounded [`PebbleEncoding`](crate::encoding::PebbleEncoding):
+//! every budget probe re-enters the same solver via
+//! [`PebbleSolver::resolve_with_budget`](crate::solver::PebbleSolver::resolve_with_budget),
+//! so learnt clauses, variable activities, saved phases and the
+//! refuted-steps table all carry from budget to budget — the whole
+//! frontier costs one encoding instead of one per point. A *fresh* sweep
+//! rebuilds the encoding for every budget; its points are identical.
 
 use revpebble_graph::Dag;
-use revpebble_sat::{CancelToken, Heartbeat};
 
 use crate::bounds::pebble_lower_bound;
-use crate::encoding::BoundMode;
-use crate::exec::{scatter, Executor};
-use crate::session::{achieved_budget, ProbeEvent, ProbeEventSender};
-use crate::solver::{solve_fixed, PebbleOutcome, PebbleSolver, SolverOptions};
+use crate::session::{achieved_budget, ProbeEvent};
+use crate::solver::{MinimizeContext, PebbleOutcome, Prober};
 use crate::strategy::Strategy;
 
 /// One point of the trade-off frontier.
@@ -63,97 +51,42 @@ impl FrontierPoint {
     }
 }
 
-/// Options of one frontier sweep.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FrontierOptions {
-    /// Base solver options (the pebble budget field is overridden).
-    pub(crate) base: SolverOptions,
-    /// Per-budget time budget.
-    pub(crate) per_budget: Duration,
-    /// Probe budgets from `min_pebbles` (default: the structural lower
-    /// bound) …
-    pub(crate) min_pebbles: Option<usize>,
-    /// … to `max_pebbles` (default: the node count).
-    pub(crate) max_pebbles: Option<usize>,
-    /// Drive every budget probe through **one** persistent
-    /// assumption-bounded encoding/solver instance instead of rebuilding
-    /// per budget. The points are identical; only the work to reach them
-    /// differs.
-    pub(crate) incremental: bool,
-}
-
-/// Sweeps pebble budgets downward from `max` to `min`, collecting the
-/// best strategy per budget, and stops at the first failure: the
-/// frontier is monotone, so further probes would only confirm failures.
-/// Every budget probe emits [`ProbeEvent::ProbeStarted`] and a
-/// solved/refuted event. The sweep stops early once `cancel` fires.
-/// Only the fresh (non-incremental) sweep fans out on `executor`, as
-/// per-budget jobs: the incremental sweep stays sequential by
-/// construction, its whole point being one persistent solver carrying
-/// state from budget to budget.
+/// Sweeps pebble budgets downward from `max` to `min` (either side `None`
+/// = the node count / the structural lower bound), collecting the best
+/// strategy per budget, and stops at the first failure: the frontier is
+/// monotone, so further probes would only confirm failures. `ctx` gives
+/// the probe settings (`per_query` bounds each budget), the token and the
+/// event sink: every budget probe emits [`ProbeEvent::ProbeStarted`] and
+/// a solved/refuted event, and the sweep stops early once the token
+/// fires.
 pub(crate) fn frontier_on(
     dag: &Dag,
-    options: FrontierOptions,
-    events: &ProbeEventSender,
-    executor: Option<&Executor>,
-    cancel: Option<&CancelToken>,
-    heartbeat: Option<Heartbeat>,
+    ctx: MinimizeContext,
+    (min, max): (Option<usize>, Option<usize>),
 ) -> Vec<FrontierPoint> {
-    let min = options
-        .min_pebbles
-        .unwrap_or_else(|| pebble_lower_bound(dag));
-    let max = options.max_pebbles.unwrap_or_else(|| dag.num_nodes());
-    if !options.incremental {
-        if let Some(executor) = executor {
-            return frontier_scatter(dag, options, events, executor, cancel, heartbeat, min..=max);
-        }
-    }
+    let min = min.unwrap_or_else(|| pebble_lower_bound(dag));
+    let max = max.unwrap_or_else(|| dag.num_nodes());
+    let mut prober = Prober::new(dag, &ctx);
     let mut points = Vec::new();
-    // One persistent instance for the whole sweep: every probe re-enters
-    // it with only the assumed budget changed, and each probe's refuted
-    // step counts seed the next (tighter) budget's deepening start.
-    let mut persistent = options.incremental.then(|| {
-        let mut base = options.base;
-        base.encoding.bound_mode = BoundMode::Assumed;
-        base.timeout = Some(options.per_budget);
-        let mut solver = PebbleSolver::new(dag, base);
-        solver.set_cancel_token(cancel.cloned());
-        solver.set_heartbeat(heartbeat.clone());
-        solver
-    });
     for pebbles in (min..=max).rev() {
-        if cancel.is_some_and(|token| token.poll().is_some()) {
+        if ctx
+            .cancel
+            .as_ref()
+            .is_some_and(|token| token.poll().is_some())
+        {
             break;
         }
         let probe = points.len();
-        let outcome = match persistent.as_mut() {
-            Some(solver) => {
-                events.send(ProbeEvent::ProbeStarted {
-                    worker: 0,
-                    probe,
-                    budget: pebbles,
-                });
-                let outcome = solver.resolve_with_budget(pebbles);
-                let achieved = outcome
-                    .strategy()
-                    .map(|strategy| achieved_budget(dag, options.base.encoding.weighted, strategy));
-                events.resolved(0, probe, pebbles, achieved);
-                outcome
-            }
-            None => {
-                let options = probe_options(&options, pebbles);
-                solve_fixed(
-                    dag,
-                    options,
-                    0,
-                    probe,
-                    cancel.cloned(),
-                    heartbeat.clone(),
-                    events,
-                )
-                .outcome
-            }
-        };
+        ctx.events.send(ProbeEvent::ProbeStarted {
+            worker: 0,
+            probe,
+            budget: pebbles,
+        });
+        let outcome = prober.probe(pebbles);
+        let achieved = outcome
+            .strategy()
+            .map(|strategy| achieved_budget(dag, ctx.base.encoding.weighted, strategy));
+        ctx.events.resolved(0, probe, pebbles, achieved);
         let point = FrontierPoint::new(pebbles, outcome);
         let failed = point.strategy.is_none();
         points.push(point);
@@ -163,52 +96,6 @@ pub(crate) fn frontier_on(
     }
     points.reverse();
     points
-}
-
-/// The options of a fresh probe at budget `pebbles`.
-fn probe_options(options: &FrontierOptions, pebbles: usize) -> SolverOptions {
-    let mut probe = options.base;
-    probe.encoding.max_pebbles = Some(pebbles);
-    probe.timeout = Some(options.per_budget);
-    probe
-}
-
-/// The fresh sweep as independent per-budget jobs on a shared pool: one
-/// job per budget, descending. The result is truncated at the
-/// highest-budget failure afterwards, so the returned points match the
-/// sequential sweep's exactly — the probes below the cut are wasted work
-/// the parallelism paid for the latency win.
-fn frontier_scatter(
-    dag: &Dag,
-    options: FrontierOptions,
-    events: &ProbeEventSender,
-    executor: &Executor,
-    cancel: Option<&CancelToken>,
-    heartbeat: Option<Heartbeat>,
-    budgets: RangeInclusive<usize>,
-) -> Vec<FrontierPoint> {
-    let dag = Arc::new(dag.clone());
-    let tasks: Vec<_> = budgets
-        .rev()
-        .enumerate()
-        .map(|(worker, pebbles)| {
-            let dag = Arc::clone(&dag);
-            let events = events.clone();
-            let cancel = cancel.cloned();
-            let heartbeat = heartbeat.clone();
-            move || {
-                let options = probe_options(&options, pebbles);
-                let run = solve_fixed(&dag, options, worker, 0, cancel, heartbeat, &events);
-                FrontierPoint::new(pebbles, run.outcome)
-            }
-        })
-        .collect();
-    let mut descending = scatter(executor, tasks);
-    if let Some(cut) = descending.iter().position(|point| point.strategy.is_none()) {
-        descending.truncate(cut + 1);
-    }
-    descending.reverse();
-    descending
 }
 
 /// Renders a frontier as a compact table (pebbles, steps, gate total).
@@ -241,33 +128,32 @@ pub fn render_frontier(points: &[FrontierPoint], dag: &Dag) -> String {
 mod tests {
     use super::*;
     use crate::encoding::{EncodingOptions, MoveMode};
+    use crate::solver::SolverOptions;
     use revpebble_graph::generators::paper_example;
+    use revpebble_sat::CancelToken;
+    use std::time::Duration;
 
-    fn base() -> SolverOptions {
-        SolverOptions {
-            encoding: EncodingOptions {
-                move_mode: MoveMode::Sequential,
-                ..EncodingOptions::default()
+    /// An incremental sweep, as a session without a token or an observer
+    /// runs it.
+    fn sweep() -> MinimizeContext {
+        MinimizeContext {
+            base: SolverOptions {
+                encoding: EncodingOptions {
+                    move_mode: MoveMode::Sequential,
+                    ..EncodingOptions::default()
+                },
+                max_steps: 60,
+                ..SolverOptions::default()
             },
-            max_steps: 60,
-            ..SolverOptions::default()
-        }
-    }
-
-    /// An incremental sweep over the structural budget range.
-    fn sweep() -> FrontierOptions {
-        FrontierOptions {
-            base: base(),
-            per_budget: Duration::from_secs(30),
-            min_pebbles: None,
-            max_pebbles: None,
+            per_query: Some(Duration::from_secs(30)),
             incremental: true,
+            ..MinimizeContext::default()
         }
     }
 
-    /// The sweep a session without an executor, token or observer runs.
-    fn frontier(dag: &Dag, options: FrontierOptions) -> Vec<FrontierPoint> {
-        frontier_on(dag, options, &ProbeEventSender::default(), None, None, None)
+    /// A sweep over the structural budget range.
+    fn frontier(dag: &Dag, ctx: MinimizeContext) -> Vec<FrontierPoint> {
+        frontier_on(dag, ctx, (None, None))
     }
 
     #[test]
@@ -290,12 +176,12 @@ mod tests {
     #[test]
     fn incremental_and_fresh_sweeps_agree_point_for_point() {
         let dag = paper_example();
-        let options = |incremental| FrontierOptions {
+        let ctx = |incremental| MinimizeContext {
             incremental,
             ..sweep()
         };
-        let persistent = frontier(&dag, options(true));
-        let fresh = frontier(&dag, options(false));
+        let persistent = frontier(&dag, ctx(true));
+        let fresh = frontier(&dag, ctx(false));
         let feasible = |points: &[FrontierPoint]| -> Vec<(usize, usize)> {
             points
                 .iter()
@@ -307,46 +193,22 @@ mod tests {
     }
 
     #[test]
-    fn scattered_fresh_sweep_matches_the_sequential_points() {
-        let dag = paper_example();
-        let options = FrontierOptions {
-            incremental: false,
-            ..sweep()
-        };
-        let sequential = frontier(&dag, options);
-        let executor = Executor::new(2);
-        let events = ProbeEventSender::default();
-        let scattered = frontier_on(&dag, options, &events, Some(&executor), None, None);
-        let shape = |points: &[FrontierPoint]| -> Vec<(usize, Option<usize>)> {
-            points
-                .iter()
-                .map(|p| (p.pebbles, p.strategy.as_ref().map(Strategy::num_steps)))
-                .collect()
-        };
-        assert_eq!(shape(&sequential), shape(&scattered));
-    }
-
-    #[test]
     fn cancelled_sweep_returns_no_points() {
         let dag = paper_example();
         let token = CancelToken::new();
         token.cancel();
-        let events = ProbeEventSender::default();
-        let points = frontier_on(&dag, sweep(), &events, None, Some(&token), None);
+        let ctx = MinimizeContext {
+            cancel: Some(token),
+            ..sweep()
+        };
+        let points = frontier(&dag, ctx);
         assert!(points.is_empty(), "a pre-cancelled sweep probes nothing");
     }
 
     #[test]
     fn frontier_respects_explicit_range() {
         let dag = paper_example();
-        let points = frontier(
-            &dag,
-            FrontierOptions {
-                min_pebbles: Some(5),
-                max_pebbles: Some(6),
-                ..sweep()
-            },
-        );
+        let points = frontier_on(&dag, sweep(), (Some(5), Some(6)));
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|p| p.strategy.is_some()));
     }
@@ -354,14 +216,7 @@ mod tests {
     #[test]
     fn render_contains_all_rows() {
         let dag = paper_example();
-        let points = frontier(
-            &dag,
-            FrontierOptions {
-                min_pebbles: Some(4),
-                max_pebbles: Some(6),
-                ..sweep()
-            },
-        );
+        let points = frontier_on(&dag, sweep(), (Some(4), Some(6)));
         let table = render_frontier(&points, &dag);
         assert!(table.contains("pebbles"));
         assert_eq!(table.lines().count(), 2 + points.len());

@@ -21,7 +21,8 @@
 //!   methodology of the paper's Table I — budget minimization runs
 //!   *incrementally*: one assumption-bounded encoding and solver instance
 //!   serves every `(steps, pebbles)` probe
-//!   ([`PebbleSolver::resolve_with_budget`]);
+//!   ([`PebbleSolver::resolve_with_budget`]); a fixed budget `p` runs on
+//!   the same engine as the one-point window `[p, p]`;
 //! - multi-threaded [`portfolio`] races over several solver
 //!   configurations with first-winner-takes-all cancellation, and over
 //!   whole budget schedules with optional clause sharing;
@@ -70,12 +71,12 @@ pub use cache::ResultCache;
 pub use config::PebbleConfig;
 pub use encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
 pub use exact::{exact_min_pebbles, solve_exact, ExactOutcome};
-pub use exec::{scatter, scatter_settle, Executor, TaskFailure};
+pub use exec::{scatter_settle, Executor, TaskFailure};
 pub use frontier::FrontierPoint;
 pub use portfolio::{
     default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio, MinimizeConfig,
     MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, RaceWorker, ShareOptions,
-    SharingReport, WorkerReport,
+    SharingReport,
 };
 pub use session::{
     AdmitGuard, BatchReport, BatchSession, Engine, PebblingSession, ProbeEvent, Report,
@@ -84,7 +85,7 @@ pub use session::{
 };
 pub use sharing::SharedSearchState;
 pub use solver::{
-    BudgetSchedule, MinimizeResult, PebbleOutcome, PebbleRun, PebbleSolver, RetryPolicy,
+    BudgetSchedule, MinimizeResult, PebbleOutcome, PebbleSolver, ProbeVerdict, RetryPolicy,
     SearchStats, SolverOptions, StepSchedule,
 };
 pub use strategy::{InvalidStrategy, Move, Step, Strategy};

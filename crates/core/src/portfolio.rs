@@ -15,16 +15,19 @@
 //! CDCL search loop ([`revpebble_sat::Solver::set_cancel_token`]).
 //!
 //! A [`PebblingSession`](crate::session::PebblingSession) with a
-//! portfolio runs one of two races, both on the same driver:
+//! portfolio runs one race, whose every worker is the minimize engine:
 //!
-//! - with a fixed budget, workers race diverse solver configurations
-//!   ([`default_portfolio`]) and the first strategy wins;
 //! - with [`minimize`](crate::session::PebblingSession::minimize),
 //!   workers race whole budget-minimization searches
 //!   ([`default_minimize_portfolio`]): each drives one incremental
 //!   assumption-bounded encoding through its own [`BudgetSchedule`], and
 //!   the first complete search wins — so the portfolio explores budget
-//!   schedules, not just option sets.
+//!   schedules, not just option sets;
+//! - a fixed budget `p` is the one-point window `[p, p]`: workers race
+//!   diverse solver configurations ([`default_portfolio`]), each probing
+//!   `p` once on a fresh baked-budget solver, and the first strategy
+//!   wins. The race's [`PortfolioOutcome`] reports the winner's strategy
+//!   or the most definite failure.
 //!
 //! ```
 //! use revpebble_core::{PebblingSession, SessionOutcome};
@@ -52,15 +55,14 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use revpebble_graph::Dag;
 use revpebble_sat::card::CardEncoding;
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelToken, Heartbeat, PoolConfig, PoolStats, SharedClausePool};
+use revpebble_sat::{CancelToken, PoolConfig, PoolStats, SharedClausePool};
 
 use crate::encoding::MoveMode;
 use crate::exec::{scatter_settle, Executor};
-use crate::session::ProbeEventSender;
 use crate::sharing::SharedSearchState;
 use crate::solver::{
-    run_minimize_with_context, solve_fixed, BudgetSchedule, MinimizeContext, MinimizeResult,
-    PebbleOutcome, PebbleRun, RetryPolicy, SolverOptions, StepSchedule,
+    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult, PebbleOutcome,
+    SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
@@ -87,10 +89,7 @@ pub struct RaceWorker<C, R> {
     pub panicked: Option<String>,
 }
 
-/// What one fixed-budget race worker did.
-pub type WorkerReport = RaceWorker<SolverOptions, PebbleRun>;
-
-/// What one minimize race worker did.
+/// What one race worker did.
 pub type MinimizeWorkerReport = RaceWorker<MinimizeConfig, MinimizeResult>;
 
 /// A compact single-line description of one configuration,
@@ -115,7 +114,8 @@ pub fn describe_options(options: &SolverOptions) -> String {
     )
 }
 
-/// The result of a fixed-budget race.
+/// The result of a fixed-budget race: every worker ran the one-point
+/// minimize window `[p, p]` under its own solver configuration.
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// The portfolio's verdict: the winner's strategy, or the most
@@ -126,15 +126,16 @@ pub struct PortfolioOutcome {
     /// strategy won the race, if any.
     pub winner: Option<usize>,
     /// One report per worker, in configuration order.
-    pub workers: Vec<WorkerReport>,
+    pub workers: Vec<MinimizeWorkerReport>,
 }
 
 impl PortfolioOutcome {
     /// The winning worker's report, if any worker won.
-    pub fn winning_report(&self) -> Option<&WorkerReport> {
+    pub fn winning_report(&self) -> Option<&MinimizeWorkerReport> {
         self.winner.map(|idx| &self.workers[idx])
     }
 }
+
 /// Builds `n` diverse configurations from `base`, cycling through the
 /// deepening schedules × cardinality encodings × move semantics the
 /// encoding layer supports (`base`'s own combination first). Extra
@@ -206,161 +207,6 @@ pub fn default_portfolio(base: SolverOptions, n: usize) -> Vec<SolverOptions> {
         stride_round += 1;
     }
     configs
-}
-
-/// The session-side context a race runs under: the pool its workers fan
-/// out on, the ambient session token (the race token is its child), the
-/// probe-event sink every worker shares and the watchdog heartbeat.
-pub(crate) struct RaceContext<'a> {
-    pub(crate) executor: &'a Executor,
-    pub(crate) cancel: Option<&'a CancelToken>,
-    pub(crate) events: &'a ProbeEventSender,
-    pub(crate) heartbeat: Option<Heartbeat>,
-}
-
-/// The one race driver: runs `body` once per configuration as jobs on
-/// the context's executor, first-winner-takes-all. `body` gets the
-/// worker's index, configuration and own token, and returns its result
-/// plus whether it finished — the claim to the win. The first finished
-/// worker cancels the race token, which stops the rivals inside the CDCL
-/// loop. `options` names the solver options a configuration's probes
-/// share; their fault plan arms the worker's `exec.job` fail point.
-/// Returns one entry per configuration, in order, and the winner's index.
-fn race<C, R, F>(
-    ctx: &RaceContext<'_>,
-    configs: &[C],
-    options: fn(&C) -> &SolverOptions,
-    body: F,
-) -> (Vec<RaceWorker<C, R>>, Option<usize>)
-where
-    C: Copy + Send + 'static,
-    R: Default + Send + 'static,
-    F: Fn(usize, C, &CancelToken) -> (R, bool) + Send + Sync + 'static,
-{
-    let race = ctx.cancel.map_or_else(CancelToken::new, CancelToken::child);
-    let winner = Arc::new(AtomicUsize::new(NO_WINNER));
-    let body = Arc::new(body);
-    let tasks: Vec<_> = configs
-        .iter()
-        .enumerate()
-        .map(|(index, &config)| {
-            let race = race.clone();
-            let winner = Arc::clone(&winner);
-            let body = Arc::clone(&body);
-            move || {
-                let start = Instant::now();
-                // Containment: the worker runs under its own child of the
-                // race token, so a spurious cancellation (injected at
-                // `exec.job`, or an external child-holder) degrades this
-                // one worker without stopping the race. The winner still
-                // cancels the shared parent, which shines through every
-                // child.
-                let worker_token = race.child();
-                if options(&config)
-                    .sat
-                    .faults
-                    .trip(FaultSite::ExecJob, Some(&worker_token))
-                {
-                    worker_token.cancel();
-                }
-                let (result, finished) = body(index, config, &worker_token);
-                if finished
-                    && winner
-                        .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    race.cancel();
-                }
-                RaceWorker {
-                    config,
-                    result,
-                    elapsed: start.elapsed(),
-                    cancelled: !finished && worker_token.is_cancelled(),
-                    panicked: None,
-                }
-            }
-        })
-        .collect();
-    // Panic isolation: a panicked worker becomes a placeholder entry (in
-    // configuration order, so winner indices stay valid) and the race
-    // certifies from the survivors.
-    let workers = scatter_settle(ctx.executor, tasks)
-        .into_iter()
-        .zip(configs)
-        .map(|(slot, &config)| {
-            slot.unwrap_or_else(|failure| RaceWorker {
-                config,
-                result: R::default(),
-                elapsed: Duration::ZERO,
-                cancelled: false,
-                panicked: Some(failure.message),
-            })
-        })
-        .collect();
-    let winner = match winner.load(Ordering::Acquire) {
-        NO_WINNER => None,
-        index => Some(index),
-    };
-    (workers, winner)
-}
-
-/// Races fixed-budget searches over `configs` (the budget rides in each
-/// configuration's `encoding.max_pebbles`): the first strategy wins.
-/// Each worker emits [`ProbeEvent::ProbeStarted`](crate::session::ProbeEvent::ProbeStarted)
-/// before its search and a solved/refuted event after.
-pub(crate) fn race_fixed(
-    dag: &Dag,
-    configs: &[SolverOptions],
-    ctx: &RaceContext<'_>,
-) -> PortfolioOutcome {
-    let dag = Arc::new(dag.clone());
-    let events = ctx.events.clone();
-    let heartbeat = ctx.heartbeat.clone();
-    let (workers, winner) = race(
-        ctx,
-        configs,
-        |options| options,
-        move |index, options, token| {
-            let run = solve_fixed(
-                &dag,
-                options,
-                index,
-                0,
-                Some(token.clone()),
-                heartbeat.clone(),
-                &events,
-            );
-            let solved = matches!(run.outcome, PebbleOutcome::Solved(_));
-            (run, solved)
-        },
-    );
-    let outcome = match winner {
-        Some(index) => workers[index].result.outcome.clone(),
-        None => most_definite(&workers),
-    };
-    PortfolioOutcome {
-        outcome,
-        winner,
-        workers,
-    }
-}
-
-/// When nobody solved the instance, report the most definite failure:
-/// a structural `Infeasible` beats an exhausted `StepLimit` beats a
-/// plain `Timeout`.
-fn most_definite(workers: &[WorkerReport]) -> PebbleOutcome {
-    let rank = |outcome: &PebbleOutcome| match outcome {
-        PebbleOutcome::Solved(_) => 3,
-        PebbleOutcome::Infeasible { .. } => 2,
-        PebbleOutcome::StepLimit { .. } => 1,
-        PebbleOutcome::Timeout { .. } => 0,
-    };
-    workers
-        .iter()
-        .map(|worker| &worker.result.outcome)
-        .max_by_key(|outcome| rank(outcome))
-        .expect("portfolio has at least one worker")
-        .clone()
 }
 
 /// One worker's slice of a minimize race: a solver configuration paired
@@ -553,12 +399,14 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
     }
 }
 
-/// Races minimize searches over `configs`, first-to-complete-takes-all:
-/// each worker drives its own incremental assumption-bounded encoding
-/// through its budget schedule, and the first worker to finish a
-/// *complete* search with a certified budget cancels the race. The
-/// returned `best` is the smallest budget certified by anyone — a
-/// cancelled rival may have descended further than the winner.
+/// The one race driver: runs the minimize engine once per configuration
+/// as jobs on `executor`, first-to-complete-takes-all. Every worker runs
+/// `run` — the session's probe settings, window, token, event sink and
+/// heartbeat — under its own configuration and its own child of the race
+/// token, and the first worker to finish a *complete* search with a
+/// certified budget cancels the race, which stops the rivals inside the
+/// CDCL loop. The returned `best` is the smallest budget certified by
+/// anyone — a cancelled rival may have descended further than the winner.
 ///
 /// With [`ShareOptions::clauses`] the workers exchange short learnt
 /// clauses verbatim through one [`SharedClausePool`], and with
@@ -572,10 +420,9 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
 pub(crate) fn race_minimize(
     dag: &Dag,
     mut configs: Vec<MinimizeConfig>,
-    per_query: Duration,
+    run: MinimizeContext,
     share: ShareOptions,
-    retry: RetryPolicy,
-    ctx: &RaceContext<'_>,
+    executor: &Executor,
 ) -> MinimizePortfolioOutcome {
     if share.diversify {
         diversify_minimize_portfolio(&mut configs);
@@ -600,31 +447,85 @@ pub(crate) fn race_minimize(
                 && config.base.max_steps == reference.max_steps
         })
         .collect();
-    let body = {
-        let dag = Arc::new(dag.clone());
-        let (pool, shared, compatible) = (pool.clone(), shared.clone(), compatible.clone());
-        let events = ctx.events.clone();
-        let heartbeat = ctx.heartbeat.clone();
-        move |index: usize, config: MinimizeConfig, token: &CancelToken| {
+    let race = run
+        .cancel
+        .as_ref()
+        .map_or_else(CancelToken::new, CancelToken::child);
+    let winner = Arc::new(AtomicUsize::new(NO_WINNER));
+    let dag = Arc::new(dag.clone());
+    let tasks: Vec<_> = configs
+        .iter()
+        .enumerate()
+        .map(|(index, &config)| {
+            let (race, winner, dag) = (race.clone(), Arc::clone(&winner), Arc::clone(&dag));
             let run = MinimizeContext {
                 base: config.base,
-                per_query,
                 schedule: config.schedule,
-                incremental: true,
-                cancel: Some(token.clone()),
                 pool: pool.clone().filter(|_| compatible[index]),
                 shared: shared.clone().filter(|_| compatible[index]),
-                events: events.clone(),
                 worker: index,
-                retry,
-                heartbeat: heartbeat.clone(),
+                ..run.clone()
             };
-            let result = run_minimize_with_context(&dag, run);
-            let finished = result.best.is_some() && !token.is_cancelled();
-            (result, finished)
-        }
+            move || {
+                let start = Instant::now();
+                // Containment: the worker runs under its own child of the
+                // race token, so a spurious cancellation (injected at
+                // `exec.job`, or an external child-holder) degrades this
+                // one worker without stopping the race. The winner still
+                // cancels the shared parent, which shines through every
+                // child.
+                let token = race.child();
+                if config
+                    .base
+                    .sat
+                    .faults
+                    .trip(FaultSite::ExecJob, Some(&token))
+                {
+                    token.cancel();
+                }
+                let run = MinimizeContext {
+                    cancel: Some(token.clone()),
+                    ..run
+                };
+                let result = run_minimize_with_context(&dag, run);
+                let finished = result.best.is_some() && !token.is_cancelled();
+                if finished
+                    && winner
+                        .compare_exchange(NO_WINNER, index, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                {
+                    race.cancel();
+                }
+                RaceWorker {
+                    config,
+                    result,
+                    elapsed: start.elapsed(),
+                    cancelled: !finished && token.is_cancelled(),
+                    panicked: None,
+                }
+            }
+        })
+        .collect();
+    // Panic isolation: a panicked worker becomes a placeholder entry (in
+    // configuration order, so winner indices stay valid) and the race
+    // certifies from the survivors.
+    let workers: Vec<MinimizeWorkerReport> = scatter_settle(executor, tasks)
+        .into_iter()
+        .zip(configs)
+        .map(|(slot, config)| {
+            slot.unwrap_or_else(|failure| RaceWorker {
+                config,
+                result: MinimizeResult::default(),
+                elapsed: Duration::ZERO,
+                cancelled: false,
+                panicked: Some(failure.message),
+            })
+        })
+        .collect();
+    let winner = match winner.load(Ordering::Acquire) {
+        NO_WINNER => None,
+        index => Some(index),
     };
-    let (workers, winner) = race(ctx, &configs, |config| &config.base, body);
     let best = workers
         .iter()
         .filter_map(|worker| worker.result.best.clone())
@@ -675,37 +576,26 @@ mod tests {
     use super::*;
     use crate::encoding::EncodingOptions;
     use crate::session::{PebblingSession, SessionOutcome};
-    use crate::solver::PebbleSolver;
+    use crate::solver::{PebbleSolver, ProbeVerdict};
     use proptest::prelude::*;
     use revpebble_graph::generators::{paper_example, random_dag};
 
-    /// Runs a race the way a session without an installed executor does:
-    /// on a private pool with one thread per worker, under no session
-    /// token.
-    fn privately<T>(workers: usize, race: impl FnOnce(&RaceContext<'_>) -> T) -> T {
-        let executor = Executor::new(workers);
-        let events = ProbeEventSender::default();
-        race(&RaceContext {
-            executor: &executor,
-            cancel: None,
-            events: &events,
-            heartbeat: None,
-        })
-    }
-
-    fn race_configs(dag: &Dag, configs: &[SolverOptions]) -> PortfolioOutcome {
-        privately(configs.len(), |ctx| race_fixed(dag, configs, ctx))
-    }
-
+    /// Runs an incremental minimize race the way a session without an
+    /// installed executor does: on a private pool with one thread per
+    /// worker, under no session token.
     fn race_minimize_configs(
         dag: &Dag,
         configs: Vec<MinimizeConfig>,
         per_query: Duration,
         share: ShareOptions,
     ) -> MinimizePortfolioOutcome {
-        privately(configs.len(), |ctx| {
-            race_minimize(dag, configs, per_query, share, RetryPolicy::none(), ctx)
-        })
+        let executor = Executor::new(configs.len());
+        let run = MinimizeContext {
+            per_query: Some(per_query),
+            incremental: true,
+            ..MinimizeContext::default()
+        };
+        race_minimize(dag, configs, run, share, &executor)
     }
 
     /// Session-backed equivalents of the retired free-function shims:
@@ -789,16 +679,6 @@ mod tests {
         }
     }
 
-    fn budgeted(max_pebbles: usize) -> SolverOptions {
-        SolverOptions {
-            encoding: EncodingOptions {
-                max_pebbles: Some(max_pebbles),
-                ..EncodingOptions::default()
-            },
-            ..SolverOptions::default()
-        }
-    }
-
     #[test]
     fn default_portfolio_is_diverse_and_sized() {
         let configs = default_portfolio(SolverOptions::default(), 6);
@@ -857,11 +737,11 @@ mod tests {
     #[test]
     fn portfolio_with_two_workers_solves_and_reports_both() {
         let dag = paper_example();
-        let result = race_configs(&dag, &default_portfolio(budgeted(6), 2));
+        let result = solve_with_pebbles_portfolio(&dag, 6, 2);
         assert!(matches!(result.outcome, PebbleOutcome::Solved(_)));
         assert_eq!(result.workers.len(), 2);
         let report = result.winning_report().expect("winner report");
-        assert!(matches!(report.result.outcome, PebbleOutcome::Solved(_)));
+        assert_eq!(report.result.probes, vec![(6, ProbeVerdict::Solved)]);
         assert!(report.result.search.queries > 0);
     }
 
@@ -878,34 +758,54 @@ mod tests {
 
     #[test]
     fn losing_workers_observe_the_stop_flag_and_exit_promptly() {
-        // Worker 1 is doomed: 3 pebbles pass the structural lower bound of
-        // the paper example but admit no strategy at any K (the final
-        // configuration {E, F} leaves one pebble for C and D), so linear
-        // deepening with an effectively unbounded step limit would refute
-        // K = 10, 11, 12, … forever. Only the winner's stop flag can end
-        // it — the whole test hanging is the failure mode guarded against.
+        // Worker 1 is doomed: its binary search reaches budget 3, which
+        // passes the structural lower bound of the paper example but
+        // admits no strategy at any K (the final configuration {E, F}
+        // leaves one pebble for C and D), so linear deepening with an
+        // effectively unbounded step cap would refute K = 10, 11, 12, …
+        // forever. Only the winner's race token can end it — the whole
+        // test hanging is the failure mode guarded against.
         let dag = paper_example();
+        let capped = SolverOptions {
+            max_steps: 60,
+            ..SolverOptions::default()
+        };
         let doomed = SolverOptions {
             max_steps: usize::MAX / 2,
-            ..budgeted(3)
+            ..SolverOptions::default()
         };
+        let configs = [capped, doomed]
+            .map(|base| MinimizeConfig {
+                base,
+                schedule: BudgetSchedule::Binary,
+            })
+            .to_vec();
         let start = Instant::now();
-        let result = race_configs(&dag, &[budgeted(4), doomed]);
+        let result = race_minimize_configs(
+            &dag,
+            configs,
+            Duration::from_secs(600),
+            ShareOptions::isolated(),
+        );
         let elapsed = start.elapsed();
 
-        assert_eq!(result.winner, Some(0), "only the 4-pebble worker can win");
-        let strategy = result.outcome.into_strategy().expect("winner's strategy");
+        assert_eq!(result.winner, Some(0), "only the capped worker can finish");
+        let (p, strategy) = result.best.expect("winner's strategy");
+        assert_eq!(p, 4);
         strategy.validate(&dag, Some(4)).expect("valid");
 
         let loser = &result.workers[1];
         assert!(loser.cancelled, "loser must report being cancelled");
-        assert!(
-            matches!(loser.result.outcome, PebbleOutcome::Timeout { .. }),
-            "cancellation surfaces as a budget outcome, got {:?}",
-            loser.result.outcome
-        );
-        // Generous CI bound; the stop flag is polled at every CDCL
-        // decision, so real latency is micro- to milliseconds.
+        for &(budget, verdict) in &loser.result.probes {
+            if budget == 3 {
+                assert!(
+                    matches!(verdict, ProbeVerdict::Timeout { .. }),
+                    "cancellation surfaces as a timeout, got {verdict:?}"
+                );
+            }
+        }
+        // Generous CI bound; the race token is polled inside the CDCL
+        // loop, so real latency is micro- to milliseconds.
         assert!(
             elapsed < Duration::from_secs(30),
             "losing worker took {elapsed:?} to observe the stop flag"
@@ -1146,13 +1046,13 @@ mod tests {
     #[test]
     fn reports_preserve_configuration_order() {
         let dag = paper_example();
-        let configs = default_portfolio(budgeted(6), 3);
+        let configs = default_portfolio(SolverOptions::default(), 3);
         let expected: Vec<String> = configs.iter().map(describe_options).collect();
-        let result = race_configs(&dag, &configs);
+        let result = solve_with_pebbles_portfolio(&dag, 6, 3);
         let got: Vec<String> = result
             .workers
             .iter()
-            .map(|worker| describe_options(&worker.config))
+            .map(|worker| describe_options(&worker.config.base))
             .collect();
         assert_eq!(got, expected);
     }

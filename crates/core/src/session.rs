@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use revpebble_graph::{Dag, DagError};
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverConfig, SolverStats};
+use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverStats};
 
 use revpebble_sat::card::CardEncoding;
 
@@ -78,15 +78,15 @@ use crate::bounds::{pebble_lower_bound, weighted_pebble_lower_bound};
 use crate::cache::{CacheKey, CachedReport, ResultCache};
 use crate::encoding::MoveMode;
 use crate::exec::Executor;
-use crate::frontier::{frontier_on, FrontierOptions, FrontierPoint};
+use crate::frontier::{frontier_on, FrontierPoint};
 use crate::portfolio::{
     default_minimize_portfolio, default_portfolio, describe_minimize_config, describe_options,
-    race_fixed, race_minimize, MinimizeConfig, MinimizePortfolioOutcome, PortfolioOutcome,
-    RaceContext, RaceWorker, ShareOptions,
+    race_minimize, MinimizeConfig, MinimizePortfolioOutcome, MinimizeWorkerReport,
+    PortfolioOutcome, ShareOptions,
 };
 use crate::solver::{
-    run_minimize_with_context, solve_fixed, BudgetSchedule, MinimizeContext, MinimizeResult,
-    PebbleOutcome, PebbleRun, RetryPolicy, SolverOptions, StepSchedule,
+    fixed_outcome, run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult,
+    PebbleOutcome, RetryPolicy, SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
@@ -404,9 +404,11 @@ impl std::error::Error for SessionError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Engine {
-    /// One fixed-budget search on one thread.
+    /// One fixed-budget search on one thread: the minimize engine on the
+    /// one-point window `[p, p]`.
     Single,
-    /// A fixed-budget race over diverse solver configurations.
+    /// A fixed-budget race over diverse solver configurations, each
+    /// worker on the one-point window `[p, p]`.
     SinglePortfolio,
     /// Budget minimization with a fresh solver per probe (the paper's
     /// Table I methodology).
@@ -586,7 +588,8 @@ pub struct WorkerSummary {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SessionOutcome {
-    /// [`Engine::Single`]: the raw outcome.
+    /// [`Engine::Single`]: the outcome of the one probe (a timeout at
+    /// `K = 0` when the token fired before it started).
     Single(PebbleOutcome),
     /// [`Engine::SinglePortfolio`]: the raw race outcome.
     Portfolio(PortfolioOutcome),
@@ -687,9 +690,11 @@ impl Report {
     /// output stays valid JSON even for hostile names arriving over the
     /// wire).
     ///
-    /// Keys: `engine`, `minimum` (number or `null`), `floor`, `workers`
-    /// (array of per-worker objects), `events_emitted`, `probes`,
-    /// `strategy` (object or `null`), and for frontier runs `frontier`.
+    /// Keys, in order: `engine`, `minimum` (number or `null`), `floor`,
+    /// `workers` (array of per-worker objects), `events_emitted`,
+    /// `probes`, `stop_reason` (string or `null`), `retries`,
+    /// `cache_hits`, `cache_misses`, `wall_s`, `strategy` (object or
+    /// `null`), and for frontier runs `frontier`.
     pub fn to_json(&self) -> String {
         use revpebble_graph::json::json_escape;
         use std::fmt::Write as _;
@@ -978,12 +983,6 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Configuration of the underlying CDCL solver.
-    pub fn solver_config(mut self, config: SolverConfig) -> Self {
-        self.base.sat = config;
-        self
-    }
-
     /// Replaces the whole base [`SolverOptions`] at once (power users;
     /// the individual setters cover the common axes). A fixed budget
     /// already set via [`pebbles`](Self::pebbles) is preserved.
@@ -1056,8 +1055,8 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Runs this session's portfolio / frontier fan-out as jobs on a
-    /// shared [`Executor`] instead of private per-engine worker pools.
+    /// Runs this session's portfolio workers as jobs on a shared
+    /// [`Executor`] instead of a private per-race worker pool.
     /// Single-threaded engines ignore it.
     pub fn executor(mut self, executor: Arc<Executor>) -> Self {
         self.executor = Some(executor);
@@ -1710,7 +1709,8 @@ impl SessionRuntime {
 
     /// Wires a configured session into the runtime — `token` (a
     /// descendant of [`root`](Self::root)), the shared cache, the
-    /// default quota — and hands it to the pool. Validation happens in
+    /// per-session quota (tightening, never widening, the session's own)
+    /// — and hands it to the pool. Validation happens in
     /// [`PebblingSession::spawn_on`], so a bad configuration comes back
     /// as a typed [`SessionError`] without consuming a pool slot.
     pub fn spawn(
@@ -1722,7 +1722,8 @@ impl SessionRuntime {
             .cancel_token(token)
             .result_cache(Arc::clone(&self.cache));
         if let Some(quota) = self.quota {
-            session = session.quota(quota);
+            let own = session.quota.unwrap_or(quota);
+            session = session.quota(own.min(quota));
         }
         session.spawn_on(&self.executor)
     }
@@ -1940,12 +1941,6 @@ trait Tally {
     fn tally(&self) -> (usize, usize, SolverStats, u64);
 }
 
-impl Tally for PebbleRun {
-    fn tally(&self) -> (usize, usize, SolverStats, u64) {
-        (1, self.search.queries, self.sat, 0)
-    }
-}
-
 impl Tally for MinimizeResult {
     fn tally(&self) -> (usize, usize, SolverStats, u64) {
         (
@@ -1982,10 +1977,10 @@ fn summarize(config: String, tally: &impl Tally, winner: bool, elapsed: Duration
 }
 
 /// One [`WorkerSummary`] row per race worker, in configuration order.
-fn race_rows<C, R: Tally>(
-    workers: &[RaceWorker<C, R>],
+fn race_rows(
+    workers: &[MinimizeWorkerReport],
     winner: Option<usize>,
-    describe: fn(&C) -> String,
+    describe: fn(&MinimizeConfig) -> String,
 ) -> Vec<WorkerSummary> {
     workers
         .iter()
@@ -2010,29 +2005,19 @@ fn race_rows<C, R: Tally>(
 fn on_pool<T>(
     executor: Option<&Arc<Executor>>,
     workers: usize,
-    cancel: Option<&CancelToken>,
-    events: &ProbeEventSender,
-    heartbeat: Option<Heartbeat>,
-    race: impl FnOnce(&RaceContext<'_>) -> T,
+    race: impl FnOnce(&Executor) -> T,
 ) -> T {
-    let private;
-    let executor = match executor {
-        Some(executor) => executor.as_ref(),
-        None => {
-            private = Executor::new(workers.max(1));
-            &private
-        }
-    };
-    race(&RaceContext {
-        executor,
-        cancel,
-        events,
-        heartbeat,
-    })
+    match executor {
+        Some(executor) => race(executor),
+        None => race(&Executor::new(workers.max(1))),
+    }
 }
 
 /// Runs the engine a validated plan names, pushing progress events into
-/// `events`.
+/// `events`. Every engine but the frontier is the minimize engine, run
+/// once or raced: a fixed budget `p` is the one-point window `[p, p]` on
+/// the fresh (baked-budget) prober under the whole-solve timeout, and its
+/// race runs the [`default_portfolio`] configurations.
 fn execute_plan(
     dag: &Dag,
     plan: &SessionPlan,
@@ -2042,48 +2027,60 @@ fn execute_plan(
     heartbeat: Option<Heartbeat>,
 ) -> (SessionOutcome, Vec<WorkerSummary>) {
     let start = Instant::now();
+    let fixed = plan.pebbles.is_some();
+    let run = MinimizeContext {
+        base: plan.base,
+        per_query: if fixed {
+            plan.base.timeout
+        } else {
+            Some(plan.per_query)
+        },
+        window: plan.pebbles.map(|p| (p, p)),
+        schedule: plan.budget_schedule,
+        incremental: plan.incremental && !fixed,
+        cancel: cancel.cloned(),
+        events: events.clone(),
+        retry: plan.retry,
+        heartbeat,
+        ..MinimizeContext::default()
+    };
+    let describe: fn(&MinimizeConfig) -> String = if fixed {
+        |config| describe_options(&config.base)
+    } else {
+        describe_minimize_config
+    };
     match plan.engine {
-        Engine::Single => {
-            let run = solve_fixed(dag, plan.base, 0, 0, cancel.cloned(), heartbeat, events);
-            let solved = run.outcome.strategy().is_some();
-            let row = summarize(describe_options(&plan.base), &run, solved, start.elapsed());
-            (SessionOutcome::Single(run.outcome), vec![row])
-        }
-        Engine::SinglePortfolio => {
-            let configs = default_portfolio(plan.base, plan.workers);
-            let outcome = on_pool(executor, configs.len(), cancel, events, heartbeat, |ctx| {
-                race_fixed(dag, &configs, ctx)
-            });
-            let rows = race_rows(&outcome.workers, outcome.winner, describe_options);
-            (SessionOutcome::Portfolio(outcome), rows)
-        }
-        Engine::MinimizeFresh | Engine::MinimizeIncremental => {
-            let ctx = MinimizeContext {
-                base: plan.base,
-                per_query: plan.per_query,
-                schedule: plan.budget_schedule,
-                incremental: plan.engine == Engine::MinimizeIncremental,
-                cancel: cancel.cloned(),
-                events: events.clone(),
-                retry: plan.retry,
-                heartbeat,
-                ..MinimizeContext::default()
-            };
-            let result = run_minimize_with_context(dag, ctx);
+        Engine::Single | Engine::MinimizeFresh | Engine::MinimizeIncremental => {
             let config = MinimizeConfig {
                 base: plan.base,
                 schedule: plan.budget_schedule,
             };
+            let result = run_minimize_with_context(dag, run);
             let row = summarize(
-                describe_minimize_config(&config),
+                describe(&config),
                 &result,
                 result.best.is_some(),
                 start.elapsed(),
             );
-            (SessionOutcome::Minimize(result), vec![row])
+            let outcome = if fixed {
+                SessionOutcome::Single(fixed_outcome([&result]))
+            } else {
+                SessionOutcome::Minimize(result)
+            };
+            (outcome, vec![row])
         }
-        Engine::MinimizePortfolio | Engine::MinimizePortfolioShared => {
-            let configs = default_minimize_portfolio(plan.base, plan.workers);
+        Engine::SinglePortfolio | Engine::MinimizePortfolio | Engine::MinimizePortfolioShared => {
+            let configs = if fixed {
+                default_portfolio(plan.base, plan.workers)
+                    .into_iter()
+                    .map(|base| MinimizeConfig {
+                        base,
+                        schedule: plan.budget_schedule,
+                    })
+                    .collect()
+            } else {
+                default_minimize_portfolio(plan.base, plan.workers)
+            };
             let share = if plan.engine == Engine::MinimizePortfolioShared {
                 plan.share
             } else {
@@ -2094,29 +2091,24 @@ fn execute_plan(
                     ..ShareOptions::isolated()
                 }
             };
-            let workers = configs.len();
-            let outcome = on_pool(executor, workers, cancel, events, heartbeat, |ctx| {
-                race_minimize(dag, configs, plan.per_query, share, plan.retry, ctx)
+            let race = on_pool(executor, configs.len(), |executor| {
+                race_minimize(dag, configs, run, share, executor)
             });
-            let rows = race_rows(&outcome.workers, outcome.winner, describe_minimize_config);
-            (SessionOutcome::MinimizePortfolio(outcome), rows)
+            let rows = race_rows(&race.workers, race.winner, describe);
+            if !fixed {
+                return (SessionOutcome::MinimizePortfolio(race), rows);
+            }
+            let winner = race.winner.map(|index| &race.workers[index]);
+            let outcome = fixed_outcome(winner.into_iter().chain(&race.workers).map(|w| &w.result));
+            let race = PortfolioOutcome {
+                outcome,
+                winner: race.winner,
+                workers: race.workers,
+            };
+            (SessionOutcome::Portfolio(race), rows)
         }
         Engine::Frontier => {
-            let options = FrontierOptions {
-                base: plan.base,
-                per_budget: plan.per_query,
-                min_pebbles: plan.frontier_range.0,
-                max_pebbles: plan.frontier_range.1,
-                incremental: plan.incremental,
-            };
-            let points = frontier_on(
-                dag,
-                options,
-                events,
-                executor.map(|arc| arc.as_ref()),
-                cancel,
-                heartbeat,
-            );
+            let points = frontier_on(dag, run, plan.frontier_range);
             let row = summarize(
                 format!("frontier/{}", describe_options(&plan.base)),
                 &points,
@@ -2474,14 +2466,58 @@ mod tests {
     #[test]
     fn an_exhausted_quota_names_itself_in_the_report() {
         let dag = paper_example();
+        let sessions = [
+            PebblingSession::new(&dag).minimize().max_steps(60),
+            PebblingSession::new(&dag).pebbles(4),
+        ];
+        for session in sessions {
+            let report = session.quota(1).run().expect("valid configuration");
+            assert_eq!(report.stop_reason, Some(StopReason::QuotaExhausted));
+            assert!(report.to_json().contains("\"stop_reason\":\"quota\""));
+            if let SessionOutcome::Single(outcome) = &report.outcome {
+                assert!(
+                    matches!(outcome, PebbleOutcome::Timeout { .. }),
+                    "{outcome:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_fixed_budget_refuted_at_every_step_count_hits_the_step_cap() {
+        // hop needs 6 pebbles; 5 clears the structural bound of 4, so every
+        // K up to the cap is refuted.
+        let dag = revpebble_graph::builtin_dag("hop").expect("a built-in design");
+        let cap = 4 * dag.num_nodes() + 20;
         let report = PebblingSession::new(&dag)
-            .minimize()
-            .max_steps(60)
-            .quota(1)
+            .pebbles(5)
+            .max_steps(cap)
             .run()
             .expect("valid configuration");
-        assert_eq!(report.stop_reason, Some(StopReason::QuotaExhausted));
-        assert!(report.to_json().contains("\"stop_reason\":\"quota\""));
+        assert!(
+            matches!(
+                report.outcome,
+                SessionOutcome::Single(PebbleOutcome::StepLimit { steps_checked }) if steps_checked == cap
+            ),
+            "{:?}",
+            report.outcome
+        );
+        assert_eq!(report.stop_reason, None);
+    }
+
+    #[test]
+    fn a_runtime_quota_never_widens_a_tighter_session_quota() {
+        let dag = paper_example();
+        let mut batch = BatchSession::new(1)
+            .expect("one worker")
+            .per_session_quota(5_000_000);
+        batch
+            .submit("tight", &dag, |session| session.pebbles(4).quota(1))
+            .expect("valid configuration");
+        let report = batch.finish();
+        let (_, session) = &report.sessions[0];
+        assert_eq!(session.stop_reason, Some(StopReason::QuotaExhausted));
+        assert!(session.to_json().contains("\"stop_reason\":\"quota\""));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! *Table I methodology*: find the smallest `P` for which a solution is
 //! found within a time budget — the minimize engine behind
 //! [`PebblingSession::minimize`](crate::session::PebblingSession::minimize).
+//! Problem 1 runs on the same engine: a fixed budget `p` is the one-point
+//! window `[p, p]`, and each probe's [`ProbeVerdict`] says how it ended.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -128,6 +130,42 @@ impl PebbleOutcome {
     }
 }
 
+/// How one budget probe ended: its [`PebbleOutcome`] without the
+/// strategy. Variants are ordered from least to most definite, so the
+/// most definite of several verdicts is their maximum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ProbeVerdict {
+    /// The time or conflict budget ran out, or the probe was cancelled.
+    Timeout {
+        /// The `K` being attempted when the probe stopped.
+        steps_reached: usize,
+    },
+    /// Every `K ≤ max_steps` was refuted.
+    StepLimit {
+        /// Largest `K` refuted.
+        steps_checked: usize,
+    },
+    /// The budget is below the structural lower bound or a certified
+    /// floor.
+    Infeasible {
+        /// The bound the budget violated.
+        lower_bound: usize,
+    },
+    /// A valid strategy was found.
+    Solved,
+}
+
+impl From<&PebbleOutcome> for ProbeVerdict {
+    fn from(outcome: &PebbleOutcome) -> Self {
+        match *outcome {
+            PebbleOutcome::Solved(_) => ProbeVerdict::Solved,
+            PebbleOutcome::Infeasible { lower_bound } => ProbeVerdict::Infeasible { lower_bound },
+            PebbleOutcome::StepLimit { steps_checked } => ProbeVerdict::StepLimit { steps_checked },
+            PebbleOutcome::Timeout { steps_reached } => ProbeVerdict::Timeout { steps_reached },
+        }
+    }
+}
+
 /// Statistics about one pebbling search.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -137,62 +175,6 @@ pub struct SearchStats {
     pub max_k: usize,
     /// Total SAT conflicts across all queries.
     pub conflicts: u64,
-}
-
-/// What one fixed-budget search produced: its outcome and the solver's
-/// statistics.
-#[derive(Debug, Clone)]
-pub struct PebbleRun {
-    /// The search outcome.
-    pub outcome: PebbleOutcome,
-    /// Outer-search statistics (queries issued, largest `K`, conflicts).
-    pub search: SearchStats,
-    /// SAT-solver statistics as of the last query.
-    pub sat: SolverStats,
-}
-
-impl Default for PebbleRun {
-    /// The placeholder of a search that never ran.
-    fn default() -> Self {
-        PebbleRun {
-            outcome: PebbleOutcome::Timeout { steps_reached: 0 },
-            search: SearchStats::default(),
-            sat: SolverStats::default(),
-        }
-    }
-}
-
-/// One fixed-budget search (the budget is `options.encoding.max_pebbles`)
-/// as probe `probe` of `worker`, bracketed by its
-/// [`ProbeEvent::ProbeStarted`] and resolution events.
-pub(crate) fn solve_fixed(
-    dag: &Dag,
-    options: SolverOptions,
-    worker: usize,
-    probe: usize,
-    cancel: Option<CancelToken>,
-    heartbeat: Option<Heartbeat>,
-    events: &ProbeEventSender,
-) -> PebbleRun {
-    let budget = options.encoding.max_pebbles.unwrap_or_default();
-    events.send(ProbeEvent::ProbeStarted {
-        worker,
-        probe,
-        budget,
-    });
-    let mut solver = PebbleSolver::new(dag, options);
-    solver.set_cancel_token(cancel);
-    solver.set_heartbeat(heartbeat);
-    let outcome = solver.solve();
-    let achieved = outcome
-        .strategy()
-        .map(|strategy| achieved_budget(dag, options.encoding.weighted, strategy));
-    events.resolved(worker, probe, budget, achieved);
-    PebbleRun {
-        outcome,
-        search: solver.stats(),
-        sat: solver.sat_stats(),
-    }
 }
 
 /// Iterative-deepening solver for one pebbling instance.
@@ -700,10 +682,10 @@ pub struct MinimizeResult {
     /// certifies `p'` directly, so `best` records `p'` — possibly smaller
     /// than every probed budget — and the search continues below it.
     pub best: Option<(usize, Strategy)>,
-    /// Every budget probed, with whether it was solved, in probe order.
+    /// Every budget probed, with how its probe ended, in probe order.
     /// (The budgets *probed*; `best` can undercut them — see
     /// [`best`](Self::best).)
-    pub probes: Vec<(usize, bool)>,
+    pub probes: Vec<(usize, ProbeVerdict)>,
     /// SAT-solver statistics after each probe, aligned with
     /// [`probes`](Self::probes). Incremental searches snapshot the single
     /// shared instance, so every counter is monotone across probes; fresh
@@ -734,16 +716,42 @@ pub struct MinimizeResult {
     pub retries: u64,
 }
 
+/// The answer of a fixed-budget session, derived from its one-point
+/// minimize runs: the first strategy any run found (a race passes its
+/// winner first), else the most definite verdict any probe reached. A run
+/// whose token fired before its probe started left no verdict; on its own
+/// it counts as a timeout at `K = 0`.
+pub(crate) fn fixed_outcome<'r>(
+    runs: impl IntoIterator<Item = &'r MinimizeResult>,
+) -> PebbleOutcome {
+    let mut most_definite = ProbeVerdict::Timeout { steps_reached: 0 };
+    for run in runs {
+        if let Some((_, strategy)) = &run.best {
+            return PebbleOutcome::Solved(strategy.clone());
+        }
+        for &(_, verdict) in &run.probes {
+            most_definite = most_definite.max(verdict);
+        }
+    }
+    match most_definite {
+        ProbeVerdict::Timeout { steps_reached } => PebbleOutcome::Timeout { steps_reached },
+        ProbeVerdict::StepLimit { steps_checked } => PebbleOutcome::StepLimit { steps_checked },
+        ProbeVerdict::Infeasible { lower_bound } => PebbleOutcome::Infeasible { lower_bound },
+        ProbeVerdict::Solved => unreachable!("a solved probe always records its strategy"),
+    }
+}
+
 /// Per-probe engine: either one persistent assumption-bounded instance or
-/// a fresh solver per budget.
-enum Prober<'a> {
+/// a fresh solver per budget. Every budget probe — of a minimize search,
+/// a fixed budget or a frontier sweep — runs through one.
+pub(crate) enum Prober<'a> {
     Incremental(Box<PebbleSolver<'a>>),
     Fresh(Box<FreshProber<'a>>),
 }
 
 /// State of the fresh-solver-per-probe engine (the paper's methodology):
 /// only accumulated statistics survive between probes.
-struct FreshProber<'a> {
+pub(crate) struct FreshProber<'a> {
     dag: &'a Dag,
     base: SolverOptions,
     cancel: Option<CancelToken>,
@@ -773,9 +781,9 @@ fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
 }
 
 impl<'a> Prober<'a> {
-    fn new(dag: &'a Dag, ctx: &MinimizeContext) -> Self {
+    pub(crate) fn new(dag: &'a Dag, ctx: &MinimizeContext) -> Self {
         let mut base = ctx.base;
-        base.timeout = Some(ctx.per_query);
+        base.timeout = ctx.per_query;
         if ctx.incremental {
             base.encoding.bound_mode = BoundMode::Assumed;
             let mut solver = PebbleSolver::new(dag, base);
@@ -823,7 +831,7 @@ impl<'a> Prober<'a> {
         }
     }
 
-    fn probe(&mut self, p: usize) -> PebbleOutcome {
+    pub(crate) fn probe(&mut self, p: usize) -> PebbleOutcome {
         match self {
             Prober::Incremental(solver) => solver.resolve_with_budget(p),
             Prober::Fresh(fresh) => {
@@ -866,7 +874,7 @@ struct MinimizeRun<'a> {
     prober: Prober<'a>,
     shared: Arc<SharedSearchState>,
     best: Option<(usize, Strategy)>,
-    probes: Vec<(usize, bool)>,
+    probes: Vec<(usize, ProbeVerdict)>,
     probe_stats: Vec<SolverStats>,
     cancel: Option<CancelToken>,
     /// Probe-event sink of the owning session.
@@ -937,24 +945,17 @@ impl MinimizeRun<'_> {
             }
             break outcome;
         };
-        let achieved = match outcome {
-            PebbleOutcome::Solved(strategy) => {
-                let used = if self.weighted {
-                    usize::try_from(strategy.max_weight(self.dag)).unwrap_or(p)
-                } else {
-                    strategy.max_pebbles(self.dag)
-                };
-                // A valid strategy never exceeds its probe budget; the
-                // `min` merely keeps a corrupt model from loosening `p`.
-                let achieved = used.min(p);
-                if self.best.as_ref().is_none_or(|&(b, _)| achieved < b) {
-                    self.best = Some((achieved, strategy));
-                }
-                Some(achieved)
+        let verdict = ProbeVerdict::from(&outcome);
+        let achieved = outcome.into_strategy().map(|strategy| {
+            // A valid strategy never exceeds its probe budget; the `min`
+            // merely keeps a corrupt model from loosening `p`.
+            let achieved = achieved_budget(self.dag, self.weighted, &strategy).min(p);
+            if self.best.as_ref().is_none_or(|&(b, _)| achieved < b) {
+                self.best = Some((achieved, strategy));
             }
-            _ => None,
-        };
-        self.probes.push((p, achieved.is_some()));
+            achieved
+        });
+        self.probes.push((p, verdict));
         self.probe_stats.push(self.prober.snapshot());
         self.events.resolved(self.worker, probe_index, p, achieved);
         if self.share_ticks {
@@ -1017,9 +1018,14 @@ pub(crate) struct MinimizeContext {
     /// Options every probe shares (move mode, step schedule, `max_steps`,
     /// …); `encoding.max_pebbles` and `timeout` are overridden per probe.
     pub(crate) base: SolverOptions,
-    /// Wall-clock budget per probe; a probe that exhausts it counts as
-    /// unsolvable at that budget, exactly as in the paper.
-    pub(crate) per_query: Duration,
+    /// Wall-clock budget per probe (`None` = unlimited); a probe that
+    /// exhausts it counts as unsolvable at that budget, exactly as in the
+    /// paper. A fixed-budget session passes its whole-solve timeout.
+    pub(crate) per_query: Option<Duration>,
+    /// The budgets the run may probe, `(low, high)`; `None` searches from
+    /// the structural lower bound to the full budget. A fixed budget `p`
+    /// is the one-point window `(p, p)`.
+    pub(crate) window: Option<(usize, usize)>,
     /// How the budget axis is walked.
     pub(crate) schedule: BudgetSchedule,
     /// `true`: all probes share one assumption-bounded
@@ -1067,19 +1073,24 @@ pub(crate) struct MinimizeContext {
 /// probe ([`MinimizeResult::best`]).
 pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> MinimizeResult {
     let weighted = ctx.base.encoding.weighted;
-    let lower = if weighted {
+    let structural = if weighted {
         weighted_pebble_lower_bound(dag)
     } else {
         pebble_lower_bound(dag)
     };
-    let top = if weighted {
-        usize::try_from(dag.total_weight()).expect("total weight fits usize")
-    } else {
-        dag.num_nodes()
-    };
+    let (lower, top) = ctx.window.unwrap_or_else(|| {
+        let top = if weighted {
+            usize::try_from(dag.total_weight()).expect("total weight fits usize")
+        } else {
+            dag.num_nodes()
+        };
+        (structural, top)
+    });
     let prober = Prober::new(dag, &ctx);
     let shared = prober.shared_state();
-    shared.prime_floor(lower);
+    // A window reaching below the structural bound still probes its low
+    // end, and the probe itself reports that budget infeasible.
+    shared.prime_floor(structural.min(lower));
     let last_floor = shared.floor();
     let mut run = MinimizeRun {
         dag,
@@ -1150,9 +1161,10 @@ pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> Mini
                 run.probe(top);
             }
             // Fine refinement below the last success, stopping at the
-            // certified floor and above any budget that already failed.
+            // window's low end, the certified floor and above any budget
+            // that already failed.
             if let Some(mut current) = run.best.as_ref().map(|&(p, _)| p) {
-                let failed_floor = failed_at.map_or(0, |p| p + 1);
+                let failed_floor = failed_at.map_or(lower, |p| p + 1);
                 while current > run.floor().max(failed_floor) && !run.stopped() {
                     let next = current - 1;
                     match run.probe(next) {
@@ -1273,11 +1285,10 @@ mod tests {
     #[test]
     fn infeasible_budget_is_detected_immediately() {
         let dag = paper_example();
-        let outcome = solve_with_pebbles(&dag, 1);
-        assert!(matches!(
-            outcome,
-            PebbleOutcome::Infeasible { lower_bound: 3 }
-        ));
+        for budget in [1, 2] {
+            let outcome = solve_with_pebbles(&dag, budget);
+            assert_eq!(outcome, PebbleOutcome::Infeasible { lower_bound: 3 });
+        }
     }
 
     #[test]
@@ -1376,7 +1387,11 @@ mod tests {
         assert_eq!(p, 4);
         strategy.validate(&dag, Some(4)).expect("valid");
         // Probes go 5, 4, 3(fail) — exactly one failure.
-        let failures = descending.probes.iter().filter(|(_, ok)| !ok).count();
+        let failures = descending
+            .probes
+            .iter()
+            .filter(|&&(_, verdict)| verdict != ProbeVerdict::Solved)
+            .count();
         assert_eq!(failures, 1);
     }
 
@@ -1466,8 +1481,10 @@ mod tests {
         let (p, strategy) = result.best.expect("fallback certifies the top budget");
         assert_eq!(p, 4, "refinement descends 6 → 5 → 4");
         strategy.validate(&dag, Some(p)).expect("valid");
-        assert!(result.probes.contains(&(3, false)), "{:?}", result.probes);
-        assert!(result.probes.contains(&(6, true)), "{:?}", result.probes);
+        let refuted = (3, ProbeVerdict::StepLimit { steps_checked: 20 });
+        assert!(result.probes.contains(&refuted), "{:?}", result.probes);
+        let solved = (6, ProbeVerdict::Solved);
+        assert!(result.probes.contains(&solved), "{:?}", result.probes);
     }
 
     #[test]
@@ -1631,8 +1648,8 @@ mod tests {
             assert_eq!(p, 4);
             // A solved probe's budget is never undercut by `best` by more
             // than the model allows; failed probes sit at or above it.
-            for &(budget, solved) in &result.probes {
-                if solved {
+            for &(budget, verdict) in &result.probes {
+                if verdict == ProbeVerdict::Solved {
                     assert!(p <= budget);
                 }
             }

@@ -148,7 +148,7 @@ pub mod prelude {
         AdmitGuard, BatchReport, BatchSession, BudgetSchedule, CancelReason, CancelToken,
         CardEncoding, EncodingOptions, Engine, Executor, FaultKind, FaultPlan, FaultSite,
         Heartbeat, MinimizeResult, Move, MoveMode, PebbleOutcome, PebbleSolver, PebblingSession,
-        PortfolioOutcome, ProbeEvent, Report, ResultCache, RetryPolicy, SessionError,
+        PortfolioOutcome, ProbeEvent, ProbeVerdict, Report, ResultCache, RetryPolicy, SessionError,
         SessionHandle, SessionOutcome, SessionRuntime, ShareOptions, SharedClausePool,
         SharedSearchState, SolverOptions, StopReason, Strategy,
     };

@@ -318,11 +318,6 @@ impl Solver {
         self.clauses.num_original()
     }
 
-    /// Number of live learned clauses.
-    pub fn num_learnt_clauses(&self) -> usize {
-        self.clauses.num_learnt()
-    }
-
     /// Cumulative search statistics.
     pub fn stats(&self) -> SolverStats {
         self.stats

@@ -155,7 +155,6 @@ struct ServerState {
     wake_addr: SocketAddr,
     runtime: SessionRuntime,
     faults: FaultPlan,
-    default_quota: Option<u64>,
     max_frame_bytes: usize,
     counters: Counters,
 }
@@ -199,11 +198,6 @@ impl ServerHandle {
         let _ = TcpStream::connect_timeout(&self.state.wake_addr, WAKE_TIMEOUT);
     }
 
-    /// `true` once [`shutdown`](Self::shutdown) has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutting_down()
-    }
-
     /// A live stats snapshot.
     pub fn stats(&self) -> ServeStats {
         self.state.stats()
@@ -233,9 +227,12 @@ impl Server {
                 "at least one connection handler is required".into(),
             ));
         }
-        let runtime = SessionRuntime::new(config.workers)
+        let mut runtime = SessionRuntime::new(config.workers)
             .map_err(|err| ServeError::Config(err.to_string()))?
             .max_in_flight(config.max_pending);
+        if let Some(quota) = config.quota {
+            runtime = runtime.per_session_quota(quota);
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let wake_ip = match local_addr.ip() {
@@ -252,7 +249,6 @@ impl Server {
                 wake_addr: SocketAddr::new(wake_ip, local_addr.port()),
                 runtime,
                 faults: config.faults,
-                default_quota: config.quota,
                 max_frame_bytes: config.max_frame_bytes,
                 counters: Counters::default(),
             }),
@@ -575,13 +571,9 @@ fn handle_request(
     if let Some(max_steps) = request.max_steps {
         session = session.max_steps(max_steps);
     }
-    // The effective quota: the server's default, tightened (never
-    // widened) by the request.
-    let quota = match (state.default_quota, request.quota) {
-        (Some(server), Some(client)) => Some(server.min(client)),
-        (server, client) => server.or(client),
-    };
-    if let Some(quota) = quota {
+    // The runtime applies the server's default quota on spawn; a
+    // request's own quota can only tighten it.
+    if let Some(quota) = request.quota {
         session = session.quota(quota);
     }
 
