@@ -1,7 +1,8 @@
 //! Batch-serving throughput of the shared-executor session runtime: one
-//! `BatchSession` serves a round-robin mix of minimize workloads (three
-//! rounds over seven distinct DAGs) on a fixed 4-worker `Executor` with a
-//! per-session conflict quota and a shared `ResultCache`. Repeat rounds
+//! `SessionRuntime` serves a round-robin mix of minimize workloads (three
+//! rounds over seven distinct DAGs, spawned up front and joined in submit
+//! order) on a fixed 4-worker pool with a per-session conflict quota and
+//! a shared `ResultCache`. Repeat rounds
 //! are where the cache earns its keep — by the third round every DAG's
 //! answer is in the cache, so the measured batch mixes cold solves with
 //! near-free replays, exactly like a real serving workload.
@@ -19,7 +20,7 @@
 //! Machine-robust invariants are asserted (every session certifies, the
 //! cache counters add up, repeats hit); absolute rates are printed.
 
-use revpebble::core::{BatchSession, EncodingOptions, MoveMode, SolverOptions};
+use revpebble::core::{EncodingOptions, MoveMode, PebblingSession, SessionRuntime, SolverOptions};
 use revpebble::graph::generators::{and_tree, chain, paper_example, random_dag};
 use revpebble::graph::{parse_bench, Dag};
 use revpebble_bench::{record_bench_json, BenchRecord};
@@ -52,10 +53,11 @@ fn main() {
     let dags = workloads();
     let sessions = dags.len() * ROUNDS;
 
-    let mut batch = BatchSession::new(WORKERS)
+    let runtime = SessionRuntime::new(WORKERS)
         .expect("a positive worker count")
         .per_session_quota(5_000_000);
     let start = Instant::now();
+    let mut handles = Vec::with_capacity(sessions);
     for round in 0..ROUNDS {
         for (name, dag) in &dags {
             // Decisive regime per DAG: a step cap above any optimum these
@@ -69,24 +71,28 @@ fn main() {
                 max_steps: 4 * dag.num_nodes() + 20,
                 ..SolverOptions::default()
             };
-            batch
-                .submit(format!("{name}#{round}"), dag, move |session| {
-                    session
-                        .solver_options(base)
-                        .minimize()
-                        .incremental(true)
-                        .per_query_timeout(Duration::from_secs(60))
-                })
+            let session = PebblingSession::new(dag)
+                .solver_options(base)
+                .minimize()
+                .incremental(true)
+                .per_query_timeout(Duration::from_secs(60));
+            let handle = runtime
+                .spawn(session, runtime.root().child())
                 .expect("a valid batch configuration");
+            handles.push((format!("{name}#{round}"), handle));
         }
     }
-    let report = batch.finish();
+    let reports: Vec<_> = handles
+        .into_iter()
+        .map(|(name, handle)| (name, handle.join()))
+        .collect();
     let wall_s = start.elapsed().as_secs_f64();
+    let (cache_hits, cache_misses) = (runtime.cache().hits(), runtime.cache().misses());
 
-    assert_eq!(report.sessions.len(), sessions);
+    assert_eq!(reports.len(), sessions);
     let mut latencies = Vec::with_capacity(sessions);
     let (mut queries, mut conflicts) = (0u64, 0u64);
-    for (name, session) in &report.sessions {
+    for (name, session) in &reports {
         assert!(
             session.minimum.is_some(),
             "{name}: every serving workload certifies (stop: {:?})",
@@ -99,7 +105,7 @@ fn main() {
         }
     }
     assert_eq!(
-        report.cache_hits + report.cache_misses,
+        cache_hits + cache_misses,
         sessions as u64,
         "every session consults the shared cache exactly once"
     );
@@ -107,9 +113,8 @@ fn main() {
     // FIFO-queued jobs, the last round starts long after the first
     // round's inserts, so repeats must hit.
     assert!(
-        report.cache_hits >= ROUNDS as u64 - 1,
-        "repeat rounds are served from the cache (hits: {})",
-        report.cache_hits
+        cache_hits >= ROUNDS as u64 - 1,
+        "repeat rounds are served from the cache (hits: {cache_hits})"
     );
 
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -118,11 +123,10 @@ fn main() {
     let per_session = wall_s / sessions as f64;
     println!(
         "service_throughput: {sessions} sessions on {WORKERS} workers in {wall_s:.3}s \
-         ({:.1} sessions/s) | latency p50={p50:.4}s p99={p99:.4}s | cache {} hits / {} misses \
+         ({:.1} sessions/s) | latency p50={p50:.4}s p99={p99:.4}s \
+         | cache {cache_hits} hits / {cache_misses} misses \
          | {queries} SAT queries, {conflicts} conflicts",
         sessions as f64 / wall_s,
-        report.cache_hits,
-        report.cache_misses,
     );
 
     // Per-worker summaries surface conflicts but not propagations; the

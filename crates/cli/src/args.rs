@@ -11,7 +11,7 @@ use std::time::Duration;
 use revpebble::core::MoveMode;
 
 /// Parsed command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Args {
     /// The subcommand (`info`, `pebble`, `batch`, …).
     pub command: String,

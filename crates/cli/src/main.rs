@@ -473,23 +473,22 @@ fn run_minimize(dag: &Dag, args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// `batch`: serve every input through one [`BatchSession`] — a shared
-/// worker pool, per-session conflict quotas and a shared result cache
-/// (repeated DAGs are answered without solving). Prints one JSON object
-/// on stdout; per-session progress goes to stderr.
+/// `batch`: spawn every input as one session on a shared
+/// [`SessionRuntime`] — one worker pool, per-session conflict quotas and
+/// a shared result cache (repeated DAGs are answered without solving) —
+/// and join them in submit order. Prints one JSON object on stdout;
+/// per-session progress goes to stderr.
 fn run_batch(args: &Args) -> Result<(), CliError> {
     let workers = match args.workers {
         Some(n) => n,
         None => std::thread::available_parallelism().map_or(1, |cores| cores.get()),
     };
     let faults = parse_fault_plan(args)?;
-    let mut batch = BatchSession::new(workers).map_err(CliError::Invalid)?;
+    let mut runtime = SessionRuntime::new(workers).map_err(CliError::Invalid)?;
     if let Some(quota) = args.quota {
-        batch = batch.per_session_quota(quota);
+        runtime = runtime.per_session_quota(quota);
     }
-    if let Some(extra) = args.retries {
-        batch = batch.retry_policy(RetryPolicy::attempts(extra.saturating_add(1)));
-    }
+    let retry = RetryPolicy::attempts(args.retries.unwrap_or(0).saturating_add(1));
     // Load every DAG before solving anything: a bad path fails the whole
     // invocation up front instead of after minutes of SAT time.
     let mut dags = Vec::new();
@@ -497,23 +496,24 @@ fn run_batch(args: &Args) -> Result<(), CliError> {
         dags.push((input.clone(), load_dag(input).map_err(CliError::Failed)?));
     }
     let per_query = args.timeout.unwrap_or(Duration::from_secs(10));
-    for (name, dag) in &dags {
-        // The closure is a respawn recipe (`--retries` re-runs it), so
-        // it owns its configuration.
-        let args = args.clone();
-        batch
-            .submit(name.clone(), dag, move |session| {
-                let mut session =
-                    configure_session(session, &args, faults).per_query_timeout(per_query);
-                // Without a fixed budget, a batch entry minimizes — the
-                // serving workload's natural question.
-                if args.minimize || args.pebbles.is_none() {
-                    session = session.minimize();
-                }
-                session
-            })
-            .map_err(CliError::Invalid)?;
-    }
+    let spawn = |dag: &Dag| {
+        let mut session =
+            configure_session(PebblingSession::new(dag), args, faults).per_query_timeout(per_query);
+        // Without a fixed budget, a batch entry minimizes — the serving
+        // workload's natural question.
+        if args.minimize || args.pebbles.is_none() {
+            session = session.minimize();
+        }
+        // A child, not the root itself: cancelling one entry must not
+        // take the whole batch down with it.
+        runtime
+            .spawn(session, runtime.root().child())
+            .map_err(CliError::Invalid)
+    };
+    let handles = dags
+        .iter()
+        .map(|(_, dag)| spawn(dag))
+        .collect::<Result<Vec<_>, _>>()?;
     eprintln!(
         "batch: {} sessions on {workers} workers{}",
         dags.len(),
@@ -522,12 +522,33 @@ fn run_batch(args: &Args) -> Result<(), CliError> {
             None => String::new(),
         }
     );
-    let report = batch.finish();
+    let mut sessions = Vec::new();
+    for ((name, dag), handle) in dags.iter().zip(handles) {
+        let mut report = handle.join();
+        // `--retries`: an entry that died to a worker panic or a watchdog
+        // detach is re-spawned after the policy's backoff while the batch
+        // is live. Its own cancel, deadline or quota stop is deliberate
+        // and never re-run.
+        let mut retries = 0;
+        while retries + 1 < retry.max_attempts
+            && runtime.root().reason().is_none()
+            && matches!(
+                report.stop_reason,
+                Some(StopReason::WorkerPanicked { .. } | StopReason::Detached)
+            )
+        {
+            std::thread::sleep(retry.backoff_for(retries + 1));
+            report = spawn(dag)?.join();
+            retries += 1;
+        }
+        report.retries += u64::from(retries);
+        sessions.push((name, report));
+    }
     let mut failures = Vec::new();
     use std::fmt::Write as _;
     let mut out = String::from("{");
     let _ = write!(out, "\"workers\":{workers},\"sessions\":[");
-    for (index, (name, session)) in report.sessions.iter().enumerate() {
+    for (index, (name, session)) in sessions.iter().enumerate() {
         if index > 0 {
             out.push(',');
         }
@@ -557,13 +578,14 @@ fn run_batch(args: &Args) -> Result<(), CliError> {
         };
         eprintln!("  {name}: {status}{cached}");
         if session.minimum.is_none() {
-            failures.push(name.clone());
+            failures.push(name.as_str());
         }
     }
     let _ = write!(
         out,
         "],\"cache_hits\":{},\"cache_misses\":{}}}",
-        report.cache_hits, report.cache_misses
+        runtime.cache().hits(),
+        runtime.cache().misses()
     );
     println!("{out}");
     if failures.is_empty() {
@@ -572,7 +594,7 @@ fn run_batch(args: &Args) -> Result<(), CliError> {
         Err(CliError::Failed(format!(
             "{} of {} sessions certified nothing: {}",
             failures.len(),
-            report.sessions.len(),
+            sessions.len(),
             failures.join(", ")
         )))
     }

@@ -13,8 +13,8 @@
 //! depends on both the instance and how hard the session was allowed to
 //! look for it. A cache is only consulted when explicitly installed via
 //! [`PebblingSession::result_cache`](crate::session::PebblingSession::result_cache)
-//! or a [`BatchSession`](crate::session::BatchSession); sessions without
-//! one behave bit-identically to a cache-free build.
+//! or a [`SessionRuntime`](crate::session::SessionRuntime); sessions
+//! without one behave bit-identically to a cache-free build.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};

@@ -6,21 +6,20 @@
 //! machine with its own private thread per worker. The [`Executor`] is
 //! the replacement: a process-wide pool of `N` OS threads fed from one
 //! job queue. Engines submit closures instead of spawning; a
-//! [`BatchSession`](crate::session::BatchSession) running dozens of DAGs
-//! and a lone [`PebblingSession`](crate::session::PebblingSession) share
-//! the same worker budget.
+//! [`SessionRuntime`](crate::session::SessionRuntime) serving dozens of
+//! DAGs and a lone [`PebblingSession`](crate::session::PebblingSession)
+//! share the same worker budget.
 //!
 //! ## Help-while-waiting
 //!
 //! Jobs submit sub-jobs: a session job fans its portfolio rivals out on
 //! the same pool it runs on. With a naive pool of `N` workers, `N`
 //! session jobs would occupy every thread and their sub-jobs would wait
-//! forever — a classic nested-submit deadlock. [`scatter_settle`]
-//! therefore never parks while its results are pending without first
-//! *helping*:
-//! the waiting thread pops queued jobs and runs them inline
-//! ([`Executor::try_run_one`]). Progress is guaranteed on any pool size
-//! (even one worker), because every waiter is also a worker.
+//! forever — a classic nested-submit deadlock. The race's join point
+//! (`scatter_settle`) therefore never parks while its results are
+//! pending without first *helping*: the waiting thread pops queued jobs
+//! and runs them inline. Progress is guaranteed on any pool size (even
+//! one worker), because every waiter is also a worker.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -85,14 +84,9 @@ impl Executor {
         Executor { inner, workers }
     }
 
-    /// Number of pool threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueues a job for the pool. Never blocks; the queue is unbounded
-    /// (backpressure is the submitters' problem — [`scatter_settle`]
-    /// waits for results, so a batch can only ever be one fan-out ahead).
+    /// (backpressure is the submitters' problem — a race waits for its
+    /// workers' results, so it can only ever be one fan-out ahead).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         let mut queue = self.inner.queue.lock().expect("executor queue");
         queue.jobs.push_back(Box::new(job));
@@ -104,7 +98,7 @@ impl Executor {
     /// `false` when the queue was empty. This is the help-while-waiting
     /// primitive: a thread blocked on sub-job results drains the queue
     /// instead of parking, so nested fan-outs cannot deadlock the pool.
-    pub fn try_run_one(&self) -> bool {
+    pub(crate) fn try_run_one(&self) -> bool {
         let job = {
             let mut queue = self.inner.queue.lock().expect("executor queue");
             queue.jobs.pop_front()
@@ -178,12 +172,12 @@ fn worker_loop(inner: &Inner) {
 /// [`scatter_settle`] reports so a fan-out can survive a poisoned worker —
 /// a portfolio race certifies from the survivors instead of unwinding.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskFailure {
+pub(crate) struct TaskFailure {
     /// Index of the task in the submitted `tasks` vector.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The panic payload, when it was a string (`panic!("…")` always is);
     /// a placeholder otherwise.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for TaskFailure {
@@ -214,7 +208,10 @@ pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// the panicked task's index and payload message). The other tasks
 /// always run to completion — one poisoned worker cannot take the
 /// fan-out down.
-pub fn scatter_settle<T, F>(executor: &Executor, tasks: Vec<F>) -> Vec<Result<T, TaskFailure>>
+pub(crate) fn scatter_settle<T, F>(
+    executor: &Executor,
+    tasks: Vec<F>,
+) -> Vec<Result<T, TaskFailure>>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,

@@ -20,7 +20,7 @@ use revpebble_graph::Dag;
 
 use crate::bounds::pebble_lower_bound;
 use crate::session::{achieved_budget, ProbeEvent};
-use crate::solver::{MinimizeContext, PebbleOutcome, Prober};
+use crate::solver::{MinimizeContext, PebbleOutcome, ProbeVerdict, Prober};
 use crate::strategy::Strategy;
 
 /// One point of the trade-off frontier.
@@ -86,7 +86,9 @@ pub(crate) fn frontier_on(
         let achieved = outcome
             .strategy()
             .map(|strategy| achieved_budget(dag, ctx.base.encoding.weighted, strategy));
-        ctx.events.resolved(0, probe, pebbles, achieved);
+        let verdict = ProbeVerdict::from(&outcome);
+        ctx.events
+            .resolved(0, probe, pebbles, achieved.ok_or(verdict));
         let point = FrontierPoint::new(pebbles, outcome);
         let failed = point.strategy.is_none();
         points.push(point);

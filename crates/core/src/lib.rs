@@ -71,7 +71,7 @@ pub use cache::ResultCache;
 pub use config::PebbleConfig;
 pub use encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
 pub use exact::{exact_min_pebbles, solve_exact, ExactOutcome};
-pub use exec::{scatter_settle, Executor, TaskFailure};
+pub use exec::Executor;
 pub use frontier::FrontierPoint;
 pub use portfolio::{
     default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio, MinimizeConfig,
@@ -79,9 +79,8 @@ pub use portfolio::{
     SharingReport,
 };
 pub use session::{
-    AdmitGuard, BatchReport, BatchSession, Engine, PebblingSession, ProbeEvent, Report,
-    SessionError, SessionHandle, SessionOutcome, SessionPlan, SessionRuntime, StopReason,
-    WorkerSummary,
+    AdmitGuard, Engine, PebblingSession, ProbeEvent, Report, SessionError, SessionHandle,
+    SessionOutcome, SessionPlan, SessionRuntime, StopReason, WorkerSummary,
 };
 pub use sharing::SharedSearchState;
 pub use solver::{

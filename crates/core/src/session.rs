@@ -44,28 +44,29 @@
 //!
 //! ## The session runtime
 //!
-//! Beyond the one-shot [`run`](PebblingSession::run), sessions are
-//! first-class *jobs*:
+//! [`run`](PebblingSession::run) solves on the caller's thread;
+//! [`SessionRuntime::spawn`] is the one way off it:
 //!
 //! - [`PebblingSession::cancel_token`] installs an ambient
 //!   [`CancelToken`] every solver in the session polls;
 //!   [`PebblingSession::quota`] caps the session's total SAT conflicts.
 //!   A fired token ends the run promptly with a partial [`Report`] whose
 //!   [`stop_reason`](Report::stop_reason) names the cause.
-//! - [`PebblingSession::spawn_on`] submits the whole session to a shared
-//!   [`Executor`] and returns a [`SessionHandle`] (join / cancel /
-//!   try_report) instead of blocking.
-//! - [`BatchSession`] serves many DAGs over one worker pool with
-//!   per-session conflict quotas and a shared [`ResultCache`] keyed by
-//!   [`Dag::canonical_fingerprint`], so repeated instances skip the
-//!   solver entirely.
+//! - A [`SessionRuntime`] is one fixed [`Executor`] pool, one
+//!   [`ResultCache`] keyed by [`Dag::canonical_fingerprint`] (repeated
+//!   instances skip the solver) and one root token. Its
+//!   [`spawn`](SessionRuntime::spawn) submits a whole session to the pool
+//!   and returns a [`SessionHandle`] (join / cancel / try_report) instead
+//!   of blocking.
+//!
+//! Many DAGs, one pool: spawn each session, then join the handles in
+//! submit order (see [`SessionRuntime`] for an example).
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use revpebble_graph::{Dag, DagError};
@@ -86,7 +87,7 @@ use crate::portfolio::{
 };
 use crate::solver::{
     fixed_outcome, run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult,
-    PebbleOutcome, RetryPolicy, SolverOptions, StepSchedule,
+    PebbleOutcome, ProbeVerdict, RetryPolicy, SolverOptions, StepSchedule,
 };
 use crate::strategy::Strategy;
 
@@ -126,25 +127,27 @@ impl ProbeEventSender {
     }
 
     /// Resolves probe `probe` of `worker` at `budget`: solved when the
-    /// probe certified `achieved`, refuted otherwise.
+    /// probe certified `Ok(achieved)`, otherwise refuted with the
+    /// probe's verdict.
     pub(crate) fn resolved(
         &self,
         worker: usize,
         probe: usize,
         budget: usize,
-        achieved: Option<usize>,
+        result: Result<usize, ProbeVerdict>,
     ) {
-        self.send(match achieved {
-            Some(achieved) => ProbeEvent::ProbeSolved {
+        self.send(match result {
+            Ok(achieved) => ProbeEvent::ProbeSolved {
                 worker,
                 probe,
                 budget,
                 achieved,
             },
-            None => ProbeEvent::ProbeRefuted {
+            Err(verdict) => ProbeEvent::ProbeRefuted {
                 worker,
                 probe,
                 budget,
+                verdict,
             },
         });
     }
@@ -185,7 +188,8 @@ pub enum ProbeEvent {
         /// pebble count — possibly below `budget`).
         achieved: usize,
     },
-    /// A probe was refuted or exhausted its time/step budget.
+    /// A probe ended without a strategy: refuted, step-capped or timed
+    /// out, as its `verdict` says.
     ProbeRefuted {
         /// Worker index.
         worker: usize,
@@ -193,6 +197,8 @@ pub enum ProbeEvent {
         probe: usize,
         /// The pebble budget that was probed.
         budget: usize,
+        /// How the probe ended (never [`ProbeVerdict::Solved`]).
+        verdict: ProbeVerdict,
     },
     /// The certified budget floor rose (an exhausted probe, possibly a
     /// rival worker's, proved every smaller budget infeasible within the
@@ -243,7 +249,22 @@ impl fmt::Display for ProbeEvent {
                 worker,
                 probe,
                 budget,
-            } => write!(f, "worker {worker} probe {probe}: budget {budget} refuted"),
+                verdict,
+            } => {
+                write!(f, "worker {worker} probe {probe}: budget {budget} ")?;
+                match verdict {
+                    ProbeVerdict::Timeout { steps_reached } => {
+                        write!(f, "timed out at {steps_reached} steps")
+                    }
+                    ProbeVerdict::StepLimit { steps_checked } => {
+                        write!(f, "step-capped (refuted up to {steps_checked} steps)")
+                    }
+                    ProbeVerdict::Infeasible { lower_bound } => {
+                        write!(f, "refuted (lower bound {lower_bound})")
+                    }
+                    ProbeVerdict::Solved => write!(f, "solved"),
+                }
+            }
             ProbeEvent::FloorRaised { worker, floor } => {
                 write!(f, "worker {worker}: certified floor raised to {floor}")
             }
@@ -489,18 +510,6 @@ impl StopReason {
             StopReason::Detached => "detached",
         }
     }
-
-    /// Whether a [`BatchSession`] governed by `policy` should re-run a
-    /// session that stopped for this reason. Token-driven stops
-    /// (cancel, deadline, quota) are deliberate and deterministic —
-    /// never retried; panics and detaches are environmental and retry
-    /// when the policy opts in.
-    fn retryable_under(&self, policy: &RetryPolicy) -> bool {
-        match self {
-            StopReason::Cancelled | StopReason::Deadline | StopReason::QuotaExhausted => false,
-            StopReason::WorkerPanicked { .. } | StopReason::Detached => policy.retry_panicked,
-        }
-    }
 }
 
 impl From<CancelReason> for StopReason {
@@ -547,7 +556,7 @@ pub struct SessionPlan {
     pub incremental: bool,
     /// Budget range of a frontier sweep (`None` = structural bounds).
     pub frontier_range: (Option<usize>, Option<usize>),
-    /// How transiently failed probes and batch sessions are re-run.
+    /// How transiently failed probes are re-run.
     pub retry: RetryPolicy,
 }
 
@@ -634,9 +643,9 @@ pub struct Report {
     /// `None` for a run that completed on its own — only such runs
     /// certify budgets and populate the result cache.
     pub stop_reason: Option<StopReason>,
-    /// Probe and session attempts re-run after transient failures,
-    /// summed across workers (plus batch-level re-runs when the report
-    /// comes out of a [`BatchSession`]).
+    /// Probe attempts re-run after transient failures, summed across
+    /// workers (plus whole-session re-runs a caller adds when it
+    /// re-spawns a failed session, as `revpebble batch --retries` does).
     pub retries: u64,
     /// Result-cache lookups this run answered from the cache (`1` when
     /// the whole session was served without solving). Zero when no cache
@@ -946,8 +955,10 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Wall-clock budget per minimize probe / frontier point (default
-    /// 10 s, as the CLI uses).
+    /// Wall-clock budget per budget probe: each minimize probe, each
+    /// frontier point (default 10 s, as the CLI uses), and the one probe
+    /// of a fixed budget, which runs under the smaller of this and
+    /// [`timeout`](Self::timeout).
     pub fn per_query_timeout(mut self, per_query: Duration) -> Self {
         self.per_query = Some(per_query);
         self
@@ -1030,8 +1041,7 @@ impl<'a> PebblingSession<'a> {
 
     /// Installs a full [`RetryPolicy`]: transiently failed minimize
     /// probes re-run (with the monotonicity table intact) after a
-    /// deterministic exponential backoff, and a [`BatchSession`]
-    /// re-submits sessions that stopped for a retryable reason.
+    /// deterministic exponential backoff.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
@@ -1039,8 +1049,7 @@ impl<'a> PebblingSession<'a> {
 
     /// Convenience for [`retry_policy`](Self::retry_policy): allow up
     /// to `extra` re-runs on top of the first attempt (so `retries(0)`
-    /// is the default fail-fast behavior), including after worker
-    /// panics.
+    /// is the default fail-fast behavior).
     pub fn retries(self, extra: u32) -> Self {
         self.retry_policy(RetryPolicy::attempts(extra.saturating_add(1)))
     }
@@ -1150,9 +1159,15 @@ impl<'a> PebblingSession<'a> {
                 Engine::Single
             }
         };
+        let mut base = self.base;
+        // A fixed budget is one probe, so an explicit per-probe bound
+        // bounds the whole solve.
+        if let (Some(_), Some(per_query)) = (self.pebbles, self.per_query) {
+            base.timeout = Some(base.timeout.map_or(per_query, |t| t.min(per_query)));
+        }
         Ok(SessionPlan {
             engine,
-            base: self.base,
+            base,
             per_query: self.per_query.unwrap_or(Duration::from_secs(10)),
             budget_schedule: self.budget_schedule,
             pebbles: self.pebbles,
@@ -1186,59 +1201,6 @@ impl<'a> PebblingSession<'a> {
             self.executor.as_ref(),
             None,
         ))
-    }
-
-    /// Validates ([`plan`](Self::plan)), clones the DAG into an owned
-    /// job, submits the whole session to `executor` and returns a
-    /// non-blocking [`SessionHandle`] immediately. The session's engines
-    /// fan their own sub-jobs onto the same pool (workers help while
-    /// waiting, so nested fan-out cannot deadlock the pool).
-    pub fn spawn_on(mut self, executor: &Arc<Executor>) -> Result<SessionHandle, SessionError> {
-        let plan = self.plan()?;
-        // The handle always has a token to cancel through, even when the
-        // builder composed none.
-        let token = self.compose_token().unwrap_or_default();
-        let engine = plan.engine;
-        let callback = self.on_event.take();
-        let cache = self.cache.clone();
-        let dag = Arc::new(self.dag.clone());
-        let job_executor = Arc::clone(executor);
-        let job_token = token.clone();
-        let heartbeat = Heartbeat::new();
-        let job_heartbeat = heartbeat.clone();
-        let (report_tx, report_rx) = mpsc::channel();
-        executor.submit(move || {
-            // Fail point `exec.job`: the whole session is one executor
-            // job. A transient failure here degrades to cancelling the
-            // session's own token.
-            if plan
-                .base
-                .sat
-                .faults
-                .trip(FaultSite::ExecJob, Some(&job_token))
-            {
-                job_token.cancel();
-            }
-            let report = run_with_runtime(
-                &dag,
-                &plan,
-                callback,
-                Some(job_token),
-                cache,
-                Some(&job_executor),
-                Some(job_heartbeat),
-            );
-            let _ = report_tx.send(report);
-        });
-        Ok(SessionHandle {
-            token,
-            receiver: report_rx,
-            report: None,
-            engine,
-            heartbeat,
-            detach_grace: Duration::from_secs(5),
-            started: Instant::now(),
-        })
     }
 
     /// The session token the run polls: the installed
@@ -1298,11 +1260,11 @@ fn plan_hash(plan: &SessionPlan) -> u64 {
     hasher.finish()
 }
 
-/// The one engine driver behind [`PebblingSession::run`],
-/// [`PebblingSession::spawn_on`] and [`BatchSession`]: consult the
-/// result cache, drive the planned engine under the composed cancel
-/// token, suppress certification when the token fired, and populate the
-/// cache on a clean finish.
+/// The one engine driver behind [`PebblingSession::run`] and
+/// [`SessionRuntime::spawn`]: consult the result cache, drive the
+/// planned engine under the composed cancel token, suppress
+/// certification when the token fired, and populate the cache on a clean
+/// finish.
 fn run_with_runtime(
     dag: &Dag,
     plan: &SessionPlan,
@@ -1417,8 +1379,8 @@ fn run_with_runtime(
     }
 }
 
-/// A non-blocking handle to a session submitted to an [`Executor`] with
-/// [`PebblingSession::spawn_on`]: poll it ([`try_report`](Self::try_report)),
+/// A non-blocking handle to a session submitted to a runtime's pool with
+/// [`SessionRuntime::spawn`]: poll it ([`try_report`](Self::try_report)),
 /// stop it ([`cancel`](Self::cancel) — [`join`](Self::join) then returns
 /// the partial [`Report`] with its [`stop_reason`](Report::stop_reason)
 /// set), or block for the result ([`join`](Self::join)).
@@ -1438,23 +1400,11 @@ pub struct SessionHandle {
 const WATCHDOG_POLL: Duration = Duration::from_millis(25);
 
 impl SessionHandle {
-    /// The session's own [`CancelToken`] (compose children off it, or
-    /// inspect the fired reason).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
     /// Fires the session's cancel token. The running session stops at
     /// its next poll point and [`join`](Self::join) returns a partial
     /// [`Report`] promptly.
     pub fn cancel(&self) {
         self.token.cancel();
-    }
-
-    /// The liveness counter the session's solvers tick once per SAT
-    /// conflict — what [`join`](Self::join)'s watchdog watches.
-    pub fn heartbeat(&self) -> &Heartbeat {
-        &self.heartbeat
     }
 
     /// How long [`join`](Self::join) keeps waiting after the session's
@@ -1555,22 +1505,40 @@ impl SessionHandle {
 
 /// The shared substrate one process multiplexes many sessions onto: a
 /// fixed [`Executor`] pool, a fingerprint-keyed [`ResultCache`], one
-/// root [`CancelToken`], a default per-session conflict quota, a
-/// [`RetryPolicy`], and a bounded in-flight gauge for backpressure.
+/// root [`CancelToken`], a default per-session conflict quota and a
+/// bounded in-flight gauge for backpressure.
 ///
-/// [`BatchSession`] composes one for its submit/finish lifecycle; the
-/// `revpebble-serve` daemon shares one runtime across every client
-/// connection so repeated DAGs hit one cache and all clients draw from
-/// one pool. The runtime is `Clone` — clones share the same pool,
-/// cache, token and gauge — so a respawn thunk or a connection handler
-/// can own a handle to it.
+/// [`spawn`](Self::spawn) is the one way a session leaves the caller's
+/// thread. The CLI `batch` command spawns every input on one runtime and
+/// joins in submit order; the `revpebble-serve` daemon shares one runtime
+/// across every client connection so repeated DAGs hit one cache and all
+/// clients draw from one pool. The runtime is `Clone` — clones share the same pool, cache,
+/// token and gauge — so a connection handler can own a handle to it.
+///
+/// ```
+/// use revpebble_core::session::{PebblingSession, SessionRuntime};
+/// use revpebble_graph::generators::paper_example;
+///
+/// let dag = paper_example();
+/// let runtime = SessionRuntime::new(2).expect("workers");
+/// let handles: Vec<_> = (0..2)
+///     .map(|_| {
+///         runtime
+///             .spawn(PebblingSession::new(&dag).pebbles(4), runtime.root().child())
+///             .expect("valid configuration")
+///     })
+///     .collect();
+/// for handle in handles {
+///     assert_eq!(handle.join().minimum, Some(4));
+/// }
+/// assert_eq!(runtime.cache().hits() + runtime.cache().misses(), 2);
+/// ```
 #[derive(Clone)]
 pub struct SessionRuntime {
     executor: Arc<Executor>,
     cache: Arc<ResultCache>,
     root: CancelToken,
     quota: Option<u64>,
-    retry: RetryPolicy,
     max_in_flight: Option<usize>,
     in_flight: Arc<std::sync::atomic::AtomicUsize>,
 }
@@ -1579,7 +1547,6 @@ impl fmt::Debug for SessionRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionRuntime")
             .field("quota", &self.quota)
-            .field("retry", &self.retry)
             .field("max_in_flight", &self.max_in_flight)
             .field("in_flight", &self.in_flight())
             .finish_non_exhaustive()
@@ -1604,7 +1571,7 @@ impl Drop for AdmitGuard {
 
 impl SessionRuntime {
     /// A runtime served by `workers` pool threads (rejects zero), with
-    /// an unbounded admission gauge, no quota and no retries.
+    /// an unbounded admission gauge and no quota.
     pub fn new(workers: usize) -> Result<Self, SessionError> {
         if workers == 0 {
             return Err(SessionError::ZeroWorkerPool);
@@ -1614,7 +1581,6 @@ impl SessionRuntime {
             cache: Arc::new(ResultCache::default()),
             root: CancelToken::new(),
             quota: None,
-            retry: RetryPolicy::none(),
             max_in_flight: None,
             in_flight: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
         })
@@ -1627,13 +1593,6 @@ impl SessionRuntime {
         self
     }
 
-    /// The retry policy consumers of the runtime (e.g.
-    /// [`BatchSession::finish`]) apply to retryable stops.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Bounds [`admit`](Self::admit) at `sessions` concurrently admitted
     /// sessions; beyond it admission fails fast (the serve daemon turns
     /// that into an `"overloaded"` response instead of queueing without
@@ -1641,11 +1600,6 @@ impl SessionRuntime {
     pub fn max_in_flight(mut self, sessions: usize) -> Self {
         self.max_in_flight = Some(sessions);
         self
-    }
-
-    /// The shared worker pool.
-    pub fn executor(&self) -> &Arc<Executor> {
-        &self.executor
     }
 
     /// The shared result cache.
@@ -1658,16 +1612,6 @@ impl SessionRuntime {
     /// reaches everything.
     pub fn root(&self) -> &CancelToken {
         &self.root
-    }
-
-    /// The configured per-session quota, if any.
-    pub fn quota(&self) -> Option<u64> {
-        self.quota
-    }
-
-    /// The configured retry policy.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Sessions currently admitted (spawned and not yet released).
@@ -1710,216 +1654,67 @@ impl SessionRuntime {
     /// Wires a configured session into the runtime — `token` (a
     /// descendant of [`root`](Self::root)), the shared cache, the
     /// per-session quota (tightening, never widening, the session's own)
-    /// — and hands it to the pool. Validation happens in
-    /// [`PebblingSession::spawn_on`], so a bad configuration comes back
-    /// as a typed [`SessionError`] without consuming a pool slot.
+    /// — validates it ([`PebblingSession::plan`]), clones the DAG into an
+    /// owned job and submits the whole session to the pool. Returns a
+    /// non-blocking [`SessionHandle`] immediately; a bad configuration
+    /// comes back as a typed [`SessionError`] without consuming a pool
+    /// slot. The session's engines fan their own sub-jobs onto the same
+    /// pool (workers help while waiting, so nested fan-out cannot
+    /// deadlock it).
     pub fn spawn(
         &self,
         session: PebblingSession<'_>,
         token: CancelToken,
     ) -> Result<SessionHandle, SessionError> {
-        let mut session = session
-            .cancel_token(token)
-            .result_cache(Arc::clone(&self.cache));
+        let mut session = session.cancel_token(token);
         if let Some(quota) = self.quota {
             let own = session.quota.unwrap_or(quota);
             session = session.quota(own.min(quota));
         }
-        session.spawn_on(&self.executor)
-    }
-}
-
-/// Many DAGs, one worker pool: sessions submitted here share a
-/// fixed-size [`Executor`], a [`ResultCache`] (repeated instances are
-/// answered without solving), an optional per-session conflict quota,
-/// and one root [`CancelToken`] ([`cancel_all`](Self::cancel_all)).
-///
-/// ```
-/// use revpebble_core::session::BatchSession;
-/// use revpebble_graph::generators::paper_example;
-///
-/// let dag = paper_example();
-/// let mut batch = BatchSession::new(2).expect("workers");
-/// for name in ["first", "again"] {
-///     batch
-///         .submit(name, &dag, |session| session.minimize())
-///         .expect("valid configuration");
-/// }
-/// let report = batch.finish();
-/// assert_eq!(report.sessions.len(), 2);
-/// assert!(report.sessions.iter().all(|(_, r)| r.minimum == Some(4)));
-/// ```
-pub struct BatchSession {
-    runtime: SessionRuntime,
-    pending: Vec<PendingSession>,
-}
-
-/// One submitted, not-yet-joined batch entry: its handle plus a respawn
-/// thunk [`BatchSession::finish`] can call to re-run the whole session
-/// when it stops for a retryable reason.
-struct PendingSession {
-    name: String,
-    handle: SessionHandle,
-    respawn: Box<dyn Fn() -> Result<SessionHandle, SessionError>>,
-}
-
-impl fmt::Debug for BatchSession {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BatchSession")
-            .field("runtime", &self.runtime)
-            .field("pending", &self.pending.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// What [`BatchSession::finish`] returns: per-session reports in submit
-/// order plus the shared cache's counters.
-#[derive(Debug)]
-#[non_exhaustive]
-pub struct BatchReport {
-    /// `(name, report)` per submitted session, in submit order.
-    pub sessions: Vec<(String, Report)>,
-    /// Sessions answered from the shared result cache.
-    pub cache_hits: u64,
-    /// Sessions that had to solve.
-    pub cache_misses: u64,
-}
-
-impl BatchSession {
-    /// A batch served by `workers` pool threads (rejects zero).
-    pub fn new(workers: usize) -> Result<Self, SessionError> {
-        Ok(Self::on_runtime(SessionRuntime::new(workers)?))
-    }
-
-    /// A batch over an existing [`SessionRuntime`] — sessions submitted
-    /// here share that runtime's pool, cache, root token, quota and
-    /// retry policy with whatever else runs on it.
-    pub fn on_runtime(runtime: SessionRuntime) -> Self {
-        BatchSession {
-            runtime,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Caps every *subsequently* submitted session at `conflicts` SAT
-    /// conflicts; an exhausted session reports
-    /// [`CancelReason::QuotaExhausted`] instead of starving its batch
-    /// neighbors. Zero is rejected at
-    /// submit time.
-    pub fn per_session_quota(mut self, conflicts: u64) -> Self {
-        self.runtime = self.runtime.per_session_quota(conflicts);
-        self
-    }
-
-    /// Re-runs every *subsequently* submitted session that stops for a
-    /// retryable reason (worker panics and watchdog detaches when the
-    /// policy opts in — never deliberate cancels, deadlines or quota
-    /// trips), waiting out the policy's deterministic exponential
-    /// backoff between attempts. Re-runs are counted in each report's
-    /// [`Report::retries`].
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.runtime = self.runtime.retry_policy(policy);
-        self
-    }
-
-    /// The shared worker pool, e.g. to co-schedule other jobs on it.
-    pub fn executor(&self) -> &Arc<Executor> {
-        self.runtime.executor()
-    }
-
-    /// The underlying runtime (pool, cache, root token).
-    pub fn runtime(&self) -> &SessionRuntime {
-        &self.runtime
-    }
-
-    /// Sessions submitted and not yet joined.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Fires the batch-wide root token: every running and queued session
-    /// stops promptly; [`finish`](Self::finish) returns partial reports.
-    pub fn cancel_all(&self) {
-        self.runtime.cancel_all();
-    }
-
-    /// Submits one session on `dag`. `configure` shapes the session
-    /// (engine, schedules, observers) on the caller's thread; the batch
-    /// then wires in a child of its root token, the per-session quota
-    /// and the shared cache, and hands the session to the pool.
-    pub fn submit<F>(
-        &mut self,
-        name: impl Into<String>,
-        dag: &Dag,
-        configure: F,
-    ) -> Result<(), SessionError>
-    where
-        F: for<'d> Fn(PebblingSession<'d>) -> PebblingSession<'d> + 'static,
-    {
-        // Everything a re-run needs is owned by the thunk, so `finish`
-        // can respawn the session verbatim after a retryable failure.
-        let dag = Arc::new(dag.clone());
-        let runtime = self.runtime.clone();
-        let spawn = move || {
-            // A child, not the root itself: cancelling one session's
-            // handle must not take the whole batch down with it.
-            let token = runtime.root().child();
-            runtime.spawn(configure(PebblingSession::new(&dag)), token)
-        };
-        let handle = spawn()?;
-        self.pending.push(PendingSession {
-            name: name.into(),
-            handle,
-            respawn: Box::new(spawn),
+        let plan = session.plan()?;
+        // Always `Some`: the cancel token installed above.
+        let token = session.compose_token().unwrap_or_default();
+        let engine = plan.engine;
+        let callback = session.on_event.take();
+        let cache = Arc::clone(&self.cache);
+        let dag = Arc::new(session.dag.clone());
+        let executor = Arc::clone(&self.executor);
+        let job_token = token.clone();
+        let heartbeat = Heartbeat::new();
+        let job_heartbeat = heartbeat.clone();
+        let (report_tx, report_rx) = mpsc::channel();
+        self.executor.submit(move || {
+            // Fail point `exec.job`: the whole session is one executor
+            // job. A transient failure here degrades to cancelling the
+            // session's own token.
+            if plan
+                .base
+                .sat
+                .faults
+                .trip(FaultSite::ExecJob, Some(&job_token))
+            {
+                job_token.cancel();
+            }
+            let report = run_with_runtime(
+                &dag,
+                &plan,
+                callback,
+                Some(job_token),
+                Some(cache),
+                Some(&executor),
+                Some(job_heartbeat),
+            );
+            let _ = report_tx.send(report);
         });
-        Ok(())
-    }
-
-    /// Joins every submitted session, in submit order, and returns the
-    /// [`BatchReport`]. Sessions that stopped for a reason the
-    /// [`retry_policy`](Self::retry_policy) deems retryable are
-    /// respawned (after backoff) up to the policy's attempt cap —
-    /// unless the batch root token itself has fired.
-    pub fn finish(mut self) -> BatchReport {
-        let retry = self.runtime.retry();
-        let sessions = self
-            .pending
-            .drain(..)
-            .map(|pending| {
-                let PendingSession {
-                    name,
-                    handle,
-                    respawn,
-                } = pending;
-                let mut report = handle.join();
-                let mut retries: u64 = 0;
-                let mut attempt: u32 = 1;
-                while attempt < retry.max_attempts
-                    && self.runtime.root().reason().is_none()
-                    && report
-                        .stop_reason
-                        .as_ref()
-                        .is_some_and(|reason| reason.retryable_under(&retry))
-                {
-                    thread::sleep(retry.backoff_for(attempt));
-                    attempt += 1;
-                    match respawn() {
-                        Ok(handle) => {
-                            retries += 1;
-                            report = handle.join();
-                        }
-                        Err(_) => break,
-                    }
-                }
-                report.retries += retries;
-                (name, report)
-            })
-            .collect();
-        BatchReport {
-            sessions,
-            cache_hits: self.runtime.cache().hits(),
-            cache_misses: self.runtime.cache().misses(),
-        }
+        Ok(SessionHandle {
+            token,
+            receiver: report_rx,
+            report: None,
+            engine,
+            heartbeat,
+            detach_grace: Duration::from_secs(5),
+            started: Instant::now(),
+        })
     }
 }
 
@@ -2239,9 +2034,11 @@ mod tests {
         let dag = paper_example();
         let runtime = SessionRuntime::new(2).expect("workers");
         for _ in 0..2 {
+            // A decisive step cap: the budget-3 probe is refuted at once
+            // instead of waiting out the default probe timeout.
             let handle = runtime
                 .spawn(
-                    PebblingSession::new(&dag).minimize(),
+                    PebblingSession::new(&dag).minimize().max_steps(60),
                     runtime.root().child(),
                 )
                 .expect("valid configuration");
@@ -2506,34 +2303,65 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_budget_probe_runs_under_the_per_query_bound() {
+        let dag = paper_example();
+        let t = Duration::from_millis(250);
+        let plan = |session: PebblingSession<'_>| session.plan().expect("valid").base.timeout;
+        assert_eq!(
+            plan(PebblingSession::new(&dag).pebbles(4).per_query_timeout(t)),
+            Some(t)
+        );
+        // The smaller bound wins; with neither set the solve is unbounded.
+        assert_eq!(
+            plan(
+                PebblingSession::new(&dag)
+                    .pebbles(4)
+                    .timeout(Duration::from_secs(1))
+                    .per_query_timeout(t)
+            ),
+            Some(t)
+        );
+        assert_eq!(plan(PebblingSession::new(&dag).pebbles(4)), None);
+        // A minimize search keeps the bound per probe.
+        assert_eq!(
+            plan(PebblingSession::new(&dag).minimize().per_query_timeout(t)),
+            None
+        );
+    }
+
+    #[test]
     fn a_runtime_quota_never_widens_a_tighter_session_quota() {
         let dag = paper_example();
-        let mut batch = BatchSession::new(1)
+        let runtime = SessionRuntime::new(1)
             .expect("one worker")
             .per_session_quota(5_000_000);
-        batch
-            .submit("tight", &dag, |session| session.pebbles(4).quota(1))
-            .expect("valid configuration");
-        let report = batch.finish();
-        let (_, session) = &report.sessions[0];
+        let session = runtime
+            .spawn(
+                PebblingSession::new(&dag).pebbles(4).quota(1),
+                runtime.root().child(),
+            )
+            .expect("valid configuration")
+            .join();
         assert_eq!(session.stop_reason, Some(StopReason::QuotaExhausted));
         assert!(session.to_json().contains("\"stop_reason\":\"quota\""));
     }
 
     #[test]
-    fn spawn_on_runs_the_session_off_thread() {
+    fn a_spawned_session_runs_off_thread() {
         let dag = paper_example();
-        let executor = Arc::new(Executor::new(2));
-        let mut handle = PebblingSession::new(&dag)
-            .pebbles(4)
-            .spawn_on(&executor)
+        let runtime = SessionRuntime::new(2).expect("workers");
+        let mut handle = runtime
+            .spawn(
+                PebblingSession::new(&dag).pebbles(4),
+                runtime.root().child(),
+            )
             .expect("valid configuration");
         // try_report never blocks; eventually the report lands.
         let report = loop {
             if handle.try_report().is_some() {
                 break handle.join();
             }
-            thread::yield_now();
+            std::thread::yield_now();
         };
         assert_eq!(report.minimum, Some(4));
         assert!(report.stop_reason.is_none());
@@ -2542,10 +2370,12 @@ mod tests {
     #[test]
     fn a_cancelled_handle_joins_to_a_partial_report() {
         let dag = paper_example();
-        let executor = Arc::new(Executor::new(1));
-        let handle = PebblingSession::new(&dag)
-            .minimize()
-            .spawn_on(&executor)
+        let runtime = SessionRuntime::new(1).expect("one worker");
+        let handle = runtime
+            .spawn(
+                PebblingSession::new(&dag).minimize(),
+                runtime.root().child(),
+            )
             .expect("valid configuration");
         handle.cancel();
         let report = handle.join();
@@ -2561,14 +2391,18 @@ mod tests {
     fn a_repeated_dag_is_served_from_the_result_cache() {
         let dag = paper_example();
         let cache = Arc::new(ResultCache::default());
+        // A decisive step cap: the budget-3 probe is refuted at once
+        // instead of waiting out the default probe timeout.
         let first = PebblingSession::new(&dag)
             .minimize()
+            .max_steps(60)
             .result_cache(Arc::clone(&cache))
             .run()
             .expect("valid configuration");
         assert_eq!((first.cache_hits, first.cache_misses), (0, 1));
         let again = PebblingSession::new(&dag)
             .minimize()
+            .max_steps(60)
             .result_cache(Arc::clone(&cache))
             .run()
             .expect("valid configuration");
@@ -2587,7 +2421,7 @@ mod tests {
 
     #[test]
     fn a_zero_worker_batch_is_rejected() {
-        match BatchSession::new(0) {
+        match SessionRuntime::new(0) {
             Err(err) => assert_eq!(err, SessionError::ZeroWorkerPool),
             Ok(_) => panic!("zero workers must be rejected"),
         }
@@ -2596,48 +2430,52 @@ mod tests {
     #[test]
     fn batch_runs_three_sessions_on_two_workers_with_quotas_and_cache() {
         let dag = paper_example();
-        let mut batch = BatchSession::new(2)
+        let runtime = SessionRuntime::new(2)
             .expect("two workers")
             .per_session_quota(5_000_000);
-        for name in ["a", "b", "c"] {
-            batch
-                .submit(name, &dag, |session| session.pebbles(4))
-                .expect("valid configuration");
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                runtime
+                    .spawn(
+                        PebblingSession::new(&dag).pebbles(4),
+                        runtime.root().child(),
+                    )
+                    .expect("valid configuration")
+            })
+            .collect();
+        let reports: Vec<Report> = handles.into_iter().map(SessionHandle::join).collect();
+        assert_eq!(reports.len(), 3);
+        for (index, session) in reports.iter().enumerate() {
+            assert_eq!(session.minimum, Some(4), "session {index}");
+            assert!(session.stop_reason.is_none(), "session {index}");
         }
-        assert_eq!(batch.pending(), 3);
-        let report = batch.finish();
-        assert_eq!(report.sessions.len(), 3);
-        for (name, session) in &report.sessions {
-            assert_eq!(session.minimum, Some(4), "session {name}");
-            assert!(session.stop_reason.is_none(), "session {name}");
-        }
-        // Two workers run `a` and `b` concurrently; `c` only starts
-        // after one of them finished and published its result, so the
-        // repeated instance is served from the cache deterministically.
-        assert_eq!(report.cache_hits + report.cache_misses, 3);
+        // Two workers run the first two concurrently; the third only
+        // starts after one of them finished and published its result, so
+        // the repeated instance is served from the cache deterministically.
+        let (hits, misses) = (runtime.cache().hits(), runtime.cache().misses());
+        assert_eq!(hits + misses, 3);
         assert!(
-            report.cache_hits >= 1,
-            "repeat served from cache: hits={} misses={}",
-            report.cache_hits,
-            report.cache_misses
+            hits >= 1,
+            "repeat served from cache: hits={hits} misses={misses}"
         );
     }
 
     #[test]
     fn cancel_all_stops_a_whole_batch() {
         let dag = paper_example();
-        let mut batch = BatchSession::new(1).expect("one worker");
-        for name in ["a", "b"] {
-            batch
-                .submit(name, &dag, |session| {
-                    session
-                        .minimize()
-                        .per_query_timeout(Duration::from_secs(30))
-                })
-                .expect("valid configuration");
-        }
-        batch.cancel_all();
-        let report = batch.finish();
-        assert_eq!(report.sessions.len(), 2, "partial reports still join");
+        let runtime = SessionRuntime::new(1).expect("one worker");
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let session = PebblingSession::new(&dag)
+                    .minimize()
+                    .per_query_timeout(Duration::from_secs(30));
+                runtime
+                    .spawn(session, runtime.root().child())
+                    .expect("valid configuration")
+            })
+            .collect();
+        runtime.cancel_all();
+        let reports: Vec<Report> = handles.into_iter().map(SessionHandle::join).collect();
+        assert_eq!(reports.len(), 2, "partial reports still join");
     }
 }

@@ -57,11 +57,10 @@ pub struct SolverOptions {
     /// Deepening schedule (see [`StepSchedule`]).
     pub schedule: StepSchedule,
     /// Wall-clock budget for the whole search (`None` = unlimited).
+    /// [`StepSchedule::Linear`] lets each SAT query run until it expires;
+    /// [`StepSchedule::ExponentialRefine`] budgets each query at a
+    /// sixteenth of it.
     pub timeout: Option<Duration>,
-    /// Wall-clock budget per SAT query (`None`: the schedule picks —
-    /// unlimited for [`StepSchedule::Linear`], a tenth of `timeout` for
-    /// [`StepSchedule::ExponentialRefine`]).
-    pub query_timeout: Option<Duration>,
     /// Conflict budget per SAT query (`None` = unlimited).
     pub query_conflicts: Option<u64>,
     /// Initial `K`; defaults to the appropriate lower bound when `None`.
@@ -81,7 +80,6 @@ impl Default for SolverOptions {
             step_stride: 1,
             schedule: StepSchedule::Linear,
             timeout: None,
-            query_timeout: None,
             query_conflicts: None,
             initial_steps: None,
             sat: SolverConfig::default(),
@@ -500,7 +498,7 @@ impl<'a> PebbleSolver<'a> {
                     lower_bound: self.shared.floor(),
                 };
             }
-            let Ok(budget) = self.query_budget(start, self.options.query_timeout) else {
+            let Ok(budget) = self.query_budget(start, None) else {
                 return PebbleOutcome::Timeout { steps_reached: k };
             };
             match self.query(encoding, k, budget) {
@@ -517,11 +515,10 @@ impl<'a> PebbleSolver<'a> {
         k0: usize,
         start: Instant,
     ) -> PebbleOutcome {
-        let mut per_query = self.options.query_timeout.or_else(|| {
-            self.options
-                .timeout
-                .map(|t| Duration::from_nanos((t.as_nanos() / 16).max(1) as u64))
-        });
+        let mut per_query = self
+            .options
+            .timeout
+            .map(|t| Duration::from_nanos((t.as_nanos() / 16).max(1) as u64));
         // Growth phase: double K after a refutation; after an inconclusive
         // probe (budget ran out) retry the same K with a doubled budget —
         // overshooting K makes the formula bigger, not easier.
@@ -624,8 +621,8 @@ pub enum BudgetSchedule {
 /// the session token stayed live (a spurious cancellation). Applied
 /// per-probe by the minimize engine (the shared monotonicity blackboard
 /// survives, so a retried probe resumes with everything already
-/// certified) and per-session by
-/// [`BatchSession`](crate::session::BatchSession).
+/// certified). A probe never re-runs a panic: the panic already unwound
+/// the prober.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts including the first; `1` disables retries.
@@ -633,10 +630,6 @@ pub struct RetryPolicy {
     /// Base of the deterministic exponential backoff: retry `n`
     /// (1-based) sleeps `backoff_base · 2ⁿ⁻¹` first.
     pub backoff_base: Duration,
-    /// Whether [`BatchSession`](crate::session::BatchSession) re-runs a
-    /// session whose worker panicked (probe-level retries never rerun a
-    /// panic: the panic already unwound the prober).
-    pub retry_panicked: bool,
 }
 
 impl RetryPolicy {
@@ -645,17 +638,15 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             backoff_base: Duration::from_millis(0),
-            retry_panicked: false,
         }
     }
 
-    /// Up to `max_attempts` total attempts with a 5 ms backoff base,
-    /// retrying panicked sessions too. `0` is treated as `1`.
+    /// Up to `max_attempts` total attempts with a 5 ms backoff base.
+    /// `0` is treated as `1`.
     pub fn attempts(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             backoff_base: Duration::from_millis(5),
-            retry_panicked: true,
         }
     }
 
@@ -957,7 +948,8 @@ impl MinimizeRun<'_> {
         });
         self.probes.push((p, verdict));
         self.probe_stats.push(self.prober.snapshot());
-        self.events.resolved(self.worker, probe_index, p, achieved);
+        self.events
+            .resolved(self.worker, probe_index, p, achieved.ok_or(verdict));
         if self.share_ticks {
             let snapshot = self.prober.snapshot();
             self.events.send(ProbeEvent::ClauseSharingTick {

@@ -108,29 +108,32 @@
 //!
 //! ## Serving many sessions
 //!
-//! Sessions are first-class jobs: hand one to a shared
-//! [`Executor`](core::Executor) with
-//! [`spawn_on`](core::PebblingSession::spawn_on) and poll or cancel the
-//! returned [`SessionHandle`](core::SessionHandle), or serve a whole
-//! workload through a [`BatchSession`](core::BatchSession) — one worker
-//! pool, per-session conflict quotas, and a shared
-//! [`ResultCache`](core::ResultCache) keyed by canonical DAG fingerprint
-//! so repeated instances skip the solver:
+//! Sessions are first-class jobs: a [`SessionRuntime`](core::SessionRuntime)
+//! is one worker pool, an optional per-session conflict quota and a
+//! shared [`ResultCache`](core::ResultCache) keyed by canonical DAG
+//! fingerprint, so repeated instances skip the solver. Its
+//! [`spawn`](core::SessionRuntime::spawn) hands a session to the pool
+//! and returns a [`SessionHandle`](core::SessionHandle) to poll, cancel
+//! or join; serve a whole workload by spawning every session and joining
+//! the handles in submit order:
 //!
 //! ```
 //! use revpebble::prelude::*;
 //!
 //! let dag = revpebble::graph::generators::paper_example();
-//! let mut batch = BatchSession::new(2)
+//! let runtime = SessionRuntime::new(2)
 //!     .expect("workers")
 //!     .per_session_quota(5_000_000);
-//! for name in ["first", "again"] {
-//!     batch
-//!         .submit(name, &dag, |session| session.pebbles(4))
-//!         .expect("valid");
+//! let handles: Vec<SessionHandle> = (0..2)
+//!     .map(|_| {
+//!         runtime
+//!             .spawn(PebblingSession::new(&dag).pebbles(4), runtime.root().child())
+//!             .expect("valid")
+//!     })
+//!     .collect();
+//! for handle in handles {
+//!     assert_eq!(handle.join().minimum, Some(4));
 //! }
-//! let report = batch.finish();
-//! assert!(report.sessions.iter().all(|(_, r)| r.minimum == Some(4)));
 //! ```
 
 #![deny(missing_docs)]
@@ -145,12 +148,12 @@ pub mod prelude {
     pub use crate::circuit::{compile, verify, Circuit, CompiledCircuit, VerifyOutcome};
     pub use crate::core::baselines::{bennett, cone_wise};
     pub use crate::core::{
-        AdmitGuard, BatchReport, BatchSession, BudgetSchedule, CancelReason, CancelToken,
-        CardEncoding, EncodingOptions, Engine, Executor, FaultKind, FaultPlan, FaultSite,
-        Heartbeat, MinimizeResult, Move, MoveMode, PebbleOutcome, PebbleSolver, PebblingSession,
-        PortfolioOutcome, ProbeEvent, ProbeVerdict, Report, ResultCache, RetryPolicy, SessionError,
-        SessionHandle, SessionOutcome, SessionRuntime, ShareOptions, SharedClausePool,
-        SharedSearchState, SolverOptions, StopReason, Strategy,
+        AdmitGuard, BudgetSchedule, CancelReason, CancelToken, CardEncoding, EncodingOptions,
+        Engine, Executor, FaultKind, FaultPlan, FaultSite, Heartbeat, MinimizeResult, Move,
+        MoveMode, PebbleOutcome, PebbleSolver, PebblingSession, PortfolioOutcome, ProbeEvent,
+        ProbeVerdict, Report, ResultCache, RetryPolicy, SessionError, SessionHandle,
+        SessionOutcome, SessionRuntime, ShareOptions, SharedClausePool, SharedSearchState,
+        SolverOptions, StopReason, Strategy,
     };
     pub use crate::graph::{parse_bench, Dag, NodeId, Op, Slp, Source};
 }

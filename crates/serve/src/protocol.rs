@@ -22,7 +22,7 @@
 //! | `incremental`  | bool              | keep one solver across probes                   |
 //! | `weighted`     | bool              | budget counts weight units                      |
 //! | `max_steps`    | integer           | step cap per probe                              |
-//! | `timeout_ms`   | integer           | per-SAT-query timeout (default 10 000)          |
+//! | `timeout_ms`   | integer           | per-budget-probe timeout (default 10 000); a fixed budget is one probe |
 //! | `deadline_ms`  | integer           | wall deadline for the whole request             |
 //! | `quota`        | integer           | SAT-conflict quota for the request              |
 //!
@@ -97,7 +97,8 @@ pub struct Request {
     pub weighted: bool,
     /// Step cap per probe.
     pub max_steps: Option<usize>,
-    /// Per-SAT-query timeout in milliseconds.
+    /// Per-budget-probe timeout in milliseconds; it bounds a fixed
+    /// budget's whole solve, which is one probe.
     pub timeout_ms: Option<u64>,
     /// Wall deadline for the whole request in milliseconds.
     pub deadline_ms: Option<u64>,

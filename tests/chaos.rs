@@ -36,19 +36,20 @@ fn base_with(faults: FaultPlan) -> SolverOptions {
     }
 }
 
-/// One chaos cell: a spawned minimize session on the paper example with
-/// `plan` armed, a result cache installed (so `cache.insert` is
-/// visited) and probe retries enabled (so transients can recover).
+/// One chaos cell: a minimize session on the paper example with `plan`
+/// armed, spawned on a fresh runtime (whose result cache makes the run
+/// visit `cache.insert`) with probe retries enabled (so transients can
+/// recover).
 fn chaos_session(plan: FaultPlan) -> Report {
     let dag = paper_example();
-    let executor = Arc::new(Executor::new(2));
-    PebblingSession::new(&dag)
+    let runtime = SessionRuntime::new(2).expect("workers");
+    let session = PebblingSession::new(&dag)
         .solver_options(base_with(plan))
         .minimize()
         .retries(3)
-        .result_cache(Arc::new(ResultCache::default()))
-        .per_query_timeout(Duration::from_secs(30))
-        .spawn_on(&executor)
+        .per_query_timeout(Duration::from_secs(30));
+    runtime
+        .spawn(session, runtime.root().child())
         .expect("a valid configuration")
         .join()
 }
@@ -158,18 +159,20 @@ fn a_batch_quarantines_its_panicked_session_while_the_rest_complete() {
     // the panicked entry's own report) must still arrive.
     let plan = FaultPlan::inject(FaultSite::ExecJob, FaultKind::Panic, 0);
     let dag = paper_example();
-    let mut batch = BatchSession::new(1).expect("workers");
-    for name in ["poisoned", "healthy"] {
-        batch
-            .submit(name, &dag, move |session| {
-                session.solver_options(base_with(plan)).minimize()
-            })
-            .expect("valid configuration");
-    }
-    let report = batch.finish();
-    assert_eq!(report.sessions.len(), 2);
-    let (_, poisoned) = &report.sessions[0];
-    let (_, healthy) = &report.sessions[1];
+    let runtime = SessionRuntime::new(1).expect("workers");
+    let handles: Vec<SessionHandle> = (0..2)
+        .map(|_| {
+            let session = PebblingSession::new(&dag)
+                .solver_options(base_with(plan))
+                .minimize();
+            runtime
+                .spawn(session, runtime.root().child())
+                .expect("valid configuration")
+        })
+        .collect();
+    let reports: Vec<Report> = handles.into_iter().map(SessionHandle::join).collect();
+    assert_eq!(reports.len(), 2);
+    let (poisoned, healthy) = (&reports[0], &reports[1]);
     assert!(
         matches!(
             poisoned.stop_reason,
@@ -180,27 +183,6 @@ fn a_batch_quarantines_its_panicked_session_while_the_rest_complete() {
     );
     assert_eq!(healthy.stop_reason, None);
     assert_eq!(healthy.minimum, Some(PAPER_MINIMUM));
-}
-
-#[test]
-fn a_batch_retry_recovers_a_panicked_session() {
-    // The arm fires on the first `exec.job` visit only; with a retry
-    // budget the batch respawns the session, which then runs clean.
-    let plan = FaultPlan::inject(FaultSite::ExecJob, FaultKind::Panic, 0);
-    let dag = paper_example();
-    let mut batch = BatchSession::new(1)
-        .expect("workers")
-        .retry_policy(RetryPolicy::attempts(3));
-    batch
-        .submit("recovers", &dag, move |session| {
-            session.solver_options(base_with(plan)).minimize()
-        })
-        .expect("valid configuration");
-    let report = batch.finish();
-    let (_, session) = &report.sessions[0];
-    assert_eq!(session.stop_reason, None, "{session:?}");
-    assert_eq!(session.minimum, Some(PAPER_MINIMUM));
-    assert_eq!(session.retries, 1, "exactly one respawn");
 }
 
 #[test]
@@ -216,15 +198,15 @@ fn the_watchdog_detaches_from_a_wedged_session() {
         Duration::from_secs(10),
     );
     let dag = paper_example();
-    let executor = Arc::new(Executor::new(1));
-    let handle = PebblingSession::new(&dag)
-        .solver_options(base_with(plan))
-        .minimize()
-        .cancel_token(CancelToken::with_limits(
-            Some(Instant::now() + Duration::from_millis(50)),
-            None,
-        ))
-        .spawn_on(&executor)
+    let runtime = SessionRuntime::new(1).expect("workers");
+    let deadline = Instant::now() + Duration::from_millis(50);
+    let handle = runtime
+        .spawn(
+            PebblingSession::new(&dag)
+                .solver_options(base_with(plan))
+                .minimize(),
+            runtime.root().child_with_limits(Some(deadline), None),
+        )
         .expect("a valid configuration")
         .detach_grace(Duration::from_millis(100));
     let joined_at = Instant::now();
@@ -235,9 +217,9 @@ fn the_watchdog_detaches_from_a_wedged_session() {
         waited < Duration::from_secs(5),
         "join must not wait out the wedge: {waited:?}"
     );
-    // The executor still holds the sleeping job; drop joins it after
-    // the sleep — that is the price of detaching, paid at teardown,
-    // not inside join.
+    // The runtime's pool still holds the sleeping job; drop joins it
+    // after the sleep — that is the price of detaching, paid at
+    // teardown, not inside join.
 }
 
 /// Strips the timing-dependent fields from a report's JSON so runs can

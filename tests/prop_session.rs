@@ -4,7 +4,7 @@
 //! paper's fresh-per-probe baseline, the descending schedule and the
 //! cooperative portfolio cross-check each other. The session runtime
 //! must be invisible to the answers: a session replayed through a
-//! `ResultCache` and a session spawned onto a shared `Executor` report
+//! `ResultCache` and a session spawned onto a `SessionRuntime` report
 //! exactly what the blocking run reports. Probes run in the decisive
 //! regime (generous budgets, adequate step caps) so the answers are
 //! theorems, not clock races.
@@ -15,7 +15,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use revpebble::core::{
     BudgetSchedule, Executor, MinimizeResult, PebblingSession, ResultCache, SessionOutcome,
-    SolverOptions,
+    SessionRuntime, SolverOptions,
 };
 use revpebble::graph::generators::random_dag;
 use revpebble::graph::Dag;
@@ -105,10 +105,9 @@ proptest! {
         }
 
         // The same session handed to a shared pool answers identically.
-        let executor = Arc::new(Executor::new(2));
-        let spawned = PebblingSession::new(&dag)
-            .pebbles(budget)
-            .spawn_on(&executor)
+        let runtime = SessionRuntime::new(2).expect("workers");
+        let spawned = runtime
+            .spawn(PebblingSession::new(&dag).pebbles(budget), runtime.root().child())
             .expect("a valid configuration")
             .join();
         prop_assert_eq!(spawned.minimum, report.minimum);

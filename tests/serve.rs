@@ -11,6 +11,7 @@
 
 use std::time::{Duration, Instant};
 
+use revpebble::graph::json::JsonValue;
 use revpebble::graph::parse_json;
 use revpebble::sat::{FaultKind, FaultPlan, FaultSite};
 use revpebble_serve::{
@@ -167,6 +168,33 @@ fn request_quotas_are_enforced_over_the_wire() {
         Some("quota"),
         "a 50-conflict quota cannot finish b3_m4: {response}"
     );
+    server.finish();
+}
+
+#[test]
+fn a_fixed_budget_request_stops_at_its_probe_timeout() {
+    // `timeout_ms` bounds every budget probe, and a fixed budget is one
+    // probe: edwards at 10 pebbles (many seconds of SAT work) answers
+    // after the 200 ms probe bound, long before the request deadline.
+    let server = start(ServeConfig::default());
+    let response = submit_frame(
+        server.addr,
+        r#"{"dag":"edwards","pebbles":10,"timeout_ms":200,"deadline_ms":10000}"#,
+        Duration::from_secs(30),
+    )
+    .expect("the request is answered");
+    let value = parse_json(&response).expect("valid JSON");
+    assert_eq!(
+        value.get("status").and_then(|s| s.as_str()),
+        Some("ok"),
+        "{response}"
+    );
+    let report = value
+        .get("report")
+        .expect("an ok response carries a report");
+    for key in ["stop_reason", "minimum"] {
+        assert_eq!(report.get(key), Some(&JsonValue::Null), "{key}: {response}");
+    }
     server.finish();
 }
 

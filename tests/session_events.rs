@@ -8,7 +8,9 @@
 //! - the callback sees exactly `events_emitted` events;
 //! - a fired [`CancelToken`] ends the stream *without* a terminal event:
 //!   a cancelled session never pretends to certify, and its report names
-//!   the stop reason.
+//!   the stop reason;
+//! - a probe that ends without a strategy carries its verdict, so a
+//!   timed-out probe never reads as a refutation.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -215,12 +217,13 @@ fn a_token_fired_mid_probe_stops_promptly_without_certifying() {
 #[test]
 fn a_cancelled_handle_joins_to_a_partial_report() {
     let dag = revpebble::graph::slp::h_operator_sized(59);
-    let executor = Arc::new(Executor::new(2));
-    let handle = PebblingSession::new(&dag)
+    let runtime = SessionRuntime::new(2).expect("workers");
+    let session = PebblingSession::new(&dag)
         .minimize()
         .incremental(true)
-        .per_query_timeout(Duration::from_secs(120))
-        .spawn_on(&executor)
+        .per_query_timeout(Duration::from_secs(120));
+    let handle = runtime
+        .spawn(session, runtime.root().child())
         .expect("a valid configuration");
     handle.cancel();
     let report = handle.join();
@@ -252,4 +255,46 @@ fn frontier_stream_probes_descending_budgets() {
         budgets.windows(2).all(|w| w[0] > w[1]),
         "the sweep probes downward: {budgets:?}"
     );
+}
+
+#[test]
+fn a_probe_without_a_strategy_names_how_it_ended() {
+    let unsolved = |events: &[ProbeEvent]| -> Vec<(ProbeVerdict, String)> {
+        events
+            .iter()
+            .filter_map(|event| match *event {
+                ProbeEvent::ProbeRefuted { verdict, .. } => Some((verdict, event.to_string())),
+                _ => None,
+            })
+            .collect()
+    };
+
+    // One conflict cannot decide the paper example at 4 pebbles: the
+    // quota stops the probe mid-search, which is a timeout, not a proof.
+    let paper = revpebble::graph::generators::paper_example();
+    let (report, events) = collect(PebblingSession::new(&paper).pebbles(4).quota(1));
+    assert_eq!(report.stop_reason, Some(StopReason::QuotaExhausted));
+    let probes = unsolved(&events);
+    assert!(
+        matches!(probes[..], [(ProbeVerdict::Timeout { .. }, _)]),
+        "{events:?}"
+    );
+    assert!(probes[0].1.contains("timed out"), "{}", probes[0].1);
+    assert!(!probes[0].1.contains("refuted"), "{}", probes[0].1);
+
+    // hop needs 6 pebbles; at 5 every step count up to the cap is refuted.
+    let hop = revpebble::graph::builtin_dag("hop").expect("a built-in design");
+    let cap = 4 * hop.num_nodes() + 20;
+    let (report, events) = collect(PebblingSession::new(&hop).pebbles(5).max_steps(cap));
+    assert_stream_invariants(&report, &events);
+    let probes = unsolved(&events);
+    assert_eq!(
+        probes
+            .iter()
+            .map(|(verdict, _)| *verdict)
+            .collect::<Vec<_>>(),
+        [ProbeVerdict::StepLimit { steps_checked: cap }],
+        "{events:?}"
+    );
+    assert!(probes[0].1.contains("step-capped"), "{}", probes[0].1);
 }
