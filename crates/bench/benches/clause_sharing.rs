@@ -25,7 +25,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use revpebble::core::{
     EncodingOptions, MinimizePortfolioOutcome, MinimizeResult, MoveMode, PebblingSession,
-    SessionOutcome, ShareOptions, SolverOptions, StepSchedule,
+    SessionOutcome, SolverOptions, StepSchedule,
 };
 use revpebble::graph::generators::chain;
 use revpebble::graph::parse_bench;
@@ -38,21 +38,26 @@ use std::time::{Duration, Instant};
 const WORKERS: usize = 4;
 
 /// One minimize race through the session front door, at an explicit
-/// worker count (the scaling sweep varies it; the audit uses [`WORKERS`]).
+/// worker count (the scaling sweep varies it; the audit uses [`WORKERS`]),
+/// optionally on one clause pool and with jittered worker heuristics.
 fn race_with(
     dag: &Dag,
     base: SolverOptions,
     per_query: Duration,
     workers: usize,
-    share: Option<ShareOptions>,
+    shared: bool,
+    diversify: bool,
 ) -> MinimizePortfolioOutcome {
     let mut session = PebblingSession::new(dag)
         .solver_options(base)
         .minimize()
         .portfolio(workers)
         .per_query_timeout(per_query);
-    if let Some(share) = share {
-        session = session.share_clauses(share);
+    if shared {
+        session = session.share_clauses();
+    }
+    if diversify {
+        session = session.diversify();
     }
     let report = session.run().expect("a valid bench configuration");
     match report.outcome {
@@ -68,13 +73,7 @@ fn race(
     per_query: Duration,
     shared: bool,
 ) -> MinimizePortfolioOutcome {
-    race_with(
-        dag,
-        base,
-        per_query,
-        WORKERS,
-        shared.then(ShareOptions::default),
-    )
+    race_with(dag, base, per_query, WORKERS, shared, false)
 }
 
 /// The single-worker incremental reference, same front door.
@@ -176,13 +175,7 @@ fn record_scaling_sweep() {
     let mut records = Vec::new();
     for workers in [2usize, 4, 8, 16] {
         let start = Instant::now();
-        let outcome = race_with(
-            &dag,
-            options,
-            per_query,
-            workers,
-            Some(ShareOptions::diversified()),
-        );
+        let outcome = race_with(&dag, options, per_query, workers, true, true);
         let wall_s = start.elapsed().as_secs_f64();
         let sums = outcome.workers.iter().fold([0u64; 6], |mut acc, w| {
             let sat = &w.result.sat;

@@ -30,8 +30,7 @@ use std::time::{Duration, Instant};
 
 use revpebble::core::baselines::bennett;
 use revpebble::core::{
-    BudgetSchedule, EncodingOptions, MoveMode, PebblingSession, SessionOutcome, ShareOptions,
-    SolverOptions,
+    BudgetSchedule, EncodingOptions, MoveMode, PebblingSession, SessionOutcome, SolverOptions,
 };
 use revpebble_bench::{arg_num, arg_value, table1_dag, TABLE1};
 
@@ -126,7 +125,7 @@ fn main() {
                 // every probe of its schedule.
                 let report = session
                     .portfolio(workers)
-                    .share_clauses(ShareOptions::default())
+                    .share_clauses()
                     .run()
                     .expect("a valid Table I configuration");
                 match report.outcome {

@@ -238,10 +238,10 @@ fn configure_session<'a>(
         session = session.portfolio(workers);
     }
     if args.share_clauses {
-        session = session.share_clauses(ShareOptions::default());
+        session = session.share_clauses();
     }
     if args.diversify {
-        session = session.diversify(true);
+        session = session.diversify();
     }
     if let Some(quota) = args.quota {
         session = session.quota(quota);
@@ -416,11 +416,7 @@ fn run_minimize(dag: &Dag, args: &Args) -> Result<(), CliError> {
                     outcome.workers.len(),
                     report.probes(),
                     if args.share_clauses { "on" } else { "off" },
-                    if sharing.options.diversify {
-                        "on"
-                    } else {
-                        "off"
-                    },
+                    if args.diversify { "on" } else { "off" },
                     sharing.floor,
                     sharing.step_tightenings + sharing.floor_raises,
                 );

@@ -61,6 +61,18 @@ pub fn weighted_pebble_lower_bound(dag: &Dag) -> usize {
     usize::try_from(structural.max(outputs)).expect("weight bound fits usize")
 }
 
+/// The budgets a search may probe, `(lower, top)`, in the units the
+/// encoding budgets: from the structural lower bound up to the full
+/// budget, which is the node count, or the total weight in weighted mode.
+pub(crate) fn budget_window(dag: &Dag, weighted: bool) -> (usize, usize) {
+    if weighted {
+        let total = usize::try_from(dag.total_weight()).expect("total weight fits usize");
+        (weighted_pebble_lower_bound(dag), total)
+    } else {
+        (pebble_lower_bound(dag), dag.num_nodes())
+    }
+}
+
 /// A lower bound on the number of *sequential* steps: every node lies in
 /// the fanin cone of some output (enforced by
 /// [`Dag::validate_for_pebbling`]), must be pebbled at least once, and

@@ -11,10 +11,11 @@
 //! the same entry — with a hash of the session plan (engine, solver
 //! options, budgets), because the *answer* ("minimum = 4, floor = 4")
 //! depends on both the instance and how hard the session was allowed to
-//! look for it. A cache is only consulted when explicitly installed via
-//! [`PebblingSession::result_cache`](crate::session::PebblingSession::result_cache)
-//! or a [`SessionRuntime`](crate::session::SessionRuntime); sessions
-//! without one behave bit-identically to a cache-free build.
+//! look for it. Every [`SessionRuntime`](crate::session::SessionRuntime)
+//! owns one cache, and only sessions it
+//! [`spawn`](crate::session::SessionRuntime::spawn)s consult it; a
+//! session [`run`](crate::session::PebblingSession::run) inline never
+//! does.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};

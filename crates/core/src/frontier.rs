@@ -18,7 +18,7 @@
 
 use revpebble_graph::Dag;
 
-use crate::bounds::pebble_lower_bound;
+use crate::bounds::budget_window;
 use crate::session::{achieved_budget, ProbeEvent};
 use crate::solver::{MinimizeContext, PebbleOutcome, ProbeVerdict, Prober};
 use crate::strategy::Strategy;
@@ -51,21 +51,18 @@ impl FrontierPoint {
     }
 }
 
-/// Sweeps pebble budgets downward from `max` to `min` (either side `None`
-/// = the node count / the structural lower bound), collecting the best
-/// strategy per budget, and stops at the first failure: the frontier is
-/// monotone, so further probes would only confirm failures. `ctx` gives
-/// the probe settings (`per_query` bounds each budget), the token and the
-/// event sink: every budget probe emits [`ProbeEvent::ProbeStarted`] and
-/// a solved/refuted event, and the sweep stops early once the token
-/// fires.
-pub(crate) fn frontier_on(
-    dag: &Dag,
-    ctx: MinimizeContext,
-    (min, max): (Option<usize>, Option<usize>),
-) -> Vec<FrontierPoint> {
-    let min = min.unwrap_or_else(|| pebble_lower_bound(dag));
-    let max = max.unwrap_or_else(|| dag.num_nodes());
+/// Sweeps pebble budgets downward through `ctx.window` (`None` = the
+/// [`budget_window`], in weight units in weighted mode), collecting the
+/// best strategy per budget, and stops at the first failure: the
+/// frontier is monotone, so further probes would only confirm failures.
+/// `ctx` also gives the probe settings (`per_query` bounds each budget),
+/// the token and the event sink: every budget probe emits
+/// [`ProbeEvent::ProbeStarted`] and a solved/refuted event, and the sweep
+/// stops early once the token fires.
+pub(crate) fn frontier_on(dag: &Dag, ctx: MinimizeContext) -> Vec<FrontierPoint> {
+    let (min, max) = ctx
+        .window
+        .unwrap_or_else(|| budget_window(dag, ctx.base.encoding.weighted));
     let mut prober = Prober::new(dag, &ctx);
     let mut points = Vec::new();
     for pebbles in (min..=max).rev() {
@@ -153,15 +150,10 @@ mod tests {
         }
     }
 
-    /// A sweep over the structural budget range.
-    fn frontier(dag: &Dag, ctx: MinimizeContext) -> Vec<FrontierPoint> {
-        frontier_on(dag, ctx, (None, None))
-    }
-
     #[test]
     fn paper_example_frontier_is_monotone() {
         let dag = paper_example();
-        let points = frontier(&dag, sweep());
+        let points = frontier_on(&dag, sweep());
         // Budgets 4..=6 are feasible, 3 fails.
         let feasible: Vec<(usize, usize)> = points
             .iter()
@@ -182,8 +174,8 @@ mod tests {
             incremental,
             ..sweep()
         };
-        let persistent = frontier(&dag, ctx(true));
-        let fresh = frontier(&dag, ctx(false));
+        let persistent = frontier_on(&dag, ctx(true));
+        let fresh = frontier_on(&dag, ctx(false));
         let feasible = |points: &[FrontierPoint]| -> Vec<(usize, usize)> {
             points
                 .iter()
@@ -203,14 +195,18 @@ mod tests {
             cancel: Some(token),
             ..sweep()
         };
-        let points = frontier(&dag, ctx);
+        let points = frontier_on(&dag, ctx);
         assert!(points.is_empty(), "a pre-cancelled sweep probes nothing");
     }
 
     #[test]
     fn frontier_respects_explicit_range() {
         let dag = paper_example();
-        let points = frontier_on(&dag, sweep(), (Some(5), Some(6)));
+        let ctx = MinimizeContext {
+            window: Some((5, 6)),
+            ..sweep()
+        };
+        let points = frontier_on(&dag, ctx);
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|p| p.strategy.is_some()));
     }
@@ -218,7 +214,11 @@ mod tests {
     #[test]
     fn render_contains_all_rows() {
         let dag = paper_example();
-        let points = frontier_on(&dag, sweep(), (Some(4), Some(6)));
+        let ctx = MinimizeContext {
+            window: Some((4, 6)),
+            ..sweep()
+        };
+        let points = frontier_on(&dag, ctx);
         let table = render_frontier(&points, &dag);
         assert!(table.contains("pebbles"));
         assert_eq!(table.lines().count(), 2 + points.len());

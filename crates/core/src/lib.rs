@@ -75,8 +75,7 @@ pub use exec::Executor;
 pub use frontier::FrontierPoint;
 pub use portfolio::{
     default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio, MinimizeConfig,
-    MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, RaceWorker, ShareOptions,
-    SharingReport,
+    MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, RaceWorker, SharingReport,
 };
 pub use session::{
     AdmitGuard, Engine, PebblingSession, ProbeEvent, Report, SessionError, SessionHandle,

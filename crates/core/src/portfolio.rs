@@ -229,59 +229,6 @@ pub fn describe_minimize_config(config: &MinimizeConfig) -> String {
     format!("{schedule}/{}", describe_options(&config.base))
 }
 
-/// What a minimize race shares between its workers. [`Default`] shares
-/// everything; with [`ShareOptions::isolated`] workers share only
-/// first-winner cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShareOptions {
-    /// Exchange short learnt clauses verbatim through one
-    /// [`SharedClausePool`]. Only workers whose encoding options and step
-    /// cap equal worker 0's join the pool; any other worker races
-    /// isolated.
-    pub clauses: bool,
-    /// Share the certified-refutation blackboard
-    /// ([`SharedSearchState`]): monotonicity-table entries, universal
-    /// (budget-free-core) step refutations and the budget floor. Wired to
-    /// the same workers as the clause pool.
-    pub bounds: bool,
-    /// Jitter the workers' CDCL heuristics (HordeSat-style
-    /// diversification): per-worker RNG seeds drive restart-interval
-    /// jitter, VSIDS-decay jitter, polarity inversion and variable-bump
-    /// noise (see [`diversify_minimize_portfolio`]). Worker 0 keeps the
-    /// stock heuristics, so the portfolio always contains the undiversed
-    /// baseline.
-    pub diversify: bool,
-}
-
-impl Default for ShareOptions {
-    fn default() -> Self {
-        ShareOptions {
-            clauses: true,
-            bounds: true,
-            diversify: false,
-        }
-    }
-}
-
-impl ShareOptions {
-    /// No cooperation beyond first-winner cancellation.
-    pub fn isolated() -> Self {
-        ShareOptions {
-            clauses: false,
-            bounds: false,
-            diversify: false,
-        }
-    }
-
-    /// Full sharing plus heuristic diversification — the HordeSat recipe.
-    pub fn diversified() -> Self {
-        ShareOptions {
-            diversify: true,
-            ..ShareOptions::default()
-        }
-    }
-}
-
 /// Jitters the CDCL heuristics of every worker but the first, HordeSat
 /// style: deterministic per-worker seeds (so races are reproducible
 /// modulo thread timing) drive restart-interval jitter
@@ -295,8 +242,8 @@ impl ShareOptions {
 /// `0.0..0.05`). Worker 0 is left untouched so every diversified
 /// portfolio still contains the stock configuration.
 ///
-/// Minimize races apply this automatically when
-/// [`ShareOptions::diversify`] is set.
+/// A session applies this to its minimize race when
+/// [`diversify`](crate::session::PebblingSession::diversify) is set.
 pub fn diversify_minimize_portfolio(configs: &mut [MinimizeConfig]) {
     for (worker, config) in configs.iter_mut().enumerate().skip(1) {
         let mut rng = StdRng::seed_from_u64(0x5EED_0000 ^ worker as u64);
@@ -314,8 +261,6 @@ pub fn diversify_minimize_portfolio(configs: &mut [MinimizeConfig]) {
 /// bound fields aggregate the workers' private blackboards instead.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharingReport {
-    /// The [`ShareOptions`] the race ran with.
-    pub options: ShareOptions,
     /// Certified budget floor at the end of the race — step-cap-relative
     /// (see [`crate::sharing`]) and certified with respect to **worker
     /// 0's configuration**, which for the default (homogeneous)
@@ -408,32 +353,26 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
 /// CDCL loop. The returned `best` is the smallest budget certified by
 /// anyone — a cancelled rival may have descended further than the winner.
 ///
-/// With [`ShareOptions::clauses`] the workers exchange short learnt
-/// clauses verbatim through one [`SharedClausePool`], and with
-/// [`ShareOptions::bounds`] they pool certified refutations and the
-/// budget floor on one [`SharedSearchState`]. Both are wired only to
+/// When `shared`, the workers exchange short learnt clauses verbatim
+/// through one [`SharedClausePool`] and pool certified refutations and
+/// the budget floor on one [`SharedSearchState`]. Both are wired only to
 /// workers whose encoding options and step cap equal worker 0's (every
 /// [`default_minimize_portfolio`] worker); any other worker races
-/// isolated. [`ShareOptions::diversify`] additionally jitters every
-/// non-reference worker's CDCL heuristics (see
-/// [`diversify_minimize_portfolio`]).
+/// isolated.
 pub(crate) fn race_minimize(
     dag: &Dag,
-    mut configs: Vec<MinimizeConfig>,
+    configs: Vec<MinimizeConfig>,
     run: MinimizeContext,
-    share: ShareOptions,
+    shared: bool,
     executor: &Executor,
 ) -> MinimizePortfolioOutcome {
-    if share.diversify {
-        diversify_minimize_portfolio(&mut configs);
-    }
-    let pool = share.clauses.then(|| {
+    let pool = shared.then(|| {
         Arc::new(SharedClausePool::with_config(PoolConfig {
             max_workers: configs.len().max(1),
             ..PoolConfig::default()
         }))
     });
-    let shared = share.bounds.then(|| Arc::new(SharedSearchState::new()));
+    let blackboard = shared.then(|| Arc::new(SharedSearchState::new()));
     let reference = configs[0].base;
     // The pool copies literals verbatim, which is sound only between
     // identical encodings, and the blackboard certifies facts under one
@@ -462,7 +401,7 @@ pub(crate) fn race_minimize(
                 base: config.base,
                 schedule: config.schedule,
                 pool: pool.clone().filter(|_| compatible[index]),
-                shared: shared.clone().filter(|_| compatible[index]),
+                shared: blackboard.clone().filter(|_| compatible[index]),
                 worker: index,
                 ..run.clone()
             };
@@ -540,9 +479,8 @@ pub(crate) fn race_minimize(
             .zip(&compatible)
             .filter_map(|(w, &ok)| ok.then_some(w))
     };
-    let sharing = match &shared {
+    let sharing = match &blackboard {
         Some(state) => SharingReport {
-            options: share,
             floor: state.floor(),
             step_tightenings: state.step_tightenings(),
             floor_raises: state.floor_raises(),
@@ -551,7 +489,6 @@ pub(crate) fn race_minimize(
         // Isolated race: aggregate the compatible workers' private
         // blackboards so the report stays meaningful for comparisons.
         None => SharingReport {
-            options: share,
             floor: compatible_workers()
                 .map(|w| w.result.floor)
                 .max()
@@ -587,7 +524,7 @@ mod tests {
         dag: &Dag,
         configs: Vec<MinimizeConfig>,
         per_query: Duration,
-        share: ShareOptions,
+        shared: bool,
     ) -> MinimizePortfolioOutcome {
         let executor = Executor::new(configs.len());
         let run = MinimizeContext {
@@ -595,7 +532,7 @@ mod tests {
             incremental: true,
             ..MinimizeContext::default()
         };
-        race_minimize(dag, configs, run, share, &executor)
+        race_minimize(dag, configs, run, shared, &executor)
     }
 
     /// Session-backed equivalents of the retired free-function shims:
@@ -661,7 +598,7 @@ mod tests {
                 .solver_options(base)
                 .minimize()
                 .portfolio(n)
-                .share_clauses(ShareOptions::default())
+                .share_clauses()
                 .per_query_timeout(per_query),
         )
     }
@@ -781,12 +718,7 @@ mod tests {
             })
             .to_vec();
         let start = Instant::now();
-        let result = race_minimize_configs(
-            &dag,
-            configs,
-            Duration::from_secs(600),
-            ShareOptions::isolated(),
-        );
+        let result = race_minimize_configs(&dag, configs, Duration::from_secs(600), false);
         let elapsed = start.elapsed();
 
         assert_eq!(result.winner, Some(0), "only the capped worker can finish");
@@ -829,12 +761,7 @@ mod tests {
             .iter()
             .any(|c| matches!(c.schedule, BudgetSchedule::Descending { .. })));
 
-        let outcome = race_minimize_configs(
-            &dag,
-            configs,
-            Duration::from_secs(20),
-            ShareOptions::isolated(),
-        );
+        let outcome = race_minimize_configs(&dag, configs, Duration::from_secs(20), false);
         let (p, strategy) = outcome.best.expect("paper example is feasible");
         assert_eq!(p, 4, "all schedules agree on the minimum budget");
         strategy.validate(&dag, Some(4)).expect("valid");
@@ -867,7 +794,6 @@ mod tests {
         let single = minimize_single(&dag, base, Duration::from_secs(30));
         assert_eq!(Some(p), single.best.map(|(p, _)| p));
         // The cooperative layer was actually on and did something.
-        assert!(shared.sharing.options.clauses && shared.sharing.options.bounds);
         let exported: u64 = shared
             .workers
             .iter()
@@ -896,12 +822,7 @@ mod tests {
         let mut configs = default_minimize_portfolio(base, 3);
         configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
         configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
-        let outcome = race_minimize_configs(
-            &dag,
-            configs,
-            Duration::from_secs(30),
-            ShareOptions::default(),
-        );
+        let outcome = race_minimize_configs(&dag, configs, Duration::from_secs(30), true);
         let (p, strategy) = outcome.best.clone().expect("c17 is feasible");
         strategy.validate(&dag, Some(p)).expect("valid");
         let single = minimize_single(&dag, base, Duration::from_secs(30));
@@ -986,15 +907,10 @@ mod tests {
             max_steps: 60,
             ..SolverOptions::default()
         };
-        let configs = default_minimize_portfolio(base, 3);
-        let outcome = race_minimize_configs(
-            &dag,
-            configs,
-            Duration::from_secs(20),
-            ShareOptions::diversified(),
-        );
+        let mut configs = default_minimize_portfolio(base, 3);
+        diversify_minimize_portfolio(&mut configs);
+        let outcome = race_minimize_configs(&dag, configs, Duration::from_secs(20), true);
         assert_eq!(outcome.best.as_ref().map(|&(p, _)| p), Some(4));
-        assert!(outcome.sharing.options.diversify);
     }
 
     #[test]
@@ -1038,7 +954,6 @@ mod tests {
         };
         let outcome = minimize_portfolio(&dag, base, Duration::from_secs(20), 2);
         assert_eq!(outcome.best.as_ref().map(|&(p, _)| p), Some(4));
-        assert_eq!(outcome.sharing.options, ShareOptions::isolated());
         assert_eq!(outcome.sharing.pool.published, 0, "no pool exists");
         assert!(outcome.sharing.floor <= 4);
     }
@@ -1087,8 +1002,8 @@ mod tests {
             let mut configs = default_minimize_portfolio(base, 3);
             configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
             configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
-            let shared =
-                race_minimize_configs(&dag, configs, per_query, ShareOptions::diversified());
+            diversify_minimize_portfolio(&mut configs);
+            let shared = race_minimize_configs(&dag, configs, per_query, true);
             let single = minimize_single(&dag, base, per_query);
 
             let single_min = single.best.as_ref().map(|&(p, _)| p);

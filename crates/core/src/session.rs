@@ -75,15 +75,15 @@ use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverStats};
 
 use revpebble_sat::card::CardEncoding;
 
-use crate::bounds::{pebble_lower_bound, weighted_pebble_lower_bound};
+use crate::bounds::budget_window;
 use crate::cache::{CacheKey, CachedReport, ResultCache};
 use crate::encoding::MoveMode;
 use crate::exec::Executor;
 use crate::frontier::{frontier_on, FrontierPoint};
 use crate::portfolio::{
     default_minimize_portfolio, default_portfolio, describe_minimize_config, describe_options,
-    race_minimize, MinimizeConfig, MinimizePortfolioOutcome, MinimizeWorkerReport,
-    PortfolioOutcome, ShareOptions,
+    diversify_minimize_portfolio, race_minimize, MinimizeConfig, MinimizePortfolioOutcome,
+    MinimizeWorkerReport, PortfolioOutcome,
 };
 use crate::solver::{
     fixed_outcome, run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult,
@@ -311,8 +311,7 @@ pub enum SessionError {
         budget: usize,
     },
     /// A fixed pebble budget conflicts with a frontier sweep, which
-    /// probes a whole budget range (use
-    /// [`PebblingSession::frontier_range`] instead).
+    /// probes the whole budget range.
     BudgetWithFrontier {
         /// The conflicting fixed budget.
         budget: usize,
@@ -550,12 +549,11 @@ pub struct SessionPlan {
     /// Requested worker count for the portfolio engines (`0` = one per
     /// available core).
     pub workers: usize,
-    /// What the cooperative portfolio shares.
-    pub share: ShareOptions,
+    /// Whether the minimize portfolio's workers run jittered CDCL
+    /// heuristics (see [`PebblingSession::diversify`]).
+    pub diversify: bool,
     /// Whether minimize probes reuse one assumption-bounded instance.
     pub incremental: bool,
-    /// Budget range of a frontier sweep (`None` = structural bounds).
-    pub frontier_range: (Option<usize>, Option<usize>),
     /// How transiently failed probes are re-run.
     pub retry: RetryPolicy,
 }
@@ -801,14 +799,12 @@ pub struct PebblingSession<'a> {
     budget_schedule: BudgetSchedule,
     incremental: Option<bool>,
     portfolio: Option<usize>,
-    share: Option<ShareOptions>,
-    diversify: Option<bool>,
+    share_clauses: bool,
+    diversify: bool,
     per_query: Option<Duration>,
-    frontier_range: (Option<usize>, Option<usize>),
     cancel: Option<CancelToken>,
     quota: Option<u64>,
-    retry: Option<RetryPolicy>,
-    cache: Option<Arc<ResultCache>>,
+    retry: RetryPolicy,
     executor: Option<Arc<Executor>>,
     on_event: Option<SessionCallback>,
 }
@@ -828,12 +824,12 @@ impl fmt::Debug for PebblingSession<'_> {
             .field("budget_schedule", &self.budget_schedule)
             .field("incremental", &self.incremental)
             .field("portfolio", &self.portfolio)
-            .field("share", &self.share)
+            .field("share_clauses", &self.share_clauses)
+            .field("diversify", &self.diversify)
             .field("per_query", &self.per_query)
             .field("cancel", &self.cancel)
             .field("quota", &self.quota)
             .field("retry", &self.retry)
-            .field("cache", &self.cache.is_some())
             .field("executor", &self.executor.is_some())
             .field("on_event", &self.on_event.is_some())
             .finish_non_exhaustive()
@@ -854,14 +850,12 @@ impl<'a> PebblingSession<'a> {
             budget_schedule: BudgetSchedule::Binary,
             incremental: None,
             portfolio: None,
-            share: None,
-            diversify: None,
+            share_clauses: false,
+            diversify: false,
             per_query: None,
-            frontier_range: (None, None),
             cancel: None,
             quota: None,
-            retry: None,
-            cache: None,
+            retry: RetryPolicy::none(),
             executor: None,
             on_event: None,
         }
@@ -883,18 +877,12 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Sweep the pebble/step trade-off frontier: probe every budget in
-    /// [`frontier_range`](Self::frontier_range) (default: structural
-    /// bounds) and report the best step count per feasible budget.
+    /// Sweep the pebble/step trade-off frontier: probe every budget from
+    /// the full budget (the node count, or the total weight in weighted
+    /// mode) down to the structural lower bound, and report the best step
+    /// count per feasible budget.
     pub fn sweep_frontier(mut self) -> Self {
         self.frontier = true;
-        self
-    }
-
-    /// Restricts a frontier sweep to `[min, max]` budgets (either side
-    /// `None` = the structural default).
-    pub fn frontier_range(mut self, min: Option<usize>, max: Option<usize>) -> Self {
-        self.frontier_range = (min, max);
         self
     }
 
@@ -912,16 +900,10 @@ impl<'a> PebblingSession<'a> {
 
     /// `true` (the default): every minimize probe reuses one
     /// assumption-bounded encoding/solver instance. `false`: the paper's
-    /// fresh-solver-per-probe methodology.
+    /// fresh-solver-per-probe methodology, as its Table I runs did.
     pub fn incremental(mut self, incremental: bool) -> Self {
         self.incremental = Some(incremental);
         self
-    }
-
-    /// Shorthand for [`incremental(false)`](Self::incremental): rebuild
-    /// the encoding for every probe, as the paper's Table I runs did.
-    pub fn fresh_per_probe(self) -> Self {
-        self.incremental(false)
     }
 
     /// Race `n` workers (`0` = one per available core): diverse solver
@@ -933,10 +915,11 @@ impl<'a> PebblingSession<'a> {
     }
 
     /// Makes a minimize portfolio cooperative: workers exchange short
-    /// learnt clauses and certified refutations per `share`. Requires
-    /// [`minimize`](Self::minimize) + [`portfolio`](Self::portfolio).
-    pub fn share_clauses(mut self, share: ShareOptions) -> Self {
-        self.share = Some(share);
+    /// learnt clauses through one clause pool and certified refutations
+    /// through one blackboard. Requires [`minimize`](Self::minimize) +
+    /// [`portfolio`](Self::portfolio).
+    pub fn share_clauses(mut self) -> Self {
+        self.share_clauses = true;
         self
     }
 
@@ -944,14 +927,12 @@ impl<'a> PebblingSession<'a> {
     /// the first (HordeSat-style diversification: per-worker RNG seeds,
     /// restart-interval jitter, VSIDS-decay jitter, polarity inversion,
     /// variable-bump noise — see
-    /// [`diversify_minimize_portfolio`](crate::portfolio::diversify_minimize_portfolio)).
+    /// [`diversify_minimize_portfolio`]).
     /// Works with or without [`share_clauses`](Self::share_clauses);
     /// requires [`minimize`](Self::minimize) +
-    /// [`portfolio`](Self::portfolio). Overrides the
-    /// [`ShareOptions::diversify`] flag of any options passed to
-    /// `share_clauses`.
-    pub fn diversify(mut self, diversify: bool) -> Self {
-        self.diversify = Some(diversify);
+    /// [`portfolio`](Self::portfolio).
+    pub fn diversify(mut self) -> Self {
+        self.diversify = true;
         self
     }
 
@@ -1039,28 +1020,12 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Installs a full [`RetryPolicy`]: transiently failed minimize
-    /// probes re-run (with the monotonicity table intact) after a
-    /// deterministic exponential backoff.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Convenience for [`retry_policy`](Self::retry_policy): allow up
-    /// to `extra` re-runs on top of the first attempt (so `retries(0)`
-    /// is the default fail-fast behavior).
-    pub fn retries(self, extra: u32) -> Self {
-        self.retry_policy(RetryPolicy::attempts(extra.saturating_add(1)))
-    }
-
-    /// Installs a shared [`ResultCache`]: before solving, the session
-    /// looks itself up under (DAG fingerprint × plan hash) and returns
-    /// the cached answer on a hit; after an uncancelled run, it inserts
-    /// its result. Without a cache, behavior is bit-identical to older
-    /// builds.
-    pub fn result_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.cache = Some(cache);
+    /// Re-runs a transiently failed minimize probe up to `extra` times on
+    /// top of the first attempt (so `retries(0)` is the default
+    /// fail-fast behavior), with the monotonicity table intact, after a
+    /// deterministic exponential backoff ([`RetryPolicy::attempts`]).
+    pub fn retries(mut self, extra: u32) -> Self {
+        self.retry = RetryPolicy::attempts(extra.saturating_add(1));
         self
     }
 
@@ -1107,10 +1072,10 @@ impl<'a> PebblingSession<'a> {
             if self.portfolio.is_some() {
                 return Err(SessionError::FrontierWithPortfolio);
             }
-            if self.share.is_some() {
+            if self.share_clauses {
                 return Err(SessionError::ShareClausesWithoutMinimize);
             }
-            if self.diversify == Some(true) {
+            if self.diversify {
                 return Err(SessionError::DiversifyWithoutPortfolio);
             }
             Engine::Frontier
@@ -1123,17 +1088,17 @@ impl<'a> PebblingSession<'a> {
                     if self.incremental == Some(false) {
                         return Err(SessionError::FreshPortfolio);
                     }
-                    if self.share.is_some() {
+                    if self.share_clauses {
                         Engine::MinimizePortfolioShared
                     } else {
                         Engine::MinimizePortfolio
                     }
                 }
                 None => {
-                    if self.share.is_some() {
+                    if self.share_clauses {
                         return Err(SessionError::ShareClausesWithoutPortfolio);
                     }
-                    if self.diversify == Some(true) {
+                    if self.diversify {
                         return Err(SessionError::DiversifyWithoutPortfolio);
                     }
                     if self.incremental.unwrap_or(true) {
@@ -1144,10 +1109,10 @@ impl<'a> PebblingSession<'a> {
                 }
             }
         } else {
-            if self.share.is_some() {
+            if self.share_clauses {
                 return Err(SessionError::ShareClausesWithoutMinimize);
             }
-            if self.diversify == Some(true) {
+            if self.diversify {
                 return Err(SessionError::DiversifyWithoutPortfolio);
             }
             let Some(_) = self.pebbles else {
@@ -1172,16 +1137,9 @@ impl<'a> PebblingSession<'a> {
             budget_schedule: self.budget_schedule,
             pebbles: self.pebbles,
             workers: self.portfolio.unwrap_or(0),
-            share: {
-                let mut share = self.share.unwrap_or_else(ShareOptions::isolated);
-                if let Some(diversify) = self.diversify {
-                    share.diversify = diversify;
-                }
-                share
-            },
+            diversify: self.diversify,
             incremental: self.incremental.unwrap_or(true),
-            frontier_range: self.frontier_range,
-            retry: self.retry.unwrap_or_default(),
+            retry: self.retry,
         })
     }
 
@@ -1197,7 +1155,7 @@ impl<'a> PebblingSession<'a> {
             &plan,
             callback,
             token,
-            self.cache.clone(),
+            None,
             self.executor.as_ref(),
             None,
         ))
@@ -1219,11 +1177,7 @@ impl<'a> PebblingSession<'a> {
 
 /// The unified `(minimum, floor)` pair for a finished engine run.
 fn certified(dag: &Dag, plan: &SessionPlan, outcome: &SessionOutcome) -> (Option<usize>, usize) {
-    let structural = if plan.base.encoding.weighted {
-        weighted_pebble_lower_bound(dag)
-    } else {
-        pebble_lower_bound(dag)
-    };
+    let (structural, _) = budget_window(dag, plan.base.encoding.weighted);
     let achieved =
         |strategy: &Strategy| achieved_budget(dag, plan.base.encoding.weighted, strategy);
     match outcome {
@@ -1608,8 +1562,8 @@ impl SessionRuntime {
     }
 
     /// The runtime's root token; children of it are what per-session
-    /// tokens should descend from, so [`cancel_all`](Self::cancel_all)
-    /// reaches everything.
+    /// tokens should descend from, so cancelling the root stops every
+    /// running and queued session.
     pub fn root(&self) -> &CancelToken {
         &self.root
     }
@@ -1617,12 +1571,6 @@ impl SessionRuntime {
     /// Sessions currently admitted (spawned and not yet released).
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Fires the root token: every running and queued session descending
-    /// from it stops promptly.
-    pub fn cancel_all(&self) {
-        self.root.cancel();
     }
 
     /// Claims an admission slot, or `None` when the runtime is already
@@ -1865,7 +1813,7 @@ fn execute_plan(
             (outcome, vec![row])
         }
         Engine::SinglePortfolio | Engine::MinimizePortfolio | Engine::MinimizePortfolioShared => {
-            let configs = if fixed {
+            let mut configs = if fixed {
                 default_portfolio(plan.base, plan.workers)
                     .into_iter()
                     .map(|base| MinimizeConfig {
@@ -1876,18 +1824,14 @@ fn execute_plan(
             } else {
                 default_minimize_portfolio(plan.base, plan.workers)
             };
-            let share = if plan.engine == Engine::MinimizePortfolioShared {
-                plan.share
-            } else {
-                // An isolated race still honors the diversification knob:
-                // jitter needs no pool, only distinct worker configs.
-                ShareOptions {
-                    diversify: plan.share.diversify,
-                    ..ShareOptions::isolated()
-                }
-            };
+            // Jitter needs no pool, only distinct worker configs, so an
+            // isolated race diversifies too.
+            if plan.diversify {
+                diversify_minimize_portfolio(&mut configs);
+            }
+            let shared = plan.engine == Engine::MinimizePortfolioShared;
             let race = on_pool(executor, configs.len(), |executor| {
-                race_minimize(dag, configs, run, share, executor)
+                race_minimize(dag, configs, run, shared, executor)
             });
             let rows = race_rows(&race.workers, race.winner, describe);
             if !fixed {
@@ -1903,7 +1847,7 @@ fn execute_plan(
             (SessionOutcome::Portfolio(race), rows)
         }
         Engine::Frontier => {
-            let points = frontier_on(dag, run, plan.frontier_range);
+            let points = frontier_on(dag, run);
             let row = summarize(
                 format!("frontier/{}", describe_options(&plan.base)),
                 &points,
@@ -1938,7 +1882,7 @@ mod tests {
             Engine::MinimizeIncremental
         );
         assert_eq!(
-            engine(PebblingSession::new(&dag).minimize().fresh_per_probe()),
+            engine(PebblingSession::new(&dag).minimize().incremental(false)),
             Engine::MinimizeFresh
         );
         assert_eq!(
@@ -1950,7 +1894,7 @@ mod tests {
                 PebblingSession::new(&dag)
                     .minimize()
                     .portfolio(2)
-                    .share_clauses(ShareOptions::default())
+                    .share_clauses()
             ),
             Engine::MinimizePortfolioShared
         );
@@ -1966,21 +1910,24 @@ mod tests {
         let plan = PebblingSession::new(&dag)
             .minimize()
             .portfolio(2)
-            .diversify(true)
+            .diversify()
             .plan()
             .expect("valid");
-        assert_eq!(plan.engine, Engine::MinimizePortfolio);
-        assert!(plan.share.diversify);
-        assert!(!plan.share.clauses, "diversify alone shares nothing");
+        assert!(plan.diversify);
+        assert_eq!(
+            plan.engine,
+            Engine::MinimizePortfolio,
+            "diversify alone shares nothing"
+        );
         let plan = PebblingSession::new(&dag)
             .minimize()
             .portfolio(2)
-            .share_clauses(ShareOptions::default())
-            .diversify(true)
+            .share_clauses()
+            .diversify()
             .plan()
             .expect("valid");
         assert_eq!(plan.engine, Engine::MinimizePortfolioShared);
-        assert!(plan.share.diversify && plan.share.clauses && plan.share.bounds);
+        assert!(plan.diversify);
     }
 
     #[test]
@@ -2058,23 +2005,21 @@ mod tests {
             SessionError::BudgetWithMinimize { budget: 4 }
         );
         assert_eq!(
-            err(PebblingSession::new(&dag)
-                .minimize()
-                .share_clauses(ShareOptions::default())),
+            err(PebblingSession::new(&dag).minimize().share_clauses()),
             SessionError::ShareClausesWithoutPortfolio
         );
         assert_eq!(
             err(PebblingSession::new(&dag)
                 .pebbles(4)
                 .portfolio(4)
-                .share_clauses(ShareOptions::default())),
+                .share_clauses()),
             SessionError::ShareClausesWithoutMinimize
         );
         assert_eq!(
             err(PebblingSession::new(&dag)
                 .minimize()
                 .portfolio(2)
-                .fresh_per_probe()),
+                .incremental(false)),
             SessionError::FreshPortfolio
         );
         assert_eq!(
@@ -2090,14 +2035,14 @@ mod tests {
             SessionError::FrontierWithPortfolio
         );
         assert_eq!(
-            err(PebblingSession::new(&dag).minimize().diversify(true)),
+            err(PebblingSession::new(&dag).minimize().diversify()),
             SessionError::DiversifyWithoutPortfolio
         );
         assert_eq!(
             err(PebblingSession::new(&dag)
                 .pebbles(4)
                 .portfolio(4)
-                .diversify(true)),
+                .diversify()),
             SessionError::DiversifyWithoutPortfolio
         );
         assert_eq!(
@@ -2223,6 +2168,46 @@ mod tests {
         };
         assert!(points.len() >= 3, "budgets 3..=6 probed: {points:?}");
         assert!(report.to_json().contains("\"frontier\":["));
+    }
+
+    /// `dag` with node `i` weighing `weights[i]`.
+    fn reweighted(dag: &Dag, weights: &[u32]) -> Dag {
+        let mut out = Dag::new();
+        for name in dag.input_names() {
+            out.add_input(name.clone());
+        }
+        for (v, &weight) in dag.node_ids().zip(weights) {
+            let node = dag.node(v);
+            out.add_node_weighted(node.name.clone(), node.op, node.fanins.clone(), weight)
+                .expect("same shape as a valid DAG");
+        }
+        for &output in dag.outputs() {
+            out.mark_output(output);
+        }
+        out
+    }
+
+    #[test]
+    fn a_weighted_frontier_sweeps_weight_units() {
+        // Every node of the paper example weighs 2 (total 12): the sweep
+        // must probe weight budgets 12 down to the first failure, not the
+        // node-count range 3..=6.
+        let dag = reweighted(&paper_example(), &[2; 6]);
+        let session = || PebblingSession::new(&dag).weighted(true).max_steps(60);
+        let minimize = session().minimize().run().expect("valid configuration");
+        assert_eq!(minimize.minimum, Some(8));
+        let report = session()
+            .sweep_frontier()
+            .run()
+            .expect("valid configuration");
+        assert_eq!(report.minimum, Some(8));
+        assert!(
+            report
+                .to_json()
+                .contains("\"frontier\":[[7,null],[8,12],[9,12],[10,10],[11,10],[12,10]]"),
+            "{}",
+            report.to_json()
+        );
     }
 
     #[test]
@@ -2390,32 +2375,27 @@ mod tests {
     #[test]
     fn a_repeated_dag_is_served_from_the_result_cache() {
         let dag = paper_example();
-        let cache = Arc::new(ResultCache::default());
+        let runtime = SessionRuntime::new(1).expect("one worker");
+        // Spawned and joined in turn, so each lookup sees every earlier
+        // insert.
+        let run = |session: PebblingSession<'_>| {
+            runtime
+                .spawn(session, runtime.root().child())
+                .expect("valid configuration")
+                .join()
+        };
         // A decisive step cap: the budget-3 probe is refuted at once
         // instead of waiting out the default probe timeout.
-        let first = PebblingSession::new(&dag)
-            .minimize()
-            .max_steps(60)
-            .result_cache(Arc::clone(&cache))
-            .run()
-            .expect("valid configuration");
+        let first = run(PebblingSession::new(&dag).minimize().max_steps(60));
         assert_eq!((first.cache_hits, first.cache_misses), (0, 1));
-        let again = PebblingSession::new(&dag)
-            .minimize()
-            .max_steps(60)
-            .result_cache(Arc::clone(&cache))
-            .run()
-            .expect("valid configuration");
+        let again = run(PebblingSession::new(&dag).minimize().max_steps(60));
         assert_eq!((again.cache_hits, again.cache_misses), (1, 0));
         assert_eq!(again.minimum, first.minimum);
         assert!(again.workers.is_empty(), "no solver ran on the hit");
         // A different plan on the same DAG is a different key.
-        let other = PebblingSession::new(&dag)
-            .pebbles(4)
-            .result_cache(Arc::clone(&cache))
-            .run()
-            .expect("valid configuration");
+        let other = run(PebblingSession::new(&dag).pebbles(4));
         assert_eq!((other.cache_hits, other.cache_misses), (0, 1));
+        let cache = runtime.cache();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
@@ -2474,7 +2454,7 @@ mod tests {
                     .expect("valid configuration")
             })
             .collect();
-        runtime.cancel_all();
+        runtime.root().cancel();
         let reports: Vec<Report> = handles.into_iter().map(SessionHandle::join).collect();
         assert_eq!(reports.len(), 2, "partial reports still join");
     }

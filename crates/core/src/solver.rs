@@ -20,9 +20,7 @@ use revpebble_sat::{
     CancelToken, Heartbeat, SharedClausePool, SolveResult, SolverConfig, SolverStats,
 };
 
-use crate::bounds::{
-    parallel_step_lower_bound, pebble_lower_bound, step_lower_bound, weighted_pebble_lower_bound,
-};
+use crate::bounds::{budget_window, parallel_step_lower_bound, step_lower_bound};
 use crate::encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
 use crate::session::{achieved_budget, ProbeEvent, ProbeEventSender};
 use crate::sharing::SharedSearchState;
@@ -307,11 +305,7 @@ impl<'a> PebbleSolver<'a> {
     /// The structural pebble lower bound in the units the options use:
     /// weight units in weighted mode, node counts otherwise.
     fn budget_lower_bound(&self) -> usize {
-        if self.options.encoding.weighted {
-            weighted_pebble_lower_bound(self.dag)
-        } else {
-            pebble_lower_bound(self.dag)
-        }
+        budget_window(self.dag, self.options.encoding.weighted).0
     }
 
     /// Runs the search (see the [module docs](self) and [`StepSchedule`]).
@@ -1014,9 +1008,9 @@ pub(crate) struct MinimizeContext {
     /// exhausts it counts as unsolvable at that budget, exactly as in the
     /// paper. A fixed-budget session passes its whole-solve timeout.
     pub(crate) per_query: Option<Duration>,
-    /// The budgets the run may probe, `(low, high)`; `None` searches from
-    /// the structural lower bound to the full budget. A fixed budget `p`
-    /// is the one-point window `(p, p)`.
+    /// The budgets the run may probe, `(low, high)`; `None` searches the
+    /// [`budget_window`]. A fixed budget `p` is the one-point window
+    /// `(p, p)`; a frontier sweep walks the window downward.
     pub(crate) window: Option<(usize, usize)>,
     /// How the budget axis is walked.
     pub(crate) schedule: BudgetSchedule,
@@ -1065,19 +1059,8 @@ pub(crate) struct MinimizeContext {
 /// probe ([`MinimizeResult::best`]).
 pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> MinimizeResult {
     let weighted = ctx.base.encoding.weighted;
-    let structural = if weighted {
-        weighted_pebble_lower_bound(dag)
-    } else {
-        pebble_lower_bound(dag)
-    };
-    let (lower, top) = ctx.window.unwrap_or_else(|| {
-        let top = if weighted {
-            usize::try_from(dag.total_weight()).expect("total weight fits usize")
-        } else {
-            dag.num_nodes()
-        };
-        (structural, top)
-    });
+    let (structural, top) = budget_window(dag, weighted);
+    let (lower, top) = ctx.window.unwrap_or((structural, top));
     let prober = Prober::new(dag, &ctx);
     let shared = prober.shared_state();
     // A window reaching below the structural bound still probes its low
@@ -1174,6 +1157,7 @@ pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> Mini
 mod tests {
     use super::*;
     use crate::baselines::bennett;
+    use crate::bounds::pebble_lower_bound;
     use crate::session::{PebblingSession, SessionOutcome};
     use revpebble_graph::generators::{and_tree, chain, paper_example, random_dag};
 
@@ -1218,7 +1202,7 @@ mod tests {
             PebblingSession::new(dag)
                 .solver_options(base)
                 .minimize()
-                .fresh_per_probe()
+                .incremental(false)
                 .per_query_timeout(per_query),
         )
     }

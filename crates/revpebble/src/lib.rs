@@ -60,7 +60,7 @@
 //! // Clause sharing needs a minimize portfolio to share within.
 //! let err = PebblingSession::new(&dag)
 //!     .minimize()
-//!     .share_clauses(ShareOptions::default())
+//!     .share_clauses()
 //!     .run()
 //!     .expect_err("rejected at plan time");
 //! assert_eq!(err, SessionError::ShareClausesWithoutPortfolio);
@@ -90,7 +90,7 @@
 //! let report = PebblingSession::new(&dag)
 //!     .minimize()
 //!     .portfolio(2)
-//!     .share_clauses(ShareOptions::default())
+//!     .share_clauses()
 //!     .max_steps(60)
 //!     .per_query_timeout(Duration::from_secs(30))
 //!     .on_event(move |event| sink.lock().unwrap().push(event))
@@ -152,8 +152,8 @@ pub mod prelude {
         Engine, Executor, FaultKind, FaultPlan, FaultSite, Heartbeat, MinimizeResult, Move,
         MoveMode, PebbleOutcome, PebbleSolver, PebblingSession, PortfolioOutcome, ProbeEvent,
         ProbeVerdict, Report, ResultCache, RetryPolicy, SessionError, SessionHandle,
-        SessionOutcome, SessionRuntime, ShareOptions, SharedClausePool, SharedSearchState,
-        SolverOptions, StopReason, Strategy,
+        SessionOutcome, SessionRuntime, SharedClausePool, SharedSearchState, SolverOptions,
+        StopReason, Strategy,
     };
     pub use crate::graph::{parse_bench, Dag, NodeId, Op, Slp, Source};
 }

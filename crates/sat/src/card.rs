@@ -1,8 +1,9 @@
-//! CNF encodings of cardinality constraints (`Σ xᵢ ≤ k` and friends).
+//! CNF encodings of the cardinality constraint `Σ xᵢ ≤ k`.
 //!
 //! The pebbling encoding of the paper constrains every time step with
 //! "at most `P` pebbles" (Section III-B, cardinality clauses). This module
-//! provides several standard encodings so the trade-off can be benchmarked:
+//! provides several standard encodings of it, chosen by [`CardEncoding`],
+//! so the trade-off can be benchmarked:
 //!
 //! - `pairwise`: binomial encoding, no auxiliary variables, `O(n²)`
 //!   clauses — only sensible for small `n` or `k = 1`.
@@ -10,7 +11,9 @@
 //!   variables and clauses; unit propagation maintains arc consistency.
 //! - `totalizer`: Bailleux–Boufkhad unary totalizer truncated at
 //!   `k + 1`; good when the same literals participate in several bounds.
-//! - `commander`: commander encoding for at-most-one.
+//!
+//! A bound close to `n` is encoded through its dual, "at least `n − k`
+//! negated literals" ([`at_least_k_totalizer`]).
 //!
 //! For searches that probe *many* bounds over the same literals (the
 //! Table I pebble-minimization loop), [`IncrementalTotalizer`] keeps the
@@ -161,55 +164,6 @@ fn build_totalizer_lower(sink: &mut impl CnfSink, lits: &[Lit], cap: usize) -> V
     out
 }
 
-/// Encodes `Σ lits ≥ k` (via `Σ ¬lits ≤ n − k`).
-pub fn at_least_k(sink: &mut impl CnfSink, lits: &[Lit], k: usize, encoding: CardEncoding) {
-    if k == 0 {
-        return;
-    }
-    if k == 1 {
-        sink.emit_clause(lits);
-        return;
-    }
-    let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-    at_most_k(sink, &negated, lits.len().saturating_sub(k), encoding);
-}
-
-/// Encodes `Σ lits = k`.
-pub fn exactly_k(sink: &mut impl CnfSink, lits: &[Lit], k: usize, encoding: CardEncoding) {
-    at_most_k(sink, lits, k, encoding);
-    at_least_k(sink, lits, k, encoding);
-}
-
-/// Pairwise at-most-one: one clause per pair, no auxiliary variables.
-pub fn at_most_one_pairwise(sink: &mut impl CnfSink, lits: &[Lit]) {
-    for i in 0..lits.len() {
-        for j in (i + 1)..lits.len() {
-            sink.emit_clause(&[!lits[i], !lits[j]]);
-        }
-    }
-}
-
-/// Commander at-most-one: splits literals into groups of 3 with a commander
-/// variable per group, recursing on the commanders. `O(n)` clauses.
-pub fn commander(sink: &mut impl CnfSink, lits: &[Lit]) {
-    if lits.len() <= 3 {
-        at_most_one_pairwise(sink, lits);
-        return;
-    }
-    let mut commanders = Vec::with_capacity(lits.len().div_ceil(3));
-    for group in lits.chunks(3) {
-        let c = sink.add_var().positive();
-        // At most one within the group.
-        at_most_one_pairwise(sink, group);
-        // Any group member implies the commander.
-        for &lit in group {
-            sink.emit_clause(&[!lit, c]);
-        }
-        commanders.push(c);
-    }
-    commander(sink, &commanders);
-}
-
 /// Binomial encoding: every `(k+1)`-subset yields a clause.
 fn pairwise(sink: &mut impl CnfSink, lits: &[Lit], k: usize) {
     let mut subset: Vec<usize> = (0..=k).collect();
@@ -327,7 +281,6 @@ pub fn weighted_at_most_k(sink: &mut impl CnfSink, items: &[(Lit, usize)], k: us
 pub struct IncrementalTotalizer {
     outputs: Vec<Lit>,
     total: usize,
-    cap: usize,
 }
 
 impl IncrementalTotalizer {
@@ -340,21 +293,9 @@ impl IncrementalTotalizer {
     /// Builds the counter over weighted literals (full output range, so any
     /// bound up to the total weight can later be assumed).
     pub fn new_weighted(sink: &mut impl CnfSink, items: &[(Lit, usize)]) -> Self {
-        Self::with_cap(sink, items, usize::MAX)
-    }
-
-    /// Builds the counter keeping at most `cap` outputs. Bounds `< cap` can
-    /// be assumed; bounds `≥` the total weight are trivially true; bounds in
-    /// between are inexpressible and make
-    /// [`at_most_assumption`](Self::at_most_assumption) panic.
-    pub fn with_cap(sink: &mut impl CnfSink, items: &[(Lit, usize)], cap: usize) -> Self {
         let total: usize = items.iter().map(|&(_, w)| w).sum();
-        let outputs = build_weighted_unary(sink, items, cap);
-        let totalizer = IncrementalTotalizer {
-            outputs,
-            total,
-            cap,
-        };
+        let outputs = build_weighted_unary(sink, items, usize::MAX);
+        let totalizer = IncrementalTotalizer { outputs, total };
         totalizer.emit_monotonicity(sink);
         totalizer
     }
@@ -379,37 +320,16 @@ impl IncrementalTotalizer {
         if added == 0 {
             return;
         }
-        let fresh = build_weighted_unary(sink, items, self.cap);
-        self.outputs = merge_unary(sink, &self.outputs, &fresh, self.cap);
+        let fresh = build_weighted_unary(sink, items, usize::MAX);
+        self.outputs = merge_unary(sink, &self.outputs, &fresh, usize::MAX);
         self.total += added;
         self.emit_monotonicity(sink);
     }
 
     /// The assumption literal asserting "total true weight ≤ k", or `None`
     /// when the bound is trivially satisfied (`k ≥` total weight).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counter was built with a `cap ≤ k` that truncated the
-    /// output needed to express this bound.
     pub fn at_most_assumption(&self, k: usize) -> Option<Lit> {
-        if k >= self.total {
-            return None;
-        }
-        assert!(
-            k < self.outputs.len(),
-            "bound {k} needs output {k} but the totalizer was capped at {}",
-            self.outputs.len()
-        );
-        Some(!self.outputs[k])
-    }
-
-    /// Permanently asserts "total true weight ≤ k" as a unit clause (the
-    /// non-incremental use of the same counter).
-    pub fn assert_at_most(&self, sink: &mut impl CnfSink, k: usize) {
-        if let Some(lit) = self.at_most_assumption(k) {
-            sink.emit_clause(&[lit]);
-        }
+        (k < self.total).then(|| !self.outputs[k])
     }
 
     /// `out[j+1] → out[j]`: redundant but lets an assumed `!out[k]`
@@ -486,33 +406,22 @@ mod tests {
     use crate::solver::SolveResult;
 
     /// Exhaustively verifies that an encoding admits exactly the assignments
-    /// with `≤ k` (resp. `≥ k`, `= k`) true literals among `n` inputs.
-    fn check_bound(n: usize, k: usize, mode: &str, encoding: CardEncoding) {
+    /// with `≤ k` true literals among `n` inputs.
+    fn check_bound(n: usize, k: usize, encoding: CardEncoding) {
         for pattern in 0u32..(1 << n) {
             let mut solver = Solver::new();
             let vars = solver.new_vars(n);
             let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-            match mode {
-                "at_most" => at_most_k(&mut solver, &lits, k, encoding),
-                "at_least" => at_least_k(&mut solver, &lits, k, encoding),
-                "exactly" => exactly_k(&mut solver, &lits, k, encoding),
-                _ => unreachable!(),
-            }
+            at_most_k(&mut solver, &lits, k, encoding);
             let assumptions: Vec<Lit> = (0..n)
                 .map(|i| Lit::new(vars[i], pattern & (1 << i) != 0))
                 .collect();
-            let count = pattern.count_ones() as usize;
-            let expected = match mode {
-                "at_most" => count <= k,
-                "at_least" => count >= k,
-                "exactly" => count == k,
-                _ => unreachable!(),
-            };
+            let expected = pattern.count_ones() as usize <= k;
             let result = solver.solve_with(&assumptions);
             assert_eq!(
                 result == SolveResult::Sat,
                 expected,
-                "mode={mode} n={n} k={k} pattern={pattern:b} encoding={encoding:?}"
+                "n={n} k={k} pattern={pattern:b} encoding={encoding:?}"
             );
         }
     }
@@ -521,7 +430,7 @@ mod tests {
     fn sequential_counter_matches_popcount() {
         for n in 1..=6 {
             for k in 0..=n {
-                check_bound(n, k, "at_most", CardEncoding::SequentialCounter);
+                check_bound(n, k, CardEncoding::SequentialCounter);
             }
         }
     }
@@ -530,7 +439,7 @@ mod tests {
     fn totalizer_matches_popcount() {
         for n in 1..=6 {
             for k in 0..=n {
-                check_bound(n, k, "at_most", CardEncoding::Totalizer);
+                check_bound(n, k, CardEncoding::Totalizer);
             }
         }
     }
@@ -539,25 +448,7 @@ mod tests {
     fn pairwise_matches_popcount() {
         for n in 1..=5 {
             for k in 0..=n {
-                check_bound(n, k, "at_most", CardEncoding::Pairwise);
-            }
-        }
-    }
-
-    #[test]
-    fn at_least_matches_popcount() {
-        for n in 1..=5 {
-            for k in 0..=n {
-                check_bound(n, k, "at_least", CardEncoding::SequentialCounter);
-            }
-        }
-    }
-
-    #[test]
-    fn exactly_matches_popcount() {
-        for n in 1..=5 {
-            for k in 0..=n {
-                check_bound(n, k, "exactly", CardEncoding::Totalizer);
+                check_bound(n, k, CardEncoding::Pairwise);
             }
         }
     }
@@ -568,7 +459,7 @@ mod tests {
         // the semantics anyway.
         for n in 4..=8 {
             for k in (n * 2 / 3 + 1)..n {
-                check_bound(n, k, "at_most", CardEncoding::SequentialCounter);
+                check_bound(n, k, CardEncoding::SequentialCounter);
             }
         }
     }
@@ -597,27 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn commander_at_most_one() {
-        for n in [1usize, 2, 3, 4, 7, 10] {
-            for pattern in 0u32..(1 << n) {
-                let mut solver = Solver::new();
-                let vars = solver.new_vars(n);
-                let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-                commander(&mut solver, &lits);
-                let assumptions: Vec<Lit> = (0..n)
-                    .map(|i| Lit::new(vars[i], pattern & (1 << i) != 0))
-                    .collect();
-                let expected = pattern.count_ones() <= 1;
-                assert_eq!(
-                    solver.solve_with(&assumptions) == SolveResult::Sat,
-                    expected,
-                    "n={n} pattern={pattern:b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn encoding_into_cnf_counts_clauses() {
         let mut cnf = Cnf::new(6);
         let lits: Vec<Lit> = (0..6).map(|i| Var::from_index(i).positive()).collect();
@@ -631,8 +501,6 @@ mod tests {
         let mut cnf = Cnf::new(3);
         let lits: Vec<Lit> = (0..3).map(|i| Var::from_index(i).positive()).collect();
         at_most_k(&mut cnf, &lits, 3, CardEncoding::SequentialCounter);
-        assert!(cnf.is_empty());
-        at_least_k(&mut cnf, &lits, 0, CardEncoding::SequentialCounter);
         assert!(cnf.is_empty());
     }
 

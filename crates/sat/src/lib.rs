@@ -55,7 +55,6 @@ mod heap;
 pub mod pool;
 pub mod reference;
 pub mod solver;
-pub mod tseitin;
 pub mod types;
 
 pub use cancel::{CancelReason, CancelToken, Heartbeat};

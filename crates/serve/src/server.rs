@@ -557,10 +557,10 @@ fn handle_request(
         session = session.portfolio(portfolio);
     }
     if request.share_clauses {
-        session = session.share_clauses(Default::default());
+        session = session.share_clauses();
     }
     if request.diversify {
-        session = session.diversify(true);
+        session = session.diversify();
     }
     if let Some(incremental) = request.incremental {
         session = session.incremental(incremental);

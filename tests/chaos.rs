@@ -314,7 +314,7 @@ proptest! {
             .solver_options(SolverOptions { sat: SolverConfig { faults, ..SolverConfig::default() }, ..decisive })
             .minimize()
             .portfolio(4)
-            .share_clauses(ShareOptions::default())
+            .share_clauses()
             .per_query_timeout(Duration::from_secs(60))
             .executor(Arc::new(Executor::new(4)))
             .run()

@@ -61,7 +61,7 @@ fn shapes(budget: usize) -> Vec<(&'static str, Kind, Shape)> {
         (
             "fresh",
             Kind::Deterministic,
-            Box::new(|s| s.minimize().fresh_per_probe()),
+            Box::new(|s| s.minimize().incremental(false)),
         ),
         (
             "incremental",
@@ -84,11 +84,7 @@ fn shapes(budget: usize) -> Vec<(&'static str, Kind, Shape)> {
         (
             "minimize-portfolio-shared",
             Kind::MinimizeRace,
-            Box::new(|s| {
-                s.minimize()
-                    .portfolio(2)
-                    .share_clauses(ShareOptions::default())
-            }),
+            Box::new(|s| s.minimize().portfolio(2).share_clauses()),
         ),
         (
             "frontier",

@@ -2,24 +2,25 @@
 //! every engine variant that answers the same question must certify
 //! identical minima and identical floors — the incremental engine, the
 //! paper's fresh-per-probe baseline, the descending schedule and the
-//! cooperative portfolio cross-check each other. The session runtime
-//! must be invisible to the answers: a session replayed through a
-//! `ResultCache` and a session spawned onto a `SessionRuntime` report
-//! exactly what the blocking run reports. Probes run in the decisive
-//! regime (generous budgets, adequate step caps) so the answers are
-//! theorems, not clock races.
+//! cooperative portfolio cross-check each other, and the frontier sweep
+//! finds the minimum the minimize engine certifies, weighted or not. The
+//! session runtime must be invisible to the answers: a session replayed
+//! through the runtime's `ResultCache` and a session spawned onto a
+//! `SessionRuntime` report exactly what the blocking run reports. Probes
+//! run in the decisive regime (generous budgets, adequate step caps) so
+//! the answers are theorems, not clock races.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use revpebble::core::{
-    BudgetSchedule, Executor, MinimizeResult, PebblingSession, ResultCache, SessionOutcome,
+    BudgetSchedule, Executor, MinimizeResult, MoveMode, PebblingSession, Report, SessionOutcome,
     SessionRuntime, SolverOptions,
 };
 use revpebble::graph::generators::random_dag;
 use revpebble::graph::Dag;
-use revpebble::prelude::{PebbleOutcome, ShareOptions};
+use revpebble::prelude::PebbleOutcome;
 
 const PER_QUERY: Duration = Duration::from_secs(60);
 
@@ -117,18 +118,18 @@ proptest! {
         };
         prop_assert_eq!(solved(blocking), solved(off_thread));
 
-        // A cached replay serves the identical answer without solving.
-        let cache = Arc::new(ResultCache::default());
-        let first = PebblingSession::new(&dag)
-            .pebbles(budget)
-            .result_cache(Arc::clone(&cache))
-            .run()
-            .expect("a valid configuration");
-        let replay = PebblingSession::new(&dag)
-            .pebbles(budget)
-            .result_cache(Arc::clone(&cache))
-            .run()
-            .expect("a valid configuration");
+        // A cached replay serves the identical answer without solving:
+        // spawned and joined in turn on one runtime, the second run finds
+        // the first one's answer in the runtime's cache.
+        let cached = SessionRuntime::new(1).expect("a worker");
+        let run_cached = || {
+            cached
+                .spawn(PebblingSession::new(&dag).pebbles(budget), cached.root().child())
+                .expect("a valid configuration")
+                .join()
+        };
+        let first = run_cached();
+        let replay = run_cached();
         prop_assert_eq!((replay.cache_hits, replay.cache_misses), (1, 0));
         prop_assert_eq!(replay.minimum, first.minimum);
         prop_assert_eq!(replay.floor, first.floor);
@@ -203,7 +204,7 @@ proptest! {
                 .solver_options(base)
                 .minimize()
                 .portfolio(2)
-                .share_clauses(ShareOptions::default())
+                .share_clauses()
                 .per_query_timeout(PER_QUERY);
             if shared_pool {
                 session = session.executor(Arc::new(Executor::new(2)));
@@ -216,6 +217,70 @@ proptest! {
             prop_assert_eq!(shared_report.minimum, minimum(&single.best));
             if let Some((p, strategy)) = &shared.best {
                 prop_assert!(strategy.validate(&dag, Some(*p)).is_ok());
+            }
+        }
+    }
+}
+
+/// `dag` with node `i` weighing `weights[i]`.
+fn reweighted(dag: &Dag, weights: &[u32]) -> Dag {
+    let mut out = Dag::new();
+    for name in dag.input_names() {
+        out.add_input(name.clone());
+    }
+    for (v, &weight) in dag.node_ids().zip(weights) {
+        let node = dag.node(v);
+        out.add_node_weighted(node.name.clone(), node.op, node.fanins.clone(), weight)
+            .expect("same shape as a valid DAG");
+    }
+    for &output in dag.outputs() {
+        out.mark_output(output);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn frontier_and_minimize_agree_on_the_minimum(
+        inputs in 2usize..4,
+        nodes in 3usize..=8,
+        seed in any::<u64>(),
+        weights in prop::collection::vec(1u32..=3, 8),
+    ) {
+        let dag = reweighted(&random_dag(inputs, nodes, seed), &weights);
+        let session = |weighted| {
+            PebblingSession::new(&dag)
+                .move_mode(MoveMode::Sequential)
+                .max_steps(4 * dag.num_nodes() + 20)
+                .per_query_timeout(PER_QUERY)
+                .weighted(weighted)
+        };
+        let run = |session: PebblingSession<'_>| -> Report {
+            session.run().expect("a valid configuration")
+        };
+        for weighted in [false, true] {
+            let minimize = run(session(weighted).minimize());
+            let frontier = run(session(weighted).sweep_frontier());
+            prop_assert_eq!(
+                frontier.minimum, minimize.minimum,
+                "weighted={}: the frontier and the minimize engine disagree", weighted
+            );
+            let SessionOutcome::Frontier(points) = &frontier.outcome else {
+                panic!("a frontier session ran");
+            };
+            for point in points {
+                let Some(strategy) = &point.strategy else { continue };
+                let valid = if weighted {
+                    strategy.validate_weighted(&dag, Some(point.pebbles as u64))
+                } else {
+                    strategy.validate(&dag, Some(point.pebbles))
+                };
+                prop_assert!(
+                    valid.is_ok(),
+                    "weighted={}: strategy invalid at budget {}", weighted, point.pebbles
+                );
             }
         }
     }

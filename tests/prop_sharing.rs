@@ -51,7 +51,7 @@ proptest! {
             .solver_options(base)
             .minimize()
             .portfolio(4)
-            .share_clauses(ShareOptions::default())
+            .share_clauses()
             .per_query_timeout(per_query)
             .run()
             .expect("a valid configuration");

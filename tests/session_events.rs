@@ -113,7 +113,7 @@ fn shared_portfolio_emits_one_terminal_despite_cancelled_rivals() {
         PebblingSession::new(&dag)
             .minimize()
             .portfolio(4)
-            .share_clauses(ShareOptions::default())
+            .share_clauses()
             .max_steps(60)
             .per_query_timeout(Duration::from_secs(30)),
     );
