@@ -8,15 +8,20 @@
 //! are named in the log as `new-bench (no baseline)` rather than
 //! dropped silently.
 //!
-//! Beyond wall clock, the gate also fails when a clause-sharing counter
-//! (`imports`/`exports`) that was nonzero in the baseline collapses to
-//! zero, when the `clause_sharing` 2→16-worker scaling speedup falls
-//! more than `--max-ratio` below the baseline's speedup, and when the
-//! incremental minimize engine runs more than `--max-incremental-ratio`
-//! (default 1.25) slower than the fresh-per-probe baseline on a
-//! work-matched `b3_m4` run (equal certified budgets — see
-//! [`paired_wall_ratio`]). These checks skip with a note when either
-//! side lacks the relevant entries/fields, so old baselines keep gating.
+//! Beyond wall clock, the gate fails when a `sat_solver` row's
+//! `propagations`, `conflicts` or `arena_gcs` differ from the baseline at
+//! all: those rows solve fixed formulas on one thread with no clock, so
+//! their counters repeat exactly and a difference is a changed search
+//! (see [`compare_exact_counters`]). It also fails when a clause-sharing
+//! counter (`imports`/`exports`) that was nonzero in the baseline
+//! collapses to zero, when the `clause_sharing` 2→16-worker scaling
+//! speedup falls more than `--max-ratio` below the baseline's speedup,
+//! and when the incremental minimize engine runs more than
+//! `--max-incremental-ratio` (default 1.25) slower than the
+//! fresh-per-probe baseline on a work-matched `b3_m4` run (equal
+//! certified budgets — see [`paired_wall_ratio`]). These checks skip
+//! with a note when either side lacks the relevant entries/fields, so
+//! old baselines keep gating.
 //!
 //! Usage:
 //!   cargo run -p revpebble-bench --bin bench_gate -- \
@@ -36,8 +41,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use revpebble_bench::{
-    arg_value, compare_bench_records, compare_sharing_fields, paired_wall_ratio, parse_bench_json,
-    scaling_speedup, unmatched_fresh_keys, RatioVerdict,
+    arg_value, compare_bench_records, compare_exact_counters, compare_sharing_fields,
+    paired_wall_ratio, parse_bench_json, scaling_speedup, unmatched_fresh_keys, RatioVerdict,
+    EXACT_COUNTER_BENCH,
 };
 
 fn main() -> ExitCode {
@@ -151,6 +157,27 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("bench_gate: no wall-clock regressions");
+
+    // Search identity: the deterministic rows must repeat their counters
+    // exactly. A deliberate search change re-records the baseline.
+    let moved = compare_exact_counters(&baseline, &fresh);
+    for problem in &moved {
+        eprintln!("  COUNTER {problem}");
+    }
+    if !moved.is_empty() {
+        eprintln!(
+            "bench_gate: {} {EXACT_COUNTER_BENCH} {} from the baseline; \
+             if the search change is deliberate, re-record with --update-baseline",
+            moved.len(),
+            if moved.len() == 1 {
+                "counter differs"
+            } else {
+                "counters differ"
+            }
+        );
+        return ExitCode::FAILURE;
+    }
+    println!("bench_gate: {EXACT_COUNTER_BENCH} counters match the baseline exactly");
 
     // Clause-sharing health: a sharing counter that was alive in the
     // baseline (imports/exports > 0) must not collapse to zero — that

@@ -22,7 +22,9 @@
 //! counters in the committed `BENCH_sat.json` baseline. CI's bench-smoke
 //! job re-runs those benches into a *fresh* file (`BENCH_SAT_JSON=… cargo
 //! bench …`) and then runs the `bench_gate` binary, which fails when any
-//! entry's fresh wall-clock drifts more than 2× above the baseline:
+//! entry's fresh wall-clock drifts more than 2× above the baseline, and
+//! when a deterministic `sat_solver` row's search counters differ from it
+//! at all ([`compare_exact_counters`]):
 //!
 //! ```text
 //! BENCH_SAT_JSON=fresh.json cargo bench -p revpebble-bench --bench minimize_incremental
@@ -237,11 +239,11 @@ pub fn record_bench_json(bench: &'static str, records: &[BenchRecord]) {
 
 /// One parsed `BENCH_sat.json` entry, keyed for baseline comparison.
 ///
-/// The sharing counters are optional: entries written before the
-/// lock-free pool (or by benches that never share) simply lack them, and
+/// The counters are optional: entries written before the lock-free pool
+/// (or by benches that never share) simply lack the sharing ones, and
 /// the parser tolerates *unknown* fields too, so future record shapes
 /// don't break an older gate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParsedBenchEntry {
     /// The emitting bench target.
     pub bench: String,
@@ -249,6 +251,12 @@ pub struct ParsedBenchEntry {
     pub id: String,
     /// Wall-clock seconds of the recorded run.
     pub wall_s: f64,
+    /// SAT propagations, when recorded.
+    pub propagations: Option<u64>,
+    /// SAT conflicts, when recorded.
+    pub conflicts: Option<u64>,
+    /// Clause-arena garbage collections, when recorded.
+    pub arena_gcs: Option<u64>,
     /// Clauses imported from the shared pool, when recorded.
     pub imports: Option<u64>,
     /// Clauses exported to the shared pool, when recorded.
@@ -280,6 +288,9 @@ pub fn parse_bench_json(text: &str) -> Vec<ParsedBenchEntry> {
                 bench: entry.get("bench")?.as_str()?.to_owned(),
                 id: entry.get("id")?.as_str()?.to_owned(),
                 wall_s: entry.get("wall_s")?.as_f64()?,
+                propagations: count("propagations"),
+                conflicts: count("conflicts"),
+                arena_gcs: count("arena_gcs"),
                 imports: count("imports"),
                 exports: count("exports"),
                 dropped: count("dropped"),
@@ -393,6 +404,45 @@ pub fn compare_sharing_fields(
                         "{}/{}: {field} collapsed {b} -> 0 (clause sharing died)",
                         entry.bench, entry.id
                     ));
+                }
+            }
+        }
+    }
+    problems
+}
+
+/// The bench whose rows [`compare_exact_counters`] gates: `sat_solver`
+/// solves fixed formulas on one thread with no clock, no quota and no
+/// pool, so its counters repeat exactly on any machine.
+pub const EXACT_COUNTER_BENCH: &str = "sat_solver";
+
+/// Compares the search counters (propagations, conflicts, arena GCs) of
+/// the matched [`EXACT_COUNTER_BENCH`] entries exactly: on a
+/// deterministic workload any difference means the search itself
+/// changed, however the wall clock moved. Returns one message per
+/// differing counter; entries present on one side only, and counters
+/// either side lacks, are skipped.
+pub fn compare_exact_counters(
+    baseline: &[ParsedBenchEntry],
+    fresh: &[ParsedBenchEntry],
+) -> Vec<String> {
+    let bench = EXACT_COUNTER_BENCH;
+    let mut problems = Vec::new();
+    for entry in fresh.iter().filter(|e| e.bench == bench) {
+        let Some(base) = baseline
+            .iter()
+            .find(|b| b.bench == bench && b.id == entry.id)
+        else {
+            continue;
+        };
+        for (field, base_v, fresh_v) in [
+            ("propagations", base.propagations, entry.propagations),
+            ("conflicts", base.conflicts, entry.conflicts),
+            ("arena_gcs", base.arena_gcs, entry.arena_gcs),
+        ] {
+            if let (Some(b), Some(f)) = (base_v, fresh_v) {
+                if b != f {
+                    problems.push(format!("{bench}/{}: {field} {b} -> {f}", entry.id));
                 }
             }
         }
@@ -617,6 +667,49 @@ mod tests {
         assert_eq!(parsed[0].dropped, Some(1));
         assert_eq!(parsed[0].certified, Some(20));
         assert_eq!(parsed[1].certified, None, "unannotated entries stay None");
+        assert_eq!(
+            (
+                parsed[1].propagations,
+                parsed[1].conflicts,
+                parsed[1].arena_gcs
+            ),
+            (Some(99), Some(9), Some(1))
+        );
+    }
+
+    #[test]
+    fn exact_counters_flag_any_difference_of_the_gated_bench() {
+        let entry = |bench: &str, id: &str, counters: Option<[u64; 3]>| ParsedBenchEntry {
+            bench: bench.to_string(),
+            id: id.to_string(),
+            wall_s: 0.4,
+            propagations: counters.map(|c| c[0]),
+            conflicts: counters.map(|c| c[1]),
+            arena_gcs: counters.map(|c| c[2]),
+            ..ParsedBenchEntry::default()
+        };
+        let baseline = [
+            entry("sat_solver", "same", Some([291_615, 21_813, 16])),
+            entry("sat_solver", "moved", Some([42_706, 3_494, 4])),
+            entry("sat_solver", "unrecorded", None),
+            entry("minimize_incremental", "timed", Some([10, 1, 0])),
+        ];
+        let fresh = [
+            entry("sat_solver", "same", Some([291_615, 21_813, 16])),
+            entry("sat_solver", "moved", Some([42_707, 3_494, 5])), // two counters moved
+            entry("sat_solver", "unrecorded", Some([1, 1, 1])),     // no baseline counters
+            entry("sat_solver", "brand-new", Some([1, 1, 1])),      // no baseline row
+            entry("minimize_incremental", "timed", Some([20, 2, 1])), // not the gated bench
+        ];
+        let problems = compare_exact_counters(&baseline, &fresh);
+        assert_eq!(
+            problems,
+            [
+                "sat_solver/moved: propagations 42706 -> 42707",
+                "sat_solver/moved: arena_gcs 4 -> 5",
+            ]
+        );
+        assert!(compare_exact_counters(&baseline, &baseline).is_empty());
     }
 
     #[test]
@@ -625,10 +718,8 @@ mod tests {
             bench: "minimize_incremental".to_string(),
             id: id.to_string(),
             wall_s,
-            imports: None,
-            exports: None,
-            dropped: None,
             certified,
+            ..ParsedBenchEntry::default()
         };
         let check = |entries: &[ParsedBenchEntry]| {
             paired_wall_ratio(
@@ -748,7 +839,7 @@ mod tests {
             imports,
             exports,
             dropped: Some(0),
-            certified: None,
+            ..ParsedBenchEntry::default()
         };
         let baseline = [
             entry("live", Some(100), Some(50)),
@@ -772,10 +863,7 @@ mod tests {
             bench: "clause_sharing".to_string(),
             id: id.to_string(),
             wall_s,
-            imports: None,
-            exports: None,
-            dropped: None,
-            certified: None,
+            ..ParsedBenchEntry::default()
         };
         let entries = [
             entry("shared/b3_m4/workers2", 8.0),
@@ -800,10 +888,7 @@ mod tests {
             bench: "b".to_string(),
             id: id.to_string(),
             wall_s,
-            imports: None,
-            exports: None,
-            dropped: None,
-            certified: None,
+            ..ParsedBenchEntry::default()
         };
         let baseline = [
             entry("steady", 1.0),

@@ -56,7 +56,8 @@ const META_ACTIVITY: usize = 2;
 /// stores the new offset in `32 − FLAG_BITS` bits, so every record start
 /// must fit in 29 bits (a 2 GiB arena). [`ClauseDb::alloc`] fails fast at
 /// the cap instead of letting a truncated offset silently repoint
-/// watchers at the wrong clause.
+/// watchers at the wrong clause. The cap also leaves the top bits of
+/// every ref zero; the solver's watchers keep a flag there.
 const MAX_ARENA_WORDS: usize = 1 << (32 - FLAG_BITS as usize);
 
 /// A handle to a clause stored in a [`ClauseDb`]: the word offset of its
@@ -69,6 +70,14 @@ impl ClauseRef {
     #[inline]
     pub(crate) fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The ref at word offset `index` (below 2²⁹, like every ref
+    /// [`ClauseDb::alloc`] hands out).
+    #[inline]
+    pub(crate) fn from_index(index: usize) -> Self {
+        debug_assert!(index < MAX_ARENA_WORDS);
+        ClauseRef(index as u32)
     }
 }
 

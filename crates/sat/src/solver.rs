@@ -2,8 +2,13 @@
 //!
 //! The design follows the MiniSat lineage:
 //!
-//! - unit propagation with two watched literals and blocker literals,
-//! - first-UIP conflict analysis with clause minimization,
+//! - unit propagation with two watched literals and blocker literals;
+//!   truth values are stored per literal, so a value is one load, and a
+//!   two-literal clause is propagated from its 8-byte watcher alone,
+//!   without reading the clause arena,
+//! - first-UIP conflict analysis with clause minimization, into reused
+//!   buffers (LBD counted with an epoch-stamped per-level array), so a
+//!   conflict allocates nothing once the buffers have warmed up,
 //! - VSIDS variable activities with phase saving,
 //! - Luby-sequence restarts,
 //! - activity/LBD-based learned-clause database reduction,
@@ -89,10 +94,40 @@ pub struct SolverStats {
     pub stop_reason: Option<CancelReason>,
 }
 
+/// One watch-list entry, 8 bytes: the clause and a blocker literal from
+/// it. A true blocker proves the clause satisfied without reading it.
+/// The top bit of the packed ref flags a two-literal clause, whose
+/// blocker is always its other literal, so the watcher alone decides
+/// whether the clause propagates or conflicts (arena offsets stay below
+/// 2²⁹, see [`ClauseDb::alloc`]).
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
-    cref: ClauseRef,
+    packed: u32,
     blocker: Lit,
+}
+
+/// The binary-clause flag of [`Watcher::packed`].
+const BINARY: u32 = 1 << 31;
+
+impl Watcher {
+    #[inline]
+    fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Self {
+        let flag = if binary { BINARY } else { 0 };
+        Watcher {
+            packed: cref.index() as u32 | flag,
+            blocker,
+        }
+    }
+
+    #[inline]
+    fn cref(self) -> ClauseRef {
+        ClauseRef::from_index((self.packed & !BINARY) as usize)
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.packed & BINARY != 0
+    }
 }
 
 /// Tunable solver parameters. The defaults work well for the pebbling
@@ -162,7 +197,10 @@ pub struct Solver {
     /// watches[p] = clauses to inspect when literal `p` becomes true
     /// (they contain `¬p` as one of their two watched literals).
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Truth value of every literal, indexed by [`Lit::code`]: both
+    /// polarities of a variable are stored, so a literal's value is one
+    /// load.
+    vals: Vec<LBool>,
     polarity: Vec<bool>,
     reason: Vec<Option<ClauseRef>>,
     level: Vec<u32>,
@@ -183,6 +221,12 @@ pub struct Solver {
     seen: Vec<bool>,
     analyze_clear: Vec<Var>,
     analyze_lits: Vec<Lit>,
+    /// The clause [`analyze`](Self::analyze) learns, minimized in place.
+    learnt: Vec<Lit>,
+    /// `level_stamp[l] == lbd_epoch` when decision level `l` was already
+    /// counted in the current LBD computation.
+    level_stamp: Vec<u64>,
+    lbd_epoch: u64,
     /// Scratch for simplifying one imported clause against the level-0
     /// trail (reused so pool imports stop allocating per clause).
     import_tmp: Vec<Lit>,
@@ -243,7 +287,7 @@ impl Solver {
             config,
             clauses: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             reason: Vec::new(),
             level: Vec::new(),
@@ -261,6 +305,9 @@ impl Solver {
             seen: Vec::new(),
             analyze_clear: Vec::new(),
             analyze_lits: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_epoch: 0,
             import_tmp: Vec::new(),
             conflict_budget: None,
             cancel: None,
@@ -283,7 +330,7 @@ impl Solver {
 
     /// Creates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
-        let var = Var::from_index(self.assigns.len());
+        let var = Var::from_index(self.num_vars());
         let activity = if self.config.activity_noise > 0.0 {
             // A uniform draw in [0, noise): enough to perturb the initial
             // branching order, too small to outlive real VSIDS bumps.
@@ -291,7 +338,8 @@ impl Solver {
         } else {
             0.0
         };
-        self.assigns.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.polarity.push(self.config.invert_polarity);
         self.reason.push(None);
         self.level.push(0);
@@ -310,7 +358,7 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of live problem clauses.
@@ -492,7 +540,7 @@ impl Solver {
     /// Current truth value of `lit` in the solver's partial assignment.
     #[inline]
     fn value(&self, lit: Lit) -> LBool {
-        lit_value(&self.assigns, lit)
+        self.vals[lit.code()]
     }
 
     #[inline]
@@ -550,17 +598,17 @@ impl Solver {
 
     fn attach(&mut self, cref: ClauseRef) {
         let lits = self.clauses.lits(cref);
-        let l0 = lits[0];
-        let l1 = lits[1];
-        self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        let (l0, l1, binary) = (lits[0], lits[1], lits.len() == 2);
+        self.watches[(!l0).code()].push(Watcher::new(cref, l1, binary));
+        self.watches[(!l1).code()].push(Watcher::new(cref, l0, binary));
     }
 
     #[inline]
     fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value(lit), LBool::Undef);
         let vi = lit.var().index();
-        self.assigns[vi] = LBool::from_bool(lit.is_positive());
+        self.vals[lit.code()] = LBool::True;
+        self.vals[(!lit).code()] = LBool::False;
         self.level[vi] = self.decision_level();
         self.reason[vi] = reason;
         self.trail.push(lit);
@@ -572,12 +620,11 @@ impl Solver {
     /// read/write cursor pair: relocated watchers are pushed onto other
     /// literals' lists (never `p`'s own — a new watch is by construction
     /// not the falsified literal), kept ones slide down, and one final
-    /// `truncate` drops the tail. Clause literals are read through a
-    /// single slice borrow into the flat arena, with the blocker check
-    /// answered from the watcher itself before the clause is touched at
-    /// all.
+    /// `truncate` drops the tail. A true blocker keeps a watcher without
+    /// touching the clause, and a binary watcher propagates or conflicts
+    /// from the watcher alone; only longer clauses are read, through a
+    /// single slice borrow into the flat arena.
     fn propagate(&mut self) -> Option<ClauseRef> {
-        let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -585,69 +632,70 @@ impl Solver {
 
             let pi = p.code();
             let false_lit = !p;
+            let end = self.watches[pi].len();
             let mut kept = 0usize;
             let mut i = 0usize;
-            'watchers: while i < self.watches[pi].len() {
+            'watchers: while i < end {
                 let w = self.watches[pi][i];
                 i += 1;
-                // Fast path: blocker already satisfied — the clause is
-                // never dereferenced.
-                if lit_value(&self.assigns, w.blocker) == LBool::True {
+                let blocker_value = self.vals[w.blocker.code()];
+                if blocker_value == LBool::True {
                     self.watches[pi][kept] = w;
                     kept += 1;
                     continue;
                 }
-                let lits = self.clauses.lits_mut(w.cref);
-                if lits[0] == false_lit {
-                    lits.swap(0, 1);
-                }
-                debug_assert_eq!(lits[1], false_lit);
-                let first = lits[0];
-                if first != w.blocker && lit_value(&self.assigns, first) == LBool::True {
-                    self.watches[pi][kept] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
+                let cref = w.cref();
+                let (first, first_value) = if w.is_binary() {
+                    // The blocker is the other literal: no arena read.
+                    self.watches[pi][kept] = w;
                     kept += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                for k in 2..lits.len() {
-                    let cand = lits[k];
-                    if lit_value(&self.assigns, cand) != LBool::False {
-                        lits.swap(1, k);
-                        self.watches[(!cand).code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
-                        continue 'watchers;
+                    if blocker_value == LBool::False {
+                        // Analysis reads a conflict clause in order:
+                        // keep the order a long clause's swap leaves.
+                        self.clauses
+                            .lits_mut(cref)
+                            .copy_from_slice(&[w.blocker, false_lit]);
                     }
-                }
-                // No new watch: clause is unit or conflicting.
-                self.watches[pi][kept] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
-                kept += 1;
-                if lit_value(&self.assigns, first) == LBool::False {
-                    // Conflict: keep remaining watchers and stop.
-                    while i < self.watches[pi].len() {
-                        self.watches[pi][kept] = self.watches[pi][i];
-                        kept += 1;
-                        i += 1;
-                    }
-                    self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
+                    (w.blocker, blocker_value)
                 } else {
-                    self.unchecked_enqueue(first, Some(w.cref));
+                    let lits = self.clauses.lits_mut(cref);
+                    if lits[0] == false_lit {
+                        lits.swap(0, 1);
+                    }
+                    debug_assert_eq!(lits[1], false_lit);
+                    let first = lits[0];
+                    let first_value = self.vals[first.code()];
+                    if first_value == LBool::True {
+                        self.watches[pi][kept] = Watcher::new(cref, first, false);
+                        kept += 1;
+                        continue;
+                    }
+                    // Look for a new literal to watch.
+                    for k in 2..lits.len() {
+                        let cand = lits[k];
+                        if self.vals[cand.code()] != LBool::False {
+                            lits.swap(1, k);
+                            self.watches[(!cand).code()].push(Watcher::new(cref, first, false));
+                            continue 'watchers;
+                        }
+                    }
+                    // No new watch: the clause is unit or conflicting.
+                    self.watches[pi][kept] = Watcher::new(cref, first, false);
+                    kept += 1;
+                    (first, first_value)
+                };
+                if first_value == LBool::False {
+                    // Conflict: keep the remaining watchers and stop.
+                    self.watches[pi].copy_within(i..end, kept);
+                    self.watches[pi].truncate(kept + end - i);
+                    self.qhead = self.trail.len();
+                    return Some(cref);
                 }
+                self.unchecked_enqueue(first, Some(cref));
             }
             self.watches[pi].truncate(kept);
-            if conflict.is_some() {
-                break;
-            }
         }
-        conflict
+        None
     }
 
     /// Backtracks to `target_level`, unassigning everything above it.
@@ -660,7 +708,8 @@ impl Solver {
             let lit = self.trail[idx];
             let vi = lit.var().index();
             self.polarity[vi] = lit.is_positive();
-            self.assigns[vi] = LBool::Undef;
+            self.vals[lit.code()] = LBool::Undef;
+            self.vals[(!lit).code()] = LBool::Undef;
             self.reason[vi] = None;
             self.order.insert(lit.var(), &self.activity);
         }
@@ -696,10 +745,15 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for the UIP
+    /// First-UIP conflict analysis. Learns into the reusable
+    /// [`learnt`](Self::learnt) buffer (asserting literal first, a literal
+    /// of the backjump level second), minimizes it in place, and returns
+    /// the backjump level and the clause's LBD. Allocates nothing once
+    /// the buffers have warmed up.
+    fn analyze(&mut self, mut conflict: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder for the UIP
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -708,17 +762,19 @@ impl Solver {
             if self.clauses.is_learnt(conflict) {
                 self.bump_clause(conflict);
             }
-            let start = usize::from(p.is_some());
             // Copy into the reusable scratch buffer (bumping activities
             // below needs `&mut self` while the literals live in the
             // clause arena): no allocation once the buffer has warmed up.
             self.analyze_lits.clear();
             self.analyze_lits
-                .extend_from_slice(&self.clauses.lits(conflict)[start..]);
-            let mut q_idx = 0;
-            while q_idx < self.analyze_lits.len() {
+                .extend_from_slice(self.clauses.lits(conflict));
+            for q_idx in 0..self.analyze_lits.len() {
                 let q = self.analyze_lits[q_idx];
-                q_idx += 1;
+                // A reason clause's implied literal is `p` itself; a
+                // binary clause may keep it in either position.
+                if Some(q) == p {
+                    continue;
+                }
                 let vi = q.var().index();
                 if !self.seen[vi] && self.level[vi] > 0 {
                     self.seen[vi] = true;
@@ -751,14 +807,14 @@ impl Solver {
         learnt[0] = !p.expect("analysis visits at least one literal");
 
         // Clause minimization: drop literals implied by the rest.
-        let mut minimized = Vec::with_capacity(learnt.len());
-        minimized.push(learnt[0]);
-        for &lit in &learnt[1..] {
-            if !self.is_redundant(lit) {
-                minimized.push(lit);
+        let mut len = 1;
+        for i in 1..learnt.len() {
+            if !self.is_redundant(learnt[i]) {
+                learnt[len] = learnt[i];
+                len += 1;
             }
         }
-        let mut learnt = minimized;
+        learnt.truncate(len);
 
         // Find the backjump level and move its literal to position 1.
         let backtrack_level = if learnt.len() == 1 {
@@ -777,27 +833,53 @@ impl Solver {
         for var in self.analyze_clear.drain(..) {
             self.seen[var.index()] = false;
         }
-        (learnt, backtrack_level)
+        let lbd = self.lbd(&learnt);
+        self.learnt = learnt;
+        (backtrack_level, lbd)
     }
 
     /// Local redundancy check: `lit` is redundant in the learned clause if
-    /// its reason clause consists only of literals already in the clause
-    /// (i.e. `seen`) or assigned at level 0.
+    /// the other literals of its reason clause are all already in the
+    /// clause (i.e. `seen`) or assigned at level 0.
     fn is_redundant(&self, lit: Lit) -> bool {
         let Some(reason) = self.reason[lit.var().index()] else {
             return false;
         };
-        self.clauses.lits(reason)[1..].iter().all(|&q| {
+        self.clauses.lits(reason).iter().all(|&q| {
             let vi = q.var().index();
-            self.seen[vi] || self.level[vi] == 0
+            q == !lit || self.seen[vi] || self.level[vi] == 0
         })
     }
 
-    fn lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// Literal block distance: the number of distinct decision levels
+    /// among `lits` (none above the current level: analysis counts before
+    /// it backjumps), in one pass over an epoch-stamped per-level array.
+    /// Satisfied assumptions open levels without a decision, so levels
+    /// can outnumber variables: the array grows on demand.
+    fn lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.lbd_epoch += 1;
+        let levels = self.decision_level() as usize + 1;
+        if self.level_stamp.len() < levels {
+            self.level_stamp.resize(levels, 0);
+        }
+        let mut count = 0;
+        for lit in lits {
+            let level = self.level[lit.var().index()] as usize;
+            if self.level_stamp[level] != self.lbd_epoch {
+                self.level_stamp[level] = self.lbd_epoch;
+                count += 1;
+            }
+        }
+        count
+    }
+
+    /// Whether `cref` is the reason of a current assignment. The implied
+    /// literal of a reason is one of its two watched literals (a binary
+    /// clause keeps it in either position), so both are checked.
+    fn locked(&self, cref: ClauseRef) -> bool {
+        self.clauses.lits(cref)[..2].iter().any(|&lit| {
+            self.reason[lit.var().index()] == Some(cref) && self.value(lit) == LBool::True
+        })
     }
 
     /// Removes roughly half of the learned clauses, preferring clauses with
@@ -825,10 +907,7 @@ impl Solver {
             if self.clauses.lbd(cref) <= 2 {
                 continue; // glue clauses are kept forever
             }
-            let lit0 = self.clauses.lits(cref)[0];
-            let locked =
-                self.reason[lit0.var().index()] == Some(cref) && self.value(lit0) == LBool::True;
-            if locked {
+            if self.locked(cref) {
                 continue;
             }
             self.clauses.free(cref);
@@ -854,9 +933,9 @@ impl Solver {
     fn gc_now(&mut self) {
         let reloc = self.clauses.compact();
         for list in &mut self.watches {
-            list.retain_mut(|w| match reloc.relocate(w.cref) {
+            list.retain_mut(|w| match reloc.relocate(w.cref()) {
                 Some(new) => {
-                    w.cref = new;
+                    *w = Watcher::new(new, w.blocker, w.is_binary());
                     true
                 }
                 None => false,
@@ -943,7 +1022,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(var) = self.order.pop(&self.activity) {
-            if self.assigns[var.index()] == LBool::Undef {
+            if self.value(var.positive()) == LBool::Undef {
                 return Some(var);
             }
         }
@@ -979,8 +1058,9 @@ impl Solver {
                     self.conflict_core.push(lit);
                 }
                 Some(cref) => {
-                    for &q in &self.clauses.lits(cref)[1..] {
-                        if self.level[q.var().index()] > 0 {
+                    // Every literal but the implied one, `lit` itself.
+                    for &q in self.clauses.lits(cref) {
+                        if q != lit && self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
                     }
@@ -1112,21 +1192,20 @@ impl Solver {
                     self.ok = false;
                     return LBool::False;
                 }
-                let (learnt, bt_level) = self.analyze(conflict);
+                let (bt_level, lbd) = self.analyze(conflict);
                 self.cancel_until(bt_level);
+                let learnt = std::mem::take(&mut self.learnt);
+                self.export_learnt(&learnt, lbd);
                 if learnt.len() == 1 {
-                    self.export_learnt(&learnt, 1);
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let lbd = self.lbd(&learnt);
-                    self.export_learnt(&learnt, lbd);
-                    let first = learnt[0];
                     let cref = self.clauses.alloc(&learnt, true);
                     self.clauses.set_lbd(cref, lbd);
                     self.bump_clause(cref);
                     self.attach(cref);
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(learnt[0], Some(cref));
                 }
+                self.learnt = learnt;
                 self.decay_activities();
             } else {
                 if conflicts_here >= conflicts_allowed
@@ -1167,8 +1246,9 @@ impl Solver {
                     None => match self.pick_branch_var() {
                         Some(var) => Lit::new(var, self.polarity[var.index()]),
                         None => {
-                            // Complete assignment: record model.
-                            self.model = self.assigns.clone();
+                            // Complete assignment: record the model, one
+                            // value per variable (its positive literal's).
+                            self.model.extend(self.vals.iter().step_by(2));
                             return LBool::True;
                         }
                     },
@@ -1200,19 +1280,6 @@ impl Solver {
             .iter()
             .map(|v| v.to_bool())
             .collect::<Option<Vec<bool>>>()
-    }
-}
-
-/// Truth value of `lit` under a partial assignment, as a free function so
-/// the propagation loop can consult it while a clause borrow from the
-/// arena is live (disjoint-field borrows).
-#[inline]
-fn lit_value(assigns: &[LBool], lit: Lit) -> LBool {
-    let v = assigns[lit.var().index()];
-    if lit.is_positive() {
-        v
-    } else {
-        v.negate()
     }
 }
 
@@ -1483,6 +1550,84 @@ mod tests {
 
     fn pigeonhole(n: usize) -> Solver {
         pigeonhole_with(n, SolverConfig::default())
+    }
+
+    /// The counters that pin a search: every decision, propagation,
+    /// conflict, restart, deletion and collection must repeat exactly.
+    fn search_counters(stats: SolverStats) -> [u64; 6] {
+        [
+            stats.decisions,
+            stats.propagations,
+            stats.conflicts,
+            stats.restarts,
+            stats.deleted_clauses,
+            stats.arena_gcs,
+        ]
+    }
+
+    #[test]
+    fn pigeonhole_search_is_pinned_counter_for_counter() {
+        // Exact counters, not bounds: a kernel change that alters the
+        // search (watch order, literal order in analysis, LBD values)
+        // shows here first.
+        let mut s = pigeonhole(7);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(search_counters(s.stats()), [4264, 42706, 3494, 17, 2371, 4]);
+        let mut s = pigeonhole_with(7, aggressive_gc_config());
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(
+            search_counters(s.stats()),
+            [12399, 142473, 10125, 44, 9088, 56]
+        );
+    }
+
+    #[test]
+    fn assumption_sequence_is_pinned_counter_for_counter() {
+        // Random 3-SAT below the phase transition (100 variables, 380
+        // clauses, xorshift-seeded), re-solved under a walk of five-literal
+        // assumption sets: Sat answers, and Unsat answers whose cores
+        // `analyze_final` builds.
+        let mut state = 0x5EED_0003_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut s = Solver::new();
+        let vars = s.new_vars(100);
+        for _ in 0..380 {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(vars[(next() % 100) as usize], next() & 1 == 0))
+                .collect();
+            s.add_clause(clause);
+        }
+        let mut answers = Vec::new();
+        for round in 0..12 {
+            let assumptions: Vec<Lit> = (0..5)
+                .map(|i| Lit::new(vars[(i * 7 + round) % 100], (round >> (i % 4)) & 1 == 0))
+                .collect();
+            let result = s.solve_with(&assumptions);
+            let core: Vec<i32> = s.unsat_core().iter().map(|l| l.to_dimacs()).collect();
+            answers.push((result, core));
+        }
+        use SolveResult::{Sat, Unsat};
+        let expected = [
+            (Unsat, vec![29, 22, 15, 8, 1]),
+            (Unsat, vec![-30, 23, 16, 9, -2]),
+            (Sat, vec![]),
+            (Sat, vec![]),
+            (Sat, vec![]),
+            (Sat, vec![]),
+            (Sat, vec![]),
+            (Unsat, vec![-36, 29, -22, -15, -8]),
+            (Unsat, vec![37, -30, 23, 16, 9]),
+            (Sat, vec![]),
+            (Sat, vec![]),
+            (Sat, vec![]),
+        ];
+        assert_eq!(answers, expected);
+        assert_eq!(search_counters(s.stats()), [847, 14889, 579, 1, 0, 0]);
     }
 
     #[test]

@@ -20,6 +20,17 @@ fn arb_cnf(max_vars: usize, max_clauses: usize) -> impl Strategy<Value = Cnf> {
     })
 }
 
+/// A learned-clause cap of (almost) zero: a database reduction — and
+/// with it a mark-compact arena GC relocating watchers and trail reasons
+/// — after nearly every conflict.
+fn gc_heavy_config() -> SolverConfig {
+    SolverConfig {
+        min_learnts: 1.0,
+        learntsize_factor: 0.0,
+        ..SolverConfig::default()
+    }
+}
+
 fn solve_cdcl(cnf: &Cnf) -> (SolveResult, Option<Vec<bool>>) {
     let mut solver = Solver::new();
     solver.new_vars(cnf.num_vars);
@@ -68,30 +79,37 @@ proptest! {
         }
         let oracle = brute_force(&strengthened);
 
-        let mut solver = Solver::new();
-        solver.new_vars(cnf.num_vars);
-        for clause in &cnf.clauses {
-            solver.add_clause(clause.iter().copied());
+        for config in [SolverConfig::default(), gc_heavy_config()] {
+            let mut solver = Solver::with_config(config);
+            solver.new_vars(cnf.num_vars);
+            for clause in &cnf.clauses {
+                solver.add_clause(clause.iter().copied());
+            }
+            let result = solver.solve_with(&assumptions);
+            prop_assert_eq!(result == SolveResult::Sat, oracle.is_some());
+            if result == SolveResult::Unsat {
+                // The core is a subset of the assumptions that refutes
+                // the formula on its own.
+                let core = solver.unsat_core().to_vec();
+                let mut refuted = cnf.clone();
+                for &lit in &core {
+                    prop_assert!(assumptions.contains(&lit), "{:?} not assumed: {:?}", lit, core);
+                    refuted.add_clause([lit]);
+                }
+                prop_assert!(brute_force(&refuted).is_none(), "core {:?} is satisfiable", core);
+            }
+            // The solver stays usable afterwards and gives the unconditional answer.
+            let unconditional = solver.solve();
+            prop_assert_eq!(unconditional == SolveResult::Sat, brute_force(&cnf).is_some());
         }
-        let result = solver.solve_with(&assumptions);
-        prop_assert_eq!(result == SolveResult::Sat, oracle.is_some());
-        // The solver stays usable afterwards and gives the unconditional answer.
-        let unconditional = solver.solve();
-        prop_assert_eq!(unconditional == SolveResult::Sat, brute_force(&cnf).is_some());
     }
 
     #[test]
     fn gc_heavy_solver_agrees_with_reference(cnf in arb_cnf(10, 40)) {
-        // A learned-clause cap of (almost) zero forces a database
-        // reduction — and with it a mark-compact arena GC relocating
-        // watchers and trail reasons — after nearly every conflict. The
+        // Reductions and arena GCs after nearly every conflict: the
         // solver must still agree with the brute-force oracle, and its
         // models must still satisfy the formula.
-        let mut solver = Solver::with_config(SolverConfig {
-            min_learnts: 1.0,
-            learntsize_factor: 0.0,
-            ..SolverConfig::default()
-        });
+        let mut solver = Solver::with_config(gc_heavy_config());
         solver.new_vars(cnf.num_vars);
         for clause in &cnf.clauses {
             solver.add_clause(clause.iter().copied());

@@ -7,11 +7,11 @@ use revpebble::graph::generators::{and_tree, chain, paper_example, random_dag};
 use revpebble::graph::slp::{edwards_add_projective, h_operator};
 use revpebble::prelude::*;
 
-/// Solve, validate, compile and verify one DAG under a pebble budget.
-/// Uses the exponential-refine schedule so boundary-hard instances stay
-/// fast in CI; optimality is asserted elsewhere (`paper_claims`, `exact`).
-fn pipeline(dag: &Dag, budget: usize) -> (Strategy, CompiledCircuit) {
-    let options = revpebble::core::SolverOptions {
+/// Exponential-refine search options under a pebble budget, so
+/// boundary-hard instances stay fast in CI; optimality is asserted
+/// elsewhere (`paper_claims`, `exact`).
+fn options(budget: usize) -> revpebble::core::SolverOptions {
+    revpebble::core::SolverOptions {
         encoding: revpebble::core::EncodingOptions {
             max_pebbles: Some(budget),
             ..Default::default()
@@ -19,7 +19,21 @@ fn pipeline(dag: &Dag, budget: usize) -> (Strategy, CompiledCircuit) {
         schedule: revpebble::core::StepSchedule::ExponentialRefine,
         timeout: Some(std::time::Duration::from_secs(60)),
         ..Default::default()
-    };
+    }
+}
+
+/// Solve, validate, compile and verify one DAG under a pebble budget.
+fn pipeline(dag: &Dag, budget: usize) -> (Strategy, CompiledCircuit) {
+    pipeline_with(dag, options(budget))
+}
+
+/// [`pipeline`] under explicit search options; the budget is
+/// `options.encoding.max_pebbles`.
+fn pipeline_with(
+    dag: &Dag,
+    options: revpebble::core::SolverOptions,
+) -> (Strategy, CompiledCircuit) {
+    let budget = options.encoding.max_pebbles.expect("a pebble budget");
     let strategy = revpebble::core::PebbleSolver::new(dag, options)
         .solve()
         .into_strategy()
@@ -97,7 +111,15 @@ fn edwards_program_pebbles_with_half_the_memory() {
     let dag = edwards_add_projective().to_dag().expect("valid");
     let naive = bennett(&dag);
     assert_eq!(naive.max_pebbles(&dag), 20);
-    let (strategy, _) = pipeline(&dag, 10);
+    // Bounded by conflicts, not the clock, so the outcome cannot depend
+    // on machine speed: 10,000 conflicts per query solve P=10 (half
+    // that ends in a timeout).
+    let options = revpebble::core::SolverOptions {
+        timeout: None,
+        query_conflicts: Some(10_000),
+        ..options(10)
+    };
+    let (strategy, _) = pipeline_with(&dag, options);
     assert!(strategy.max_pebbles(&dag) <= 10);
 }
 
