@@ -31,8 +31,7 @@ use std::time::Instant;
 use revpebble_graph::{Dag, NodeId};
 use revpebble_sat::card::{self, CardEncoding, IncrementalTotalizer};
 use revpebble_sat::{
-    CancelReason, CancelToken, Heartbeat, Lit, SharedClausePool, SolveResult, Solver, SolverConfig,
-    Var,
+    CancelReason, CancelToken, Lit, SharedClausePool, SolveResult, Solver, SolverConfig, Var,
 };
 
 use crate::strategy::{Move, Strategy};
@@ -189,12 +188,6 @@ impl<'a> PebbleEncoding<'a> {
     pub fn set_cancel_token(&mut self, cancel: Option<CancelToken>) {
         self.solver.set_cancel_token(cancel.clone());
         self.cancel = cancel;
-    }
-
-    /// Installs the session watchdog's liveness [`Heartbeat`] on the
-    /// underlying solver (see [`Solver::set_heartbeat`]).
-    pub fn set_heartbeat(&mut self, heartbeat: Option<Heartbeat>) {
-        self.solver.set_heartbeat(heartbeat);
     }
 
     /// Connects the underlying solver to a portfolio clause-sharing pool

@@ -78,8 +78,8 @@ pub use portfolio::{
     MinimizePortfolioOutcome, MinimizeWorkerReport, PortfolioOutcome, RaceWorker, SharingReport,
 };
 pub use session::{
-    AdmitGuard, Engine, PebblingSession, ProbeEvent, Report, SessionError, SessionHandle,
-    SessionOutcome, SessionPlan, SessionRuntime, StopReason, WorkerSummary,
+    Engine, PebblingSession, ProbeEvent, Report, SessionError, SessionHandle, SessionOutcome,
+    SessionPlan, SessionRuntime, StopReason, WorkerSummary,
 };
 pub use sharing::SharedSearchState;
 pub use solver::{
@@ -91,4 +91,4 @@ pub use strategy::{InvalidStrategy, Move, Step, Strategy};
 pub use revpebble_sat::card::CardEncoding;
 pub use revpebble_sat::faults;
 pub use revpebble_sat::pool::{PoolConfig, PoolStats, SharedClausePool};
-pub use revpebble_sat::{CancelReason, CancelToken, FaultKind, FaultPlan, FaultSite, Heartbeat};
+pub use revpebble_sat::{CancelReason, CancelToken, FaultKind, FaultPlan, FaultSite};

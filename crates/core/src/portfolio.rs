@@ -346,12 +346,12 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
 
 /// The one race driver: runs the minimize engine once per configuration
 /// as jobs on `executor`, first-to-complete-takes-all. Every worker runs
-/// `run` — the session's probe settings, window, token, event sink and
-/// heartbeat — under its own configuration and its own child of the race
-/// token, and the first worker to finish a *complete* search with a
-/// certified budget cancels the race, which stops the rivals inside the
-/// CDCL loop. The returned `best` is the smallest budget certified by
-/// anyone — a cancelled rival may have descended further than the winner.
+/// `run` — the session's probe settings, window, token and event sink —
+/// under its own configuration and its own child of the race token, and
+/// the first worker to finish a *complete* search with a certified budget
+/// cancels the race, which stops the rivals inside the CDCL loop. The
+/// returned `best` is the smallest budget certified by anyone — a
+/// cancelled rival may have descended further than the winner.
 ///
 /// When `shared`, the workers exchange short learnt clauses verbatim
 /// through one [`SharedClausePool`] and pool certified refutations and

@@ -71,9 +71,7 @@ use std::time::{Duration, Instant};
 
 use revpebble_graph::{Dag, DagError};
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelReason, CancelToken, Heartbeat, SolverStats};
-
-use revpebble_sat::card::CardEncoding;
+use revpebble_sat::{CancelReason, CancelToken, SolverStats};
 
 use crate::bounds::budget_window;
 use crate::cache::{CacheKey, CachedReport, ResultCache};
@@ -490,8 +488,8 @@ pub enum StopReason {
         count: usize,
     },
     /// [`SessionHandle::join`] cancelled a wedged session and detached
-    /// from it: its token had fired but its heartbeat stayed still for
-    /// the whole detach grace period.
+    /// from it: its token had fired but its conflict count stood still
+    /// for the whole detach grace period.
     Detached,
 }
 
@@ -957,12 +955,6 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Cardinality encoding for the per-step pebble bound.
-    pub fn card_encoding(mut self, encoding: CardEncoding) -> Self {
-        self.base.encoding.card_encoding = encoding;
-        self
-    }
-
     /// Bound the total *weight* of pebbled nodes instead of their count.
     pub fn weighted(mut self, weighted: bool) -> Self {
         self.base.encoding.weighted = weighted;
@@ -1157,7 +1149,6 @@ impl<'a> PebblingSession<'a> {
             token,
             None,
             self.executor.as_ref(),
-            None,
         ))
     }
 
@@ -1226,7 +1217,6 @@ fn run_with_runtime(
     token: Option<CancelToken>,
     cache: Option<Arc<ResultCache>>,
     executor: Option<&Arc<Executor>>,
-    heartbeat: Option<Heartbeat>,
 ) -> Report {
     let start = Instant::now();
     let events = ProbeEventSender::new(callback);
@@ -1260,7 +1250,7 @@ fn run_with_runtime(
     // (injected or real) becomes an `Aborted` partial report instead of
     // unwinding through the caller.
     let (engine_result, engine_panicked) = match catch_unwind(AssertUnwindSafe(|| {
-        execute_plan(dag, plan, &events, token.as_ref(), executor, heartbeat)
+        execute_plan(dag, plan, &events, token.as_ref(), executor)
     })) {
         Ok(result) => (result, false),
         Err(_) => ((SessionOutcome::Aborted, Vec::new()), true),
@@ -1344,13 +1334,13 @@ pub struct SessionHandle {
     receiver: mpsc::Receiver<Report>,
     report: Option<Report>,
     engine: Engine,
-    heartbeat: Heartbeat,
     detach_grace: Duration,
     started: Instant,
 }
 
 /// How often [`SessionHandle::join`]'s watchdog wakes to check the
-/// session's token and heartbeat while blocking on the report channel.
+/// session's token and its conflict count while blocking on the report
+/// channel.
 const WATCHDOG_POLL: Duration = Duration::from_millis(25);
 
 impl SessionHandle {
@@ -1362,7 +1352,7 @@ impl SessionHandle {
     }
 
     /// How long [`join`](Self::join) keeps waiting after the session's
-    /// token fired while the heartbeat shows no progress, before it
+    /// token fired while its conflict count stands still, before it
     /// detaches with a [`StopReason::Detached`] report (default 5s).
     pub fn detach_grace(mut self, grace: Duration) -> Self {
         self.detach_grace = grace;
@@ -1390,20 +1380,22 @@ impl SessionHandle {
     /// partial one, with [`Report::stop_reason`] set, when the session
     /// was cancelled.
     ///
-    /// `join` never unwinds and never blocks forever: a session job
-    /// that panicked past its own containment yields a
-    /// [`StopReason::WorkerPanicked`] placeholder report, and once the
-    /// session's token has fired, a watchdog tracks the heartbeat — if
-    /// no solver makes progress for the whole detach grace period, the
-    /// wedged job is cancelled (again) and *detached*: join returns a
-    /// [`StopReason::Detached`] placeholder and the job's thread is
-    /// left to die on its own.
+    /// `join` never unwinds: a session job that panicked past its own
+    /// containment yields a [`StopReason::WorkerPanicked`] placeholder
+    /// report. While the session's token is quiet, `join` waits as long
+    /// as the job runs. Once the token has fired, it never blocks
+    /// forever: a watchdog tracks the session token's conflict count
+    /// ([`CancelToken::used`], charged on every SAT conflict) — if it
+    /// stands still for the whole detach grace period, the wedged job is
+    /// cancelled (again) and *detached*: join returns a
+    /// [`StopReason::Detached`] placeholder and the job's thread is left
+    /// to die on its own.
     pub fn join(mut self) -> Report {
         if let Some(report) = self.report.take() {
             return report;
         }
-        // `None` until the token fires; then the tick count last seen
-        // and when it was seen, to measure heartbeat stalls.
+        // `None` until the token fires; then the conflict count last
+        // seen and when it was seen, to measure stalls.
         let mut stalled: Option<(u64, Instant)> = None;
         loop {
             match self.receiver.recv_timeout(WATCHDOG_POLL) {
@@ -1422,10 +1414,10 @@ impl SessionHandle {
             // explicit) — make sure the latch is set so every child
             // poll sees it.
             self.token.cancel();
-            let ticks = self.heartbeat.ticks();
+            let used = self.token.used();
             let now = Instant::now();
             match stalled {
-                Some((seen, _)) if seen != ticks => stalled = Some((ticks, now)),
+                Some((seen, _)) if seen != used => stalled = Some((used, now)),
                 Some((_, since)) if now.duration_since(since) >= self.detach_grace => {
                     // Escalation, step 2: cancelled, and no conflict in
                     // a whole grace period — the job is wedged
@@ -1433,7 +1425,7 @@ impl SessionHandle {
                     return self.placeholder(StopReason::Detached);
                 }
                 Some(_) => {}
-                None => stalled = Some((ticks, now)),
+                None => stalled = Some((used, now)),
             }
         }
     }
@@ -1459,15 +1451,15 @@ impl SessionHandle {
 
 /// The shared substrate one process multiplexes many sessions onto: a
 /// fixed [`Executor`] pool, a fingerprint-keyed [`ResultCache`], one
-/// root [`CancelToken`], a default per-session conflict quota and a
-/// bounded in-flight gauge for backpressure.
+/// root [`CancelToken`] and a default per-session conflict quota.
 ///
 /// [`spawn`](Self::spawn) is the one way a session leaves the caller's
 /// thread. The CLI `batch` command spawns every input on one runtime and
 /// joins in submit order; the `revpebble-serve` daemon shares one runtime
 /// across every client connection so repeated DAGs hit one cache and all
-/// clients draw from one pool. The runtime is `Clone` — clones share the same pool, cache,
-/// token and gauge — so a connection handler can own a handle to it.
+/// clients draw from one pool. The runtime is `Clone` — clones share the
+/// same pool, cache and token — so a connection handler can own a handle
+/// to it.
 ///
 /// ```
 /// use revpebble_core::session::{PebblingSession, SessionRuntime};
@@ -1493,39 +1485,19 @@ pub struct SessionRuntime {
     cache: Arc<ResultCache>,
     root: CancelToken,
     quota: Option<u64>,
-    max_in_flight: Option<usize>,
-    in_flight: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl fmt::Debug for SessionRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionRuntime")
             .field("quota", &self.quota)
-            .field("max_in_flight", &self.max_in_flight)
-            .field("in_flight", &self.in_flight())
             .finish_non_exhaustive()
-    }
-}
-
-/// An admission slot handed out by [`SessionRuntime::admit`]; dropping
-/// it frees the slot. Hold it for the whole life of the admitted
-/// session (spawn through join) so the gauge means "sessions the pool
-/// has accepted responsibility for".
-#[derive(Debug)]
-pub struct AdmitGuard {
-    in_flight: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl Drop for AdmitGuard {
-    fn drop(&mut self) {
-        self.in_flight
-            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
     }
 }
 
 impl SessionRuntime {
     /// A runtime served by `workers` pool threads (rejects zero), with
-    /// an unbounded admission gauge and no quota.
+    /// no quota.
     pub fn new(workers: usize) -> Result<Self, SessionError> {
         if workers == 0 {
             return Err(SessionError::ZeroWorkerPool);
@@ -1535,8 +1507,6 @@ impl SessionRuntime {
             cache: Arc::new(ResultCache::default()),
             root: CancelToken::new(),
             quota: None,
-            max_in_flight: None,
-            in_flight: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
         })
     }
 
@@ -1544,15 +1514,6 @@ impl SessionRuntime {
     /// SAT conflicts (rides the token tree as a quota-carrying child).
     pub fn per_session_quota(mut self, conflicts: u64) -> Self {
         self.quota = Some(conflicts);
-        self
-    }
-
-    /// Bounds [`admit`](Self::admit) at `sessions` concurrently admitted
-    /// sessions; beyond it admission fails fast (the serve daemon turns
-    /// that into an `"overloaded"` response instead of queueing without
-    /// bound).
-    pub fn max_in_flight(mut self, sessions: usize) -> Self {
-        self.max_in_flight = Some(sessions);
         self
     }
 
@@ -1568,59 +1529,34 @@ impl SessionRuntime {
         &self.root
     }
 
-    /// Sessions currently admitted (spawned and not yet released).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Claims an admission slot, or `None` when the runtime is already
-    /// at [`max_in_flight`](Self::max_in_flight) — the caller's cue to
-    /// shed load *before* spawning.
-    pub fn admit(&self) -> Option<AdmitGuard> {
-        use std::sync::atomic::Ordering;
-        let mut current = self.in_flight.load(Ordering::SeqCst);
-        loop {
-            if self.max_in_flight.is_some_and(|max| current >= max) {
-                return None;
-            }
-            match self.in_flight.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    return Some(AdmitGuard {
-                        in_flight: Arc::clone(&self.in_flight),
-                    })
-                }
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Wires a configured session into the runtime — `token` (a
-    /// descendant of [`root`](Self::root)), the shared cache, the
-    /// per-session quota (tightening, never widening, the session's own)
-    /// — validates it ([`PebblingSession::plan`]), clones the DAG into an
-    /// owned job and submits the whole session to the pool. Returns a
-    /// non-blocking [`SessionHandle`] immediately; a bad configuration
-    /// comes back as a typed [`SessionError`] without consuming a pool
-    /// slot. The session's engines fan their own sub-jobs onto the same
-    /// pool (workers help while waiting, so nested fan-out cannot
-    /// deadlock it).
+    /// Wires a configured session into the runtime and submits it to the
+    /// pool. The session always runs under a quota-carrying child of
+    /// `token` (a descendant of [`root`](Self::root)), which replaces
+    /// any [`cancel_token`](PebblingSession::cancel_token) set on the
+    /// session. The child's quota is the tighter of the session's own
+    /// [`quota`](PebblingSession::quota) and the runtime's
+    /// [`per_session_quota`](Self::per_session_quota), `u64::MAX` when
+    /// neither caps it, so the child counts every conflict the session
+    /// pays: that count is what [`SessionHandle::join`]'s watchdog
+    /// reads. The session also gets the shared cache.
+    ///
+    /// `spawn` validates the session ([`PebblingSession::plan`]), clones
+    /// the DAG into an owned job and returns a non-blocking
+    /// [`SessionHandle`] immediately; a bad configuration comes back as
+    /// a typed [`SessionError`] without consuming a pool slot. The
+    /// session's engines fan their own sub-jobs onto the same pool
+    /// (workers help while waiting, so nested fan-out cannot deadlock
+    /// it).
     pub fn spawn(
         &self,
         session: PebblingSession<'_>,
         token: CancelToken,
     ) -> Result<SessionHandle, SessionError> {
-        let mut session = session.cancel_token(token);
-        if let Some(quota) = self.quota {
-            let own = session.quota.unwrap_or(quota);
-            session = session.quota(own.min(quota));
-        }
+        // The tighter quota; an uncapped child still counts conflicts.
+        let quota = session.quota.into_iter().chain(self.quota).min();
+        let mut session = session.cancel_token(token).quota(quota.unwrap_or(u64::MAX));
         let plan = session.plan()?;
-        // Always `Some`: the cancel token installed above.
+        // Always `Some`: the cancel token and quota installed above.
         let token = session.compose_token().unwrap_or_default();
         let engine = plan.engine;
         let callback = session.on_event.take();
@@ -1628,8 +1564,6 @@ impl SessionRuntime {
         let dag = Arc::new(session.dag.clone());
         let executor = Arc::clone(&self.executor);
         let job_token = token.clone();
-        let heartbeat = Heartbeat::new();
-        let job_heartbeat = heartbeat.clone();
         let (report_tx, report_rx) = mpsc::channel();
         self.executor.submit(move || {
             // Fail point `exec.job`: the whole session is one executor
@@ -1650,7 +1584,6 @@ impl SessionRuntime {
                 Some(job_token),
                 Some(cache),
                 Some(&executor),
-                Some(job_heartbeat),
             );
             let _ = report_tx.send(report);
         });
@@ -1659,7 +1592,6 @@ impl SessionRuntime {
             receiver: report_rx,
             report: None,
             engine,
-            heartbeat,
             detach_grace: Duration::from_secs(5),
             started: Instant::now(),
         })
@@ -1767,7 +1699,6 @@ fn execute_plan(
     events: &ProbeEventSender,
     cancel: Option<&CancelToken>,
     executor: Option<&Arc<Executor>>,
-    heartbeat: Option<Heartbeat>,
 ) -> (SessionOutcome, Vec<WorkerSummary>) {
     let start = Instant::now();
     let fixed = plan.pebbles.is_some();
@@ -1784,7 +1715,6 @@ fn execute_plan(
         cancel: cancel.cloned(),
         events: events.clone(),
         retry: plan.retry,
-        heartbeat,
         ..MinimizeContext::default()
     };
     let describe: fn(&MinimizeConfig) -> String = if fixed {
@@ -1965,15 +1895,82 @@ mod tests {
     }
 
     #[test]
-    fn runtime_admission_is_bounded_and_released_on_drop() {
-        let runtime = SessionRuntime::new(1).expect("workers").max_in_flight(2);
-        let first = runtime.admit().expect("first slot");
-        let _second = runtime.admit().expect("second slot");
-        assert!(runtime.admit().is_none(), "third admit must shed load");
-        assert_eq!(runtime.in_flight(), 2);
-        drop(first);
-        assert_eq!(runtime.in_flight(), 1);
-        assert!(runtime.admit().is_some(), "released slot is reusable");
+    fn a_spawned_session_token_counts_every_worker_conflict() {
+        let dag = paper_example();
+        let sessions = [
+            PebblingSession::new(&dag).minimize(),
+            PebblingSession::new(&dag).minimize().incremental(false),
+            PebblingSession::new(&dag).minimize().portfolio(2),
+        ];
+        for session in sessions {
+            // A fresh runtime each time: a cache hit pays no conflicts.
+            let runtime = SessionRuntime::new(2).expect("workers");
+            let handle = runtime
+                .spawn(session.max_steps(48), runtime.root().child())
+                .expect("valid configuration");
+            let token = handle.token.clone();
+            let report = handle.join();
+            let conflicts: u64 = report.workers.iter().map(|w| w.conflicts).sum();
+            assert!(conflicts > 0, "{}: no conflicts", report.engine);
+            assert_eq!(token.used(), conflicts, "{}", report.engine);
+        }
+    }
+
+    /// A handle over a hand-made job: `token` plays the session's quota
+    /// child and the returned sender the job's report channel.
+    fn handle_over(token: &CancelToken, grace: Duration) -> (SessionHandle, mpsc::Sender<Report>) {
+        let (report_tx, receiver) = mpsc::channel();
+        let handle = SessionHandle {
+            token: token.clone(),
+            receiver,
+            report: None,
+            engine: Engine::Single,
+            detach_grace: grace,
+            started: Instant::now(),
+        };
+        (handle, report_tx)
+    }
+
+    #[test]
+    fn join_waits_out_a_fired_job_whose_conflicts_keep_coming() {
+        let dag = paper_example();
+        let own = PebblingSession::new(&dag)
+            .pebbles(4)
+            .run()
+            .expect("valid configuration");
+        let token = CancelToken::new().child_with_limits(None, Some(u64::MAX));
+        let grace = Duration::from_millis(250);
+        let (handle, report_tx) = handle_over(&token, grace);
+        token.cancel();
+        // The job outlives four grace periods after its token fired,
+        // but pays a conflict every millisecond, so it is slow, not
+        // wedged.
+        let job = std::thread::spawn(move || {
+            let until = Instant::now() + 4 * grace;
+            while Instant::now() < until {
+                token.charge(1);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _ = report_tx.send(own);
+        });
+        let report = handle.join();
+        job.join().expect("the job thread");
+        assert_eq!(report.stop_reason, None, "{report:?}");
+        assert_eq!(report.minimum, Some(4));
+        assert_eq!(report.workers.len(), 1, "the job's own report");
+    }
+
+    #[test]
+    fn join_detaches_from_a_fired_job_whose_count_stands_still() {
+        let token = CancelToken::new().child_with_limits(None, Some(u64::MAX));
+        // The sender stays alive: the job is wedged, not dead.
+        let (handle, _report_tx) = handle_over(&token, Duration::from_millis(250));
+        token.charge(3);
+        token.cancel();
+        let joined_at = Instant::now();
+        let report = handle.join();
+        assert_eq!(report.stop_reason, Some(StopReason::Detached));
+        assert!(joined_at.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 
 use revpebble_graph::Dag;
 use revpebble_sat::faults::{FaultPlan, FaultSite};
-use revpebble_sat::{
-    CancelToken, Heartbeat, SharedClausePool, SolveResult, SolverConfig, SolverStats,
-};
+use revpebble_sat::{CancelToken, SharedClausePool, SolveResult, SolverConfig, SolverStats};
 
 use crate::bounds::{budget_window, parallel_step_lower_bound, step_lower_bound};
 use crate::encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
@@ -169,8 +167,6 @@ pub struct SearchStats {
     pub queries: usize,
     /// Largest `K` encoded.
     pub max_k: usize,
-    /// Total SAT conflicts across all queries.
-    pub conflicts: u64,
 }
 
 /// Iterative-deepening solver for one pebbling instance.
@@ -199,9 +195,6 @@ pub struct PebbleSolver<'a> {
     /// Clause-sharing pool, attached to the encoding's solver when the
     /// encoding is (re)built.
     pool: Option<Arc<SharedClausePool>>,
-    /// Session-watchdog liveness counter, installed on the encoding's
-    /// solver (current and rebuilt).
-    heartbeat: Option<Heartbeat>,
 }
 
 impl<'a> PebbleSolver<'a> {
@@ -224,7 +217,6 @@ impl<'a> PebbleSolver<'a> {
             encoding: None,
             shared: Arc::new(SharedSearchState::new()),
             pool: None,
-            heartbeat: None,
         }
     }
 
@@ -250,16 +242,6 @@ impl<'a> PebbleSolver<'a> {
             encoding.set_cancel_token(cancel.clone());
         }
         self.cancel = cancel;
-    }
-
-    /// Installs the session watchdog's liveness [`Heartbeat`], ticked by
-    /// the underlying SAT solver on every conflict (see
-    /// [`revpebble_sat::Solver::set_heartbeat`]).
-    pub fn set_heartbeat(&mut self, heartbeat: Option<Heartbeat>) {
-        if let Some(encoding) = self.encoding.as_mut() {
-            encoding.set_heartbeat(heartbeat.clone());
-        }
-        self.heartbeat = heartbeat;
     }
 
     /// Replaces the solver's private refutation blackboard with a shared
@@ -362,7 +344,6 @@ impl<'a> PebbleSolver<'a> {
                     self.options.sat,
                 );
                 encoding.set_cancel_token(self.cancel.clone());
-                encoding.set_heartbeat(self.heartbeat.clone());
                 if let Some(pool) = self.pool.clone() {
                     encoding.attach_clause_pool(pool);
                 }
@@ -443,7 +424,6 @@ impl<'a> PebbleSolver<'a> {
         let result = encoding.solve_at(k, self.options.query_conflicts, budget);
         self.stats.max_k = self.stats.max_k.max(k);
         self.sat_stats = encoding.solver().stats();
-        self.stats.conflicts = self.sat_stats.conflicts;
         if result == SolveResult::Unsat {
             let p = self.options.encoding.max_pebbles.unwrap_or(usize::MAX);
             self.shared.record_refuted(p, k);
@@ -740,7 +720,6 @@ pub(crate) struct FreshProber<'a> {
     dag: &'a Dag,
     base: SolverOptions,
     cancel: Option<CancelToken>,
-    heartbeat: Option<Heartbeat>,
     search: SearchStats,
     sat: SolverStats,
     last: SolverStats,
@@ -773,7 +752,6 @@ impl<'a> Prober<'a> {
             base.encoding.bound_mode = BoundMode::Assumed;
             let mut solver = PebbleSolver::new(dag, base);
             solver.set_cancel_token(ctx.cancel.clone());
-            solver.set_heartbeat(ctx.heartbeat.clone());
             if let Some(shared) = ctx.shared.clone() {
                 solver.set_shared_state(shared);
             }
@@ -787,7 +765,6 @@ impl<'a> Prober<'a> {
                 dag,
                 base,
                 cancel: ctx.cancel.clone(),
-                heartbeat: ctx.heartbeat.clone(),
                 search: SearchStats::default(),
                 sat: SolverStats::default(),
                 last: SolverStats::default(),
@@ -824,11 +801,9 @@ impl<'a> Prober<'a> {
                 options.encoding.max_pebbles = Some(p);
                 let mut solver = PebbleSolver::new(fresh.dag, options);
                 solver.set_cancel_token(fresh.cancel.clone());
-                solver.set_heartbeat(fresh.heartbeat.clone());
                 let outcome = solver.solve();
                 fresh.search.queries += solver.stats().queries;
                 fresh.search.max_k = fresh.search.max_k.max(solver.stats().max_k);
-                fresh.search.conflicts += solver.stats().conflicts;
                 fresh.last = solver.sat_stats();
                 fresh.sat = sum_stats(fresh.sat, fresh.last);
                 outcome
@@ -1044,9 +1019,6 @@ pub(crate) struct MinimizeContext {
     /// and spurious probe-token cancellations). The default never
     /// retries.
     pub(crate) retry: RetryPolicy,
-    /// Session-watchdog liveness counter, ticked by this run's SAT
-    /// solver(s) on every conflict.
-    pub(crate) heartbeat: Option<Heartbeat>,
 }
 
 /// The minimize engine under every session executor and every worker of

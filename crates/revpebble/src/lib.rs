@@ -148,12 +148,11 @@ pub mod prelude {
     pub use crate::circuit::{compile, verify, Circuit, CompiledCircuit, VerifyOutcome};
     pub use crate::core::baselines::{bennett, cone_wise};
     pub use crate::core::{
-        AdmitGuard, BudgetSchedule, CancelReason, CancelToken, CardEncoding, EncodingOptions,
-        Engine, Executor, FaultKind, FaultPlan, FaultSite, Heartbeat, MinimizeResult, Move,
-        MoveMode, PebbleOutcome, PebbleSolver, PebblingSession, PortfolioOutcome, ProbeEvent,
-        ProbeVerdict, Report, ResultCache, RetryPolicy, SessionError, SessionHandle,
-        SessionOutcome, SessionRuntime, SharedClausePool, SharedSearchState, SolverOptions,
-        StopReason, Strategy,
+        BudgetSchedule, CancelReason, CancelToken, CardEncoding, EncodingOptions, Engine, Executor,
+        FaultKind, FaultPlan, FaultSite, MinimizeResult, Move, MoveMode, PebbleOutcome,
+        PebbleSolver, PebblingSession, PortfolioOutcome, ProbeEvent, ProbeVerdict, Report,
+        ResultCache, RetryPolicy, SessionError, SessionHandle, SessionOutcome, SessionRuntime,
+        SharedClausePool, SharedSearchState, SolverOptions, StopReason, Strategy,
     };
     pub use crate::graph::{parse_bench, Dag, NodeId, Op, Slp, Source};
 }

@@ -229,38 +229,12 @@ impl CancelToken {
         self.inner.deadline
     }
 
-    /// Conflicts charged so far against this token's own quota.
+    /// Conflicts charged so far against this token's own quota; a token
+    /// without a quota counts nothing. The session watchdog reads this
+    /// count as its liveness signal: a fired token whose count stands
+    /// still belongs to a wedged job.
     pub fn used(&self) -> u64 {
         self.inner.used.load(Ordering::Relaxed)
-    }
-}
-
-/// A shared liveness counter: the solver ticks it on every conflict, and
-/// the session watchdog reads it to distinguish a *slow* worker (ticks
-/// still advancing — keep waiting) from a *wedged* one (no ticks across
-/// a grace window after its token fired — cancel, then detach). Cloning
-/// shares the counter, like [`CancelToken`].
-#[derive(Debug, Clone, Default)]
-pub struct Heartbeat {
-    ticks: Arc<AtomicU64>,
-}
-
-impl Heartbeat {
-    /// A fresh heartbeat with zero ticks.
-    pub fn new() -> Heartbeat {
-        Heartbeat::default()
-    }
-
-    /// Records one unit of progress (one conflict). Relaxed: the watchdog
-    /// only compares successive reads, it never synchronizes on them.
-    #[inline]
-    pub fn tick(&self) {
-        self.ticks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total ticks so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
     }
 }
 
@@ -361,16 +335,6 @@ mod tests {
         let u = t.clone();
         t.cancel();
         assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn heartbeat_clones_share_one_counter() {
-        let hb = Heartbeat::new();
-        let observer = hb.clone();
-        assert_eq!(observer.ticks(), 0);
-        hb.tick();
-        hb.tick();
-        assert_eq!(observer.ticks(), 2);
     }
 
     // --- concurrent-fire coverage -----------------------------------

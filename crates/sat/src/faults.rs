@@ -1,14 +1,14 @@
 //! Deterministic fail-point injection for chaos testing.
 //!
-//! A [`FaultPlan`] arms one or more named **fail-point sites** — fixed
-//! places in the solver/session stack ([`FaultSite`]) — with a fault to
-//! inject on a specific visit. Sites are polled from hot paths, so the
+//! A [`FaultPlan`] arms one named **fail-point site** — a fixed place
+//! in the solver/session stack ([`FaultSite`]) — with a fault to inject
+//! on a specific visit. Sites are polled from hot paths, so the
 //! disabled plan ([`FaultPlan::none`], the default everywhere) is a
 //! single `Option` check and nothing else: no clock, no atomics, no
 //! allocation.
 //!
-//! Determinism: every site keeps a per-plan visit counter, and an arm
-//! fires on exactly the visit whose ordinal equals the arm's `seed`.
+//! Determinism: every site keeps a per-plan visit counter, and the arm
+//! fires on exactly the visit whose ordinal equals its `seed`.
 //! Re-running the same workload with the same plan injects the fault at
 //! the same site visit, which is what makes the chaos test matrix
 //! (`tests/chaos.rs`) reproducible.
@@ -185,10 +185,10 @@ impl fmt::Debug for Arm {
 
 #[derive(Debug)]
 struct PlanInner {
-    arms: Vec<Arm>,
+    arm: Arm,
     /// Per-site visit counters, indexed by [`FaultSite::index`].
     hits: [AtomicU64; 7],
-    /// How many arms have fired so far.
+    /// How many times the arm has fired so far (0 or 1).
     injected: AtomicU64,
 }
 
@@ -227,12 +227,12 @@ impl FaultPlan {
         delay: Duration,
     ) -> FaultPlan {
         let inner = Box::leak(Box::new(PlanInner {
-            arms: vec![Arm {
+            arm: Arm {
                 site,
                 kind,
                 seed,
                 delay,
-            }],
+            },
             hits: Default::default(),
             injected: AtomicU64::new(0),
         }));
@@ -275,15 +275,20 @@ impl FaultPlan {
     /// use [`trip`](Self::trip) for the common application.
     #[inline]
     pub fn check(&self, site: FaultSite) -> Option<FaultKind> {
+        self.fire(site).map(|arm| arm.kind)
+    }
+
+    /// Counts a visit to `site` and returns the arm when it fires on it.
+    #[inline]
+    fn fire(&self, site: FaultSite) -> Option<&'static Arm> {
         let inner = self.inner?;
         let visit = inner.hits[site.index()].fetch_add(1, Ordering::Relaxed);
-        for arm in &inner.arms {
-            if arm.site == site && arm.seed == visit {
-                inner.injected.fetch_add(1, Ordering::Relaxed);
-                return Some(arm.kind);
-            }
+        let arm = &inner.arm;
+        if arm.site != site || arm.seed != visit {
+            return None;
         }
-        None
+        inner.injected.fetch_add(1, Ordering::Relaxed);
+        Some(arm)
     }
 
     /// Polls `site` and applies the common faults in place: panics for
@@ -295,13 +300,13 @@ impl FaultPlan {
     /// with no token to latch also reports `true`.
     #[inline]
     pub fn trip(&self, site: FaultSite, token: Option<&CancelToken>) -> bool {
-        let Some(kind) = self.check(site) else {
+        let Some(arm) = self.fire(site) else {
             return false;
         };
-        match kind {
+        match arm.kind {
             FaultKind::Panic => panic!("injected fault: panic at {site}"),
             FaultKind::Delay => {
-                std::thread::sleep(self.delay_for(site));
+                std::thread::sleep(arm.delay);
                 false
             }
             FaultKind::SpuriousCancel => match token {
@@ -315,15 +320,8 @@ impl FaultPlan {
         }
     }
 
-    fn delay_for(&self, site: FaultSite) -> Duration {
-        self.inner
-            .and_then(|inner| inner.arms.iter().find(|arm| arm.site == site))
-            .map(|arm| arm.delay)
-            .unwrap_or(Duration::from_millis(20))
-    }
-
-    /// How many arms have fired so far (tests assert the fault actually
-    /// triggered).
+    /// How many times the arm has fired so far (tests assert the fault
+    /// actually triggered).
     pub fn injected(&self) -> u64 {
         self.inner
             .map(|inner| inner.injected.load(Ordering::Relaxed))
@@ -338,21 +336,21 @@ impl FaultPlan {
     }
 }
 
-/// Renders only the armed faults, never the pointer or the counters, so
+/// Renders only the armed fault, never the pointer or the counters, so
 /// `Debug`-derived plan hashes are stable and the disabled plan always
 /// renders as `FaultPlan(none)`.
 impl fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.inner {
             None => f.write_str("FaultPlan(none)"),
-            Some(inner) => write!(f, "FaultPlan({:?})", inner.arms),
+            Some(inner) => write!(f, "FaultPlan([{:?}])", inner.arm),
         }
     }
 }
 
 /// Plans compare by identity: two copies of the same plan (sharing the
 /// same counters) are equal; independently built plans are not, even
-/// with identical arms. Disabled plans are all equal.
+/// with an identical arm. Disabled plans are all equal.
 impl PartialEq for FaultPlan {
     fn eq(&self, other: &FaultPlan) -> bool {
         match (self.inner, other.inner) {

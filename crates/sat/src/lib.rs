@@ -57,7 +57,7 @@ pub mod reference;
 pub mod solver;
 pub mod types;
 
-pub use cancel::{CancelReason, CancelToken, Heartbeat};
+pub use cancel::{CancelReason, CancelToken};
 pub use dimacs::{parse_dimacs, Cnf, ParseDimacsError};
 pub use faults::{FaultKind, FaultPlan, FaultSite};
 pub use pool::{ClauseBatch, PoolConfig, PoolStats, Publish, RingStats, SharedClausePool};

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use crate::cancel::{CancelReason, CancelToken, Heartbeat};
+use crate::cancel::{CancelReason, CancelToken};
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::heap::VarHeap;
@@ -130,21 +130,24 @@ impl Watcher {
     }
 }
 
+/// Decay for learned-clause activities (the clause increment grows by
+/// `1/CLAUSE_DECAY` per conflict).
+const CLAUSE_DECAY: f64 = 0.999;
+
+/// Growth factor applied to the learned-clause cap at every reduction.
+const LEARNTSIZE_INC: f64 = 1.1;
+
 /// Tunable solver parameters. The defaults work well for the pebbling
 /// encodings produced by `revpebble-core`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Multiplicative VSIDS decay (activity increment grows by `1/decay`).
     pub var_decay: f64,
-    /// Decay for learned-clause activities.
-    pub clause_decay: f64,
     /// Base interval (in conflicts) of the Luby restart sequence.
     pub restart_base: u64,
     /// Initial cap on the number of learned clauses, as a fraction of the
     /// number of problem clauses.
     pub learntsize_factor: f64,
-    /// Growth factor applied to the learned-clause cap at every reduction.
-    pub learntsize_inc: f64,
     /// Floor of the learned-clause cap, in clauses. The default (1000)
     /// keeps reduction rare on small formulas; tests force frequent
     /// database reductions — and thus arena garbage collections — by
@@ -176,10 +179,8 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             var_decay: 0.95,
-            clause_decay: 0.999,
             restart_base: 100,
             learntsize_factor: 1.0 / 3.0,
-            learntsize_inc: 1.1,
             min_learnts: 1000.0,
             invert_polarity: false,
             activity_noise: 0.0,
@@ -248,9 +249,6 @@ pub struct Solver {
     shared_pool: Option<PoolEndpoint>,
     /// SplitMix64 state behind [`SolverConfig::activity_noise`].
     rng_state: u64,
-    /// Liveness counter for the session watchdog, ticked once per
-    /// conflict (see [`Solver::set_heartbeat`]).
-    heartbeat: Option<Heartbeat>,
 }
 
 /// This solver's view of a [`SharedClausePool`]: its registration id,
@@ -314,7 +312,6 @@ impl Solver {
             conflict_core: Vec::new(),
             shared_pool: None,
             rng_state: config.seed,
-            heartbeat: None,
         }
     }
 
@@ -392,14 +389,6 @@ impl Solver {
     /// The installed cancellation token, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
-    }
-
-    /// Installs a liveness [`Heartbeat`], ticked once per conflict. The
-    /// session watchdog compares successive tick counts to tell a slow
-    /// worker (still ticking) from a wedged one (stalled after its token
-    /// fired). `None` removes it.
-    pub fn set_heartbeat(&mut self, heartbeat: Option<Heartbeat>) {
-        self.heartbeat = heartbeat;
     }
 
     /// Whether the installed cancellation token has latched a stop (cheap:
@@ -732,7 +721,7 @@ impl Solver {
 
     fn decay_activities(&mut self) {
         self.var_inc /= self.config.var_decay;
-        self.clause_inc /= self.config.clause_decay;
+        self.clause_inc /= CLAUSE_DECAY;
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
@@ -1162,12 +1151,6 @@ impl Solver {
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_here += 1;
-                // Conflicts are also the unit of liveness: tick the
-                // watchdog heartbeat so a stalled counter means a truly
-                // wedged worker, not a slow one.
-                if let Some(heartbeat) = &self.heartbeat {
-                    heartbeat.tick();
-                }
                 // Fail point `solver.conflict` (disabled plans cost one
                 // branch). Transient has no error channel this deep, so
                 // it degrades to a spurious cancellation of the query
@@ -1181,10 +1164,11 @@ impl Solver {
                         token.cancel();
                     }
                 }
-                // Conflicts are the work unit of session quotas: charge
-                // the token (and its quota-bearing ancestors) as they
-                // happen, so a batch-level allowance is shared accurately
-                // across concurrent workers.
+                // Conflicts are the work unit of session quotas and the
+                // session watchdog's liveness count: charge the token
+                // (and its quota-bearing ancestors) as they happen, so a
+                // batch-level allowance is shared accurately across
+                // concurrent workers.
                 if let Some(token) = &self.cancel {
                     token.charge(1);
                 }
@@ -1217,7 +1201,7 @@ impl Solver {
                     return LBool::Undef;
                 }
                 if self.clauses.num_learnt() as f64 >= self.max_learnts + self.trail.len() as f64 {
-                    self.max_learnts *= self.config.learntsize_inc;
+                    self.max_learnts *= LEARNTSIZE_INC;
                     self.reduce_db();
                 }
                 // Apply assumptions as pseudo-decisions, then branch.

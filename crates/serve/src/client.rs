@@ -3,7 +3,7 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::protocol::Request;
 
@@ -68,51 +68,28 @@ impl Client {
 }
 
 /// One-shot convenience: connect, send one frame, await one response
-/// under `timeout`, close. This is `revpebble submit`'s engine.
+/// under `timeout`, close. This is `revpebble submit`'s engine. The wait
+/// is one blocking read bounded by `timeout`; no response in time (and
+/// any zero `timeout`, which a socket cannot express) is
+/// [`ErrorKind::TimedOut`].
 pub fn submit_frame(
     addr: impl ToSocketAddrs,
     frame: &str,
     timeout: Duration,
 ) -> std::io::Result<String> {
-    let deadline = Instant::now() + timeout;
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(frame.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "server closed the connection without answering",
-                ))
-            }
-            Ok(_) => {
-                while line.ends_with('\n') || line.ends_with('\r') {
-                    line.pop();
-                }
-                return Ok(line);
-            }
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(std::io::Error::new(
-                        ErrorKind::TimedOut,
-                        format!("no response within {timeout:?}"),
-                    ));
-                }
-            }
-            Err(err) => return Err(err),
-        }
+    let timed_out = || {
+        std::io::Error::new(
+            ErrorKind::TimedOut,
+            format!("no response within {timeout:?}"),
+        )
+    };
+    let mut client = Client::connect(addr)?;
+    if timeout.is_zero() {
+        return Err(timed_out());
     }
+    client.reader.get_ref().set_read_timeout(Some(timeout))?;
+    client.send_raw(frame).map_err(|err| match err.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => timed_out(),
+        _ => err,
+    })
 }

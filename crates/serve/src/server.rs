@@ -24,7 +24,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -157,11 +157,36 @@ struct ServerState {
     faults: FaultPlan,
     max_frame_bytes: usize,
     counters: Counters,
+    /// Requests admitted and not yet answered (spawn through join).
+    in_flight: AtomicUsize,
+    /// Admission bound: [`admit`](Self::admit) sheds beyond it.
+    max_pending: usize,
+}
+
+/// One admission slot; dropping it frees the slot.
+struct Admitted<'a>(&'a AtomicUsize);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl ServerState {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Claims an admission slot, or `None` when `max_pending` requests
+    /// are already in flight. The compare-exchange loop retries on
+    /// contention, so no request is shed while a slot is free.
+    fn admit(&self) -> Option<Admitted<'_>> {
+        self.in_flight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |current| {
+                (current < self.max_pending).then_some(current + 1)
+            })
+            .ok()
+            .map(|_| Admitted(&self.in_flight))
     }
 
     fn stats(&self) -> ServeStats {
@@ -205,7 +230,7 @@ impl ServerHandle {
 
     /// Sessions currently admitted (for load observation).
     pub fn in_flight(&self) -> usize {
-        self.state.runtime.in_flight()
+        self.state.in_flight.load(Ordering::SeqCst)
     }
 }
 
@@ -228,8 +253,7 @@ impl Server {
             ));
         }
         let mut runtime = SessionRuntime::new(config.workers)
-            .map_err(|err| ServeError::Config(err.to_string()))?
-            .max_in_flight(config.max_pending);
+            .map_err(|err| ServeError::Config(err.to_string()))?;
         if let Some(quota) = config.quota {
             runtime = runtime.per_session_quota(quota);
         }
@@ -251,6 +275,8 @@ impl Server {
                 faults: config.faults,
                 max_frame_bytes: config.max_frame_bytes,
                 counters: Counters::default(),
+                in_flight: AtomicUsize::new(0),
+                max_pending: config.max_pending,
             }),
         })
     }
@@ -519,7 +545,7 @@ fn handle_request(
     // sheds load explicitly instead of queueing unboundedly. The guard
     // spans spawn-to-join, so "admitted" means "the pool owes an
     // answer".
-    let Some(_admitted) = state.runtime.admit() else {
+    let Some(_admitted) = state.admit() else {
         state.counters.overloaded.fetch_add(1, Ordering::SeqCst);
         return RequestOutcome::Answered(overloaded_response(&request.name));
     };

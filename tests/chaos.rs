@@ -188,9 +188,10 @@ fn a_batch_quarantines_its_panicked_session_while_the_rest_complete() {
 #[test]
 fn the_watchdog_detaches_from_a_wedged_session() {
     // A 10s entry delay wedges the job before any solver runs (the
-    // heartbeat never ticks). The session deadline fires at 50ms; after
-    // the 100ms detach grace with a still heartbeat, join must return a
-    // Detached placeholder instead of waiting out the sleep.
+    // session token's conflict count never moves). The session deadline
+    // fires at 50ms; after the 100ms detach grace with a still count,
+    // join must return a Detached placeholder instead of waiting out the
+    // sleep.
     let plan = FaultPlan::inject_with_delay(
         FaultSite::ExecJob,
         FaultKind::Delay,

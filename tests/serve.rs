@@ -9,6 +9,8 @@
 //! accept thread joined) before the test returns; nothing may hang — CI
 //! wraps the suite in a hard `timeout`.
 
+use std::io::{BufRead, BufReader, ErrorKind};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use revpebble::graph::json::JsonValue;
@@ -343,9 +345,100 @@ fn load_beyond_max_pending_is_shed_with_an_overloaded_response() {
     .expect("a response line");
     assert_eq!(status_of(&response), "overloaded");
 
-    drop(blocker); // cancel the slow session so shutdown drains quickly
+    // The disconnect cancels the slow session and frees its slot; the
+    // next request is admitted again.
+    drop(blocker);
+    assert!(
+        wait_until(Duration::from_secs(30), || handle.in_flight() == 0),
+        "the blocker's slot must be released"
+    );
+    let response = submit_frame(
+        server.addr,
+        &fast_request("after-shed").to_json(),
+        Duration::from_secs(30),
+    )
+    .expect("a response line");
+    assert_eq!(status_of(&response), "ok");
+
     let stats = server.finish();
     assert!(stats.overloaded >= 1);
+    assert_eq!(stats.ok, 1);
+}
+
+#[test]
+fn connections_beyond_the_hand_off_are_shed_at_the_door() {
+    // One handler and a one-slot hand-off: A owns the handler, B waits
+    // in the hand-off, and C finds it full.
+    let server = start(ServeConfig {
+        connections: 1,
+        ..ServeConfig::default()
+    });
+    let mut a = Client::connect(server.addr).expect("connect A");
+    assert_eq!(status_of(&a.send(&fast_request("a")).expect("A")), "ok");
+    let mut b = Client::connect(server.addr).expect("connect B");
+    let c = TcpStream::connect(server.addr).expect("connect C");
+    let mut line = String::new();
+    BufReader::new(c)
+        .read_line(&mut line)
+        .expect("C reads the shed line");
+    let value = parse_json(&line).expect("valid JSON");
+    assert_eq!(status_of(&line), "overloaded");
+    assert_eq!(
+        value.get("name").and_then(|n| n.as_str()),
+        Some("connection")
+    );
+    assert_eq!(server.handle.stats().overloaded, 1);
+
+    // A leaves, so the handler takes B from the hand-off.
+    drop(a);
+    assert_eq!(status_of(&b.send(&fast_request("b")).expect("B")), "ok");
+    drop(b);
+    let stats = server.finish();
+    assert_eq!(stats.overloaded, 1);
+    assert_eq!(stats.ok, 2);
+    assert_eq!(stats.connections, 2);
+}
+
+#[test]
+fn submit_frame_waits_once_and_names_how_it_ended() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address");
+    // The peer reads each frame before it acts: closing a socket with
+    // unread data resets it, which the client would see as a reset
+    // rather than an end of stream.
+    let peer = std::thread::spawn(move || {
+        let read_frame = |stream: TcpStream| {
+            let mut reader = BufReader::new(stream);
+            let mut frame = String::new();
+            reader.read_line(&mut frame).expect("a frame");
+            reader
+        };
+        let (silent, _) = listener.accept().expect("accept the silent call");
+        let silent = read_frame(silent);
+        let (closing, _) = listener.accept().expect("accept the closing call");
+        drop(read_frame(closing));
+        silent
+    });
+    let frame = fast_request("nobody-answers").to_json();
+
+    let started = Instant::now();
+    let silent = submit_frame(addr, &frame, Duration::from_millis(300)).expect_err("no answer");
+    assert_eq!(silent.kind(), ErrorKind::TimedOut, "{silent}");
+    assert!(
+        started.elapsed() < Duration::from_millis(1500),
+        "{:?}",
+        started.elapsed()
+    );
+
+    let closed = submit_frame(addr, &frame, Duration::from_secs(30)).expect_err("closed");
+    assert_eq!(closed.kind(), ErrorKind::UnexpectedEof, "{closed}");
+    drop(peer.join().expect("the peer thread"));
+
+    // A zero wait cannot be a socket timeout; it times out at once.
+    let idle = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let zero = submit_frame(idle.local_addr().expect("address"), &frame, Duration::ZERO)
+        .expect_err("a zero wait");
+    assert_eq!(zero.kind(), ErrorKind::TimedOut, "{zero}");
 }
 
 #[test]
