@@ -52,9 +52,12 @@ pub struct Args {
     /// `--minimize --portfolio` worker but the first (HordeSat-style
     /// per-worker seeds, restart jitter, polarity inversion, bump noise).
     pub diversify: bool,
-    /// `--retries N`: re-run a session that stopped for a retryable
-    /// reason (worker panic, watchdog detach) up to `N` extra times with
-    /// deterministic exponential backoff. `0` (the default) fails fast.
+    /// `--retries N`: re-run a budget probe that failed transiently up to
+    /// `N` extra times with deterministic exponential backoff — the
+    /// per-probe retry of `PebblingSession::retries`, on `pebble`,
+    /// `minimize`, `frontier` and `batch` alike. Only `batch` also
+    /// re-spawns a session that stopped for a retryable reason (worker
+    /// panic, watchdog detach). `0` (the default) fails fast.
     pub retries: Option<u32>,
     /// `--fault-plan SITE:KIND:SEED[:DELAY_MS]` (undocumented; for chaos
     /// testing): arm a deterministic fail point, e.g.

@@ -103,12 +103,12 @@ const USAGE: &str = "usage:
   revpebble info     <input>
   revpebble bennett  <input> [--grid]
   revpebble pebble   <input> --pebbles P [--mode seq|par] [--portfolio N] [--timeout S]
-                             [--grid] [--qasm] [--json]
+                             [--retries N] [--grid] [--qasm] [--json]
   revpebble pebble   <input> --minimize [--incremental] [--portfolio N] [--share-clauses]
-                             [--diversify] [--timeout S] [--json]
+                             [--diversify] [--timeout S] [--retries N] [--json]
   revpebble minimize <input> [--timeout S] [--incremental] [--portfolio N] [--share-clauses]
-                             [--diversify] [--json]
-  revpebble frontier <input> [--timeout S] [--json]
+                             [--diversify] [--retries N] [--json]
+  revpebble frontier <input> [--timeout S] [--retries N] [--json]
   revpebble batch    <input> [<input>...] [--workers N] [--quota C] [--pebbles P | --minimize]
                              [--timeout S] [--retries N]
   revpebble serve    [--addr HOST:PORT] [--workers N] [--connections N] [--max-pending N]
@@ -138,11 +138,15 @@ serve: a pebbling daemon — one newline-delimited JSON request frame per
 submit: send one request frame to a daemon and print the response line
   on stdout; the input is a builtin name (sent by name), a .bench path
   or '-' (sent inline), or with --raw the frame text itself
+retries: --retries N re-runs a budget probe that failed transiently (an
+  injected fault, a spurious cancel) up to N extra times, with
+  exponential backoff
 batch: every input becomes one session on a shared --workers N pool
   (default: one per core) with a shared result cache — repeated DAGs are
   answered without solving; --quota C caps each session's SAT conflicts;
-  --retries N re-runs a session that died to a worker panic up to N
-  extra times; the report is always one JSON object on stdout
+  --retries N also re-spawns a session that died to a worker panic or a
+  watchdog detach up to N extra times; the report is always one JSON
+  object on stdout
 output: probe events stream to stderr while solving; --json prints the
   session report as one JSON object on stdout
 exit codes: 0 success | 1 runtime failure | 2 invalid usage/configuration";
@@ -286,26 +290,25 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
         .on_event(|event| eprintln!("  {event}"))
         .run()
         .map_err(CliError::Invalid)?;
-    if let SessionOutcome::Portfolio(outcome) = &report.outcome {
-        for (index, worker) in outcome.workers.iter().enumerate() {
-            let role = match outcome.winner {
-                Some(winner) if winner == index => "winner",
-                _ if worker.cancelled => "cancelled",
-                _ => "finished",
+    if plan.engine == Engine::SinglePortfolio {
+        for (index, worker) in report.workers.iter().enumerate() {
+            let role = if worker.winner {
+                "winner"
+            } else if worker.cancelled {
+                "cancelled"
+            } else {
+                "finished"
             };
             eprintln!(
                 "  worker {index}: {role} after {:.1?} ({} queries, {} conflicts)",
-                worker.elapsed, worker.result.search.queries, worker.result.sat.conflicts
+                worker.elapsed, worker.queries, worker.conflicts
             );
         }
         // The winning configuration decides the strategy's move semantics
         // (the race may cross `--mode`), so name it on stdout where the
         // step counts it explains are printed.
-        if let (Some(winning), false) = (outcome.winning_report(), args.json) {
-            println!(
-                "portfolio winner: {}",
-                describe_options(&winning.config.base)
-            );
+        if let (Some(winning), false) = (report.workers.iter().find(|w| w.winner), args.json) {
+            println!("portfolio winner: {}", winning.config);
         }
     }
     if args.json {
@@ -339,10 +342,8 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
 /// Renders a fixed-budget session's failure the way the pre-session CLI
 /// did, from the raw engine outcome.
 fn describe_failure(report: &Report, budget: usize) -> String {
-    let outcome = match &report.outcome {
-        SessionOutcome::Single(outcome) => outcome,
-        SessionOutcome::Portfolio(outcome) => &outcome.outcome,
-        _ => return "the search failed".to_string(),
+    let SessionOutcome::Single(outcome) = &report.outcome else {
+        return "the search failed".to_string();
     };
     match outcome {
         PebbleOutcome::Infeasible { lower_bound } => {

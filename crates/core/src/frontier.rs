@@ -6,8 +6,9 @@
 //! sweeps the pebble budget and reports, for every feasible budget, the
 //! best step count found — the full frontier behind figures like Fig. 5.
 //!
-//! Every budget probe runs through the minimize engine's probe path. By
-//! default the sweep rides **one** persistent
+//! Every budget probe runs through the minimize engine's one probe body,
+//! with the same retries, fail point, events and statistics as a minimize
+//! search. By default the sweep rides **one** persistent
 //! assumption-bounded [`PebbleEncoding`](crate::encoding::PebbleEncoding):
 //! every budget probe re-enters the same solver via
 //! [`PebbleSolver::resolve_with_budget`](crate::solver::PebbleSolver::resolve_with_budget),
@@ -18,9 +19,7 @@
 
 use revpebble_graph::Dag;
 
-use crate::bounds::budget_window;
-use crate::session::{achieved_budget, ProbeEvent};
-use crate::solver::{MinimizeContext, PebbleOutcome, ProbeVerdict, Prober};
+use crate::solver::{MinimizeContext, MinimizeResult, MinimizeRun, ProbeVerdict};
 use crate::strategy::Strategy;
 
 /// One point of the trade-off frontier.
@@ -31,70 +30,46 @@ pub struct FrontierPoint {
     /// The strategy found (step-minimal for this budget if the probe did
     /// not time out), or `None` when the probe failed.
     pub strategy: Option<Strategy>,
-    /// Whether the probe hit its time/step budget rather than proving
-    /// anything.
+    /// Whether the probe ran out of time or conflicts, or was cancelled,
+    /// before deciding its budget. A refuted or step-capped point is
+    /// `false`.
     pub timed_out: bool,
 }
 
-impl FrontierPoint {
-    fn new(pebbles: usize, outcome: PebbleOutcome) -> Self {
-        let (strategy, timed_out) = match outcome {
-            PebbleOutcome::Solved(s) => (Some(s), false),
-            PebbleOutcome::Timeout { .. } => (None, true),
-            PebbleOutcome::StepLimit { .. } | PebbleOutcome::Infeasible { .. } => (None, false),
+/// Sweeps pebble budgets downward through the run's window (`ctx.window`,
+/// or the [`budget_window`](crate::bounds::budget_window) in the units the
+/// encoding budgets), collecting the best strategy per budget, and stops
+/// at the first failure: the frontier is monotone, so further probes
+/// would only confirm failures. Every budget goes through
+/// [`MinimizeRun::attempt`], the minimize engine's probe body, so the
+/// sweep retries, polls fail points, streams events and counts exactly as
+/// a minimize search does, and stops early once the token fires. Returns
+/// the run's result (probe log, counters, certified floor) with the
+/// points in ascending budget order.
+pub(crate) fn frontier_on(dag: &Dag, ctx: MinimizeContext) -> (MinimizeResult, Vec<FrontierPoint>) {
+    let mut run = MinimizeRun::new(dag, ctx);
+    let (low, high) = run.window;
+    let mut points = Vec::new();
+    for pebbles in (low..=high).rev() {
+        if run.stopped() {
+            break;
+        }
+        let (strategy, timed_out) = match run.attempt(pebbles) {
+            Ok((_, strategy)) => (Some(strategy), false),
+            Err(verdict) => (None, matches!(verdict, ProbeVerdict::Timeout { .. })),
         };
-        FrontierPoint {
+        let failed = strategy.is_none();
+        points.push(FrontierPoint {
             pebbles,
             strategy,
             timed_out,
-        }
-    }
-}
-
-/// Sweeps pebble budgets downward through `ctx.window` (`None` = the
-/// [`budget_window`], in weight units in weighted mode), collecting the
-/// best strategy per budget, and stops at the first failure: the
-/// frontier is monotone, so further probes would only confirm failures.
-/// `ctx` also gives the probe settings (`per_query` bounds each budget),
-/// the token and the event sink: every budget probe emits
-/// [`ProbeEvent::ProbeStarted`] and a solved/refuted event, and the sweep
-/// stops early once the token fires.
-pub(crate) fn frontier_on(dag: &Dag, ctx: MinimizeContext) -> Vec<FrontierPoint> {
-    let (min, max) = ctx
-        .window
-        .unwrap_or_else(|| budget_window(dag, ctx.base.encoding.weighted));
-    let mut prober = Prober::new(dag, &ctx);
-    let mut points = Vec::new();
-    for pebbles in (min..=max).rev() {
-        if ctx
-            .cancel
-            .as_ref()
-            .is_some_and(|token| token.poll().is_some())
-        {
-            break;
-        }
-        let probe = points.len();
-        ctx.events.send(ProbeEvent::ProbeStarted {
-            worker: 0,
-            probe,
-            budget: pebbles,
         });
-        let outcome = prober.probe(pebbles);
-        let achieved = outcome
-            .strategy()
-            .map(|strategy| achieved_budget(dag, ctx.base.encoding.weighted, strategy));
-        let verdict = ProbeVerdict::from(&outcome);
-        ctx.events
-            .resolved(0, probe, pebbles, achieved.ok_or(verdict));
-        let point = FrontierPoint::new(pebbles, outcome);
-        let failed = point.strategy.is_none();
-        points.push(point);
         if failed {
             break;
         }
     }
     points.reverse();
-    points
+    (run.finish(), points)
 }
 
 /// Renders a frontier as a compact table (pebbles, steps, gate total).
@@ -153,7 +128,7 @@ mod tests {
     #[test]
     fn paper_example_frontier_is_monotone() {
         let dag = paper_example();
-        let points = frontier_on(&dag, sweep());
+        let (_, points) = frontier_on(&dag, sweep());
         // Budgets 4..=6 are feasible, 3 fails.
         let feasible: Vec<(usize, usize)> = points
             .iter()
@@ -174,8 +149,8 @@ mod tests {
             incremental,
             ..sweep()
         };
-        let persistent = frontier_on(&dag, ctx(true));
-        let fresh = frontier_on(&dag, ctx(false));
+        let (_, persistent) = frontier_on(&dag, ctx(true));
+        let (_, fresh) = frontier_on(&dag, ctx(false));
         let feasible = |points: &[FrontierPoint]| -> Vec<(usize, usize)> {
             points
                 .iter()
@@ -195,7 +170,7 @@ mod tests {
             cancel: Some(token),
             ..sweep()
         };
-        let points = frontier_on(&dag, ctx);
+        let (_, points) = frontier_on(&dag, ctx);
         assert!(points.is_empty(), "a pre-cancelled sweep probes nothing");
     }
 
@@ -206,7 +181,7 @@ mod tests {
             window: Some((5, 6)),
             ..sweep()
         };
-        let points = frontier_on(&dag, ctx);
+        let (_, points) = frontier_on(&dag, ctx);
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|p| p.strategy.is_some()));
     }
@@ -218,7 +193,7 @@ mod tests {
             window: Some((4, 6)),
             ..sweep()
         };
-        let points = frontier_on(&dag, ctx);
+        let (_, points) = frontier_on(&dag, ctx);
         let table = render_frontier(&points, &dag);
         assert!(table.contains("pebbles"));
         assert_eq!(table.lines().count(), 2 + points.len());

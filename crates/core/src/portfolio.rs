@@ -26,11 +26,14 @@
 //! - a fixed budget `p` is the one-point window `[p, p]`: workers race
 //!   diverse solver configurations ([`default_portfolio`]), each probing
 //!   `p` once on a fresh baked-budget solver, and the first strategy
-//!   wins. The race's [`PortfolioOutcome`] reports the winner's strategy
-//!   or the most definite failure.
+//!   wins. The session answers
+//!   [`SessionOutcome::Single`](crate::session::SessionOutcome::Single)
+//!   with the winner's strategy or the most definite failure, and each
+//!   worker is one [`Report::workers`](crate::session::Report::workers)
+//!   row.
 //!
 //! ```
-//! use revpebble_core::{PebblingSession, SessionOutcome};
+//! use revpebble_core::PebblingSession;
 //! use revpebble_graph::generators::paper_example;
 //!
 //! let dag = paper_example();
@@ -39,10 +42,8 @@
 //!     .portfolio(4)
 //!     .run()
 //!     .expect("valid");
-//! let SessionOutcome::Portfolio(race) = &report.outcome else {
-//!     unreachable!("a fixed-budget portfolio runs the fixed-budget race");
-//! };
-//! assert!(race.winner.is_some());
+//! assert_eq!(report.workers.len(), 4);
+//! assert_eq!(report.workers.iter().filter(|w| w.winner).count(), 1);
 //! let strategy = report.into_strategy().expect("solvable");
 //! strategy.validate(&dag, Some(4)).expect("valid");
 //! ```
@@ -61,8 +62,8 @@ use crate::encoding::MoveMode;
 use crate::exec::{scatter_settle, Executor};
 use crate::sharing::SharedSearchState;
 use crate::solver::{
-    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult, PebbleOutcome,
-    SolverOptions, StepSchedule,
+    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult, SolverOptions,
+    StepSchedule,
 };
 use crate::strategy::Strategy;
 
@@ -112,28 +113,6 @@ pub fn describe_options(options: &SolverOptions) -> String {
         "{schedule}/{mode}/{card}/stride{}",
         options.step_stride.max(1)
     )
-}
-
-/// The result of a fixed-budget race: every worker ran the one-point
-/// minimize window `[p, p]` under its own solver configuration.
-#[derive(Debug, Clone)]
-pub struct PortfolioOutcome {
-    /// The portfolio's verdict: the winner's strategy, or the most
-    /// definite failure among the workers (`Infeasible` over `StepLimit`
-    /// over `Timeout`) when nobody solved the instance.
-    pub outcome: PebbleOutcome,
-    /// Index (into [`workers`](Self::workers)) of the worker whose
-    /// strategy won the race, if any.
-    pub winner: Option<usize>,
-    /// One report per worker, in configuration order.
-    pub workers: Vec<MinimizeWorkerReport>,
-}
-
-impl PortfolioOutcome {
-    /// The winning worker's report, if any worker won.
-    pub fn winning_report(&self) -> Option<&MinimizeWorkerReport> {
-        self.winner.map(|idx| &self.workers[idx])
-    }
 }
 
 /// Builds `n` diverse configurations from `base`, cycling through the
@@ -512,8 +491,8 @@ pub(crate) fn race_minimize(
 mod tests {
     use super::*;
     use crate::encoding::EncodingOptions;
-    use crate::session::{PebblingSession, SessionOutcome};
-    use crate::solver::{PebbleSolver, ProbeVerdict};
+    use crate::session::{PebblingSession, SessionOutcome, WorkerSummary};
+    use crate::solver::{PebbleOutcome, PebbleSolver, ProbeVerdict};
     use proptest::prelude::*;
     use revpebble_graph::generators::{paper_example, random_dag};
 
@@ -548,19 +527,20 @@ mod tests {
         }
     }
 
+    /// A fixed-budget race's answer and its worker rows.
     fn solve_with_pebbles_portfolio(
         dag: &Dag,
         max_pebbles: usize,
         workers: usize,
-    ) -> PortfolioOutcome {
+    ) -> (PebbleOutcome, Vec<WorkerSummary>) {
         let report = PebblingSession::new(dag)
             .pebbles(max_pebbles)
             .portfolio(workers)
             .run()
             .expect("valid pebbling configuration");
         match report.outcome {
-            SessionOutcome::Portfolio(outcome) => outcome,
-            _ => unreachable!("a fixed-budget portfolio session drives the race engine"),
+            SessionOutcome::Single(outcome) => (outcome, report.workers),
+            _ => unreachable!("a fixed-budget race answers for its one budget"),
         }
     }
 
@@ -636,8 +616,8 @@ mod tests {
         let configs = default_portfolio(SolverOptions::default(), 0);
         assert!(!configs.is_empty());
         let dag = paper_example();
-        let result = solve_with_pebbles_portfolio(&dag, 4, 0);
-        assert!(matches!(result.outcome, PebbleOutcome::Solved(_)));
+        let (outcome, _) = solve_with_pebbles_portfolio(&dag, 4, 0);
+        assert!(matches!(outcome, PebbleOutcome::Solved(_)));
     }
 
     #[test]
@@ -657,40 +637,40 @@ mod tests {
             .validate(&dag, Some(4))
             .expect("single-threaded valid");
 
-        let result = solve_with_pebbles_portfolio(&dag, 4, 4);
-        let strategy = result
-            .outcome
-            .into_strategy()
-            .expect("portfolio solves too");
+        let (outcome, workers) = solve_with_pebbles_portfolio(&dag, 4, 4);
+        let strategy = outcome.into_strategy().expect("portfolio solves too");
         strategy
             .validate(&dag, Some(4))
             .expect("portfolio strategy fits the same pebble bound");
-        let winner = result.winner.expect("someone won");
-        assert!(winner < result.workers.len());
-        assert_eq!(result.workers.len(), 4);
-        assert!(result.workers.iter().all(|w| w.elapsed > Duration::ZERO));
+        assert_eq!(
+            workers.iter().filter(|w| w.winner).count(),
+            1,
+            "someone won"
+        );
+        assert_eq!(workers.len(), 4);
+        assert!(workers.iter().all(|w| w.elapsed > Duration::ZERO));
     }
 
     #[test]
     fn portfolio_with_two_workers_solves_and_reports_both() {
         let dag = paper_example();
-        let result = solve_with_pebbles_portfolio(&dag, 6, 2);
-        assert!(matches!(result.outcome, PebbleOutcome::Solved(_)));
-        assert_eq!(result.workers.len(), 2);
-        let report = result.winning_report().expect("winner report");
-        assert_eq!(report.result.probes, vec![(6, ProbeVerdict::Solved)]);
-        assert!(report.result.search.queries > 0);
+        let (outcome, workers) = solve_with_pebbles_portfolio(&dag, 6, 2);
+        assert!(matches!(outcome, PebbleOutcome::Solved(_)));
+        assert_eq!(workers.len(), 2);
+        let winner = workers.iter().find(|w| w.winner).expect("winner row");
+        assert_eq!(winner.probes, 1, "the winner probed budget 6 once");
+        assert!(winner.queries > 0);
     }
 
     #[test]
     fn infeasible_budget_is_reported_not_raced_forever() {
         let dag = paper_example();
-        let result = solve_with_pebbles_portfolio(&dag, 1, 3);
+        let (outcome, workers) = solve_with_pebbles_portfolio(&dag, 1, 3);
         assert!(matches!(
-            result.outcome,
+            outcome,
             PebbleOutcome::Infeasible { lower_bound: 3 }
         ));
-        assert!(result.winner.is_none());
+        assert!(workers.iter().all(|w| !w.winner));
     }
 
     #[test]
@@ -963,12 +943,8 @@ mod tests {
         let dag = paper_example();
         let configs = default_portfolio(SolverOptions::default(), 3);
         let expected: Vec<String> = configs.iter().map(describe_options).collect();
-        let result = solve_with_pebbles_portfolio(&dag, 6, 3);
-        let got: Vec<String> = result
-            .workers
-            .iter()
-            .map(|worker| describe_options(&worker.config.base))
-            .collect();
+        let (_, workers) = solve_with_pebbles_portfolio(&dag, 6, 3);
+        let got: Vec<String> = workers.into_iter().map(|worker| worker.config).collect();
         assert_eq!(got, expected);
     }
 

@@ -71,7 +71,7 @@ use std::time::{Duration, Instant};
 
 use revpebble_graph::{Dag, DagError};
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelReason, CancelToken, SolverStats};
+use revpebble_sat::{CancelReason, CancelToken};
 
 use crate::bounds::budget_window;
 use crate::cache::{CacheKey, CachedReport, ResultCache};
@@ -81,7 +81,7 @@ use crate::frontier::{frontier_on, FrontierPoint};
 use crate::portfolio::{
     default_minimize_portfolio, default_portfolio, describe_minimize_config, describe_options,
     diversify_minimize_portfolio, race_minimize, MinimizeConfig, MinimizePortfolioOutcome,
-    MinimizeWorkerReport, PortfolioOutcome,
+    MinimizeWorkerReport,
 };
 use crate::solver::{
     fixed_outcome, run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult,
@@ -122,32 +122,6 @@ impl ProbeEventSender {
         if let Some(callback) = tally.callback.as_mut() {
             callback(event);
         }
-    }
-
-    /// Resolves probe `probe` of `worker` at `budget`: solved when the
-    /// probe certified `Ok(achieved)`, otherwise refuted with the
-    /// probe's verdict.
-    pub(crate) fn resolved(
-        &self,
-        worker: usize,
-        probe: usize,
-        budget: usize,
-        result: Result<usize, ProbeVerdict>,
-    ) {
-        self.send(match result {
-            Ok(achieved) => ProbeEvent::ProbeSolved {
-                worker,
-                probe,
-                budget,
-                achieved,
-            },
-            Err(verdict) => ProbeEvent::ProbeRefuted {
-                worker,
-                probe,
-                budget,
-                verdict,
-            },
-        });
     }
 
     fn emitted(&self) -> u64 {
@@ -593,11 +567,12 @@ pub struct WorkerSummary {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SessionOutcome {
-    /// [`Engine::Single`]: the outcome of the one probe (a timeout at
-    /// `K = 0` when the token fired before it started).
+    /// [`Engine::Single`] / [`Engine::SinglePortfolio`]: the strategy
+    /// found (a race's winner's), else the most definite failure any
+    /// probe reached (a timeout at `K = 0` when the token fired before
+    /// any probe started). A race's workers are the [`Report::workers`]
+    /// rows.
     Single(PebbleOutcome),
-    /// [`Engine::SinglePortfolio`]: the raw race outcome.
-    Portfolio(PortfolioOutcome),
     /// [`Engine::MinimizeFresh`] / [`Engine::MinimizeIncremental`]: the
     /// raw minimize result.
     Minimize(MinimizeResult),
@@ -624,8 +599,9 @@ pub struct Report {
     /// `None` when nothing was certified.
     pub minimum: Option<usize>,
     /// The certified budget floor at the end of the run — step-cap
-    /// relative for minimize engines (see [`crate::sharing`]), the
-    /// structural lower bound otherwise.
+    /// relative for the minimize and frontier engines (see
+    /// [`crate::sharing`]; a fresh run's stays structural), the
+    /// structural lower bound for a fixed budget.
     pub floor: usize,
     /// One summary per worker, in configuration order.
     pub workers: Vec<WorkerSummary>,
@@ -662,7 +638,6 @@ impl Report {
     pub fn strategy(&self) -> Option<&Strategy> {
         match &self.outcome {
             SessionOutcome::Single(outcome) => outcome.strategy(),
-            SessionOutcome::Portfolio(outcome) => outcome.outcome.strategy(),
             SessionOutcome::Minimize(result) => result.best.as_ref().map(|(_, s)| s),
             SessionOutcome::MinimizePortfolio(outcome) => outcome.best.as_ref().map(|(_, s)| s),
             SessionOutcome::Frontier(points) => {
@@ -676,7 +651,6 @@ impl Report {
     pub fn into_strategy(self) -> Option<Strategy> {
         match self.outcome {
             SessionOutcome::Single(outcome) => outcome.into_strategy(),
-            SessionOutcome::Portfolio(outcome) => outcome.outcome.into_strategy(),
             SessionOutcome::Minimize(result) => result.best.map(|(_, s)| s),
             SessionOutcome::MinimizePortfolio(outcome) => outcome.best.map(|(_, s)| s),
             SessionOutcome::Frontier(points) => points.into_iter().find_map(|point| point.strategy),
@@ -1166,34 +1140,6 @@ impl<'a> PebblingSession<'a> {
     }
 }
 
-/// The unified `(minimum, floor)` pair for a finished engine run.
-fn certified(dag: &Dag, plan: &SessionPlan, outcome: &SessionOutcome) -> (Option<usize>, usize) {
-    let (structural, _) = budget_window(dag, plan.base.encoding.weighted);
-    let achieved =
-        |strategy: &Strategy| achieved_budget(dag, plan.base.encoding.weighted, strategy);
-    match outcome {
-        SessionOutcome::Single(outcome) => (outcome.strategy().map(achieved), structural),
-        SessionOutcome::Portfolio(outcome) => {
-            (outcome.outcome.strategy().map(achieved), structural)
-        }
-        SessionOutcome::Minimize(result) => (result.best.as_ref().map(|&(p, _)| p), result.floor),
-        SessionOutcome::MinimizePortfolio(outcome) => (
-            outcome.best.as_ref().map(|&(p, _)| p),
-            outcome.sharing.floor,
-        ),
-        SessionOutcome::Frontier(points) => (
-            points
-                .iter()
-                .filter(|point| point.strategy.is_some())
-                .map(|point| point.pebbles)
-                .min(),
-            structural,
-        ),
-        // Nothing certified beyond what the DAG's structure guarantees.
-        SessionOutcome::Aborted => (None, structural),
-    }
-}
-
 /// Hash of every plan field that can change a session's answer — the
 /// plan half of a [`CacheKey`]. [`SessionPlan`] aggregates plain-data
 /// option structs that all derive `Debug`, so the debug rendering is a
@@ -1253,10 +1199,13 @@ fn run_with_runtime(
         execute_plan(dag, plan, &events, token.as_ref(), executor)
     })) {
         Ok(result) => (result, false),
-        Err(_) => ((SessionOutcome::Aborted, Vec::new()), true),
+        // Nothing certified beyond what the DAG's structure guarantees.
+        Err(_) => {
+            let floor = budget_window(dag, plan.base.encoding.weighted).0;
+            (((None, floor), SessionOutcome::Aborted, Vec::new()), true)
+        }
     };
-    let (outcome, workers) = engine_result;
-    let (minimum, floor) = certified(dag, plan, &outcome);
+    let ((minimum, floor), outcome, workers) = engine_result;
     let failed_workers = workers.iter().filter(|worker| worker.failed).count();
     // Token verdicts win; otherwise a run that lost workers *and* has
     // nothing certified from the survivors stopped because of the
@@ -1598,56 +1547,25 @@ impl SessionRuntime {
     }
 }
 
-/// What a strategy certifies, in the units the encoding budgets:
-/// weight units in weighted mode, pebble counts otherwise. Every
-/// engine's `ProbeSolved { achieved }` (and the terminal minimum) uses
-/// this, so the event stream never mixes units.
-pub(crate) fn achieved_budget(dag: &Dag, weighted: bool, strategy: &Strategy) -> usize {
-    if weighted {
-        usize::try_from(strategy.max_weight(dag)).unwrap_or(usize::MAX)
-    } else {
-        strategy.max_pebbles(dag)
-    }
-}
-
-/// The counters a [`WorkerSummary`] row reads off an engine's
-/// per-worker result: `(probes, queries, SAT statistics, retries)`.
-trait Tally {
-    fn tally(&self) -> (usize, usize, SolverStats, u64);
-}
-
-impl Tally for MinimizeResult {
-    fn tally(&self) -> (usize, usize, SolverStats, u64) {
-        (
-            self.probes.len(),
-            self.search.queries,
-            self.sat,
-            self.retries,
-        )
-    }
-}
-
-impl Tally for Vec<FrontierPoint> {
-    fn tally(&self) -> (usize, usize, SolverStats, u64) {
-        (self.len(), 0, SolverStats::default(), 0)
-    }
-}
-
-/// The one place a [`WorkerSummary`] row is built.
-fn summarize(config: String, tally: &impl Tally, winner: bool, elapsed: Duration) -> WorkerSummary {
-    let (probes, queries, sat, retries) = tally.tally();
+/// The one place a [`WorkerSummary`] row is built, from a worker's run.
+fn summarize(
+    config: String,
+    run: &MinimizeResult,
+    winner: bool,
+    elapsed: Duration,
+) -> WorkerSummary {
     WorkerSummary {
         config,
-        probes,
-        queries,
-        conflicts: sat.conflicts,
-        imported: sat.imported_clauses,
-        exported: sat.exported_clauses,
+        probes: run.probes.len(),
+        queries: run.search.queries,
+        conflicts: run.sat.conflicts,
+        imported: run.sat.imported_clauses,
+        exported: run.sat.exported_clauses,
         cancelled: false,
         winner,
         elapsed,
         failed: false,
-        retries,
+        retries: run.retries,
     }
 }
 
@@ -1689,17 +1607,19 @@ fn on_pool<T>(
 }
 
 /// Runs the engine a validated plan names, pushing progress events into
-/// `events`. Every engine but the frontier is the minimize engine, run
-/// once or raced: a fixed budget `p` is the one-point window `[p, p]` on
-/// the fresh (baked-budget) prober under the whole-solve timeout, and its
-/// race runs the [`default_portfolio`] configurations.
+/// `events`, and returns the certified `(minimum, floor)`, the artifact
+/// and one row per worker. Every engine is the minimize engine, run once,
+/// raced or swept: a fixed budget `p` is the one-point window `[p, p]` on
+/// the fresh (baked-budget) prober under the whole-solve timeout, its race
+/// runs the [`default_portfolio`] configurations, and the frontier walks
+/// the window downward through the same probe body.
 fn execute_plan(
     dag: &Dag,
     plan: &SessionPlan,
     events: &ProbeEventSender,
     cancel: Option<&CancelToken>,
     executor: Option<&Arc<Executor>>,
-) -> (SessionOutcome, Vec<WorkerSummary>) {
+) -> ((Option<usize>, usize), SessionOutcome, Vec<WorkerSummary>) {
     let start = Instant::now();
     let fixed = plan.pebbles.is_some();
     let run = MinimizeContext {
@@ -1722,6 +1642,12 @@ fn execute_plan(
     } else {
         describe_minimize_config
     };
+    // A fixed budget's one probe proves nothing below the budget, so it
+    // certifies its strategy's own budget over the structural floor.
+    let answer = |(minimum, outcome), rows| {
+        let floor = budget_window(dag, plan.base.encoding.weighted).0;
+        ((minimum, floor), SessionOutcome::Single(outcome), rows)
+    };
     match plan.engine {
         Engine::Single | Engine::MinimizeFresh | Engine::MinimizeIncremental => {
             let config = MinimizeConfig {
@@ -1735,12 +1661,11 @@ fn execute_plan(
                 result.best.is_some(),
                 start.elapsed(),
             );
-            let outcome = if fixed {
-                SessionOutcome::Single(fixed_outcome([&result]))
-            } else {
-                SessionOutcome::Minimize(result)
-            };
-            (outcome, vec![row])
+            if fixed {
+                return answer(fixed_outcome([&result]), vec![row]);
+            }
+            let certified = (result.best.as_ref().map(|&(p, _)| p), result.floor);
+            (certified, SessionOutcome::Minimize(result), vec![row])
         }
         Engine::SinglePortfolio | Engine::MinimizePortfolio | Engine::MinimizePortfolioShared => {
             let mut configs = if fixed {
@@ -1764,27 +1689,29 @@ fn execute_plan(
                 race_minimize(dag, configs, run, shared, executor)
             });
             let rows = race_rows(&race.workers, race.winner, describe);
-            if !fixed {
-                return (SessionOutcome::MinimizePortfolio(race), rows);
+            if fixed {
+                let winner = race.winner.map(|index| &race.workers[index]);
+                let runs = winner.into_iter().chain(&race.workers).map(|w| &w.result);
+                return answer(fixed_outcome(runs), rows);
             }
-            let winner = race.winner.map(|index| &race.workers[index]);
-            let outcome = fixed_outcome(winner.into_iter().chain(&race.workers).map(|w| &w.result));
-            let race = PortfolioOutcome {
-                outcome,
-                winner: race.winner,
-                workers: race.workers,
-            };
-            (SessionOutcome::Portfolio(race), rows)
+            let certified = (race.best.as_ref().map(|&(p, _)| p), race.sharing.floor);
+            (certified, SessionOutcome::MinimizePortfolio(race), rows)
         }
         Engine::Frontier => {
-            let points = frontier_on(dag, run);
+            let (result, points) = frontier_on(dag, run);
+            let minimum = points
+                .iter()
+                .filter(|point| point.strategy.is_some())
+                .map(|point| point.pebbles)
+                .min();
             let row = summarize(
                 format!("frontier/{}", describe_options(&plan.base)),
-                &points,
-                points.iter().any(|point| point.strategy.is_some()),
+                &result,
+                minimum.is_some(),
                 start.elapsed(),
             );
-            (SessionOutcome::Frontier(points), vec![row])
+            let certified = (minimum, result.floor);
+            (certified, SessionOutcome::Frontier(points), vec![row])
         }
     }
 }
@@ -1901,6 +1828,11 @@ mod tests {
             PebblingSession::new(&dag).minimize(),
             PebblingSession::new(&dag).minimize().incremental(false),
             PebblingSession::new(&dag).minimize().portfolio(2),
+            PebblingSession::new(&dag).pebbles(4).portfolio(2),
+            PebblingSession::new(&dag).sweep_frontier(),
+            PebblingSession::new(&dag)
+                .sweep_frontier()
+                .incremental(false),
         ];
         for session in sessions {
             // A fresh runtime each time: a cache hit pays no conflicts.

@@ -20,7 +20,7 @@ use revpebble_sat::{CancelToken, SharedClausePool, SolveResult, SolverConfig, So
 
 use crate::bounds::{budget_window, parallel_step_lower_bound, step_lower_bound};
 use crate::encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
-use crate::session::{achieved_budget, ProbeEvent, ProbeEventSender};
+use crate::session::{ProbeEvent, ProbeEventSender};
 use crate::sharing::SharedSearchState;
 use crate::strategy::Strategy;
 
@@ -683,40 +683,42 @@ pub struct MinimizeResult {
 
 /// The answer of a fixed-budget session, derived from its one-point
 /// minimize runs: the first strategy any run found (a race passes its
-/// winner first), else the most definite verdict any probe reached. A run
-/// whose token fired before its probe started left no verdict; on its own
-/// it counts as a timeout at `K = 0`.
+/// winner first) with the budget it certifies, else no budget and the most
+/// definite verdict any probe reached. A run whose token fired before its
+/// probe started left no verdict; on its own it counts as a timeout at
+/// `K = 0`.
 pub(crate) fn fixed_outcome<'r>(
     runs: impl IntoIterator<Item = &'r MinimizeResult>,
-) -> PebbleOutcome {
+) -> (Option<usize>, PebbleOutcome) {
     let mut most_definite = ProbeVerdict::Timeout { steps_reached: 0 };
     for run in runs {
-        if let Some((_, strategy)) = &run.best {
-            return PebbleOutcome::Solved(strategy.clone());
+        if let Some((p, strategy)) = &run.best {
+            return (Some(*p), PebbleOutcome::Solved(strategy.clone()));
         }
         for &(_, verdict) in &run.probes {
             most_definite = most_definite.max(verdict);
         }
     }
-    match most_definite {
+    let outcome = match most_definite {
         ProbeVerdict::Timeout { steps_reached } => PebbleOutcome::Timeout { steps_reached },
         ProbeVerdict::StepLimit { steps_checked } => PebbleOutcome::StepLimit { steps_checked },
         ProbeVerdict::Infeasible { lower_bound } => PebbleOutcome::Infeasible { lower_bound },
         ProbeVerdict::Solved => unreachable!("a solved probe always records its strategy"),
-    }
+    };
+    (None, outcome)
 }
 
 /// Per-probe engine: either one persistent assumption-bounded instance or
 /// a fresh solver per budget. Every budget probe — of a minimize search,
 /// a fixed budget or a frontier sweep — runs through one.
-pub(crate) enum Prober<'a> {
+enum Prober<'a> {
     Incremental(Box<PebbleSolver<'a>>),
     Fresh(Box<FreshProber<'a>>),
 }
 
 /// State of the fresh-solver-per-probe engine (the paper's methodology):
 /// only accumulated statistics survive between probes.
-pub(crate) struct FreshProber<'a> {
+struct FreshProber<'a> {
     dag: &'a Dag,
     base: SolverOptions,
     cancel: Option<CancelToken>,
@@ -745,7 +747,7 @@ fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
 }
 
 impl<'a> Prober<'a> {
-    pub(crate) fn new(dag: &'a Dag, ctx: &MinimizeContext) -> Self {
+    fn new(dag: &'a Dag, ctx: &MinimizeContext) -> Self {
         let mut base = ctx.base;
         base.timeout = ctx.per_query;
         if ctx.incremental {
@@ -793,7 +795,7 @@ impl<'a> Prober<'a> {
         }
     }
 
-    pub(crate) fn probe(&mut self, p: usize) -> PebbleOutcome {
+    fn probe(&mut self, p: usize) -> PebbleOutcome {
         match self {
             Prober::Incremental(solver) => solver.resolve_with_budget(p),
             Prober::Fresh(fresh) => {
@@ -827,10 +829,27 @@ impl<'a> Prober<'a> {
     }
 }
 
-/// Shared bookkeeping of one minimization run.
-struct MinimizeRun<'a> {
+/// What a strategy certifies, in the units the encoding budgets:
+/// weight units in weighted mode, pebble counts otherwise. Every
+/// engine's `ProbeSolved { achieved }` (and the certified minimum) comes
+/// from this, so the event stream never mixes units.
+fn achieved_budget(dag: &Dag, weighted: bool, strategy: &Strategy) -> usize {
+    if weighted {
+        usize::try_from(strategy.max_weight(dag)).unwrap_or(usize::MAX)
+    } else {
+        strategy.max_pebbles(dag)
+    }
+}
+
+/// One walk over the budget axis: the prober, its blackboard, the probe
+/// log and the event sink. The minimize schedules, a fixed budget's
+/// one-point window and the frontier sweep all probe through
+/// [`attempt`](Self::attempt).
+pub(crate) struct MinimizeRun<'a> {
     dag: &'a Dag,
     weighted: bool,
+    /// The budgets the run may probe, `(low, high)`.
+    pub(crate) window: (usize, usize),
     prober: Prober<'a>,
     shared: Arc<SharedSearchState>,
     best: Option<(usize, Strategy)>,
@@ -856,17 +875,54 @@ struct MinimizeRun<'a> {
     retries: u64,
 }
 
-impl MinimizeRun<'_> {
-    /// Probes budget `p`. On success returns the budget the extracted
-    /// strategy *actually certifies* — its own maximum pebble count
-    /// (weight in weighted mode), which can undercut `p`. The schedules
-    /// use that to jump their windows below the model instead of walking
-    /// budget-by-budget down to it (model-based upper-bound tightening).
-    fn probe(&mut self, p: usize) -> Option<usize> {
-        let probe_index = self.probes.len();
+impl<'a> MinimizeRun<'a> {
+    /// Sets up a run over `ctx.window` (`None` = the [`budget_window`],
+    /// in weight units in weighted mode): builds the prober and primes
+    /// its blackboard with the structural bound.
+    pub(crate) fn new(dag: &'a Dag, ctx: MinimizeContext) -> Self {
+        let weighted = ctx.base.encoding.weighted;
+        let (structural, top) = budget_window(dag, weighted);
+        let window = ctx.window.unwrap_or((structural, top));
+        let prober = Prober::new(dag, &ctx);
+        let shared = prober.shared_state();
+        // A window reaching below the structural bound still probes its low
+        // end, and the probe itself reports that budget infeasible.
+        shared.prime_floor(structural.min(window.0));
+        let last_floor = shared.floor();
+        MinimizeRun {
+            dag,
+            weighted,
+            window,
+            prober,
+            shared,
+            best: None,
+            probes: Vec::new(),
+            probe_stats: Vec::new(),
+            cancel: ctx.cancel,
+            events: ctx.events,
+            worker: ctx.worker,
+            share_ticks: ctx.pool.is_some(),
+            last_floor,
+            faults: ctx.base.sat.faults,
+            retry: ctx.retry,
+            retries: 0,
+        }
+    }
+
+    /// Probes budget `p`: the one probe body of every engine. Each
+    /// attempt polls the `session.probe` fail point under its own child
+    /// token, a transient or spurious failure is retried under the
+    /// [`RetryPolicy`], and the probe is logged with its verdict and a
+    /// statistics snapshot and streamed as events. Returns the strategy
+    /// with the budget it *actually certifies* — its own maximum pebble
+    /// count (weight in weighted mode), which can undercut `p` — or the
+    /// verdict of a probe that found none.
+    pub(crate) fn attempt(&mut self, p: usize) -> Result<(usize, Strategy), ProbeVerdict> {
+        let probe = self.probes.len();
+        let worker = self.worker;
         self.events.send(ProbeEvent::ProbeStarted {
-            worker: self.worker,
-            probe: probe_index,
+            worker,
+            probe,
             budget: p,
         });
         let mut attempt = 0u32;
@@ -906,23 +962,35 @@ impl MinimizeRun<'_> {
             break outcome;
         };
         let verdict = ProbeVerdict::from(&outcome);
-        let achieved = outcome.into_strategy().map(|strategy| {
-            // A valid strategy never exceeds its probe budget; the `min`
-            // merely keeps a corrupt model from loosening `p`.
-            let achieved = achieved_budget(self.dag, self.weighted, &strategy).min(p);
-            if self.best.as_ref().is_none_or(|&(b, _)| achieved < b) {
-                self.best = Some((achieved, strategy));
-            }
-            achieved
-        });
+        // A valid strategy never exceeds its probe budget; the `min`
+        // merely keeps a corrupt model from loosening `p`.
+        let solved = outcome
+            .into_strategy()
+            .map(|strategy| {
+                let achieved = achieved_budget(self.dag, self.weighted, &strategy).min(p);
+                (achieved, strategy)
+            })
+            .ok_or(verdict);
         self.probes.push((p, verdict));
         self.probe_stats.push(self.prober.snapshot());
-        self.events
-            .resolved(self.worker, probe_index, p, achieved.ok_or(verdict));
+        self.events.send(match solved {
+            Ok((achieved, _)) => ProbeEvent::ProbeSolved {
+                worker,
+                probe,
+                budget: p,
+                achieved,
+            },
+            Err(verdict) => ProbeEvent::ProbeRefuted {
+                worker,
+                probe,
+                budget: p,
+                verdict,
+            },
+        });
         if self.share_ticks {
             let snapshot = self.prober.snapshot();
             self.events.send(ProbeEvent::ClauseSharingTick {
-                worker: self.worker,
+                worker,
                 imported: snapshot.imported_clauses,
                 exported: snapshot.exported_clauses,
             });
@@ -930,12 +998,22 @@ impl MinimizeRun<'_> {
         let floor = self.shared.floor();
         if floor > self.last_floor {
             self.last_floor = floor;
-            self.events.send(ProbeEvent::FloorRaised {
-                worker: self.worker,
-                floor,
-            });
+            self.events.send(ProbeEvent::FloorRaised { worker, floor });
         }
-        achieved
+        solved
+    }
+
+    /// Probes budget `p` for a minimize schedule, keeping the smallest
+    /// certified budget in `best`. On success returns the budget the
+    /// strategy actually certifies; the schedules use that to jump their
+    /// windows below the model instead of walking budget-by-budget down
+    /// to it (model-based upper-bound tightening).
+    fn probe(&mut self, p: usize) -> Option<usize> {
+        let (achieved, strategy) = self.attempt(p).ok()?;
+        if self.best.as_ref().is_none_or(|&(b, _)| achieved < b) {
+            self.best = Some((achieved, strategy));
+        }
+        Some(achieved)
     }
 
     fn probed(&self, p: usize) -> bool {
@@ -949,13 +1027,13 @@ impl MinimizeRun<'_> {
         self.shared.floor()
     }
 
-    fn stopped(&self) -> bool {
+    pub(crate) fn stopped(&self) -> bool {
         self.cancel
             .as_ref()
             .is_some_and(|token| token.poll().is_some())
     }
 
-    fn finish(self) -> MinimizeResult {
+    pub(crate) fn finish(self) -> MinimizeResult {
         let (search, sat) = self.prober.totals();
         MinimizeResult {
             best: self.best,
@@ -1030,33 +1108,10 @@ pub(crate) struct MinimizeContext {
 /// search, so a slack model can collapse several budget steps into one
 /// probe ([`MinimizeResult::best`]).
 pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> MinimizeResult {
-    let weighted = ctx.base.encoding.weighted;
-    let (structural, top) = budget_window(dag, weighted);
-    let (lower, top) = ctx.window.unwrap_or((structural, top));
-    let prober = Prober::new(dag, &ctx);
-    let shared = prober.shared_state();
-    // A window reaching below the structural bound still probes its low
-    // end, and the probe itself reports that budget infeasible.
-    shared.prime_floor(structural.min(lower));
-    let last_floor = shared.floor();
-    let mut run = MinimizeRun {
-        dag,
-        weighted,
-        prober,
-        shared,
-        best: None,
-        probes: Vec::new(),
-        probe_stats: Vec::new(),
-        cancel: ctx.cancel,
-        events: ctx.events,
-        worker: ctx.worker,
-        share_ticks: ctx.pool.is_some(),
-        last_floor,
-        faults: ctx.base.sat.faults,
-        retry: ctx.retry,
-        retries: 0,
-    };
-    match ctx.schedule {
+    let schedule = ctx.schedule;
+    let mut run = MinimizeRun::new(dag, ctx);
+    let (lower, top) = run.window;
+    match schedule {
         BudgetSchedule::Binary => {
             let (mut low, mut high) = (lower, top);
             while low <= high && !run.stopped() {

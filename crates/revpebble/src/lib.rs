@@ -150,9 +150,9 @@ pub mod prelude {
     pub use crate::core::{
         BudgetSchedule, CancelReason, CancelToken, CardEncoding, EncodingOptions, Engine, Executor,
         FaultKind, FaultPlan, FaultSite, MinimizeResult, Move, MoveMode, PebbleOutcome,
-        PebbleSolver, PebblingSession, PortfolioOutcome, ProbeEvent, ProbeVerdict, Report,
-        ResultCache, RetryPolicy, SessionError, SessionHandle, SessionOutcome, SessionRuntime,
-        SharedClausePool, SharedSearchState, SolverOptions, StopReason, Strategy,
+        PebbleSolver, PebblingSession, ProbeEvent, ProbeVerdict, Report, ResultCache, RetryPolicy,
+        SessionError, SessionHandle, SessionOutcome, SessionRuntime, SharedClausePool,
+        SharedSearchState, SolverOptions, StopReason, Strategy,
     };
     pub use crate::graph::{parse_bench, Dag, NodeId, Op, Slp, Source};
 }

@@ -151,6 +151,45 @@ fn a_spurious_cancel_of_a_probe_child_is_retried_not_fatal() {
         report.retries >= 1,
         "the spurious cancellation was retried: {report:?}"
     );
+
+    // A frontier sweep probes through the same body: the cancel of its
+    // first probe is retried, and the sweep finds the clean points.
+    let dag = paper_example();
+    let sweep = |faults: FaultPlan| {
+        let runtime = SessionRuntime::new(2).expect("workers");
+        let session = PebblingSession::new(&dag)
+            .solver_options(base_with(faults))
+            .sweep_frontier()
+            .retries(3)
+            .per_query_timeout(Duration::from_secs(30));
+        runtime
+            .spawn(session, runtime.root().child())
+            .expect("a valid configuration")
+            .join()
+    };
+    let points = |report: &Report| -> Vec<(usize, Option<usize>)> {
+        let SessionOutcome::Frontier(points) = &report.outcome else {
+            panic!("a frontier session ran: {report:?}");
+        };
+        points
+            .iter()
+            .map(|point| {
+                (
+                    point.pebbles,
+                    point.strategy.as_ref().map(|s| s.num_steps()),
+                )
+            })
+            .collect()
+    };
+    let plan = FaultPlan::inject(FaultSite::SessionProbe, FaultKind::SpuriousCancel, 0);
+    let report = sweep(plan);
+    assert_eq!(plan.injected(), 1, "the frontier's arm fired");
+    assert_clean(&report, "frontier session.probe:cancel:0");
+    assert!(
+        report.retries >= 1,
+        "the frontier retried the spurious cancellation: {report:?}"
+    );
+    assert_eq!(points(&report), points(&sweep(FaultPlan::none())));
 }
 
 #[test]

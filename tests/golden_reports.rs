@@ -17,6 +17,13 @@
 //! The fixture pins the reports the engines produced before the engine
 //! entry points were folded behind `PebblingSession`; it is a record of
 //! that behaviour, not something to regenerate when a report changes.
+//! The ten `frontier` and `frontier-fresh` rows were re-pinned on purpose
+//! when the sweep began probing through the minimize engine's probe body:
+//! their `queries` and `conflicts` are the sweep's real totals (they read
+//! 0 before), and an incremental sweep's `floor` is now the floor its
+//! refuted last probe certifies, whose `FloorRaised` event adds one to
+//! `events_emitted`. Only those fields were edited in place; every point,
+//! strategy and other row is unchanged.
 
 use std::time::Duration;
 

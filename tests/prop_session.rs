@@ -183,12 +183,12 @@ proptest! {
             .portfolio(2)
             .run()
             .expect("a valid configuration");
-        let SessionOutcome::Portfolio(race) = &report.outcome else {
-            panic!("a fixed-budget portfolio session drives the race engine");
+        let SessionOutcome::Single(race_outcome) = &report.outcome else {
+            panic!("a fixed-budget race answers for its one budget");
         };
         prop_assert_eq!(
             matches!(single_outcome, PebbleOutcome::Solved(_)),
-            matches!(race.outcome, PebbleOutcome::Solved(_))
+            matches!(race_outcome, PebbleOutcome::Solved(_))
         );
 
         // Cooperative minimize race: the shared portfolio and the
