@@ -1,17 +1,28 @@
-//! Minimal JSON support for the wire layer: a dependency-free value
-//! parser, a string-escape helper, and a [`Dag`] adjacency round-trip.
+//! Minimal JSON support for the wire layer: one pull tokenizer with two
+//! consumers, a string-escape helper, and a [`Dag`] adjacency round-trip.
 //!
 //! The serving daemon (`revpebble-serve`) speaks newline-delimited JSON
 //! frames, and the compat-crate constraint rules out `serde`, so this
-//! module hand-rolls the minimum: a recursive-descent parser into
-//! [`JsonValue`] (strict — rejects trailing garbage, raw control
-//! characters in strings, and unreasonable nesting) and the inverse of
-//! the escaping every hand-rolled `to_json` in the workspace performs.
+//! module hand-rolls the minimum. [`JsonReader`] is the workspace's one
+//! JSON grammar: a pull tokenizer that walks the text once and is strict
+//! (it rejects trailing garbage, raw control characters in strings and
+//! nesting deeper than 64 levels, and reports the byte offset where it
+//! stopped). It has two consumers:
 //!
-//! On top of that, [`Dag::from_json`] / [`Dag::to_adjacency_json`] give
-//! remote callers a way to ship non-builtin DAGs: a flat adjacency
-//! description with nodes in any order, resolved topologically so cycles
-//! are rejected with a typed error rather than an infinite loop.
+//! - [`parse_json`] builds a [`JsonValue`] tree, for callers that want
+//!   to look values up by key;
+//! - [`Dag::from_json`] reads an adjacency description straight into a
+//!   [`Dag`] with no tree in between: rows borrow their names from the
+//!   text, and an error value is built only when it is returned. The
+//!   daemon reads its request frames with the same reader and hands the
+//!   `dag` object to [`Dag::read_json`].
+//!
+//! [`json_escape`] is the inverse of the escapes the reader resolves.
+//!
+//! [`Dag::from_json`] / [`Dag::to_adjacency_json`] give remote callers a
+//! way to ship non-builtin DAGs: a flat adjacency description with nodes
+//! in any order, resolved topologically so cycles are rejected with a
+//! typed error rather than an infinite loop.
 //!
 //! # Adjacency schema
 //!
@@ -30,9 +41,13 @@
 //! sink); `weight` defaults to 1; `op` names are case-insensitive
 //! ([`Op::parse`]).
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::ops::Range;
 
-use crate::dag::{Dag, DagError, Source};
+use crate::dag::{Dag, DagError, NodeId, Source};
 use crate::op::Op;
 
 /// Maximum `inputs + nodes` a [`Dag::from_json`] description may carry.
@@ -41,15 +56,15 @@ use crate::op::Op;
 /// allocating without bound.
 pub const MAX_JSON_DAG_NODES: usize = 100_000;
 
-/// Maximum nesting depth [`parse_json`] accepts before giving up — deep
+/// Maximum nesting depth [`JsonReader`] accepts before giving up — deep
 /// enough for any real frame, shallow enough that a `[[[[…` bomb cannot
-/// overflow the parser's stack.
+/// overflow a consumer's stack.
 const MAX_JSON_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 ///
-/// Objects keep their key order as a `Vec` of pairs — the frames this
-/// crate parses are small, so linear [`get`](Self::get) beats hashing.
+/// Objects keep their key order as a `Vec` of pairs;
+/// [`get`](Self::get) scans them and takes the first match.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -84,14 +99,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -106,12 +113,7 @@ impl JsonValue {
     /// — `9007199254740993` already parses to `2^53`, so accepting it
     /// would silently return the wrong value.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0 {
-            Some(n as u64)
-        } else {
-            None
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// [`as_u64`](Self::as_u64) narrowed to `usize`.
@@ -135,16 +137,30 @@ impl JsonValue {
         }
     }
 
-    /// A short noun for error messages ("string", "object", …).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            JsonValue::Null => "null",
-            JsonValue::Bool(_) => "boolean",
-            JsonValue::Num(_) => "number",
-            JsonValue::Str(_) => "string",
-            JsonValue::Array(_) => "array",
-            JsonValue::Object(_) => "object",
-        }
+    /// The tree consumer of [`JsonReader`]: reads one whole value.
+    fn read(reader: &mut JsonReader<'_>) -> Result<JsonValue, JsonError> {
+        Ok(match reader.value()? {
+            JsonToken::Object => {
+                let mut pairs = Vec::new();
+                reader.members(|reader, key| {
+                    pairs.push((key.into_owned(), JsonValue::read(reader)?));
+                    Ok(())
+                })?;
+                JsonValue::Object(pairs)
+            }
+            JsonToken::Array => {
+                let mut items = Vec::new();
+                reader.items(|reader| {
+                    items.push(JsonValue::read(reader)?);
+                    Ok(())
+                })?;
+                JsonValue::Array(items)
+            }
+            JsonToken::Str(text) => JsonValue::Str(text.into_owned()),
+            JsonToken::Num(n) => JsonValue::Num(n),
+            JsonToken::Bool(b) => JsonValue::Bool(b),
+            JsonToken::Null => JsonValue::Null,
+        })
     }
 }
 
@@ -167,37 +183,21 @@ impl std::error::Error for JsonError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
-    let mut parser = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.fail("trailing characters after the value"));
-    }
+    let mut reader = JsonReader::new(text);
+    let value = JsonValue::read(&mut reader)?;
+    reader.finish()?;
     Ok(value)
 }
 
-/// The first key that appears more than once in an object's pairs.
-/// Validators reject these alongside unknown fields: the parser keeps
-/// source order and readers take the first match, so a duplicate would
-/// silently shadow its later occurrences.
-pub fn duplicate_key(pairs: &[(String, JsonValue)]) -> Option<&str> {
-    pairs.iter().enumerate().find_map(|(index, (key, _))| {
-        pairs[..index]
-            .iter()
-            .any(|(earlier, _)| earlier == key)
-            .then_some(key.as_str())
-    })
+/// `n` as an exact unsigned integer, by the rule of [`JsonValue::as_u64`].
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
 /// Escapes `text` for embedding inside a JSON string literal: quotes,
 /// backslashes, and every control character below `0x20` (named escapes
 /// for the common ones, `\u00XX` otherwise). The inverse of the string
-/// handling in [`parse_json`].
+/// handling in [`JsonReader`].
 pub fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for ch in text.chars() {
@@ -214,13 +214,244 @@ pub fn json_escape(text: &str) -> String {
     out
 }
 
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+/// What [`JsonReader::value`] found: a whole scalar, or the bracket that
+/// opens a container.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonToken<'a> {
+    /// `{`: read the object with [`JsonReader::members`].
+    Object,
+    /// `[`: read the array with [`JsonReader::items`].
+    Array,
+    /// A string, with escapes resolved: borrowed from the text unless it
+    /// has escapes.
+    Str(Cow<'a, str>),
+    /// Any JSON number (parsed as `f64`).
+    Num(f64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
 }
 
-impl<'a> Parser<'a> {
+/// The keys of an object that [`JsonReader::fields`] read past instead
+/// of handing on.
+#[derive(Debug, Default)]
+pub struct StrayKeys<'a> {
+    /// The first key not in the known list.
+    pub unknown: Option<Cow<'a, str>>,
+    /// The first known key given a second time.
+    pub repeated: Option<Cow<'a, str>>,
+}
+
+/// A pull tokenizer over one JSON text.
+///
+/// A consumer asks for a [`value`](Self::value). When that opens an
+/// object or an array, it reads the contents with
+/// [`members`](Self::members), [`fields`](Self::fields) or
+/// [`items`](Self::items), whose callback must read exactly one value
+/// per member or item, or passes over them with [`skip`](Self::skip).
+/// [`str_value`](Self::str_value), [`bool_value`](Self::bool_value) and
+/// [`u64_value`](Self::u64_value) read a value that should have one
+/// type. After the top-level value,
+/// [`finish`](Self::finish) rejects trailing characters. A consumer that
+/// reads every value has checked the whole text, whatever it keeps.
+///
+/// Errors carry the byte offset where reading stopped; the reader is
+/// spent after one.
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Nesting depth of the next value; the top-level value is at 0.
+    depth: usize,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Reads the next value: a whole scalar, or the opening bracket of a
+    /// container.
+    pub fn value(&mut self) -> Result<JsonToken<'a>, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_JSON_DEPTH {
+            return Err(self.fail("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(JsonToken::Object)
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(JsonToken::Array)
+            }
+            Some(b'"') => self.string().map(JsonToken::Str),
+            Some(b't') => self.literal("true", JsonToken::Bool(true)),
+            Some(b'f') => self.literal("false", JsonToken::Bool(false)),
+            Some(b'n') => self.literal("null", JsonToken::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b) => Err(self.fail(format!("unexpected character {:?}", b as char))),
+            None => Err(self.fail("unexpected end of input")),
+        }
+    }
+
+    /// Reads the members of the object [`value`](Self::value) just
+    /// opened, calling `each` with every key in source order; `each` must
+    /// read that member's value.
+    pub fn members(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            each(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.fail("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// Reads the members of the object [`value`](Self::value) just
+    /// opened against a list of known keys. `each` gets the index in
+    /// `known` of each key's first appearance and must read that
+    /// member's value; every other member is read past and reported in
+    /// the [`StrayKeys`], so a consumer can reject it once the whole
+    /// text is read.
+    ///
+    /// # Panics
+    ///
+    /// If `known` has more than 64 keys.
+    pub fn fields(
+        &mut self,
+        known: &[&str],
+        mut each: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<StrayKeys<'a>, JsonError> {
+        assert!(known.len() <= 64, "at most 64 known keys");
+        let mut seen = 0u64;
+        let mut stray = StrayKeys::default();
+        self.members(
+            |reader, key| match known.iter().position(|known| key == *known) {
+                Some(index) if seen & (1 << index) == 0 => {
+                    seen |= 1 << index;
+                    each(reader, index)
+                }
+                Some(_) => {
+                    stray.repeated.get_or_insert(key);
+                    reader.skip_value()
+                }
+                None => {
+                    stray.unknown.get_or_insert(key);
+                    reader.skip_value()
+                }
+            },
+        )?;
+        Ok(stray)
+    }
+
+    /// Reads a string value: `None`, once read past, for a value of any
+    /// other type.
+    pub fn str_value(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        match self.value()? {
+            JsonToken::Str(text) => Ok(Some(text)),
+            other => self.skip(other).map(|()| None),
+        }
+    }
+
+    /// Reads a boolean value: `None`, once read past, for a value of any
+    /// other type.
+    pub fn bool_value(&mut self) -> Result<Option<bool>, JsonError> {
+        match self.value()? {
+            JsonToken::Bool(flag) => Ok(Some(flag)),
+            other => self.skip(other).map(|()| None),
+        }
+    }
+
+    /// Reads a number that [`JsonValue::as_u64`] would take: `None`,
+    /// once read past, for any other value.
+    pub fn u64_value(&mut self) -> Result<Option<u64>, JsonError> {
+        match self.value()? {
+            JsonToken::Num(n) => Ok(exact_u64(n)),
+            other => self.skip(other).map(|()| None),
+        }
+    }
+
+    /// Reads the items of the array [`value`](Self::value) just opened,
+    /// calling `each` once per item; `each` must read that item.
+    pub fn items(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        loop {
+            each(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.fail("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Reads past the rest of the value `token` began: the contents of
+    /// an object or an array, nothing after a scalar. What it passes
+    /// over is still checked.
+    pub fn skip(&mut self, token: JsonToken<'a>) -> Result<(), JsonError> {
+        match token {
+            JsonToken::Object => self.members(|reader, _| reader.skip_value()),
+            JsonToken::Array => self.items(Self::skip_value),
+            _ => Ok(()),
+        }
+    }
+
+    /// Reads past one whole value.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        let token = self.value()?;
+        self.skip(token)
+    }
+
+    /// Checks that only whitespace follows the top-level value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.fail("trailing characters after the value"))
+        }
+    }
+
     fn fail(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -228,18 +459,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.bytes.get(self.pos) == Some(&byte) {
+        if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -247,83 +478,73 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        if depth > MAX_JSON_DEPTH {
-            return Err(self.fail("nesting too deep"));
-        }
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(&b) => Err(self.fail(format!("unexpected character {:?}", b as char))),
-            None => Err(self.fail("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str, token: JsonToken<'a>) -> Result<JsonToken<'a>, JsonError> {
         if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.fail(format!("expected {word:?}")))
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<JsonToken<'a>, JsonError> {
         let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
         }
         let slice = &self.text[start..self.pos];
         match slice.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),
+            Ok(n) if n.is_finite() => Ok(JsonToken::Num(n)),
             _ => Err(self.fail(format!("invalid number {slice:?}"))),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal, borrowed from the text unless it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let mut decoded: Option<String> = None;
         let mut run = self.pos;
         loop {
-            match self.bytes.get(self.pos) {
+            // Every byte of a multi-byte UTF-8 scalar is at least 0x80,
+            // so this stops only on ASCII.
+            while bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            match bytes.get(self.pos) {
                 None => return Err(self.fail("unterminated string")),
                 Some(b'"') => {
-                    out.push_str(&self.text[run..self.pos]);
+                    let tail = &text[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
-                    out.push_str(&self.text[run..self.pos]);
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(&text[run..self.pos]);
                     self.pos += 1;
                     out.push(self.escape_char()?);
                     run = self.pos;
                 }
-                Some(&b) if b < 0x20 => {
-                    return Err(self.fail("raw control character in string"));
-                }
-                Some(_) => {
-                    // Skip over one UTF-8 scalar (the input is a &str,
-                    // so boundaries are already valid).
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                }
+                Some(_) => return Err(self.fail("raw control character in string")),
             }
         }
     }
 
     fn escape_char(&mut self) -> Result<char, JsonError> {
-        let Some(&b) = self.bytes.get(self.pos) else {
+        let Some(b) = self.peek() else {
             return Err(self.fail("unterminated escape"));
         };
         self.pos += 1;
@@ -341,9 +562,7 @@ impl<'a> Parser<'a> {
                 if (0xD800..0xDC00).contains(&unit) {
                     // High surrogate: pair it with the following \uXXXX
                     // low surrogate, or degrade to U+FFFD.
-                    if self.bytes.get(self.pos) == Some(&b'\\')
-                        && self.bytes.get(self.pos + 1) == Some(&b'u')
-                    {
+                    if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                         self.pos += 2;
                         let low = self.hex4()?;
                         if (0xDC00..0xE000).contains(&low) {
@@ -369,64 +588,14 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         let slice = self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos..end)
             .ok_or_else(|| self.fail("truncated \\u escape"))?;
         let text = std::str::from_utf8(slice).map_err(|_| self.fail("bad \\u escape"))?;
         let unit = u32::from_str_radix(text, 16).map_err(|_| self.fail("bad \\u escape"))?;
         self.pos = end;
         Ok(unit)
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.fail("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
-                }
-                _ => return Err(self.fail("expected ',' or '}'")),
-            }
-        }
     }
 }
 
@@ -534,14 +703,6 @@ impl From<DagError> for DagJsonError {
     }
 }
 
-/// One node row pulled out of the `"nodes"` array before ordering.
-struct PendingNode {
-    name: String,
-    op: Op,
-    fanins: Vec<String>,
-    weight: u32,
-}
-
 impl Dag {
     /// Parses a JSON adjacency description (see the [module
     /// docs](self) for the schema) with the default
@@ -555,247 +716,37 @@ impl Dag {
     }
 
     /// [`from_json`](Self::from_json) with an explicit `inputs + nodes`
-    /// cap (the serving daemon bounds untrusted frames tighter).
+    /// cap.
     pub fn from_json_bounded(text: &str, max_nodes: usize) -> Result<Dag, DagJsonError> {
-        Self::from_json_value(&parse_json(text)?, max_nodes)
+        let mut reader = JsonReader::new(text);
+        let dag = match reader.value()? {
+            JsonToken::Object => Dag::read_json(&mut reader, max_nodes)?,
+            other => {
+                reader.skip(other)?;
+                Err(DagJsonError::BadField {
+                    field: "<root>".into(),
+                    expected: "an object",
+                })
+            }
+        };
+        reader.finish()?;
+        dag
     }
 
-    /// [`from_json_bounded`](Self::from_json_bounded) over an
-    /// already-parsed [`JsonValue`] — the serve daemon embeds the
-    /// adjacency description inside a larger request frame and hands the
-    /// sub-value here without re-serializing.
-    pub fn from_json_value(root: &JsonValue, max_nodes: usize) -> Result<Dag, DagJsonError> {
-        let Some(pairs) = root.as_object() else {
-            return Err(DagJsonError::BadField {
-                field: "<root>".into(),
-                expected: "an object",
-            });
-        };
-        for (key, _) in pairs {
-            if !matches!(key.as_str(), "inputs" | "nodes" | "outputs") {
-                return Err(DagJsonError::UnknownField(key.clone()));
-            }
-        }
-        if let Some(key) = duplicate_key(pairs) {
-            return Err(DagJsonError::DuplicateField(key.to_owned()));
-        }
-
-        let inputs: Vec<String> = match root.get("inputs") {
-            None => Vec::new(),
-            Some(value) => {
-                let items = value.as_array().ok_or(DagJsonError::BadField {
-                    field: "inputs".into(),
-                    expected: "an array of strings",
-                })?;
-                items
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_owned)
-                            .ok_or(DagJsonError::BadField {
-                                field: "inputs[]".into(),
-                                expected: "a string",
-                            })
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-        };
-
-        let node_rows =
-            root.get("nodes")
-                .and_then(JsonValue::as_array)
-                .ok_or(DagJsonError::BadField {
-                    field: "nodes".into(),
-                    expected: "an array of node objects",
-                })?;
-        if inputs.len() + node_rows.len() > max_nodes {
-            return Err(DagJsonError::TooLarge {
-                nodes: inputs.len() + node_rows.len(),
-                limit: max_nodes,
-            });
-        }
-
-        let mut pending = Vec::with_capacity(node_rows.len());
-        for (index, row) in node_rows.iter().enumerate() {
-            let field = |suffix: &str| format!("nodes[{index}].{suffix}");
-            if row.as_object().is_none() {
-                return Err(DagJsonError::BadField {
-                    field: format!("nodes[{index}]"),
-                    expected: "an object",
-                });
-            }
-            if let Some((key, _)) = row
-                .as_object()
-                .unwrap()
-                .iter()
-                .find(|(key, _)| !matches!(key.as_str(), "name" | "op" | "fanins" | "weight"))
-            {
-                return Err(DagJsonError::UnknownField(format!("nodes[{index}].{key}")));
-            }
-            if let Some(key) = duplicate_key(row.as_object().unwrap()) {
-                return Err(DagJsonError::DuplicateField(format!(
-                    "nodes[{index}].{key}"
-                )));
-            }
-            let name = row
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or(DagJsonError::BadField {
-                    field: field("name"),
-                    expected: "a string",
-                })?
-                .to_owned();
-            let op_name = match row.get("op") {
-                None => "op",
-                Some(value) => value.as_str().ok_or(DagJsonError::BadField {
-                    field: field("op"),
-                    expected: "a string",
-                })?,
-            };
-            let op = Op::parse(op_name).ok_or_else(|| DagJsonError::UnknownOp {
-                node: name.clone(),
-                op: op_name.to_owned(),
-            })?;
-            let fanins: Vec<String> = match row.get("fanins") {
-                None => Vec::new(),
-                Some(value) => value
-                    .as_array()
-                    .ok_or(DagJsonError::BadField {
-                        field: field("fanins"),
-                        expected: "an array of strings",
-                    })?
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_owned)
-                            .ok_or(DagJsonError::BadField {
-                                field: field("fanins[]"),
-                                expected: "a string",
-                            })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-            let weight = match row.get("weight") {
-                None => 1,
-                Some(value) => value.as_u64().and_then(|w| u32::try_from(w).ok()).ok_or(
-                    DagJsonError::BadField {
-                        field: field("weight"),
-                        expected: "a small non-negative integer",
-                    },
-                )?,
-            };
-            pending.push(PendingNode {
-                name,
-                op,
-                fanins,
-                weight,
-            });
-        }
-
-        // Name resolution. Inputs and nodes share one namespace so fanin
-        // strings are unambiguous.
-        use std::collections::HashMap;
-        let mut input_sources: HashMap<&str, Source> = HashMap::new();
-        let mut dag = Dag::new();
-        for name in &inputs {
-            if input_sources
-                .insert(name.as_str(), dag.add_input(name.clone()))
-                .is_some()
-            {
-                return Err(DagJsonError::DuplicateName(name.clone()));
-            }
-        }
-        let mut node_index: HashMap<&str, usize> = HashMap::new();
-        for (index, node) in pending.iter().enumerate() {
-            if input_sources.contains_key(node.name.as_str())
-                || node_index.insert(node.name.as_str(), index).is_some()
-            {
-                return Err(DagJsonError::DuplicateName(node.name.clone()));
-            }
-        }
-
-        // Kahn's algorithm over node→node edges: rows may arrive in any
-        // order, and a description that never drains is cyclic. The ready
-        // set is a min-heap on the row index so resolution is stable: a
-        // description already in topological order (like the output of
-        // `to_adjacency_json`) round-trips with identical node numbering.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut missing: Vec<usize> = vec![0; pending.len()];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); pending.len()];
-        let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-        for (index, node) in pending.iter().enumerate() {
-            for fanin in &node.fanins {
-                if let Some(&dep) = node_index.get(fanin.as_str()) {
-                    missing[index] += 1;
-                    dependents[dep].push(index);
-                } else if !input_sources.contains_key(fanin.as_str()) {
-                    return Err(DagJsonError::UnknownFanin {
-                        node: node.name.clone(),
-                        fanin: fanin.clone(),
-                    });
-                }
-            }
-            if missing[index] == 0 {
-                ready.push(Reverse(index));
-            }
-        }
-
-        let mut sources: Vec<Option<Source>> = vec![None; pending.len()];
-        let mut ordered = 0;
-        while let Some(Reverse(index)) = ready.pop() {
-            ordered += 1;
-            let node = &pending[index];
-            let fanins: Vec<Source> = node
-                .fanins
-                .iter()
-                .map(|fanin| match input_sources.get(fanin.as_str()) {
-                    Some(&source) => source,
-                    None => sources[node_index[fanin.as_str()]]
-                        .expect("dependencies resolved before dependents"),
-                })
-                .collect();
-            let id = dag.add_node_weighted(node.name.clone(), node.op, fanins, node.weight)?;
-            sources[index] = Some(Source::Node(id));
-            for &dependent in &dependents[index] {
-                missing[dependent] -= 1;
-                if missing[dependent] == 0 {
-                    ready.push(Reverse(dependent));
-                }
-            }
-        }
-        if ordered != pending.len() {
-            let stuck = pending
-                .iter()
-                .enumerate()
-                .find(|(index, _)| sources[*index].is_none())
-                .map(|(_, node)| node.name.clone())
-                .unwrap_or_default();
-            return Err(DagJsonError::Cycle { node: stuck });
-        }
-
-        match root.get("outputs") {
-            None => dag.mark_sinks_as_outputs(),
-            Some(value) => {
-                let items = value.as_array().ok_or(DagJsonError::BadField {
-                    field: "outputs".into(),
-                    expected: "an array of strings",
-                })?;
-                for item in items {
-                    let name = item.as_str().ok_or(DagJsonError::BadField {
-                        field: "outputs[]".into(),
-                        expected: "a string",
-                    })?;
-                    let id = node_index
-                        .get(name)
-                        .and_then(|&index| sources[index])
-                        .and_then(Source::as_node)
-                        .ok_or_else(|| DagJsonError::UnknownOutput(name.to_owned()))?;
-                    dag.mark_output(id);
-                }
-            }
-        }
-        Ok(dag)
+    /// Reads the adjacency description whose `{` `reader` has just
+    /// returned, and builds it under an `inputs + nodes` cap: how a
+    /// larger frame carries a description (the serve daemon's `dag`
+    /// field).
+    ///
+    /// The outer error is a syntax error, which ends the whole text. The
+    /// inner one says why valid JSON is not a valid description; a caller
+    /// reports it only after reading the rest of its text, so that a
+    /// later syntax error still comes first.
+    pub fn read_json(
+        reader: &mut JsonReader<'_>,
+        max_nodes: usize,
+    ) -> Result<Result<Dag, DagJsonError>, JsonError> {
+        Ok(Description::read(reader, max_nodes)?.build(max_nodes))
     }
 
     /// Serializes the DAG as the adjacency description
@@ -855,6 +806,360 @@ impl Dag {
     }
 }
 
+/// One field of an adjacency description as read.
+#[derive(Default)]
+enum Field<T> {
+    /// Not given.
+    #[default]
+    Absent,
+    /// Given with the wrong JSON type.
+    Wrong,
+    /// Given.
+    Given(T),
+}
+
+impl<T> From<Option<T>> for Field<T> {
+    /// A value read by one of the typed readers of [`JsonReader`].
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Field::Wrong, Field::Given)
+    }
+}
+
+/// The keys of an adjacency object.
+const DESCRIPTION_KEYS: [&str; 3] = ["inputs", "nodes", "outputs"];
+
+/// The keys of a node row.
+const ROW_KEYS: [&str; 4] = ["name", "op", "fanins", "weight"];
+
+/// An adjacency object as read, before any check runs. Names borrow
+/// from the text unless they have escapes.
+#[derive(Default)]
+struct Description<'a> {
+    stray: StrayKeys<'a>,
+    /// `Given(false)` when an item is not a string.
+    inputs: Field<bool>,
+    input_names: Vec<Cow<'a, str>>,
+    nodes: Field<Rows<'a>>,
+    /// `Given(false)` when an item is not a string.
+    outputs: Field<bool>,
+    /// The outputs before the first item that is not a string.
+    output_names: Vec<Cow<'a, str>>,
+}
+
+/// The `nodes` array as read.
+#[derive(Default)]
+struct Rows<'a> {
+    /// The rows that passed the row checks, in source order. Storing
+    /// stops at the first faulty row, and once the rows alone pass the
+    /// cap: no later row can change the answer then.
+    rows: Vec<Row<'a>>,
+    /// Every stored row's fanins, row after row.
+    fanins: Vec<Cow<'a, str>>,
+    /// Rows in the array, stored or not.
+    count: usize,
+    /// The first faulty row's error.
+    fault: Option<DagJsonError>,
+}
+
+/// One node row that passed the row checks.
+struct Row<'a> {
+    name: Cow<'a, str>,
+    op: Op,
+    /// Its fanins in [`Rows::fanins`].
+    fanins: Range<usize>,
+    weight: u32,
+}
+
+/// What a name in a description stands for.
+#[derive(Clone, Copy)]
+enum Name {
+    Input(Source),
+    /// A row, by its index in `nodes`.
+    Row(usize),
+}
+
+impl<'a> Description<'a> {
+    /// Reads the members of an adjacency object. Every member is read to
+    /// its end, but only the first of a repeated key is kept.
+    fn read(reader: &mut JsonReader<'a>, max_nodes: usize) -> Result<Self, JsonError> {
+        let mut d = Description::default();
+        d.stray = reader.fields(&DESCRIPTION_KEYS, |reader, index| {
+            match DESCRIPTION_KEYS[index] {
+                "inputs" => d.inputs = read_names(reader, &mut d.input_names)?,
+                "nodes" => d.nodes = Rows::read(reader, max_nodes)?,
+                "outputs" => d.outputs = read_names(reader, &mut d.output_names)?,
+                _ => unreachable!("a key of DESCRIPTION_KEYS"),
+            }
+            Ok(())
+        })?;
+        Ok(d)
+    }
+
+    /// Runs the checks in a fixed order, whatever order the members came
+    /// in, then builds the DAG.
+    fn build(self, max_nodes: usize) -> Result<Dag, DagJsonError> {
+        let bad = |field: &str, expected| {
+            Err(DagJsonError::BadField {
+                field: field.into(),
+                expected,
+            })
+        };
+        if let Some(key) = self.stray.unknown {
+            return Err(DagJsonError::UnknownField(key.into_owned()));
+        }
+        if let Some(key) = self.stray.repeated {
+            return Err(DagJsonError::DuplicateField(key.into_owned()));
+        }
+        match self.inputs {
+            Field::Wrong => return bad("inputs", "an array of strings"),
+            Field::Given(false) => return bad("inputs[]", "a string"),
+            _ => {}
+        }
+        let Field::Given(nodes) = self.nodes else {
+            return bad("nodes", "an array of node objects");
+        };
+        let inputs = self.input_names;
+        if inputs.len() + nodes.count > max_nodes {
+            return Err(DagJsonError::TooLarge {
+                nodes: inputs.len() + nodes.count,
+                limit: max_nodes,
+            });
+        }
+        if let Some(fault) = nodes.fault {
+            return Err(fault);
+        }
+        let Rows { rows, fanins, .. } = nodes;
+
+        // Inputs and nodes share one namespace, so a fanin names one
+        // thing.
+        let mut dag = Dag::new();
+        let mut names: HashMap<&str, Name> = HashMap::with_capacity(inputs.len() + rows.len());
+        for name in &inputs {
+            if names
+                .insert(name, Name::Input(dag.add_input(name.as_ref())))
+                .is_some()
+            {
+                return Err(DagJsonError::DuplicateName(name.to_string()));
+            }
+        }
+        for (index, row) in rows.iter().enumerate() {
+            if names.insert(&row.name, Name::Row(index)).is_some() {
+                return Err(DagJsonError::DuplicateName(row.name.to_string()));
+            }
+        }
+
+        // Each fanin is looked up once; `resolved` lines up with
+        // `fanins`.
+        let mut resolved = Vec::with_capacity(fanins.len());
+        for row in &rows {
+            for fanin in &fanins[row.fanins.clone()] {
+                let Some(&name) = names.get(fanin.as_ref()) else {
+                    return Err(DagJsonError::UnknownFanin {
+                        node: row.name.to_string(),
+                        fanin: fanin.to_string(),
+                    });
+                };
+                resolved.push(name);
+            }
+        }
+
+        let mut ids: Vec<Option<NodeId>> = vec![None; rows.len()];
+        for index in kahn_order(&rows, &resolved) {
+            let row = &rows[index];
+            let fanins = resolved[row.fanins.clone()].iter().map(|&name| match name {
+                Name::Input(source) => source,
+                Name::Row(dep) => {
+                    Source::Node(ids[dep].expect("dependencies are added before dependents"))
+                }
+            });
+            let id = dag.add_node_weighted(row.name.as_ref(), row.op, fanins, row.weight)?;
+            ids[index] = Some(id);
+        }
+        if let Some(stuck) = ids.iter().position(Option::is_none) {
+            return Err(DagJsonError::Cycle {
+                node: rows[stuck].name.to_string(),
+            });
+        }
+
+        match self.outputs {
+            Field::Absent => dag.mark_sinks_as_outputs(),
+            Field::Wrong => return bad("outputs", "an array of strings"),
+            Field::Given(strings) => {
+                for name in &self.output_names {
+                    let Some(&Name::Row(index)) = names.get(name.as_ref()) else {
+                        return Err(DagJsonError::UnknownOutput(name.to_string()));
+                    };
+                    dag.mark_output(ids[index].expect("every row was added"));
+                }
+                if !strings {
+                    return bad("outputs[]", "a string");
+                }
+            }
+        }
+        Ok(dag)
+    }
+}
+
+impl<'a> Rows<'a> {
+    /// Reads the `nodes` value.
+    fn read(reader: &mut JsonReader<'a>, max_nodes: usize) -> Result<Field<Self>, JsonError> {
+        let token = reader.value()?;
+        if !matches!(token, JsonToken::Array) {
+            reader.skip(token)?;
+            return Ok(Field::Wrong);
+        }
+        let mut rows = Rows::default();
+        reader.items(|reader| {
+            rows.count += 1;
+            if rows.fault.is_some() || rows.count > max_nodes {
+                return reader.skip_value();
+            }
+            match Row::read(reader, rows.count - 1, &mut rows.fanins)? {
+                Ok(row) => rows.rows.push(row),
+                Err(fault) => rows.fault = Some(fault),
+            }
+            Ok(())
+        })?;
+        Ok(Field::Given(rows))
+    }
+}
+
+impl<'a> Row<'a> {
+    /// Reads row `index`, appending its fanins to `fanins`. The inner
+    /// error is the row's first fault in the fixed order of the row
+    /// checks, whatever order its keys came in.
+    fn read(
+        reader: &mut JsonReader<'a>,
+        index: usize,
+        fanins: &mut Vec<Cow<'a, str>>,
+    ) -> Result<Result<Self, DagJsonError>, JsonError> {
+        let token = reader.value()?;
+        if !matches!(token, JsonToken::Object) {
+            reader.skip(token)?;
+            return Ok(Err(DagJsonError::BadField {
+                field: format!("nodes[{index}]"),
+                expected: "an object",
+            }));
+        }
+        let start = fanins.len();
+        let (mut name, mut op, mut row_fanins, mut weight) =
+            (Field::Absent, Field::Absent, Field::Absent, Field::Absent);
+        let stray = reader.fields(&ROW_KEYS, |reader, index| {
+            match ROW_KEYS[index] {
+                "name" => name = reader.str_value()?.into(),
+                "op" => op = reader.str_value()?.into(),
+                "fanins" => row_fanins = read_names(reader, fanins)?,
+                "weight" => {
+                    let small = |weight| u32::try_from(weight).ok();
+                    weight = reader.u64_value()?.and_then(small).into();
+                }
+                _ => unreachable!("a key of ROW_KEYS"),
+            }
+            Ok(())
+        })?;
+
+        let field = |suffix: &str| format!("nodes[{index}].{suffix}");
+        let bad = |suffix: &str, expected| {
+            Ok(Err(DagJsonError::BadField {
+                field: field(suffix),
+                expected,
+            }))
+        };
+        if let Some(key) = stray.unknown {
+            return Ok(Err(DagJsonError::UnknownField(field(&key))));
+        }
+        if let Some(key) = stray.repeated {
+            return Ok(Err(DagJsonError::DuplicateField(field(&key))));
+        }
+        let Field::Given(name) = name else {
+            return bad("name", "a string");
+        };
+        let op_name = match op {
+            Field::Absent => Cow::Borrowed("op"),
+            Field::Wrong => return bad("op", "a string"),
+            Field::Given(op_name) => op_name,
+        };
+        let Some(op) = Op::parse(&op_name) else {
+            return Ok(Err(DagJsonError::UnknownOp {
+                node: name.into_owned(),
+                op: op_name.into_owned(),
+            }));
+        };
+        match row_fanins {
+            Field::Wrong => return bad("fanins", "an array of strings"),
+            Field::Given(false) => return bad("fanins[]", "a string"),
+            _ => {}
+        }
+        let weight = match weight {
+            Field::Absent => 1,
+            Field::Wrong => return bad("weight", "a small non-negative integer"),
+            Field::Given(weight) => weight,
+        };
+        Ok(Ok(Row {
+            name,
+            op,
+            fanins: start..fanins.len(),
+            weight,
+        }))
+    }
+}
+
+/// Reads an array of names, appending to `names` the items before the
+/// first one that is not a string: `Given(false)` when there is one.
+fn read_names<'a>(
+    reader: &mut JsonReader<'a>,
+    names: &mut Vec<Cow<'a, str>>,
+) -> Result<Field<bool>, JsonError> {
+    let token = reader.value()?;
+    if !matches!(token, JsonToken::Array) {
+        reader.skip(token)?;
+        return Ok(Field::Wrong);
+    }
+    let mut strings = true;
+    reader.items(|reader| match reader.value()? {
+        JsonToken::Str(name) if strings => {
+            names.push(name);
+            Ok(())
+        }
+        other => {
+            strings = false;
+            reader.skip(other)
+        }
+    })?;
+    Ok(Field::Given(strings))
+}
+
+/// Kahn's algorithm over the rows' row-to-row edges. The ready set is a
+/// min-heap on the row index, so the order is stable; rows on or behind
+/// a cycle never become ready and are left out.
+fn kahn_order(rows: &[Row<'_>], resolved: &[Name]) -> Vec<usize> {
+    let mut missing = vec![0usize; rows.len()];
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
+    let mut ready = BinaryHeap::new();
+    for (index, row) in rows.iter().enumerate() {
+        for &name in &resolved[row.fanins.clone()] {
+            if let Name::Row(dep) = name {
+                missing[index] += 1;
+                dependents[dep].push(index);
+            }
+        }
+        if missing[index] == 0 {
+            ready.push(Reverse(index));
+        }
+    }
+    let mut order = Vec::with_capacity(rows.len());
+    while let Some(Reverse(index)) = ready.pop() {
+        order.push(index);
+        for &dependent in &dependents[index] {
+            missing[dependent] -= 1;
+            if missing[dependent] == 0 {
+                ready.push(Reverse(dependent));
+            }
+        }
+    }
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,6 +1199,25 @@ mod tests {
         }
         let deep = format!("{}1{}", "[".repeat(100), "]".repeat(100));
         assert!(parse_json(&deep).is_err());
+    }
+
+    #[test]
+    fn strings_borrow_from_the_text_unless_escaped() {
+        let mut reader = JsonReader::new(r#"["plain", "esc\"aped"]"#);
+        assert_eq!(reader.value().unwrap(), JsonToken::Array);
+        let mut strings = Vec::new();
+        reader
+            .items(|reader| {
+                strings.push(reader.value()?);
+                Ok(())
+            })
+            .unwrap();
+        reader.finish().unwrap();
+        assert!(matches!(
+            &strings[0],
+            JsonToken::Str(Cow::Borrowed("plain"))
+        ));
+        assert!(matches!(&strings[1], JsonToken::Str(Cow::Owned(text)) if text == "esc\"aped"));
     }
 
     #[test]

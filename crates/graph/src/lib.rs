@@ -33,6 +33,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Error values are built only on the path that returns them.
+#![warn(clippy::or_fun_call)]
 
 pub mod bench_format;
 pub mod builtins;

@@ -74,7 +74,27 @@ impl Op {
         }
         Op::ALL
             .into_iter()
-            .find(|op| name.eq_ignore_ascii_case(&op.to_string()))
+            .find(|op| name.eq_ignore_ascii_case(op.name()))
+    }
+
+    /// The name [`Display`](fmt::Display) renders.
+    fn name(self) -> &'static str {
+        match self {
+            Op::And => "AND",
+            Op::Or => "OR",
+            Op::Nand => "NAND",
+            Op::Nor => "NOR",
+            Op::Xor => "XOR",
+            Op::Xnor => "XNOR",
+            Op::Not => "NOT",
+            Op::Buf => "BUF",
+            Op::Maj => "MAJ",
+            Op::Add => "ADD",
+            Op::Sub => "SUB",
+            Op::Mul => "MUL",
+            Op::Sqr => "SQR",
+            Op::Opaque => "OP",
+        }
     }
 
     /// `true` for the arithmetic operations used by straight-line programs.
@@ -132,23 +152,7 @@ impl Op {
 
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Op::And => "AND",
-            Op::Or => "OR",
-            Op::Nand => "NAND",
-            Op::Nor => "NOR",
-            Op::Xor => "XOR",
-            Op::Xnor => "XNOR",
-            Op::Not => "NOT",
-            Op::Buf => "BUF",
-            Op::Maj => "MAJ",
-            Op::Add => "ADD",
-            Op::Sub => "SUB",
-            Op::Mul => "MUL",
-            Op::Sqr => "SQR",
-            Op::Opaque => "OP",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

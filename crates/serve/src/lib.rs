@@ -58,6 +58,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Error values are built only on the path that returns them.
+#![warn(clippy::or_fun_call)]
 
 pub mod client;
 pub mod protocol;

@@ -47,7 +47,7 @@
 use std::fmt;
 
 use revpebble_core::session::{Report, SessionError};
-use revpebble_graph::json::{duplicate_key, json_escape, parse_json, DagJsonError, JsonValue};
+use revpebble_graph::json::{json_escape, DagJsonError, JsonError, JsonReader, JsonToken};
 use revpebble_graph::{builtin_dag, Dag, BUILTIN_DAG_NAMES, MAX_JSON_DAG_NODES};
 
 /// The DAG a request asks about: a named builtin or an inline
@@ -139,111 +139,68 @@ impl Request {
     /// session-level configuration is *not* validated here — that is
     /// `PebblingSession::plan()`'s job, so conflicting flags come back
     /// as typed `SessionError`s in the response instead.
+    ///
+    /// The frame is read in one pass: an inline `dag` object goes
+    /// straight into a [`Dag`], with no JSON tree in between. Syntax
+    /// errors anywhere in the frame come first; then the checks run in a
+    /// fixed order, whatever order the fields came in: unknown fields,
+    /// repeated fields, `dag`, then the other fields as the table in the
+    /// [module docs](self) lists them.
     pub fn parse(line: &str) -> Result<Request, RequestError> {
-        let root = parse_json(line).map_err(|err| RequestError::Json(err.to_string()))?;
-        let Some(pairs) = root.as_object() else {
+        let json = |err: JsonError| RequestError::Json(err.to_string());
+        let mut reader = JsonReader::new(line);
+        let mut request = Request::builtin("session", "");
+        let mut dag = None;
+        // The index in `FIELDS` of the first field given with the wrong
+        // type; past its end while there is none.
+        let mut wrong = usize::MAX;
+        let root = reader.value().map_err(json)?;
+        // A repeated key would be silently shadowed, e.g.
+        // {"dag":"c17","dag":{…}} ignoring the second dag: it is rejected
+        // like a typo.
+        let stray = if matches!(root, JsonToken::Object) {
+            let stray = reader.fields(&FIELDS, |reader, index| {
+                let key = FIELDS[index];
+                if key == "dag" {
+                    dag = Some(read_dag(reader)?);
+                } else if read_field(reader, key, &mut request)?.is_none() {
+                    wrong = wrong.min(index);
+                }
+                Ok(())
+            });
+            Some(stray.map_err(json)?)
+        } else {
+            reader.skip(root).map_err(json)?;
+            None
+        };
+        reader.finish().map_err(json)?;
+
+        let Some(stray) = stray else {
             return Err(RequestError::BadField {
                 field: "<frame>".into(),
                 expected: "a JSON object",
             });
         };
-        for (key, _) in pairs {
-            if !matches!(
-                key.as_str(),
-                "name"
-                    | "dag"
-                    | "pebbles"
-                    | "minimize"
-                    | "portfolio"
-                    | "share_clauses"
-                    | "diversify"
-                    | "incremental"
-                    | "weighted"
-                    | "max_steps"
-                    | "timeout_ms"
-                    | "deadline_ms"
-                    | "quota"
-            ) {
-                return Err(RequestError::UnknownField(key.clone()));
-            }
+        if let Some(key) = stray.unknown {
+            return Err(RequestError::UnknownField(key.into_owned()));
         }
-        // A repeated key would be silently shadowed (readers take the
-        // first match), e.g. {"dag":"c17","dag":{…}} ignoring the
-        // second dag — reject it like a typo.
-        if let Some(key) = duplicate_key(pairs) {
-            return Err(RequestError::DuplicateField(key.to_owned()));
+        if let Some(key) = stray.repeated {
+            return Err(RequestError::DuplicateField(key.into_owned()));
         }
-        let str_field = |field: &'static str| -> Result<Option<&str>, RequestError> {
-            match root.get(field) {
-                None => Ok(None),
-                Some(value) => value.as_str().map(Some).ok_or(RequestError::BadField {
-                    field: field.into(),
-                    expected: "a string",
-                }),
-            }
+        let Some(dag) = dag else {
+            return Err(RequestError::BadField {
+                field: "dag".into(),
+                expected: DAG_EXPECTED,
+            });
         };
-        let bool_field = |field: &'static str| -> Result<Option<bool>, RequestError> {
-            match root.get(field) {
-                None => Ok(None),
-                Some(value) => value.as_bool().map(Some).ok_or(RequestError::BadField {
-                    field: field.into(),
-                    expected: "a boolean",
-                }),
-            }
-        };
-        let uint_field = |field: &'static str| -> Result<Option<u64>, RequestError> {
-            match root.get(field) {
-                None => Ok(None),
-                Some(value) => value.as_u64().map(Some).ok_or(RequestError::BadField {
-                    field: field.into(),
-                    expected: "a non-negative integer",
-                }),
-            }
-        };
-
-        let dag = match root.get("dag") {
-            None => {
-                return Err(RequestError::BadField {
-                    field: "dag".into(),
-                    expected: "a builtin name or an adjacency object",
-                })
-            }
-            Some(JsonValue::Str(name)) => {
-                if builtin_dag(name).is_none() {
-                    return Err(RequestError::UnknownBuiltin(name.clone()));
-                }
-                DagSpec::Builtin(name.clone())
-            }
-            Some(value @ JsonValue::Object(_)) => DagSpec::Inline(
-                Dag::from_json_value(value, MAX_JSON_DAG_NODES).map_err(RequestError::Dag)?,
-            ),
-            Some(other) => {
-                return Err(RequestError::BadField {
-                    field: "dag".into(),
-                    expected: if other.type_name() == "null" {
-                        "a builtin name or an adjacency object"
-                    } else {
-                        "a string (builtin name) or an object (adjacency description)"
-                    },
-                })
-            }
-        };
-
-        Ok(Request {
-            name: str_field("name")?.unwrap_or("session").to_owned(),
-            dag,
-            pebbles: uint_field("pebbles")?.map(|n| n as usize),
-            minimize: bool_field("minimize")?.unwrap_or(false),
-            portfolio: uint_field("portfolio")?.map(|n| n as usize),
-            share_clauses: bool_field("share_clauses")?.unwrap_or(false),
-            diversify: bool_field("diversify")?.unwrap_or(false),
-            incremental: bool_field("incremental")?,
-            weighted: bool_field("weighted")?.unwrap_or(false),
-            max_steps: uint_field("max_steps")?.map(|n| n as usize),
-            timeout_ms: uint_field("timeout_ms")?,
-            deadline_ms: uint_field("deadline_ms")?,
-            quota: uint_field("quota")?,
-        })
+        request.dag = dag?;
+        if let Some(&field) = FIELDS.get(wrong) {
+            return Err(RequestError::BadField {
+                field: field.into(),
+                expected: expected(field),
+            });
+        }
+        Ok(request)
     }
 
     /// Renders the request as one frame line (no trailing newline) —
@@ -296,6 +253,87 @@ impl Request {
         out.push('}');
         out
     }
+}
+
+/// What a missing or `null` `dag` should have been.
+const DAG_EXPECTED: &str = "a builtin name or an adjacency object";
+
+/// The request fields. After `dag`, [`Request::parse`] checks their
+/// types in this order, which is the order of the table in the [module
+/// docs](self).
+const FIELDS: [&str; 13] = [
+    "dag",
+    "name",
+    "pebbles",
+    "minimize",
+    "portfolio",
+    "share_clauses",
+    "diversify",
+    "incremental",
+    "weighted",
+    "max_steps",
+    "timeout_ms",
+    "deadline_ms",
+    "quota",
+];
+
+/// Reads the value of `key`, a field of [`FIELDS`] other than `dag`,
+/// into `r`: `None` when it has the wrong type.
+fn read_field(
+    reader: &mut JsonReader<'_>,
+    key: &str,
+    r: &mut Request,
+) -> Result<Option<()>, JsonError> {
+    Ok(match key {
+        "name" => reader.str_value()?.map(|name| r.name = name.into_owned()),
+        "pebbles" => reader.u64_value()?.map(|n| r.pebbles = Some(n as usize)),
+        "minimize" => reader.bool_value()?.map(|flag| r.minimize = flag),
+        "portfolio" => reader.u64_value()?.map(|n| r.portfolio = Some(n as usize)),
+        "share_clauses" => reader.bool_value()?.map(|flag| r.share_clauses = flag),
+        "diversify" => reader.bool_value()?.map(|flag| r.diversify = flag),
+        "incremental" => reader.bool_value()?.map(|flag| r.incremental = Some(flag)),
+        "weighted" => reader.bool_value()?.map(|flag| r.weighted = flag),
+        "max_steps" => reader.u64_value()?.map(|n| r.max_steps = Some(n as usize)),
+        "timeout_ms" => reader.u64_value()?.map(|n| r.timeout_ms = Some(n)),
+        "deadline_ms" => reader.u64_value()?.map(|n| r.deadline_ms = Some(n)),
+        "quota" => reader.u64_value()?.map(|n| r.quota = Some(n)),
+        _ => unreachable!("a key of FIELDS"),
+    })
+}
+
+/// What `key`, a field [`read_field`] reads, must be.
+fn expected(key: &str) -> &'static str {
+    match key {
+        "name" => "a string",
+        "minimize" | "share_clauses" | "diversify" | "incremental" | "weighted" => "a boolean",
+        _ => "a non-negative integer",
+    }
+}
+
+/// Reads the `dag` value: a builtin name, or an adjacency object built
+/// into its [`Dag`] on the spot. The outer error is a syntax error; the
+/// inner one is reported once the whole frame has been read.
+fn read_dag(reader: &mut JsonReader<'_>) -> Result<Result<DagSpec, RequestError>, JsonError> {
+    let bad = |expected| {
+        Err(RequestError::BadField {
+            field: "dag".into(),
+            expected,
+        })
+    };
+    Ok(match reader.value()? {
+        JsonToken::Str(name) if !BUILTIN_DAG_NAMES.contains(&name.as_ref()) => {
+            Err(RequestError::UnknownBuiltin(name.into_owned()))
+        }
+        JsonToken::Str(name) => Ok(DagSpec::Builtin(name.into_owned())),
+        JsonToken::Object => Dag::read_json(reader, MAX_JSON_DAG_NODES)?
+            .map(DagSpec::Inline)
+            .map_err(RequestError::Dag),
+        JsonToken::Null => bad(DAG_EXPECTED),
+        other => {
+            reader.skip(other)?;
+            bad("a string (builtin name) or an object (adjacency description)")
+        }
+    })
 }
 
 /// Why a request frame was rejected before any session was planned.
@@ -400,6 +438,7 @@ pub fn overloaded_response(name: &str) -> String {
 mod tests {
     use super::*;
     use revpebble_graph::generators::paper_example;
+    use revpebble_graph::json::parse_json;
 
     #[test]
     fn request_round_trips_through_the_frame_format() {

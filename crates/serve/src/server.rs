@@ -34,7 +34,7 @@ use revpebble_sat::faults::{FaultPlan, FaultSite};
 use revpebble_sat::CancelToken;
 
 use crate::protocol::{
-    error_response, ok_response, overloaded_response, session_error_response, Request,
+    error_response, ok_response, overloaded_response, session_error_response, DagSpec, Request,
 };
 
 /// How often blocked reads and in-solve polls wake up to check for
@@ -466,12 +466,12 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             }
             Frame::Gone => break,
         };
-        let line = line.trim().to_owned();
+        let line = line.trim();
         if line.is_empty() {
             continue;
         }
         state.counters.requests.fetch_add(1, Ordering::SeqCst);
-        let request = match Request::parse(&line) {
+        let request = match Request::parse(line) {
             Ok(request) => request,
             Err(err) => {
                 state.counters.errors.fetch_add(1, Ordering::SeqCst);
@@ -550,7 +550,11 @@ fn handle_request(
         return RequestOutcome::Answered(overloaded_response(&request.name));
     };
 
-    let dag = request.dag.resolve();
+    // An inline DAG moves out of the request; only a builtin is built.
+    let dag = match request.dag {
+        DagSpec::Inline(dag) => dag,
+        builtin => builtin.resolve(),
+    };
     let deadline = request
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
