@@ -16,6 +16,14 @@
 //! [`spawn`](crate::session::SessionRuntime::spawn)s consult it; a
 //! session [`run`](crate::session::PebblingSession::run) inline never
 //! does.
+//!
+//! A repeat is answered at spawn: the runtime computes the key on the
+//! caller's thread, and a hit returns the cached report without queueing
+//! a job. Only a clean finish is inserted, so a repeat spawned while its
+//! twin still solves misses at spawn and is queued. Its job looks again
+//! when it starts and hits if the twin finished first; two repeats that
+//! run at the same time both solve. The cache counts each session once,
+//! as one hit or one miss.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -94,7 +102,9 @@ impl ResultCache {
         self.len() == 0
     }
 
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedReport> {
+    /// The entry under `key`, counted as a hit when there is one; a
+    /// lookup that finds nothing counts nothing.
+    pub(crate) fn hit(&self, key: &CacheKey) -> Option<CachedReport> {
         let found = self
             .inner
             .lock()
@@ -102,10 +112,18 @@ impl ResultCache {
             .map
             .get(key)
             .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// The entry under `key`, counted as a hit or a miss.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedReport> {
+        let found = self.hit(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -170,6 +188,16 @@ mod tests {
         let other_plan = CacheKey { plan: 8, ..key(1) };
         assert!(cache.lookup(&other_plan).is_none());
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn a_hit_only_lookup_never_counts_a_miss() {
+        let cache = ResultCache::new(4);
+        assert!(cache.hit(&key(1)).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        cache.insert(key(1), report(3));
+        assert_eq!(cache.hit(&key(1)).expect("cached").floor, 3);
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
     }
 
     #[test]

@@ -55,9 +55,10 @@
 //! - A [`SessionRuntime`] is one fixed [`Executor`] pool, one
 //!   [`ResultCache`] keyed by [`Dag::canonical_fingerprint`] (repeated
 //!   instances skip the solver) and one root token. Its
-//!   [`spawn`](SessionRuntime::spawn) submits a whole session to the pool
-//!   and returns a [`SessionHandle`] (join / cancel / try_report) instead
-//!   of blocking.
+//!   [`spawn`](SessionRuntime::spawn) answers a question the cache holds
+//!   at once and submits any other session to the pool as one job;
+//!   either way it returns a [`SessionHandle`] (join / cancel /
+//!   try_report) instead of blocking.
 //!
 //! Many DAGs, one pool: spawn each session, then join the handles in
 //! submit order (see [`SessionRuntime`] for an example).
@@ -1151,9 +1152,37 @@ fn plan_hash(plan: &SessionPlan) -> u64 {
     hasher.finish()
 }
 
+/// The report of a session served whole from the result cache: no
+/// solver runs and no worker reports; the stream is the terminal event
+/// alone. [`SessionRuntime::spawn`] builds it for a hit at spawn, and
+/// the session job for a twin that finished while the job was queued.
+fn cached_report(
+    plan: &SessionPlan,
+    hit: CachedReport,
+    events: &ProbeEventSender,
+    start: Instant,
+) -> Report {
+    events.send(ProbeEvent::BudgetCertified {
+        minimum: hit.minimum,
+    });
+    Report {
+        engine: plan.engine,
+        minimum: hit.minimum,
+        floor: hit.floor,
+        workers: Vec::new(),
+        events_emitted: events.emitted(),
+        stop_reason: None,
+        retries: 0,
+        cache_hits: 1,
+        cache_misses: 0,
+        wall: start.elapsed(),
+        outcome: hit.outcome,
+    }
+}
+
 /// The one engine driver behind [`PebblingSession::run`] and
-/// [`SessionRuntime::spawn`]: consult the result cache, drive the
-/// planned engine under the composed cancel token, suppress
+/// [`SessionRuntime::spawn`]: consult the result cache under `key`,
+/// drive the planned engine under the composed cancel token, suppress
 /// certification when the token fired, and populate the cache on a clean
 /// finish.
 fn run_with_runtime(
@@ -1161,35 +1190,14 @@ fn run_with_runtime(
     plan: &SessionPlan,
     callback: Option<SessionCallback>,
     token: Option<CancelToken>,
-    cache: Option<Arc<ResultCache>>,
+    cache: Option<(&ResultCache, CacheKey)>,
     executor: Option<&Arc<Executor>>,
 ) -> Report {
     let start = Instant::now();
     let events = ProbeEventSender::new(callback);
-    let key = cache.as_ref().map(|_| CacheKey {
-        fingerprint: dag.canonical_fingerprint(),
-        plan: plan_hash(plan),
-    });
-    if let (Some(cache), Some(key)) = (cache.as_ref(), key.as_ref()) {
+    if let Some((cache, key)) = &cache {
         if let Some(hit) = cache.lookup(key) {
-            // Served whole from the cache: no solver runs, no workers
-            // report; the stream is the terminal event alone.
-            events.send(ProbeEvent::BudgetCertified {
-                minimum: hit.minimum,
-            });
-            return Report {
-                engine: plan.engine,
-                minimum: hit.minimum,
-                floor: hit.floor,
-                workers: Vec::new(),
-                events_emitted: events.emitted(),
-                stop_reason: None,
-                retries: 0,
-                cache_hits: 1,
-                cache_misses: 0,
-                wall: start.elapsed(),
-                outcome: hit.outcome,
-            };
+            return cached_report(plan, hit, &events, start);
         }
     }
     // The engine job is a panic containment boundary: an escaping panic
@@ -1235,7 +1243,7 @@ fn run_with_runtime(
         events.send(ProbeEvent::BudgetCertified { minimum });
     }
     let mut cache_misses = 0;
-    if let (Some(cache), Some(key)) = (cache.as_ref(), key) {
+    if let Some((cache, key)) = cache {
         cache_misses = 1;
         // Only clean finishes with a full complement of workers are
         // answers; a cancelled run's partial result — or one certified
@@ -1309,8 +1317,10 @@ impl SessionHandle {
     }
 
     /// The finished [`Report`], or `None` while the session still runs.
-    /// Never blocks. A session job that died without reporting yields
-    /// the same [`StopReason::WorkerPanicked`] placeholder
+    /// Never blocks. A session [`SessionRuntime::spawn`] answered from
+    /// the result cache has its report from the start, so the first call
+    /// returns it. A session job that died without reporting yields the
+    /// same [`StopReason::WorkerPanicked`] placeholder
     /// [`join`](Self::join) returns.
     pub fn try_report(&mut self) -> Option<&Report> {
         if self.report.is_none() {
@@ -1487,15 +1497,22 @@ impl SessionRuntime {
     /// [`per_session_quota`](Self::per_session_quota), `u64::MAX` when
     /// neither caps it, so the child counts every conflict the session
     /// pays: that count is what [`SessionHandle::join`]'s watchdog
-    /// reads. The session also gets the shared cache.
+    /// reads.
     ///
-    /// `spawn` validates the session ([`PebblingSession::plan`]), clones
-    /// the DAG into an owned job and returns a non-blocking
-    /// [`SessionHandle`] immediately; a bad configuration comes back as
-    /// a typed [`SessionError`] without consuming a pool slot. The
-    /// session's engines fan their own sub-jobs onto the same pool
-    /// (workers help while waiting, so nested fan-out cannot deadlock
-    /// it).
+    /// `spawn` validates the session ([`PebblingSession::plan`]); a bad
+    /// configuration comes back as a typed [`SessionError`] without
+    /// consuming a pool slot. It then looks the question up in the
+    /// shared result cache. A hit is answered here, on the caller's
+    /// thread: the returned handle already holds the cached [`Report`]
+    /// (its terminal [`ProbeEvent::BudgetCertified`] has reached the
+    /// [`on_event`](PebblingSession::on_event) callback), and no job is
+    /// queued. A miss clones the DAG into an owned job and returns a
+    /// non-blocking [`SessionHandle`] at once. The job looks the
+    /// question up again when it starts, so a repeat queued behind its
+    /// twin is still served from the cache. The cache counts every
+    /// session once, as a hit or a miss. The session's engines fan their
+    /// own sub-jobs onto the same pool (workers help while waiting, so
+    /// nested fan-out cannot deadlock it).
     pub fn spawn(
         &self,
         session: PebblingSession<'_>,
@@ -1505,45 +1522,55 @@ impl SessionRuntime {
         let quota = session.quota.into_iter().chain(self.quota).min();
         let mut session = session.cancel_token(token).quota(quota.unwrap_or(u64::MAX));
         let plan = session.plan()?;
+        let started = Instant::now();
         // Always `Some`: the cancel token and quota installed above.
         let token = session.compose_token().unwrap_or_default();
-        let engine = plan.engine;
         let callback = session.on_event.take();
+        let key = CacheKey {
+            fingerprint: session.dag.canonical_fingerprint(),
+            plan: plan_hash(&plan),
+        };
+        let (report_tx, receiver) = mpsc::channel();
+        let mut handle = SessionHandle {
+            token: token.clone(),
+            receiver,
+            report: None,
+            engine: plan.engine,
+            detach_grace: Duration::from_secs(5),
+            started,
+        };
+        if let Some(hit) = self.cache.hit(&key) {
+            // A callback that panics on the terminal event is contained
+            // as a session job that died unreported would be.
+            let events = ProbeEventSender::new(callback);
+            let report = catch_unwind(AssertUnwindSafe(|| {
+                cached_report(&plan, hit, &events, started)
+            }))
+            .unwrap_or_else(|_| handle.placeholder(StopReason::WorkerPanicked { count: 1 }));
+            handle.report = Some(report);
+            return Ok(handle);
+        }
         let cache = Arc::clone(&self.cache);
-        let dag = Arc::new(session.dag.clone());
+        let dag = session.dag.clone();
         let executor = Arc::clone(&self.executor);
-        let job_token = token.clone();
-        let (report_tx, report_rx) = mpsc::channel();
         self.executor.submit(move || {
             // Fail point `exec.job`: the whole session is one executor
             // job. A transient failure here degrades to cancelling the
             // session's own token.
-            if plan
-                .base
-                .sat
-                .faults
-                .trip(FaultSite::ExecJob, Some(&job_token))
-            {
-                job_token.cancel();
+            if plan.base.sat.faults.trip(FaultSite::ExecJob, Some(&token)) {
+                token.cancel();
             }
             let report = run_with_runtime(
                 &dag,
                 &plan,
                 callback,
-                Some(job_token),
-                Some(cache),
+                Some(token),
+                Some((&cache, key)),
                 Some(&executor),
             );
             let _ = report_tx.send(report);
         });
-        Ok(SessionHandle {
-            token,
-            receiver: report_rx,
-            report: None,
-            engine,
-            detach_grace: Duration::from_secs(5),
-            started: Instant::now(),
-        })
+        Ok(handle)
     }
 }
 
@@ -1721,6 +1748,7 @@ mod tests {
     use super::*;
     use revpebble_graph::generators::paper_example;
     use revpebble_graph::{Dag, Op};
+    use revpebble_sat::faults::{FaultKind, FaultPlan};
 
     #[test]
     fn plan_names_every_engine() {
@@ -2326,6 +2354,119 @@ mod tests {
         assert_eq!((other.cache_hits, other.cache_misses), (0, 1));
         let cache = runtime.cache();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    /// `json` with its `wall_s` clock masked.
+    fn mask_wall(json: &str) -> String {
+        let start = json.find("\"wall_s\":").expect("a wall clock") + "\"wall_s\":".len();
+        let end = start + json[start..].find([',', '}']).expect("a delimiter");
+        format!("{}_{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn a_cache_hit_is_answered_at_spawn_without_a_pool_thread() {
+        let dag = paper_example();
+        let runtime = SessionRuntime::new(1).expect("one worker");
+        let spawn = |session: PebblingSession<'_>| {
+            runtime
+                .spawn(session, runtime.root().child())
+                .expect("valid configuration")
+        };
+        let question = || PebblingSession::new(&dag).pebbles(4);
+        // Both repeats queue behind a session that holds the only worker
+        // until `release` drops (its callback blocks on the first
+        // event), so the twin misses at spawn and its job finds the
+        // first one's answer.
+        let (release, gate) = mpsc::channel::<()>();
+        let held = spawn(PebblingSession::new(&dag).pebbles(5).on_event(move |_| {
+            let _ = gate.recv();
+        }));
+        let first = spawn(question());
+        let mut twin = spawn(question());
+        assert!(twin.try_report().is_none(), "queued behind the held worker");
+        drop(release);
+        assert_eq!(held.join().stop_reason, None);
+        assert_eq!(first.join().cache_misses, 1);
+        let job_time = twin.join();
+        assert_eq!((job_time.cache_hits, job_time.cache_misses), (1, 0));
+
+        // Wedge the only worker: a question of its own, whose fault plan
+        // sleeps at `exec.job` before the session solves. The third
+        // repeat needs no worker.
+        let faults = FaultPlan::inject_with_delay(
+            FaultSite::ExecJob,
+            FaultKind::Delay,
+            0,
+            Duration::from_millis(500),
+        );
+        let sat = revpebble_sat::SolverConfig {
+            faults,
+            ..Default::default()
+        };
+        let wedge = spawn(
+            PebblingSession::new(&dag)
+                .pebbles(6)
+                .solver_options(SolverOptions {
+                    sat,
+                    ..Default::default()
+                }),
+        );
+        let mut third = spawn(question());
+        assert!(third.try_report().is_some(), "answered at spawn");
+        // The report is held, so this join returns at once.
+        let at_spawn = third.join();
+        assert_eq!((at_spawn.cache_hits, at_spawn.cache_misses), (1, 0));
+        assert!(at_spawn.workers.is_empty(), "no solver ran");
+        assert_eq!(at_spawn.minimum, Some(4));
+        assert_eq!(
+            mask_wall(&at_spawn.to_json()),
+            mask_wall(&job_time.to_json())
+        );
+        assert_eq!(wedge.join().stop_reason, None);
+        assert_eq!(faults.injected(), 1, "the wedge slept");
+        // Every session counted once: the held, first and wedged
+        // sessions solved, the twin and the third hit.
+        let cache = runtime.cache();
+        assert_eq!((cache.hits(), cache.misses()), (2, 3));
+    }
+
+    #[test]
+    fn a_spawn_time_hit_still_certifies_to_its_callback() {
+        let dag = paper_example();
+        let runtime = SessionRuntime::new(1).expect("one worker");
+        let spawn = |session: PebblingSession<'_>| {
+            runtime
+                .spawn(session, runtime.root().child())
+                .expect("valid configuration")
+        };
+        spawn(PebblingSession::new(&dag).pebbles(4)).join();
+        let (event_tx, event_rx) = mpsc::channel();
+        let report = spawn(
+            PebblingSession::new(&dag)
+                .pebbles(4)
+                .on_event(move |event| {
+                    let _ = event_tx.send(event);
+                }),
+        )
+        .join();
+        assert_eq!(report.cache_hits, 1);
+        assert_eq!(report.events_emitted, 1);
+        assert_eq!(
+            event_rx.try_iter().collect::<Vec<_>>(),
+            [ProbeEvent::BudgetCertified { minimum: Some(4) }]
+        );
+        // A callback that panics is contained, not unwound out of spawn.
+        let panicked = spawn(
+            PebblingSession::new(&dag)
+                .pebbles(4)
+                .on_event(|_| panic!("callback panics on the terminal event")),
+        )
+        .join();
+        assert_eq!(
+            panicked.stop_reason,
+            Some(StopReason::WorkerPanicked { count: 1 })
+        );
+        assert_eq!(runtime.cache().hits(), 2);
     }
 
     #[test]

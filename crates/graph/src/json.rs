@@ -5,9 +5,10 @@
 //! frames, and the compat-crate constraint rules out `serde`, so this
 //! module hand-rolls the minimum. [`JsonReader`] is the workspace's one
 //! JSON grammar: a pull tokenizer that walks the text once and is strict
-//! (it rejects trailing garbage, raw control characters in strings and
-//! nesting deeper than 64 levels, and reports the byte offset where it
-//! stopped). It has two consumers:
+//! (it rejects trailing garbage, raw control characters in strings,
+//! numbers outside RFC 8259's grammar such as `01` or `1.`, `\u` escapes
+//! without four hex digits and nesting deeper than 64 levels, and
+//! reports the byte offset where it stopped). It has two consumers:
 //!
 //! - [`parse_json`] builds a [`JsonValue`] tree, for callers that want
 //!   to look values up by key;
@@ -497,7 +498,7 @@ impl<'a> JsonReader<'a> {
         }
         let slice = &self.text[start..self.pos];
         match slice.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(JsonToken::Num(n)),
+            Ok(n) if n.is_finite() && is_json_number(slice.as_bytes()) => Ok(JsonToken::Num(n)),
             _ => Err(self.fail(format!("invalid number {slice:?}"))),
         }
     }
@@ -592,11 +593,46 @@ impl<'a> JsonReader<'a> {
             .as_bytes()
             .get(self.pos..end)
             .ok_or_else(|| self.fail("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| self.fail("bad \\u escape"))?;
-        let unit = u32::from_str_radix(text, 16).map_err(|_| self.fail("bad \\u escape"))?;
+        // Exactly four hex digits, without a sign.
+        let unit = slice.iter().try_fold(0, |unit, &b| {
+            char::from(b).to_digit(16).map(|digit| unit << 4 | digit)
+        });
+        let unit = unit.ok_or_else(|| self.fail("bad \\u escape"))?;
         self.pos = end;
         Ok(unit)
     }
+}
+
+/// `true` when `s` is a JSON number (RFC 8259, section 6): an optional
+/// minus, an integer part with no leading zero, then an optional
+/// fraction and an optional exponent, each with at least one digit.
+fn is_json_number(s: &[u8]) -> bool {
+    let digits = |from: usize| s[from..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut at = usize::from(s.first() == Some(&b'-'));
+    let int = digits(at);
+    if int == 0 || (int > 1 && s[at] == b'0') {
+        return false;
+    }
+    at += int;
+    if s.get(at) == Some(&b'.') {
+        let frac = digits(at + 1);
+        if frac == 0 {
+            return false;
+        }
+        at += 1 + frac;
+    }
+    if matches!(s.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        if matches!(s.get(at), Some(b'+' | b'-')) {
+            at += 1;
+        }
+        let exp = digits(at);
+        if exp == 0 {
+            return false;
+        }
+        at += exp;
+    }
+    at == s.len()
 }
 
 /// Why a JSON adjacency description could not become a [`Dag`].
@@ -1199,6 +1235,29 @@ mod tests {
         }
         let deep = format!("{}1{}", "[".repeat(100), "]".repeat(100));
         assert!(parse_json(&deep).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (good, n) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-1.25e-2", -0.0125),
+            ("1E+2", 100.0),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(parse_json(good), Ok(JsonValue::Num(n)), "{good}");
+        }
+        for bad in [
+            "01", "-01", "00", "1.", "-.5", ".5", "1.e5", "1e", "1e+", "+1", "--1", "-", "1.5.",
+        ] {
+            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
+        }
+        for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u00é\""] {
+            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

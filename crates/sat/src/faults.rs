@@ -51,7 +51,8 @@ pub enum FaultSite {
     /// `SharedClausePool::publish`.
     PoolPublish,
     /// The start of a job submitted to the `Executor` (session jobs and
-    /// portfolio worker tasks).
+    /// portfolio worker tasks). A session answered from the result cache
+    /// at spawn runs no job, so it never visits this site.
     ExecJob,
     /// The result-cache insert at the end of a session run.
     CacheInsert,

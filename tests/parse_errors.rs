@@ -12,7 +12,10 @@
 //! bad `dag` beside a bad `pebbles`, a cycle beside an unknown output.
 //! The fixture was recorded from the tree-building readers the one-pass
 //! readers replaced; it is a record of their answers, not something to
-//! regenerate when an answer changes.
+//! regenerate when an answer changes. The one deliberate change since is
+//! strictness: those readers took numbers outside RFC 8259's grammar
+//! (`01`, `1.`, `-.5`, …) and a signed `\u+041` escape, and the rows
+//! that pin their rejection were added with it.
 //!
 //! Columns are tab-separated: reader, input, expected. In an input,
 //! `⟦N×TEXT⟧` stands for TEXT repeated N times (inputs past the node cap

@@ -120,16 +120,17 @@ proptest! {
 
         // A cached replay serves the identical answer without solving:
         // spawned and joined in turn on one runtime, the second run finds
-        // the first one's answer in the runtime's cache.
+        // the first one's answer in the runtime's cache, at spawn.
         let cached = SessionRuntime::new(1).expect("a worker");
-        let run_cached = || {
+        let spawn_cached = || {
             cached
                 .spawn(PebblingSession::new(&dag).pebbles(budget), cached.root().child())
                 .expect("a valid configuration")
-                .join()
         };
-        let first = run_cached();
-        let replay = run_cached();
+        let first = spawn_cached().join();
+        let mut replay = spawn_cached();
+        prop_assert!(replay.try_report().is_some(), "the replay is answered at spawn");
+        let replay = replay.join();
         prop_assert_eq!((replay.cache_hits, replay.cache_misses), (1, 0));
         prop_assert_eq!(replay.minimum, first.minimum);
         prop_assert_eq!(replay.floor, first.floor);

@@ -148,6 +148,59 @@ fn resubmitting_an_isomorphic_dag_hits_the_result_cache() {
 }
 
 #[test]
+fn a_repeat_is_answered_while_the_only_worker_is_busy() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let ask = |name: &str| {
+        submit_frame(
+            server.addr,
+            &fast_request(name).to_json(),
+            Duration::from_secs(30),
+        )
+        .expect("a response line")
+    };
+    assert_eq!(status_of(&ask("solved")), "ok");
+    // The holder takes the only pool thread: edwards has no 10-pebble
+    // strategy within the steps its probe reaches before the timeout.
+    let mut holder = Client::connect(server.addr).expect("connect");
+    let mut hold = Request::builtin("holder", "edwards");
+    hold.pebbles = Some(10);
+    hold.timeout_ms = Some(120_000);
+    holder.send_only(&hold.to_json()).expect("frame written");
+    let handle = server.handle.clone();
+    assert!(
+        wait_until(Duration::from_secs(30), || handle.in_flight() >= 1),
+        "the holder must be admitted"
+    );
+    // The repeat needs no pool thread, so it does not queue behind the
+    // holder.
+    let again = ask("again");
+    assert_eq!(status_of(&again), "ok", "{again}");
+    let report = parse_json(&again).expect("valid JSON");
+    assert_eq!(
+        report
+            .get("report")
+            .and_then(|r| r.get("cache_hits"))
+            .and_then(|hits| hits.as_u64()),
+        Some(1),
+        "{again}"
+    );
+    assert_eq!(handle.in_flight(), 1, "the holder still runs");
+    // Dropping the holder cancels its session.
+    drop(holder);
+    assert!(
+        wait_until(Duration::from_secs(30), || handle.in_flight() == 0),
+        "the holder's slot must be released"
+    );
+    let stats = server.finish();
+    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.cache_hits, 1, "{stats:?}");
+    assert_eq!(stats.cache_hits + stats.cache_misses, stats.requests);
+}
+
+#[test]
 fn request_quotas_are_enforced_over_the_wire() {
     // Server-side default quota 50; the request's own quota may tighten
     // but never widen it.
