@@ -24,8 +24,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use revpebble::core::{
-    EncodingOptions, MinimizePortfolioOutcome, MinimizeResult, MoveMode, PebblingSession,
-    SessionOutcome, SolverOptions, StepSchedule,
+    EncodingOptions, MinimizeResult, MoveMode, PebblingSession, SessionOutcome, SolverOptions,
+    StepSchedule,
 };
 use revpebble::graph::generators::chain;
 use revpebble::graph::parse_bench;
@@ -47,7 +47,7 @@ fn race_with(
     workers: usize,
     shared: bool,
     diversify: bool,
-) -> MinimizePortfolioOutcome {
+) -> MinimizeResult {
     let mut session = PebblingSession::new(dag)
         .solver_options(base)
         .minimize()
@@ -61,18 +61,13 @@ fn race_with(
     }
     let report = session.run().expect("a valid bench configuration");
     match report.outcome {
-        SessionOutcome::MinimizePortfolio(outcome) => outcome,
-        _ => unreachable!("a minimize portfolio ran"),
+        SessionOutcome::Minimize(result) => result,
+        _ => unreachable!("a minimize race answers one minimize result"),
     }
 }
 
 /// The audit/criterion configuration: [`WORKERS`] workers, verbatim pool.
-fn race(
-    dag: &Dag,
-    base: SolverOptions,
-    per_query: Duration,
-    shared: bool,
-) -> MinimizePortfolioOutcome {
+fn race(dag: &Dag, base: SolverOptions, per_query: Duration, shared: bool) -> MinimizeResult {
     race_with(dag, base, per_query, WORKERS, shared, false)
 }
 
@@ -177,34 +172,25 @@ fn record_scaling_sweep() {
         let start = Instant::now();
         let outcome = race_with(&dag, options, per_query, workers, true, true);
         let wall_s = start.elapsed().as_secs_f64();
-        let sums = outcome.workers.iter().fold([0u64; 6], |mut acc, w| {
-            let sat = &w.result.sat;
-            acc[0] += sat.propagations;
-            acc[1] += sat.conflicts;
-            acc[2] += sat.arena_gcs;
-            acc[3] += sat.imported_clauses;
-            acc[4] += sat.exported_clauses;
-            acc[5] += sat.dropped_clauses;
-            acc
-        });
+        let sat = &outcome.sat;
         println!(
             "scaling b3_m4 workers={workers}: wall={wall_s:.2}s minimum={:?} \
              imports={} exports={} dropped={}",
             outcome.best.as_ref().map(|&(p, _)| p),
-            sums[3],
-            sums[4],
-            sums[5],
+            sat.imported_clauses,
+            sat.exported_clauses,
+            sat.dropped_clauses,
         );
         records.push(BenchRecord {
             bench: "clause_sharing",
             id: format!("shared/b3_m4/workers{workers}"),
             wall_s,
-            propagations: sums[0],
-            conflicts: sums[1],
-            arena_gcs: sums[2],
-            imports: sums[3],
-            exports: sums[4],
-            dropped: sums[5],
+            propagations: sat.propagations,
+            conflicts: sat.conflicts,
+            arena_gcs: sat.arena_gcs,
+            imports: sat.imported_clauses,
+            exports: sat.exported_clauses,
+            dropped: sat.dropped_clauses,
             certified: outcome.best.as_ref().map(|&(p, _)| p as u64),
         });
     }
@@ -247,23 +233,17 @@ fn bench_clause_sharing(c: &mut Criterion) {
             .validate(&dag, Some(*p))
             .expect("shared-race strategies stay valid");
         assert!(
-            shared.sharing.floor <= *p,
+            shared.floor <= *p,
             "{name}: certified floor {} exceeds certified minimum {p}",
-            shared.sharing.floor
+            shared.floor
         );
-        let (imports, exports) = shared.workers.iter().fold((0u64, 0u64), |(i, e), w| {
-            (
-                i + w.result.sat.imported_clauses,
-                e + w.result.sat.exported_clauses,
-            )
-        });
-        let tightenings = shared.sharing.step_tightenings + shared.sharing.floor_raises;
+        let (imports, exports) = (shared.sat.imported_clauses, shared.sat.exported_clauses);
+        let tightenings = shared.step_tightenings + shared.floor_raises;
         println!(
-            "{name}: minimum={:?} | imports={imports} exports={exports} pool-published={} \
+            "{name}: minimum={:?} | imports={imports} exports={exports} \
              | floor={} core-tightenings={tightenings}",
             minimum(&shared.best),
-            shared.sharing.pool.published,
-            shared.sharing.floor,
+            shared.floor,
         );
         if assert_cooperation {
             assert!(exports > 0, "{name}: expected nonzero clause exports");

@@ -117,36 +117,23 @@ fn main() {
             .solver_options(base)
             .minimize()
             .per_query_timeout(timeout);
-        let best = match portfolio {
-            Some(workers) => {
-                // Cooperative engine: incremental workers race budget
-                // schedules on one shared clause pool + refutation
-                // blackboard; each reuses one arena-backed solver for
-                // every probe of its schedule.
-                let report = session
-                    .portfolio(workers)
-                    .share_clauses()
-                    .run()
-                    .expect("a valid Table I configuration");
-                match report.outcome {
-                    SessionOutcome::MinimizePortfolio(outcome) => outcome.best,
-                    _ => unreachable!("a minimize portfolio ran"),
-                }
-            }
-            None => {
-                let report = session
-                    .budget(BudgetSchedule::Descending {
-                        stride: (n / 12).max(1),
-                    })
-                    .incremental(incremental)
-                    .run()
-                    .expect("a valid Table I configuration");
-                match report.outcome {
-                    SessionOutcome::Minimize(result) => result.best,
-                    _ => unreachable!("a single-worker minimize ran"),
-                }
-            }
+        let session = match portfolio {
+            // Cooperative engine: incremental workers race budget
+            // schedules on one shared clause pool + refutation
+            // blackboard; each reuses one arena-backed solver for every
+            // probe of its schedule.
+            Some(workers) => session.portfolio(workers).share_clauses(),
+            None => session
+                .budget(BudgetSchedule::Descending {
+                    stride: (n / 12).max(1),
+                })
+                .incremental(incremental),
         };
+        let report = session.run().expect("a valid Table I configuration");
+        let SessionOutcome::Minimize(result) = report.outcome else {
+            unreachable!("a minimize session answers one minimize result");
+        };
+        let best = result.best;
         let elapsed = start.elapsed().as_secs_f64();
         match best {
             Some((p, strategy)) => {

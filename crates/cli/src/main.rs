@@ -49,8 +49,8 @@ use std::time::Duration;
 
 use revpebble::circuit::lowering;
 use revpebble::core::frontier::render_frontier;
-use revpebble::core::portfolio::{describe_minimize_config, describe_options};
-use revpebble::core::{default_portfolio, Engine, SessionOutcome};
+use revpebble::core::portfolio::describe_options;
+use revpebble::core::{default_portfolio, Engine, SessionOutcome, WorkerSummary};
 use revpebble::graph::{builtin_dag, json_escape, parse_json};
 use revpebble::prelude::*;
 use revpebble::sat::SolverConfig;
@@ -292,16 +292,12 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
         .map_err(CliError::Invalid)?;
     if plan.engine == Engine::SinglePortfolio {
         for (index, worker) in report.workers.iter().enumerate() {
-            let role = if worker.winner {
-                "winner"
-            } else if worker.cancelled {
-                "cancelled"
-            } else {
-                "finished"
-            };
             eprintln!(
-                "  worker {index}: {role} after {:.1?} ({} queries, {} conflicts)",
-                worker.elapsed, worker.queries, worker.conflicts
+                "  worker {index}: {} after {:.1?} ({} queries, {} conflicts)",
+                role(worker),
+                worker.elapsed,
+                worker.queries,
+                worker.conflicts
             );
         }
         // The winning configuration decides the strategy's move semantics
@@ -336,6 +332,17 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
             Ok(())
         }
         None => Err(CliError::Failed(failure)),
+    }
+}
+
+/// How a race worker ended, for the race lines on stderr.
+fn role(worker: &WorkerSummary) -> &'static str {
+    if worker.winner {
+        "winner"
+    } else if worker.cancelled {
+        "cancelled"
+    } else {
+        "finished"
     }
 }
 
@@ -378,76 +385,59 @@ fn run_minimize(dag: &Dag, args: &Args) -> Result<(), CliError> {
         .on_event(|event| eprintln!("  {event}"))
         .run()
         .map_err(CliError::Invalid)?;
-    match &report.outcome {
-        SessionOutcome::MinimizePortfolio(outcome) => {
-            for (index, worker) in outcome.workers.iter().enumerate() {
-                let role = match outcome.winner {
-                    Some(winner) if winner == index => "winner",
-                    _ if worker.cancelled => "cancelled",
-                    _ => "finished",
-                };
-                eprintln!(
-                    "  worker {index} [{}]: {role} after {:.1?} ({} probes, {} conflicts, \
-                     imported={} exported={})",
-                    describe_minimize_config(&worker.config),
-                    worker.elapsed,
-                    worker.result.probes.len(),
-                    worker.result.sat.conflicts,
-                    worker.result.sat.imported_clauses,
-                    worker.result.sat.exported_clauses,
-                );
-            }
-            let (imports, exports, dropped) =
-                outcome
-                    .workers
-                    .iter()
-                    .fold((0u64, 0u64, 0u64), |(i, e, d), w| {
-                        (
-                            i + w.result.sat.imported_clauses,
-                            e + w.result.sat.exported_clauses,
-                            d + w.result.sat.dropped_clauses,
-                        )
-                    });
-            let sharing = &outcome.sharing;
-            if !args.json {
-                println!(
-                    "minimize: engine=portfolio workers={} probes={} share-clauses={} \
-                     diversify={} imports={imports} exports={exports} dropped={dropped} \
-                     floor={} core-tightenings={}",
-                    outcome.workers.len(),
-                    report.probes(),
-                    if args.share_clauses { "on" } else { "off" },
-                    if args.diversify { "on" } else { "off" },
-                    sharing.floor,
-                    sharing.step_tightenings + sharing.floor_raises,
-                );
-            }
+    let SessionOutcome::Minimize(result) = &report.outcome else {
+        unreachable!("a minimize session answers one minimize result");
+    };
+    if args.portfolio.is_some() {
+        for (index, worker) in report.workers.iter().enumerate() {
+            eprintln!(
+                "  worker {index} [{}]: {} after {:.1?} ({} probes, {} conflicts, \
+                 imported={} exported={})",
+                worker.config,
+                role(worker),
+                worker.elapsed,
+                worker.probes,
+                worker.conflicts,
+                worker.imported,
+                worker.exported,
+            );
         }
-        SessionOutcome::Minimize(result) => {
-            // Derived from the stats, not asserted: one instance answered
-            // every query iff its cumulative solve counter matches the
-            // outer query count, so the CI grep on `solver-instances=1`
-            // genuinely guards the single-instance property.
-            let single_instance = result.sat.solves == result.search.queries as u64;
-            let instances = if args.incremental && single_instance {
-                1
-            } else {
-                result.probes.len()
-            };
-            if !args.json {
-                println!(
-                    "minimize: engine={} probes={} queries={} conflicts={} floor={} \
-                     core-tightenings={} solver-instances={instances}",
-                    report.engine,
-                    result.probes.len(),
-                    result.search.queries,
-                    result.sat.conflicts,
-                    result.floor,
-                    result.step_tightenings + result.floor_raises,
-                );
-            }
+        if !args.json {
+            println!(
+                "minimize: engine=portfolio workers={} probes={} share-clauses={} \
+                 diversify={} imports={} exports={} dropped={} floor={} core-tightenings={}",
+                report.workers.len(),
+                report.probes(),
+                if args.share_clauses { "on" } else { "off" },
+                if args.diversify { "on" } else { "off" },
+                result.sat.imported_clauses,
+                result.sat.exported_clauses,
+                result.sat.dropped_clauses,
+                result.floor,
+                result.step_tightenings + result.floor_raises,
+            );
         }
-        _ => unreachable!("a minimize session drives a minimize engine"),
+    } else if !args.json {
+        // Derived from the stats, not asserted: one instance answered
+        // every query iff its cumulative solve counter matches the outer
+        // query count, so the CI grep on `solver-instances=1` genuinely
+        // guards the single-instance property.
+        let single_instance = result.sat.solves == result.search.queries as u64;
+        let instances = if args.incremental && single_instance {
+            1
+        } else {
+            result.probes.len()
+        };
+        println!(
+            "minimize: engine={} probes={} queries={} conflicts={} floor={} \
+             core-tightenings={} solver-instances={instances}",
+            report.engine,
+            result.probes.len(),
+            result.search.queries,
+            result.sat.conflicts,
+            result.floor,
+            result.step_tightenings + result.floor_raises,
+        );
     }
     if args.json {
         println!("{}", report.to_json());

@@ -16,18 +16,17 @@
 //! the same pool it runs on. With a naive pool of `N` workers, `N`
 //! session jobs would occupy every thread and their sub-jobs would wait
 //! forever — a classic nested-submit deadlock. The race's join point
-//! (`scatter_settle`) therefore never parks while its results are
-//! pending without first *helping*: the waiting thread pops queued jobs
-//! and runs them inline. Progress is guaranteed on any pool size (even
-//! one worker), because every waiter is also a worker.
+//! (`scatter_settle`) therefore *helps* while its results are pending:
+//! the waiting thread pops queued jobs and runs them inline, and only
+//! when the queue is empty does it sleep on the pool's own condvar, which
+//! every finished task signals. Progress is guaranteed on any pool size
+//! (even one worker), because every waiter is also a worker.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -93,24 +92,6 @@ impl Executor {
         drop(queue);
         self.inner.signal.notify_one();
     }
-
-    /// Pops one queued job and runs it on the *calling* thread. Returns
-    /// `false` when the queue was empty. This is the help-while-waiting
-    /// primitive: a thread blocked on sub-job results drains the queue
-    /// instead of parking, so nested fan-outs cannot deadlock the pool.
-    pub(crate) fn try_run_one(&self) -> bool {
-        let job = {
-            let mut queue = self.inner.queue.lock().expect("executor queue");
-            queue.jobs.pop_front()
-        };
-        match job {
-            Some(job) => {
-                run_job(job);
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 impl Drop for Executor {
@@ -139,8 +120,8 @@ impl Drop for Executor {
 
 /// A job panic must not take the pool down with it: the worker (or
 /// helping waiter) swallows the unwind and moves on. [`scatter_settle`]
-/// catches its own tasks' panics earlier, with the task index attached,
-/// and reports them as typed [`TaskFailure`]s at the join point.
+/// catches its own tasks' panics earlier and reports them as empty slots
+/// at the join point.
 fn run_job(job: Job) {
     let _ = catch_unwind(AssertUnwindSafe(job));
 }
@@ -166,122 +147,59 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// One scattered task that panicked instead of returning: which task (by
-/// submission index, which is also its slot in the result vector) and the
-/// panic payload's message. This is the typed per-task failure
-/// [`scatter_settle`] reports so a fan-out can survive a poisoned worker —
-/// a portfolio race certifies from the survivors instead of unwinding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TaskFailure {
-    /// Index of the task in the submitted `tasks` vector.
-    pub(crate) index: usize,
-    /// The panic payload, when it was a string (`panic!("…")` always is);
-    /// a placeholder otherwise.
-    pub(crate) message: String,
-}
-
-impl fmt::Display for TaskFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "task {} panicked: {}", self.index, self.message)
-    }
-}
-
-/// The panic payload's message, for panics carrying the usual string
-/// payloads (`&str` from `panic!("literal")`, `String` from
-/// `panic!("{…}")`); a placeholder for exotic payload types.
-pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs every task on the pool and returns their results in task order,
 /// helping with queued jobs while waiting (see the [module docs](self)).
 /// This is the join point every fan-out goes through — the portfolio
-/// race's workers. A task panic becomes a typed per-task [`TaskFailure`]
-/// instead of unwinding at the join: the result vector is in task order,
-/// `Ok` for tasks that returned and `Err` for tasks that panicked (with
-/// the panicked task's index and payload message). The other tasks
-/// always run to completion — one poisoned worker cannot take the
-/// fan-out down.
-pub(crate) fn scatter_settle<T, F>(
-    executor: &Executor,
-    tasks: Vec<F>,
-) -> Vec<Result<T, TaskFailure>>
+/// race's workers. A task that panicked leaves its slot `None` instead of
+/// unwinding at the join; the other tasks always run to completion, so
+/// one poisoned worker cannot take the fan-out down.
+pub(crate) fn scatter_settle<T, F>(executor: &Executor, tasks: Vec<F>) -> Vec<Option<T>>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let total = tasks.len();
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
+    let mut pending = tasks.len();
+    let (tx, rx) = mpsc::channel::<(usize, Option<T>)>();
     for (index, task) in tasks.into_iter().enumerate() {
-        let tx = tx.clone();
+        let (tx, inner) = (tx.clone(), Arc::clone(&executor.inner));
         executor.submit(move || {
-            // Catch the unwind *here*, where the task index is known, so
-            // the join point learns which task died and why — the pool's
-            // own catch in `run_job` only protects the worker thread.
-            let result = catch_unwind(AssertUnwindSafe(task))
-                .map_err(|payload| payload_message(payload.as_ref()));
-            let _ = tx.send((index, result));
+            let _ = tx.send((index, catch_unwind(AssertUnwindSafe(task)).ok()));
+            // The waiter's last look at the channel before it sleeps is
+            // made under the queue lock, which only the sleep releases:
+            // taking the lock after the send orders this wake-up after
+            // that look, so it cannot be lost.
+            drop(inner.queue.lock().expect("executor queue"));
+            inner.signal.notify_all();
         });
     }
-    drop(tx);
-    let mut results: Vec<Option<Result<T, String>>> = (0..total).map(|_| None).collect();
-    let mut received = 0;
-    while received < total {
-        match rx.try_recv() {
-            Ok((index, value)) => {
-                results[index] = Some(value);
-                received += 1;
-            }
-            Err(mpsc::TryRecvError::Empty) => {
-                // Help first; park only when there is truly nothing to do
-                // (our pending tasks are mid-flight on other workers).
-                if !executor.try_run_one() {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok((index, value)) => {
-                            results[index] = Some(value);
-                            received += 1;
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {}
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => break,
+    let mut results: Vec<Option<T>> = (0..pending).map(|_| None).collect();
+    let mut queue = executor.inner.queue.lock().expect("executor queue");
+    while pending > 0 {
+        if let Ok((index, result)) = rx.try_recv() {
+            results[index] = result;
+            pending -= 1;
+        } else if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
+            run_job(job);
+            queue = executor.inner.queue.lock().expect("executor queue");
+        } else {
+            queue = executor.inner.signal.wait(queue).expect("executor queue");
         }
     }
     results
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| match slot {
-            Some(Ok(value)) => Ok(value),
-            Some(Err(message)) => Err(TaskFailure { index, message }),
-            // Unreachable in practice — every submitted wrapper sends
-            // exactly once — but a dropped sender must stay a typed
-            // failure, not a silent missing slot.
-            None => Err(TaskFailure {
-                index,
-                message: "task result channel closed before a result arrived".to_string(),
-            }),
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn scatter_preserves_task_order() {
         let executor = Executor::new(4);
         let results = scatter_settle(&executor, (0..32).map(|i| move || i * 2).collect());
-        assert_eq!(results, (0..32).map(|i| Ok(i * 2)).collect::<Vec<_>>());
+        assert_eq!(results, (0..32).map(|i| Some(i * 2)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -300,7 +218,7 @@ mod tests {
                     .sum::<usize>()
             }],
         );
-        assert_eq!(results, vec![Ok(36)]);
+        assert_eq!(results, vec![Some(36)]);
     }
 
     #[test]
@@ -344,7 +262,7 @@ mod tests {
         let executor = Executor::new(1);
         executor.submit(|| panic!("job panic"));
         let results = scatter_settle(&executor, vec![|| 7]);
-        assert_eq!(results, vec![Ok(7)]);
+        assert_eq!(results, vec![Some(7)]);
     }
 
     #[test]
@@ -356,11 +274,7 @@ mod tests {
             Box::new(|| 30),
         ];
         let results = scatter_settle(&executor, tasks);
-        assert_eq!(results[0], Ok(10));
-        assert_eq!(results[2], Ok(30));
-        let failure = results[1].as_ref().expect_err("task 1 panicked");
-        assert_eq!(failure.index, 1);
-        assert_eq!(failure.message, "injected fault in task one");
+        assert_eq!(results, vec![Some(10), None, Some(30)]);
     }
 
     #[test]
@@ -370,15 +284,37 @@ mod tests {
             .map(|i| move || -> usize { panic!("worker {i} down") })
             .collect();
         let results = scatter_settle(&executor, tasks);
-        for (index, slot) in results.iter().enumerate() {
-            let failure = slot.as_ref().expect_err("every task panicked");
-            assert_eq!(failure.index, index);
-            assert_eq!(failure.message, format!("worker {index} down"));
-        }
+        assert_eq!(results, vec![None; 4], "every task panicked");
         // The pool is still alive afterwards.
         assert_eq!(
             scatter_settle(&executor, vec![|| 1, || 2]),
-            vec![Ok(1), Ok(2)]
+            vec![Some(1), Some(2)]
         );
+    }
+
+    #[test]
+    fn a_waiting_caller_wakes_for_a_result_it_cannot_help_with() {
+        // Task 0 blocks until task 1 sends. Whichever of the two the
+        // caller runs itself, the other runs on the pool's one worker, and
+        // a caller that ran task 1 has nothing left to help with: it must
+        // sleep until task 0's wake-up. The rounds run off the test thread
+        // so that a lost wake-up fails at the bound instead of hanging.
+        let (done_tx, done_rx) = mpsc::channel();
+        let rounds = thread::spawn(move || {
+            let executor = Executor::new(1);
+            for _ in 0..2_000 {
+                let (tx, rx) = mpsc::channel();
+                let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+                    Box::new(move || rx.recv().map_or(0, |()| 1)),
+                    Box::new(move || tx.send(()).map_or(0, |()| 2)),
+                ];
+                assert_eq!(scatter_settle(&executor, tasks), vec![Some(1), Some(2)]);
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every round's join woke up");
+        rounds.join().expect("the rounds thread finished");
     }
 }

@@ -75,7 +75,6 @@ pub use exec::Executor;
 pub use frontier::FrontierPoint;
 pub use portfolio::{
     default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio, MinimizeConfig,
-    MinimizePortfolioOutcome, MinimizeWorkerReport, RaceWorker, SharingReport,
 };
 pub use session::{
     Engine, PebblingSession, ProbeEvent, Report, SessionError, SessionHandle, SessionOutcome,

@@ -22,7 +22,10 @@
 //!   ([`default_minimize_portfolio`]): each drives one incremental
 //!   assumption-bounded encoding through its own [`BudgetSchedule`], and
 //!   the first complete search wins — so the portfolio explores budget
-//!   schedules, not just option sets;
+//!   schedules, not just option sets. The session answers
+//!   [`SessionOutcome::Minimize`](crate::session::SessionOutcome::Minimize)
+//!   with one result merged from the workers' (see
+//!   [`MinimizeResult`]);
 //! - a fixed budget `p` is the one-point window `[p, p]`: workers race
 //!   diverse solver configurations ([`default_portfolio`]), each probing
 //!   `p` once on a fresh baked-budget solver, and the first strategy
@@ -56,42 +59,46 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use revpebble_graph::Dag;
 use revpebble_sat::card::CardEncoding;
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelToken, PoolConfig, PoolStats, SharedClausePool};
+use revpebble_sat::{CancelToken, PoolConfig, SharedClausePool};
 
 use crate::encoding::MoveMode;
 use crate::exec::{scatter_settle, Executor};
 use crate::sharing::SharedSearchState;
 use crate::solver::{
-    run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult, SolverOptions,
-    StepSchedule,
+    run_minimize_with_context, sum_stats, BudgetSchedule, MinimizeContext, MinimizeResult,
+    SolverOptions, StepSchedule,
 };
-use crate::strategy::Strategy;
 
 /// Sentinel for "no worker has claimed the win yet".
 const NO_WINNER: usize = usize::MAX;
 
-/// What one race worker did, for diagnostics and benchmarking.
-#[derive(Debug, Clone)]
-pub struct RaceWorker<C, R> {
-    /// The configuration this worker ran.
-    pub config: C,
-    /// The worker's own result (the winner's decides the race).
-    pub result: R,
+/// What one race worker did.
+#[derive(Default)]
+pub(crate) struct WorkerRun {
+    /// The worker's own minimize result.
+    pub(crate) result: MinimizeResult,
     /// Wall-clock time from spawn to return.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
     /// `true` when the worker gave up because the race token fired — a
     /// rival won, or an ambient session token was cancelled — as opposed
     /// to finishing its own search.
-    pub cancelled: bool,
-    /// The panic payload when this worker's job panicked instead of
-    /// returning. The entry is a placeholder (a default result) kept in
-    /// configuration order so winner indices stay valid; the race
-    /// certifies from the survivors.
-    pub panicked: Option<String>,
+    pub(crate) cancelled: bool,
+    /// `true` when the worker's job panicked; the run is a placeholder
+    /// with a default result, and the race certifies from the survivors.
+    pub(crate) failed: bool,
 }
 
-/// What one race worker did.
-pub type MinimizeWorkerReport = RaceWorker<MinimizeConfig, MinimizeResult>;
+/// What a race did: every worker's run and the race's one answer.
+pub(crate) struct Race {
+    /// One run per worker, in configuration order.
+    pub(crate) workers: Vec<WorkerRun>,
+    /// Index of the first worker to complete its whole search with a
+    /// certified budget, if any.
+    pub(crate) winner: Option<usize>,
+    /// The race's answer, merged from the workers' results (see
+    /// [`race_minimize`]).
+    pub(crate) result: MinimizeResult,
+}
 
 /// A compact single-line description of one configuration,
 /// e.g. `exponential/par/totalizer/stride1`.
@@ -200,7 +207,7 @@ pub struct MinimizeConfig {
 
 /// A compact single-line description of one minimize configuration,
 /// e.g. `binary/linear/seq` or `desc2/exponential/par`.
-pub fn describe_minimize_config(config: &MinimizeConfig) -> String {
+pub(crate) fn describe_minimize_config(config: &MinimizeConfig) -> String {
     let schedule = match config.schedule {
         BudgetSchedule::Binary => "binary".to_string(),
         BudgetSchedule::Descending { stride } => format!("desc{}", stride.max(1)),
@@ -233,45 +240,6 @@ pub fn diversify_minimize_portfolio(configs: &mut [MinimizeConfig]) {
         sat.activity_noise = 0.05 * rng.gen::<f64>();
         sat.seed = rng.gen();
     }
-}
-
-/// Aggregate view of what a minimize race shared (see
-/// [`MinimizePortfolioOutcome::sharing`]). For an isolated race the
-/// bound fields aggregate the workers' private blackboards instead.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SharingReport {
-    /// Certified budget floor at the end of the race — step-cap-relative
-    /// (see [`crate::sharing`]) and certified with respect to **worker
-    /// 0's configuration**, which for the default (homogeneous)
-    /// portfolios is every worker's. Never exceeds a budget certified by
-    /// a worker of that configuration; a heterogeneous custom portfolio
-    /// racing a different encoding or a larger step cap may certify a
-    /// [`best`](MinimizePortfolioOutcome::best) *below* this floor, since
-    /// the floor says nothing about other caps.
-    pub floor: usize,
-    /// Universal step refutations recorded from budget-free unsat cores.
-    pub step_tightenings: u64,
-    /// Times the budget floor was raised by an exhausted probe.
-    pub floor_raises: u64,
-    /// Total clauses published to / rejected by the shared pool (zeros
-    /// without clause sharing).
-    pub pool: PoolStats,
-}
-
-/// The result of a minimize race.
-#[derive(Debug, Clone)]
-pub struct MinimizePortfolioOutcome {
-    /// The smallest certified budget across *all* workers (a cancelled
-    /// descending worker may have certified a smaller budget than the
-    /// winner completed with).
-    pub best: Option<(usize, Strategy)>,
-    /// Index of the first worker to complete its whole search with a
-    /// certified budget, if any.
-    pub winner: Option<usize>,
-    /// One report per worker, in configuration order.
-    pub workers: Vec<MinimizeWorkerReport>,
-    /// What the race shared and what the sharing proved.
-    pub sharing: SharingReport,
 }
 
 /// Builds `n` diverse minimize configurations: budget schedules (binary
@@ -328,9 +296,7 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
 /// `run` — the session's probe settings, window, token and event sink —
 /// under its own configuration and its own child of the race token, and
 /// the first worker to finish a *complete* search with a certified budget
-/// cancels the race, which stops the rivals inside the CDCL loop. The
-/// returned `best` is the smallest budget certified by anyone — a
-/// cancelled rival may have descended further than the winner.
+/// cancels the race, which stops the rivals inside the CDCL loop.
 ///
 /// When `shared`, the workers exchange short learnt clauses verbatim
 /// through one [`SharedClausePool`] and pool certified refutations and
@@ -338,13 +304,26 @@ fn other_schedule(schedule: StepSchedule) -> StepSchedule {
 /// workers whose encoding options and step cap equal worker 0's (every
 /// [`default_minimize_portfolio`] worker); any other worker races
 /// isolated.
+///
+/// The race's answer is one [`MinimizeResult`]:
+///
+/// - `best` is the smallest budget any worker certified, the first in
+///   configuration order on a tie — a cancelled rival may have descended
+///   further than the winner;
+/// - `probes` and `probe_stats` hold each worker's log in configuration
+///   order; `search.queries`, `retries` and `sat` are summed and
+///   `search.max_k` is the maximum;
+/// - `floor`, `step_tightenings` and `floor_raises` are the shared
+///   blackboard's. An isolated race takes the largest floor and the sums
+///   over the workers compatible with worker 0: an incompatible worker's
+///   floor is certified for another encoding or step cap.
 pub(crate) fn race_minimize(
     dag: &Dag,
-    configs: Vec<MinimizeConfig>,
+    configs: &[MinimizeConfig],
     run: MinimizeContext,
     shared: bool,
     executor: &Executor,
-) -> MinimizePortfolioOutcome {
+) -> Race {
     let pool = shared.then(|| {
         Arc::new(SharedClausePool::with_config(PoolConfig {
             max_workers: configs.len().max(1),
@@ -356,8 +335,7 @@ pub(crate) fn race_minimize(
     // The pool copies literals verbatim, which is sound only between
     // identical encodings, and the blackboard certifies facts under one
     // step cap. Incompatible workers keep racing, just without either —
-    // and their results are excluded from the certified figures in the
-    // sharing report below.
+    // and their results are excluded from the certified figures below.
     let compatible: Vec<bool> = configs
         .iter()
         .map(|config| {
@@ -414,29 +392,23 @@ pub(crate) fn race_minimize(
                 {
                     race.cancel();
                 }
-                RaceWorker {
-                    config,
+                WorkerRun {
                     result,
                     elapsed: start.elapsed(),
                     cancelled: !finished && token.is_cancelled(),
-                    panicked: None,
+                    failed: false,
                 }
             }
         })
         .collect();
-    // Panic isolation: a panicked worker becomes a placeholder entry (in
-    // configuration order, so winner indices stay valid) and the race
-    // certifies from the survivors.
-    let workers: Vec<MinimizeWorkerReport> = scatter_settle(executor, tasks)
+    // Panic isolation: a panicked worker becomes a placeholder run (in
+    // configuration order, so winner indices stay valid).
+    let workers: Vec<WorkerRun> = scatter_settle(executor, tasks)
         .into_iter()
-        .zip(configs)
-        .map(|(slot, config)| {
-            slot.unwrap_or_else(|failure| RaceWorker {
-                config,
-                result: MinimizeResult::default(),
-                elapsed: Duration::ZERO,
-                cancelled: false,
-                panicked: Some(failure.message),
+        .map(|slot| {
+            slot.unwrap_or(WorkerRun {
+                failed: true,
+                ..WorkerRun::default()
             })
         })
         .collect();
@@ -444,46 +416,36 @@ pub(crate) fn race_minimize(
         NO_WINNER => None,
         index => Some(index),
     };
-    let best = workers
-        .iter()
-        .filter_map(|worker| worker.result.best.clone())
-        .min_by_key(|&(p, _)| p);
-    // Certified figures only ever aggregate reference-compatible workers:
-    // an incompatible worker's floor is certified relative to a *different*
-    // encoding or step cap, and mixing them could report a "floor" above a
-    // budget some larger-cap worker legitimately certified.
-    let compatible_workers = || {
-        workers
+    let mut result = MinimizeResult {
+        best: workers
             .iter()
-            .zip(&compatible)
-            .filter_map(|(w, &ok)| ok.then_some(w))
+            .filter_map(|worker| worker.result.best.clone())
+            .min_by_key(|&(p, _)| p),
+        ..MinimizeResult::default()
     };
-    let sharing = match &blackboard {
-        Some(state) => SharingReport {
-            floor: state.floor(),
-            step_tightenings: state.step_tightenings(),
-            floor_raises: state.floor_raises(),
-            pool: pool.as_ref().map(|p| p.stats()).unwrap_or_default(),
-        },
-        // Isolated race: aggregate the compatible workers' private
-        // blackboards so the report stays meaningful for comparisons.
-        None => SharingReport {
-            floor: compatible_workers()
-                .map(|w| w.result.floor)
-                .max()
-                .unwrap_or_default(),
-            step_tightenings: compatible_workers()
-                .map(|w| w.result.step_tightenings)
-                .sum(),
-            floor_raises: compatible_workers().map(|w| w.result.floor_raises).sum(),
-            pool: pool.as_ref().map(|p| p.stats()).unwrap_or_default(),
-        },
-    };
-    MinimizePortfolioOutcome {
-        best,
-        winner,
+    for (worker, &compatible) in workers.iter().zip(&compatible) {
+        let run = &worker.result;
+        result.probes.extend_from_slice(&run.probes);
+        result.probe_stats.extend_from_slice(&run.probe_stats);
+        result.search.queries += run.search.queries;
+        result.search.max_k = result.search.max_k.max(run.search.max_k);
+        result.sat = sum_stats(result.sat, run.sat);
+        result.retries += run.retries;
+        if compatible {
+            result.floor = result.floor.max(run.floor);
+            result.step_tightenings += run.step_tightenings;
+            result.floor_raises += run.floor_raises;
+        }
+    }
+    if let Some(state) = &blackboard {
+        result.floor = state.floor();
+        result.step_tightenings = state.step_tightenings();
+        result.floor_raises = state.floor_raises();
+    }
+    Race {
         workers,
-        sharing,
+        winner,
+        result,
     }
 }
 
@@ -501,10 +463,10 @@ mod tests {
     /// worker, under no session token.
     fn race_minimize_configs(
         dag: &Dag,
-        configs: Vec<MinimizeConfig>,
+        configs: &[MinimizeConfig],
         per_query: Duration,
         shared: bool,
-    ) -> MinimizePortfolioOutcome {
+    ) -> Race {
         let executor = Executor::new(configs.len());
         let run = MinimizeContext {
             per_query: Some(per_query),
@@ -544,11 +506,14 @@ mod tests {
         }
     }
 
-    fn session_minimize_portfolio(session: PebblingSession<'_>) -> MinimizePortfolioOutcome {
+    /// A minimize race's answer and its worker rows.
+    fn session_minimize_portfolio(
+        session: PebblingSession<'_>,
+    ) -> (MinimizeResult, Vec<WorkerSummary>) {
         let report = session.run().expect("valid pebbling configuration");
         match report.outcome {
-            SessionOutcome::MinimizePortfolio(outcome) => outcome,
-            _ => unreachable!("a minimize-portfolio session drives the portfolio engine"),
+            SessionOutcome::Minimize(result) => (result, report.workers),
+            _ => unreachable!("a minimize race answers one minimize result"),
         }
     }
 
@@ -557,7 +522,7 @@ mod tests {
         base: SolverOptions,
         per_query: Duration,
         n: usize,
-    ) -> MinimizePortfolioOutcome {
+    ) -> (MinimizeResult, Vec<WorkerSummary>) {
         session_minimize_portfolio(
             PebblingSession::new(dag)
                 .solver_options(base)
@@ -572,7 +537,7 @@ mod tests {
         base: SolverOptions,
         per_query: Duration,
         n: usize,
-    ) -> MinimizePortfolioOutcome {
+    ) -> (MinimizeResult, Vec<WorkerSummary>) {
         session_minimize_portfolio(
             PebblingSession::new(dag)
                 .solver_options(base)
@@ -698,15 +663,15 @@ mod tests {
             })
             .to_vec();
         let start = Instant::now();
-        let result = race_minimize_configs(&dag, configs, Duration::from_secs(600), false);
+        let race = race_minimize_configs(&dag, &configs, Duration::from_secs(600), false);
         let elapsed = start.elapsed();
 
-        assert_eq!(result.winner, Some(0), "only the capped worker can finish");
-        let (p, strategy) = result.best.expect("winner's strategy");
+        assert_eq!(race.winner, Some(0), "only the capped worker can finish");
+        let (p, strategy) = race.result.best.expect("winner's strategy");
         assert_eq!(p, 4);
         strategy.validate(&dag, Some(4)).expect("valid");
 
-        let loser = &result.workers[1];
+        let loser = &race.workers[1];
         assert!(loser.cancelled, "loser must report being cancelled");
         for &(budget, verdict) in &loser.result.probes {
             if budget == 3 {
@@ -741,20 +706,20 @@ mod tests {
             .iter()
             .any(|c| matches!(c.schedule, BudgetSchedule::Descending { .. })));
 
-        let outcome = race_minimize_configs(&dag, configs, Duration::from_secs(20), false);
-        let (p, strategy) = outcome.best.expect("paper example is feasible");
+        let race = race_minimize_configs(&dag, &configs, Duration::from_secs(20), false);
+        let (p, strategy) = race.result.best.expect("paper example is feasible");
         assert_eq!(p, 4, "all schedules agree on the minimum budget");
         strategy.validate(&dag, Some(4)).expect("valid");
-        assert!(outcome.winner.is_some());
-        assert_eq!(outcome.workers.len(), 4);
+        assert!(race.winner.is_some());
+        assert_eq!(race.workers.len(), 4);
         // Every worker ran incrementally: its probes share one solver.
-        for worker in &outcome.workers {
+        for (worker, config) in race.workers.iter().zip(&configs) {
             if !worker.result.probes.is_empty() {
                 assert_eq!(
                     worker.result.sat.solves,
                     worker.result.search.queries as u64,
                     "{}",
-                    describe_minimize_config(&worker.config)
+                    describe_minimize_config(config)
                 );
             }
         }
@@ -767,24 +732,21 @@ mod tests {
             max_steps: 60,
             ..SolverOptions::default()
         };
-        let shared = minimize_portfolio_shared(&dag, base, Duration::from_secs(30), 4);
+        let (shared, rows) = minimize_portfolio_shared(&dag, base, Duration::from_secs(30), 4);
         let (p, strategy) = shared.best.clone().expect("c17 is feasible");
         strategy.validate(&dag, Some(p)).expect("valid");
         // The single-worker incremental engine agrees on the minimum.
         let single = minimize_single(&dag, base, Duration::from_secs(30));
         assert_eq!(Some(p), single.best.map(|(p, _)| p));
         // The cooperative layer was actually on and did something.
-        let exported: u64 = shared
-            .workers
-            .iter()
-            .map(|w| w.result.sat.exported_clauses)
-            .sum();
+        let exported: u64 = rows.iter().map(|w| w.exported).sum();
         assert!(exported > 0, "c17 probes must learn poolable clauses");
-        assert!(shared.sharing.pool.published > 0);
+        // Every publish to the pool counts one export.
+        assert!(shared.sat.exported_clauses > 0);
         assert!(
-            shared.sharing.floor <= p,
+            shared.floor <= p,
             "certified floor {} must not exceed the certified minimum {p}",
-            shared.sharing.floor
+            shared.floor
         );
     }
 
@@ -802,12 +764,12 @@ mod tests {
         let mut configs = default_minimize_portfolio(base, 3);
         configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
         configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
-        let outcome = race_minimize_configs(&dag, configs, Duration::from_secs(30), true);
-        let (p, strategy) = outcome.best.clone().expect("c17 is feasible");
+        let race = race_minimize_configs(&dag, &configs, Duration::from_secs(30), true);
+        let (p, strategy) = race.result.best.clone().expect("c17 is feasible");
         strategy.validate(&dag, Some(p)).expect("valid");
         let single = minimize_single(&dag, base, Duration::from_secs(30));
         assert_eq!(Some(p), single.best.map(|(p, _)| p));
-        for (index, worker) in outcome.workers.iter().enumerate().skip(1) {
+        for (index, worker) in race.workers.iter().enumerate().skip(1) {
             let sat = worker.result.sat;
             assert_eq!(
                 (sat.imported_clauses, sat.exported_clauses),
@@ -815,7 +777,7 @@ mod tests {
                 "worker {index} has another encoding and must not touch the pool"
             );
         }
-        assert!(outcome.sharing.floor <= p);
+        assert!(race.result.floor <= p);
     }
 
     #[test]
@@ -889,8 +851,8 @@ mod tests {
         };
         let mut configs = default_minimize_portfolio(base, 3);
         diversify_minimize_portfolio(&mut configs);
-        let outcome = race_minimize_configs(&dag, configs, Duration::from_secs(20), true);
-        assert_eq!(outcome.best.as_ref().map(|&(p, _)| p), Some(4));
+        let race = race_minimize_configs(&dag, &configs, Duration::from_secs(20), true);
+        assert_eq!(race.result.best.as_ref().map(|&(p, _)| p), Some(4));
     }
 
     #[test]
@@ -932,10 +894,10 @@ mod tests {
             max_steps: 60,
             ..SolverOptions::default()
         };
-        let outcome = minimize_portfolio(&dag, base, Duration::from_secs(20), 2);
+        let (outcome, _) = minimize_portfolio(&dag, base, Duration::from_secs(20), 2);
         assert_eq!(outcome.best.as_ref().map(|&(p, _)| p), Some(4));
-        assert_eq!(outcome.sharing.pool.published, 0, "no pool exists");
-        assert!(outcome.sharing.floor <= 4);
+        assert_eq!(outcome.sat.exported_clauses, 0, "no pool exists");
+        assert!(outcome.floor <= 4);
     }
 
     #[test]
@@ -979,7 +941,8 @@ mod tests {
             configs[1].base.encoding.card_encoding = CardEncoding::Totalizer;
             configs[2].base.encoding.card_encoding = CardEncoding::Pairwise;
             diversify_minimize_portfolio(&mut configs);
-            let shared = race_minimize_configs(&dag, configs, per_query, true);
+            let race = race_minimize_configs(&dag, &configs, per_query, true);
+            let shared = &race.result;
             let single = minimize_single(&dag, base, per_query);
 
             let single_min = single.best.as_ref().map(|&(p, _)| p);
@@ -991,10 +954,10 @@ mod tests {
                 // which cardinality encoding) is the whole diagnosis.
                 eprintln!(
                     "MISMATCH shared={shared_min:?} single={single_min:?} \
-                     floor={} pool={:?}",
-                    shared.sharing.floor, shared.sharing.pool
+                     floor={} exports={}",
+                    shared.floor, shared.sat.exported_clauses
                 );
-                for (i, w) in shared.workers.iter().enumerate() {
+                for (i, (w, config)) in race.workers.iter().zip(&configs).enumerate() {
                     eprintln!(
                         "worker {i}: best={:?} floor={} probes={:?} cancelled={} \
                          imports={} exports={} card={:?}",
@@ -1004,7 +967,7 @@ mod tests {
                         w.cancelled,
                         w.result.sat.imported_clauses,
                         w.result.sat.exported_clauses,
-                        w.config.base.encoding.card_encoding,
+                        config.base.encoding.card_encoding,
                     );
                 }
             }
@@ -1015,8 +978,8 @@ mod tests {
             if let Some((p, strategy)) = &shared.best {
                 strategy.validate(&dag, Some(*p)).expect("winner's strategy is valid");
                 prop_assert!(
-                    shared.sharing.floor <= *p,
-                    "floor {} exceeds certified minimum {}", shared.sharing.floor, p
+                    shared.floor <= *p,
+                    "floor {} exceeds certified minimum {}", shared.floor, p
                 );
             }
         }

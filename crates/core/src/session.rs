@@ -81,8 +81,7 @@ use crate::exec::Executor;
 use crate::frontier::{frontier_on, FrontierPoint};
 use crate::portfolio::{
     default_minimize_portfolio, default_portfolio, describe_minimize_config, describe_options,
-    diversify_minimize_portfolio, race_minimize, MinimizeConfig, MinimizePortfolioOutcome,
-    MinimizeWorkerReport,
+    diversify_minimize_portfolio, race_minimize, MinimizeConfig, Race,
 };
 use crate::solver::{
     fixed_outcome, run_minimize_with_context, BudgetSchedule, MinimizeContext, MinimizeResult,
@@ -574,12 +573,12 @@ pub enum SessionOutcome {
     /// any probe started). A race's workers are the [`Report::workers`]
     /// rows.
     Single(PebbleOutcome),
-    /// [`Engine::MinimizeFresh`] / [`Engine::MinimizeIncremental`]: the
-    /// raw minimize result.
+    /// [`Engine::MinimizeFresh`] / [`Engine::MinimizeIncremental`] /
+    /// [`Engine::MinimizePortfolio`] / [`Engine::MinimizePortfolioShared`]:
+    /// the minimize result. A race answers one result merged from its
+    /// workers' (see [`MinimizeResult`]); its workers are the
+    /// [`Report::workers`] rows.
     Minimize(MinimizeResult),
-    /// [`Engine::MinimizePortfolio`] /
-    /// [`Engine::MinimizePortfolioShared`]: the raw race outcome.
-    MinimizePortfolio(MinimizePortfolioOutcome),
     /// [`Engine::Frontier`]: the swept trade-off points.
     Frontier(Vec<FrontierPoint>),
     /// The engine job died (panicked or was detached) before producing
@@ -640,7 +639,6 @@ impl Report {
         match &self.outcome {
             SessionOutcome::Single(outcome) => outcome.strategy(),
             SessionOutcome::Minimize(result) => result.best.as_ref().map(|(_, s)| s),
-            SessionOutcome::MinimizePortfolio(outcome) => outcome.best.as_ref().map(|(_, s)| s),
             SessionOutcome::Frontier(points) => {
                 points.iter().find_map(|point| point.strategy.as_ref())
             }
@@ -653,7 +651,6 @@ impl Report {
         match self.outcome {
             SessionOutcome::Single(outcome) => outcome.into_strategy(),
             SessionOutcome::Minimize(result) => result.best.map(|(_, s)| s),
-            SessionOutcome::MinimizePortfolio(outcome) => outcome.best.map(|(_, s)| s),
             SessionOutcome::Frontier(points) => points.into_iter().find_map(|point| point.strategy),
             SessionOutcome::Aborted => None,
         }
@@ -1598,23 +1595,19 @@ fn summarize(
 
 /// One [`WorkerSummary`] row per race worker, in configuration order.
 fn race_rows(
-    workers: &[MinimizeWorkerReport],
-    winner: Option<usize>,
+    race: &Race,
+    configs: &[MinimizeConfig],
     describe: fn(&MinimizeConfig) -> String,
 ) -> Vec<WorkerSummary> {
-    workers
+    race.workers
         .iter()
+        .zip(configs)
         .enumerate()
-        .map(|(index, worker)| {
-            let config = describe(&worker.config);
-            let mut row = summarize(
-                config,
-                &worker.result,
-                winner == Some(index),
-                worker.elapsed,
-            );
+        .map(|(index, (worker, config))| {
+            let winner = race.winner == Some(index);
+            let mut row = summarize(describe(config), &worker.result, winner, worker.elapsed);
             row.cancelled = worker.cancelled;
-            row.failed = worker.panicked.is_some();
+            row.failed = worker.failed;
             row
         })
         .collect()
@@ -1713,16 +1706,17 @@ fn execute_plan(
             }
             let shared = plan.engine == Engine::MinimizePortfolioShared;
             let race = on_pool(executor, configs.len(), |executor| {
-                race_minimize(dag, configs, run, shared, executor)
+                race_minimize(dag, &configs, run, shared, executor)
             });
-            let rows = race_rows(&race.workers, race.winner, describe);
+            let rows = race_rows(&race, &configs, describe);
             if fixed {
                 let winner = race.winner.map(|index| &race.workers[index]);
                 let runs = winner.into_iter().chain(&race.workers).map(|w| &w.result);
                 return answer(fixed_outcome(runs), rows);
             }
-            let certified = (race.best.as_ref().map(|&(p, _)| p), race.sharing.floor);
-            (certified, SessionOutcome::MinimizePortfolio(race), rows)
+            let result = race.result;
+            let certified = (result.best.as_ref().map(|&(p, _)| p), result.floor);
+            (certified, SessionOutcome::Minimize(result), rows)
         }
         Engine::Frontier => {
             let (result, points) = frontier_on(dag, run);
@@ -1856,6 +1850,10 @@ mod tests {
             PebblingSession::new(&dag).minimize(),
             PebblingSession::new(&dag).minimize().incremental(false),
             PebblingSession::new(&dag).minimize().portfolio(2),
+            PebblingSession::new(&dag)
+                .minimize()
+                .portfolio(2)
+                .share_clauses(),
             PebblingSession::new(&dag).pebbles(4).portfolio(2),
             PebblingSession::new(&dag).sweep_frontier(),
             PebblingSession::new(&dag)
@@ -1863,6 +1861,7 @@ mod tests {
                 .incremental(false),
         ];
         for session in sessions {
+            let minimize = session.minimize;
             // A fresh runtime each time: a cache hit pays no conflicts.
             let runtime = SessionRuntime::new(2).expect("workers");
             let handle = runtime
@@ -1870,9 +1869,26 @@ mod tests {
                 .expect("valid configuration");
             let token = handle.token.clone();
             let report = handle.join();
+            let engine = report.engine;
             let conflicts: u64 = report.workers.iter().map(|w| w.conflicts).sum();
-            assert!(conflicts > 0, "{}: no conflicts", report.engine);
-            assert_eq!(token.used(), conflicts, "{}", report.engine);
+            assert!(conflicts > 0, "{engine}: no conflicts");
+            assert_eq!(token.used(), conflicts, "{engine}");
+            if !minimize {
+                continue;
+            }
+            // Raced or not, a minimize session answers one result that
+            // agrees with its rows.
+            let SessionOutcome::Minimize(result) = &report.outcome else {
+                panic!("{engine}: a minimize session answers `Minimize`");
+            };
+            let queries: usize = report.workers.iter().map(|w| w.queries).sum();
+            assert_eq!(result.sat.conflicts, token.used(), "{engine}");
+            assert_eq!(result.search.queries, queries, "{engine}");
+            assert_eq!(result.probes.len(), report.probes(), "{engine}");
+            assert_eq!(result.retries, report.retries, "{engine}");
+            assert_eq!(result.floor, report.floor, "{engine}");
+            let best = result.best.as_ref().map(|&(p, _)| p);
+            assert_eq!(best, report.minimum, "{engine}");
         }
     }
 

@@ -249,12 +249,12 @@ impl<'a> PebbleSolver<'a> {
     /// before the first [`solve`](Self::solve) call. All solvers sharing a
     /// blackboard must agree on the DAG, the move mode, the weighted flag
     /// and `max_steps` (the portfolio wiring enforces this).
-    pub fn set_shared_state(&mut self, shared: Arc<SharedSearchState>) {
+    pub(crate) fn set_shared_state(&mut self, shared: Arc<SharedSearchState>) {
         self.shared = shared;
     }
 
     /// The refutation blackboard this solver records into.
-    pub fn shared_state(&self) -> &Arc<SharedSearchState> {
+    pub(crate) fn shared_state(&self) -> &Arc<SharedSearchState> {
         &self.shared
     }
 
@@ -262,7 +262,7 @@ impl<'a> PebbleSolver<'a> {
     /// clause-sharing pool. Sound between workers encoding the same DAG
     /// with equal [`EncodingOptions`] (see
     /// [`PebbleEncoding::attach_clause_pool`]).
-    pub fn set_clause_pool(&mut self, pool: Option<Arc<SharedClausePool>>) {
+    pub(crate) fn set_clause_pool(&mut self, pool: Option<Arc<SharedClausePool>>) {
         if let (Some(encoding), Some(pool)) = (self.encoding.as_mut(), pool.clone()) {
             encoding.attach_clause_pool(pool);
         }
@@ -638,6 +638,10 @@ impl Default for RetryPolicy {
 }
 
 /// The result of a minimize search.
+///
+/// A minimize race answers one result merged from its workers' results:
+/// the fields below say how each merges. The per-worker figures are the
+/// session's [`Report::workers`](crate::session::Report::workers) rows.
 #[derive(Debug, Clone, Default)]
 pub struct MinimizeResult {
     /// The smallest pebble budget for which a strategy was found, with the
@@ -645,23 +649,32 @@ pub struct MinimizeResult {
     /// at budget `p` extracts a strategy that actually touches only
     /// `p' < p` pebbles (weight units in weighted mode), the strategy
     /// certifies `p'` directly, so `best` records `p'` — possibly smaller
-    /// than every probed budget — and the search continues below it.
+    /// than every probed budget — and the search continues below it. A
+    /// race's is the smallest budget any worker certified, the first in
+    /// configuration order on a tie.
     pub best: Option<(usize, Strategy)>,
     /// Every budget probed, with how its probe ended, in probe order.
     /// (The budgets *probed*; `best` can undercut them — see
-    /// [`best`](Self::best).)
+    /// [`best`](Self::best).) A race holds each worker's log in turn, in
+    /// configuration order.
     pub probes: Vec<(usize, ProbeVerdict)>,
     /// SAT-solver statistics after each probe, aligned with
     /// [`probes`](Self::probes). Incremental searches snapshot the single
     /// shared instance, so every counter is monotone across probes; fresh
-    /// searches record each probe's own solver.
+    /// searches record each probe's own solver. A race's workers each run
+    /// one incremental instance, so the counters are monotone within each
+    /// worker's stretch of the log.
     pub probe_stats: Vec<SolverStats>,
-    /// Outer-search statistics summed over all probes.
+    /// Outer-search statistics summed over all probes (a race sums its
+    /// workers' queries and keeps the largest `max_k`).
     pub search: SearchStats,
     /// Final SAT-solver statistics: the shared instance's counters
     /// (incremental) or the sum over all per-probe solvers (fresh). An
     /// incremental run is auditable here: `sat.solves == search.queries`
-    /// proves one solver answered every query of every probe.
+    /// proves one solver answered every query of every probe. A race sums
+    /// its workers' counters, so `sat.conflicts` is every conflict the
+    /// race paid and `sat.exported_clauses` every clause it published to
+    /// its pool.
     pub sat: SolverStats,
     /// The certified budget lower bound at the end of the search: the
     /// structural bound, raised by every probe that UNSAT-refuted its
@@ -670,14 +683,24 @@ pub struct MinimizeResult {
     /// [`best`](Self::best) is `Some((p, _))`, `floor ≤ p` always holds,
     /// and `floor == p` means the minimum is certified optimal (within
     /// the cap), not merely the smallest budget that happened to solve.
+    ///
+    /// A race's floor is its shared blackboard's, or the largest floor of
+    /// the workers whose encoding and step cap equal worker 0's when it
+    /// shares nothing. Every session race is of one encoding and step
+    /// cap, so `floor ≤ p` holds for it too; only a hand-built list that
+    /// mixes them (the crate's own race tests build such lists) could
+    /// certify a `best` below this floor, since the floor says nothing
+    /// about other encodings or caps.
     pub floor: usize,
     /// Universal step refutations derived from budget-free unsat cores
-    /// during this search (shared runs report the blackboard's total).
+    /// during this search (shared runs report the blackboard's total; an
+    /// isolated race sums the workers that count toward its floor).
     pub step_tightenings: u64,
-    /// Times the budget floor was raised by an exhausted probe.
+    /// Times the budget floor was raised by an exhausted probe (summed
+    /// like [`step_tightenings`](Self::step_tightenings)).
     pub floor_raises: u64,
     /// Probe attempts re-run under the [`RetryPolicy`] after a transient
-    /// failure or spurious cancellation.
+    /// failure or spurious cancellation (summed over a race's workers).
     pub retries: u64,
 }
 
@@ -727,7 +750,8 @@ struct FreshProber<'a> {
     last: SolverStats,
 }
 
-fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
+/// Counter-wise sum of two solver runs' statistics.
+pub(crate) fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
     SolverStats {
         decisions: a.decisions + b.decisions,
         propagations: a.propagations + b.propagations,

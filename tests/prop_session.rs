@@ -211,8 +211,8 @@ proptest! {
                 session = session.executor(Arc::new(Executor::new(2)));
             }
             let shared_report = session.run().expect("a valid configuration");
-            let SessionOutcome::MinimizePortfolio(shared) = &shared_report.outcome else {
-                panic!("a minimize portfolio ran");
+            let SessionOutcome::Minimize(shared) = &shared_report.outcome else {
+                panic!("a minimize race answers one minimize result");
             };
             prop_assert_eq!(minimum(&shared.best), minimum(&single.best));
             prop_assert_eq!(shared_report.minimum, minimum(&single.best));

@@ -55,8 +55,8 @@ proptest! {
             .per_query_timeout(per_query)
             .run()
             .expect("a valid configuration");
-        let SessionOutcome::MinimizePortfolio(shared) = shared_report.outcome else {
-            panic!("a minimize portfolio ran");
+        let SessionOutcome::Minimize(shared) = shared_report.outcome else {
+            panic!("a minimize race answers one minimize result");
         };
 
         let single_min = single.best.as_ref().map(|&(p, _)| p);
@@ -70,8 +70,8 @@ proptest! {
             // Core-derived lower bounds are certificates: they can meet
             // the minimum but never cross it.
             prop_assert!(
-                shared.sharing.floor <= *p,
-                "floor {} exceeds certified minimum {}", shared.sharing.floor, p
+                shared.floor <= *p,
+                "floor {} exceeds certified minimum {}", shared.floor, p
             );
         }
     }
