@@ -2,60 +2,35 @@
 //! "at most P pebbles per step" clauses (DESIGN.md's encoding-choice
 //! ablation).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revpebble::sat::card::{at_most_k, CardEncoding};
 use revpebble::sat::{Cnf, Lit, SolveResult, Solver, Var};
-use std::hint::black_box;
+use revpebble_bench::time;
 
-/// Encoding size: clauses produced for n literals, bound k.
-fn bench_encoding_size(c: &mut Criterion) {
-    let mut group = c.benchmark_group("card_encode");
-    for &(n, k) in &[(40usize, 10usize), (80, 20)] {
+fn main() {
+    // Encoding size: clauses produced for n literals, bound k.
+    for (n, k) in [(40usize, 10usize), (80, 20)] {
         for encoding in [CardEncoding::SequentialCounter, CardEncoding::Totalizer] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{encoding:?}"), format!("n{n}_k{k}")),
-                &(n, k),
-                |b, &(n, k)| {
-                    b.iter(|| {
-                        let mut cnf = Cnf::new(n);
-                        let lits: Vec<Lit> =
-                            (0..n).map(|i| Var::from_index(i).positive()).collect();
-                        at_most_k(&mut cnf, &lits, k, encoding);
-                        black_box(cnf.len())
-                    })
-                },
-            );
+            time(&format!("card_encode/{encoding:?}/n{n}_k{k}"), 10, || {
+                let mut cnf = Cnf::new(n);
+                let lits: Vec<Lit> = (0..n).map(|i| Var::from_index(i).positive()).collect();
+                at_most_k(&mut cnf, &lits, k, encoding);
+                cnf.len()
+            });
         }
     }
-    group.finish();
-}
-
-/// Propagation strength: prove that forcing k+1 literals violates the
-/// bound (UNSAT), per encoding.
-fn bench_encoding_unsat(c: &mut Criterion) {
-    let mut group = c.benchmark_group("card_unsat");
-    group.sample_size(20);
+    // Propagation strength: prove that forcing k+1 literals violates the
+    // bound (UNSAT), per encoding.
     let (n, k) = (60usize, 15usize);
     for encoding in [CardEncoding::SequentialCounter, CardEncoding::Totalizer] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{encoding:?}"), format!("n{n}_k{k}")),
-            &(n, k),
-            |b, &(n, k)| {
-                b.iter(|| {
-                    let mut solver = Solver::new();
-                    let vars = solver.new_vars(n);
-                    let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-                    at_most_k(&mut solver, &lits, k, encoding);
-                    for lit in &lits[..k + 1] {
-                        solver.add_clause([*lit]);
-                    }
-                    assert_eq!(solver.solve(), SolveResult::Unsat);
-                })
-            },
-        );
+        time(&format!("card_unsat/{encoding:?}/n{n}_k{k}"), 20, || {
+            let mut solver = Solver::new();
+            let vars = solver.new_vars(n);
+            let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
+            at_most_k(&mut solver, &lits, k, encoding);
+            for lit in &lits[..k + 1] {
+                solver.add_clause([*lit]);
+            }
+            assert_eq!(solver.solve(), SolveResult::Unsat);
+        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_encoding_size, bench_encoding_unsat);
-criterion_main!(benches);

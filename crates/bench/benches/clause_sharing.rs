@@ -22,7 +22,6 @@
 //! 2→16-worker speedup may not collapse relative to the baseline, and
 //! sharing counters that were alive may not drop to zero.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use revpebble::core::{
     EncodingOptions, MinimizeResult, MoveMode, PebblingSession, SessionOutcome, SolverOptions,
     StepSchedule,
@@ -31,8 +30,7 @@ use revpebble::graph::generators::chain;
 use revpebble::graph::parse_bench;
 use revpebble::graph::slp::h_operator_sized;
 use revpebble::graph::Dag;
-use revpebble_bench::{record_bench_json, BenchRecord};
-use std::hint::black_box;
+use revpebble_bench::{record_bench_json, time, BenchRecord};
 use std::time::{Duration, Instant};
 
 const WORKERS: usize = 4;
@@ -66,7 +64,8 @@ fn race_with(
     }
 }
 
-/// The audit/criterion configuration: [`WORKERS`] workers, verbatim pool.
+/// The audited and timed configuration: [`WORKERS`] workers, verbatim
+/// pool.
 fn race(dag: &Dag, base: SolverOptions, per_query: Duration, shared: bool) -> MinimizeResult {
     race_with(dag, base, per_query, WORKERS, shared, false)
 }
@@ -197,10 +196,8 @@ fn record_scaling_sweep() {
     record_bench_json("clause_sharing", &records);
 }
 
-fn bench_clause_sharing(c: &mut Criterion) {
+fn main() {
     record_scaling_sweep();
-    let mut group = c.benchmark_group("clause_sharing");
-    group.sample_size(10);
     for workload in workloads() {
         let Workload {
             name,
@@ -255,15 +252,10 @@ fn bench_clause_sharing(c: &mut Criterion) {
         if assert_imports {
             assert!(imports > 0, "{name}: expected nonzero clause imports");
         }
-        group.bench_function(format!("shared/{name}"), |b| {
-            b.iter(|| black_box(race(black_box(&dag), base, per_query, true)))
-        });
-        group.bench_function(format!("isolated/{name}"), |b| {
-            b.iter(|| black_box(race(black_box(&dag), base, per_query, false)))
-        });
+        for (mode, shared) in [("shared", true), ("isolated", false)] {
+            time(&format!("clause_sharing/{mode}/{name}"), 10, || {
+                race(&dag, base, per_query, shared)
+            });
+        }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_clause_sharing);
-criterion_main!(benches);

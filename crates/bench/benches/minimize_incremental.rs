@@ -19,15 +19,13 @@
 //! the clause arena was garbage-collected at least once — the workload CI
 //! uses to prove the mark-compact path runs in production-shaped searches.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use revpebble::core::{
     BudgetSchedule, EncodingOptions, MinimizeResult, MoveMode, PebblingSession, SessionOutcome,
     SolverOptions, StepSchedule,
 };
 use revpebble::graph::generators::paper_example;
 use revpebble::graph::{parse_bench, Dag};
-use revpebble_bench::{record_bench_json, table1_dag, BenchRecord, TABLE1};
-use std::hint::black_box;
+use revpebble_bench::{record_bench_json, table1_dag, time, BenchRecord, TABLE1};
 use std::time::{Duration, Instant};
 
 fn base(schedule: StepSchedule, max_steps: usize) -> SolverOptions {
@@ -93,10 +91,8 @@ fn audit(
     (result, record)
 }
 
-fn bench_minimize_incremental(c: &mut Criterion) {
+fn main() {
     let mut records = Vec::new();
-    let mut group = c.benchmark_group("minimize_incremental");
-    group.sample_size(10);
     let paper = paper_example();
     let c17 = parse_bench(revpebble::graph::data::C17_BENCH).expect("parses");
     // Infeasible-budget probes terminate via max_steps (StepLimit), not
@@ -146,35 +142,17 @@ fn bench_minimize_incremental(c: &mut Criterion) {
             incremental.search.queries,
             incremental.best.as_ref().map(|&(p, _)| p),
         );
-        group.bench_function(format!("fresh/{name}"), |b| {
-            b.iter(|| {
-                black_box(minimize_session(
-                    black_box(dag),
-                    options,
-                    BudgetSchedule::Binary,
-                    false,
-                    per_query,
-                ))
-            })
-        });
-        group.bench_function(format!("incremental/{name}"), |b| {
-            b.iter(|| {
-                black_box(minimize_session(
-                    black_box(dag),
-                    options,
-                    BudgetSchedule::Binary,
-                    true,
-                    per_query,
-                ))
-            })
-        });
+        for (engine, incremental) in [("fresh", false), ("incremental", true)] {
+            time(&format!("minimize_incremental/{engine}/{name}"), 10, || {
+                minimize_session(dag, options, BudgetSchedule::Binary, incremental, per_query)
+            });
+        }
     }
-    group.finish();
 
     // The timeout-bound Table I row `b3_m4`, in the `table1` harness
     // configuration (parallel moves, exponential deepening, descending
     // budget schedule, 2 s per probe). Timed once per engine — seconds,
-    // not criterion loops. Timeout-bound quantities (which budget each
+    // not sample loops. Timeout-bound quantities (which budget each
     // engine certifies) are machine-dependent, so they are *reported*,
     // not hard-asserted; only machine-robust invariants gate CI.
     let row = TABLE1.iter().find(|r| r.name == "b3_m4").expect("present");
@@ -248,6 +226,3 @@ fn bench_minimize_incremental(c: &mut Criterion) {
     records.push(incremental_record);
     record_bench_json("minimize_incremental", &records);
 }
-
-criterion_group!(benches, bench_minimize_incremental);
-criterion_main!(benches);

@@ -3,10 +3,9 @@
 //! `K` (fewer time points to encode) at the cost of more change freedom
 //! per transition.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revpebble::core::{EncodingOptions, MoveMode, PebbleSolver, SolverOptions};
 use revpebble::graph::generators::{and_tree, paper_example};
-use std::hint::black_box;
+use revpebble_bench::time;
 
 fn solve(dag: &revpebble::graph::Dag, budget: usize, mode: MoveMode) -> usize {
     let options = SolverOptions {
@@ -24,9 +23,7 @@ fn solve(dag: &revpebble::graph::Dag, budget: usize, mode: MoveMode) -> usize {
         .num_moves()
 }
 
-fn bench_move_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("move_semantics");
-    group.sample_size(10);
+fn main() {
     let cases = [
         ("paper_example@4", paper_example(), 4usize),
         ("and_tree8@7", and_tree(8), 7),
@@ -34,15 +31,9 @@ fn bench_move_modes(c: &mut Criterion) {
     ];
     for (name, dag, budget) in &cases {
         for mode in [MoveMode::Sequential, MoveMode::Parallel] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{mode:?}"), name),
-                &(dag, *budget, mode),
-                |b, (dag, budget, mode)| b.iter(|| black_box(solve(dag, *budget, *mode))),
-            );
+            time(&format!("move_semantics/{mode:?}/{name}"), 10, || {
+                solve(dag, *budget, mode)
+            });
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_move_modes);
-criterion_main!(benches);

@@ -1,126 +1,66 @@
-//! Criterion benches for the pebbling solver on the paper's workloads
-//! (backs the runtime column of Table I and the Fig. 3/4 example).
+//! Benches for the pebbling solver on the paper's workloads (backs the
+//! runtime column of Table I and the Fig. 3/4 example).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revpebble::core::baselines::{bennett, cone_wise};
-use revpebble::core::{EncodingOptions, MoveMode, PebbleSolver, PebblingSession, SolverOptions};
+use revpebble::core::{
+    EncodingOptions, MoveMode, PebbleSolver, PebblingSession, SolverOptions, Strategy,
+};
 use revpebble::graph::generators::{and_tree, chain, paper_example};
 use revpebble::graph::slp::h_operator;
-use std::hint::black_box;
+use revpebble::graph::Dag;
+use revpebble_bench::time;
 
-fn bench_baselines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("baselines");
-    let dag = and_tree(64);
-    group.bench_function("bennett/and_tree_64", |b| {
-        b.iter(|| black_box(bennett(black_box(&dag))))
-    });
-    group.bench_function("cone_wise/and_tree_64", |b| {
-        b.iter(|| black_box(cone_wise(black_box(&dag))))
-    });
-    group.finish();
+/// One fixed-budget session through the front door.
+fn solve(dag: &Dag, budget: usize) -> Strategy {
+    PebblingSession::new(dag)
+        .pebbles(budget)
+        .run()
+        .expect("a valid bench configuration")
+        .into_strategy()
+        .expect("feasible")
 }
 
-fn bench_paper_example(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig34");
-    group.sample_size(20);
-    let dag = paper_example();
+fn main() {
+    let tree = and_tree(64);
+    time("baselines/bennett/and_tree_64", 10, || bennett(&tree));
+    time("baselines/cone_wise/and_tree_64", 10, || cone_wise(&tree));
+
+    let paper = paper_example();
     for budget in [4usize, 5, 6] {
-        group.bench_with_input(BenchmarkId::new("solve", budget), &budget, |b, &budget| {
-            b.iter(|| {
-                PebblingSession::new(black_box(&dag))
-                    .pebbles(budget)
-                    .run()
-                    .expect("a valid bench configuration")
-                    .into_strategy()
-                    .expect("feasible")
-            })
+        time(&format!("fig34/solve/{budget}"), 20, || {
+            solve(&paper, budget)
         });
     }
-    group.finish();
-}
 
-fn bench_fig6(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6");
-    group.sample_size(10);
-    let dag = and_tree(9);
-    group.bench_function("and_tree9_at_7_pebbles", |b| {
-        b.iter(|| {
-            PebblingSession::new(black_box(&dag))
-                .pebbles(7)
-                .run()
-                .expect("a valid bench configuration")
-                .into_strategy()
-                .expect("feasible")
-        })
-    });
-    group.finish();
-}
+    let tree9 = and_tree(9);
+    time("fig6/and_tree9_at_7_pebbles", 10, || solve(&tree9, 7));
 
-fn bench_workloads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workloads");
-    group.sample_size(10);
     let h = h_operator().to_dag().expect("valid");
-    group.bench_function("h_operator_at_6", |b| {
-        b.iter(|| {
-            PebblingSession::new(black_box(&h))
-                .pebbles(6)
-                .run()
-                .expect("a valid bench configuration")
-                .into_strategy()
-                .expect("feasible")
-        })
-    });
-    let ch = chain(10);
-    group.bench_function("chain10_at_5", |b| {
-        b.iter(|| {
-            PebblingSession::new(black_box(&ch))
-                .pebbles(5)
-                .run()
-                .expect("a valid bench configuration")
-                .into_strategy()
-                .expect("feasible")
-        })
-    });
-    group.finish();
-}
+    time("workloads/h_operator_at_6", 10, || solve(&h, 6));
+    let chain10 = chain(10);
+    time("workloads/chain10_at_5", 10, || solve(&chain10, 5));
 
-fn bench_step_stride_ablation(c: &mut Criterion) {
     // Ablation: larger deepening strides trade step-optimality for speed.
-    let mut group = c.benchmark_group("stride_ablation");
-    group.sample_size(10);
-    let dag = chain(12);
+    let chain12 = chain(12);
     for stride in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("chain12_at_5", stride),
-            &stride,
-            |b, &stride| {
-                b.iter(|| {
-                    let options = SolverOptions {
-                        encoding: EncodingOptions {
-                            max_pebbles: Some(5),
-                            move_mode: MoveMode::Sequential,
-                            ..EncodingOptions::default()
-                        },
-                        step_stride: stride,
-                        ..SolverOptions::default()
-                    };
-                    PebbleSolver::new(black_box(&dag), options)
-                        .solve()
-                        .into_strategy()
-                        .expect("feasible")
-                })
+        time(
+            &format!("stride_ablation/chain12_at_5/{stride}"),
+            10,
+            || {
+                let options = SolverOptions {
+                    encoding: EncodingOptions {
+                        max_pebbles: Some(5),
+                        move_mode: MoveMode::Sequential,
+                        ..EncodingOptions::default()
+                    },
+                    step_stride: stride,
+                    ..SolverOptions::default()
+                };
+                PebbleSolver::new(&chain12, options)
+                    .solve()
+                    .into_strategy()
+                    .expect("feasible")
             },
         );
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_baselines,
-    bench_paper_example,
-    bench_fig6,
-    bench_workloads,
-    bench_step_stride_ablation
-);
-criterion_main!(benches);

@@ -2,50 +2,40 @@
 //! workloads: how much wall-clock the first-winner-takes-all race
 //! recovers (or costs, on instances too small to amortize thread spawn).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use revpebble::core::PebblingSession;
+use revpebble::core::{PebblingSession, Strategy};
 use revpebble::graph::generators::{and_tree, chain, paper_example};
-use std::hint::black_box;
+use revpebble::graph::Dag;
+use revpebble_bench::time;
 
-fn bench_portfolio_vs_single(c: &mut Criterion) {
-    let mut group = c.benchmark_group("portfolio_vs_single");
-    group.sample_size(10);
-    let workloads: Vec<(&str, revpebble::graph::Dag, usize)> = vec![
+/// One fixed-budget session, raced by `workers` when there are several.
+fn solve(dag: &Dag, budget: usize, workers: usize) -> Strategy {
+    let mut session = PebblingSession::new(dag).pebbles(budget);
+    if workers > 1 {
+        session = session.portfolio(workers);
+    }
+    session
+        .run()
+        .expect("a valid bench configuration")
+        .into_strategy()
+        .expect("feasible")
+}
+
+fn main() {
+    let workloads = [
         ("paper_at_4", paper_example(), 4),
         ("and_tree9_at_7", and_tree(9), 7),
         ("chain10_at_5", chain(10), 5),
     ];
     for (name, dag, budget) in &workloads {
-        group.bench_with_input(BenchmarkId::new("single", name), budget, |b, &budget| {
-            b.iter(|| {
-                PebblingSession::new(black_box(dag))
-                    .pebbles(budget)
-                    .run()
-                    .expect("a valid bench configuration")
-                    .into_strategy()
-                    .expect("feasible")
-            })
+        time(&format!("portfolio_vs_single/single/{name}"), 10, || {
+            solve(dag, *budget, 1)
         });
         for workers in [2usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("portfolio{workers}"), name),
-                budget,
-                |b, &budget| {
-                    b.iter(|| {
-                        PebblingSession::new(black_box(dag))
-                            .pebbles(budget)
-                            .portfolio(workers)
-                            .run()
-                            .expect("a valid bench configuration")
-                            .into_strategy()
-                            .expect("feasible")
-                    })
-                },
+            time(
+                &format!("portfolio_vs_single/portfolio{workers}/{name}"),
+                10,
+                || solve(dag, *budget, workers),
             );
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_portfolio_vs_single);
-criterion_main!(benches);

@@ -4,10 +4,8 @@
 //! (wall-clock + propagations + conflicts + arena GCs) so the solver's
 //! perf trajectory is committed alongside the code.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revpebble::sat::{Lit, SolveResult, Solver, Var};
-use revpebble_bench::{record_bench_json, BenchRecord};
-use std::hint::black_box;
+use revpebble_bench::{record_bench_json, time, BenchRecord};
 use std::time::Instant;
 
 fn pigeonhole(holes: usize) -> Solver {
@@ -25,20 +23,6 @@ fn pigeonhole(holes: usize) -> Solver {
         }
     }
     solver
-}
-
-fn bench_pigeonhole(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pigeonhole");
-    group.sample_size(10);
-    for holes in [6usize, 7, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(holes), &holes, |b, &holes| {
-            b.iter(|| {
-                let mut solver = pigeonhole(holes);
-                assert_eq!(solver.solve(), SolveResult::Unsat);
-            })
-        });
-    }
-    group.finish();
 }
 
 /// Deterministic xorshift for reproducible random 3-SAT instances.
@@ -68,47 +52,8 @@ fn random_3sat(num_vars: usize, num_clauses: usize, seed: u64) -> Solver {
     solver
 }
 
-fn bench_random_3sat(c: &mut Criterion) {
-    let mut group = c.benchmark_group("random_3sat");
-    group.sample_size(10);
-    // Clause/variable ratio 4.2: near the phase transition.
-    for n in [60usize, 100] {
-        let m = (n as f64 * 4.2) as usize;
-        group.bench_with_input(BenchmarkId::new("n", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut solver = random_3sat(n, m, 0xDEAD_BEEF ^ n as u64);
-                black_box(solver.solve())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_incremental_assumptions(c: &mut Criterion) {
-    // The pebbling loop re-solves the same formula under shifting final
-    // state assumptions; measure that pattern in isolation.
-    let mut group = c.benchmark_group("incremental");
-    group.sample_size(20);
-    group.bench_function("assumption_flips", |b| {
-        let mut solver = random_3sat(80, 300, 42);
-        let assumption_vars: Vec<Var> = (0..8).map(Var::from_index).collect();
-        let _ = solver.solve();
-        let mut flip = 0u64;
-        b.iter(|| {
-            flip += 1;
-            let assumptions: Vec<Lit> = assumption_vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| Lit::new(v, (flip >> i) & 1 == 0))
-                .collect();
-            black_box(solver.solve_with(&assumptions))
-        })
-    });
-    group.finish();
-}
-
 /// One timed run per core workload, recorded in `BENCH_sat.json`.
-fn record_baseline(_c: &mut Criterion) {
+fn record_baseline() {
     let mut records = Vec::new();
     let mut measure = |id: String, mut solver: Solver, expected: Option<SolveResult>| {
         let start = Instant::now();
@@ -149,11 +94,34 @@ fn record_baseline(_c: &mut Criterion) {
     record_bench_json("sat_solver", &records);
 }
 
-criterion_group!(
-    benches,
-    bench_pigeonhole,
-    bench_random_3sat,
-    bench_incremental_assumptions,
-    record_baseline
-);
-criterion_main!(benches);
+fn main() {
+    for holes in [6usize, 7, 8] {
+        time(&format!("pigeonhole/{holes}"), 10, || {
+            let mut solver = pigeonhole(holes);
+            assert_eq!(solver.solve(), SolveResult::Unsat);
+        });
+    }
+    // Clause/variable ratio 4.2: near the phase transition.
+    for n in [60usize, 100] {
+        let m = (n as f64 * 4.2) as usize;
+        time(&format!("random_3sat/n/{n}"), 10, || {
+            random_3sat(n, m, 0xDEAD_BEEF ^ n as u64).solve()
+        });
+    }
+    // The pebbling loop re-solves the same formula under shifting final
+    // state assumptions; measure that pattern in isolation.
+    let mut solver = random_3sat(80, 300, 42);
+    let assumption_vars: Vec<Var> = (0..8).map(Var::from_index).collect();
+    let _ = solver.solve();
+    let mut flip = 0u64;
+    time("incremental/assumption_flips", 20, || {
+        flip += 1;
+        let assumptions: Vec<Lit> = assumption_vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| Lit::new(v, (flip >> i) & 1 == 0))
+            .collect();
+        solver.solve_with(&assumptions)
+    });
+    record_baseline();
+}

@@ -8,25 +8,23 @@
 //! are named in the log as `new-bench (no baseline)` rather than
 //! dropped silently.
 //!
-//! Beyond wall clock, the gate fails when a `sat_solver` row's
-//! `propagations`, `conflicts` or `arena_gcs` differ from the baseline at
-//! all: those rows solve fixed formulas on one thread with no clock, so
-//! their counters repeat exactly and a difference is a changed search
-//! (see [`compare_exact_counters`]). It also fails when a clause-sharing
-//! counter (`imports`/`exports`) that was nonzero in the baseline
-//! collapses to zero, when the `clause_sharing` 2→16-worker scaling
-//! speedup falls more than `--max-ratio` below the baseline's speedup,
-//! and when the incremental minimize engine runs more than
-//! `--max-incremental-ratio` (default 1.25) slower than the
-//! fresh-per-probe baseline on a work-matched `b3_m4` run (equal
-//! certified budgets — see [`paired_wall_ratio`]). These checks skip
-//! with a note when either side lacks the relevant entries/fields, so
-//! old baselines keep gating.
+//! Beyond wall clock, the gate fails when an exact row's `propagations`,
+//! `conflicts` or `arena_gcs` differ from the baseline at all. The exact
+//! rows are every `sat_solver` row and the `minimize_incremental` rows
+//! `fresh` and `incremental` on `paper` and `c17` (see
+//! [`exact_counter_row`]): they run on one thread, and no clock ends a
+//! query, so their counters repeat exactly and a difference is a changed
+//! search (see [`compare_exact_counters`]). It also fails when a
+//! clause-sharing counter (`imports`/`exports`) that was nonzero in the
+//! baseline collapses to zero, and when the `clause_sharing` 2→16-worker
+//! scaling speedup falls more than `--max-ratio` below the baseline's
+//! speedup. These checks skip with a note when either side lacks the
+//! relevant entries/fields, so old baselines keep gating.
 //!
 //! Usage:
 //!   cargo run -p revpebble-bench --bin bench_gate -- \
 //!       [--baseline PATH] [--fresh PATH] [--max-ratio R] [--min-wall S]
-//!       [--max-incremental-ratio R] [--update-baseline]
+//!       [--update-baseline]
 //!
 //! `--baseline` defaults to the committed workspace `BENCH_sat.json` —
 //! deliberately *not* `$BENCH_SAT_JSON`, which CI points at the fresh
@@ -42,8 +40,7 @@ use std::process::ExitCode;
 
 use revpebble_bench::{
     arg_value, compare_bench_records, compare_exact_counters, compare_sharing_fields,
-    paired_wall_ratio, parse_bench_json, scaling_speedup, unmatched_fresh_keys, RatioVerdict,
-    EXACT_COUNTER_BENCH,
+    exact_counter_row, parse_bench_json, scaling_speedup, unmatched_fresh_keys,
 };
 
 fn main() -> ExitCode {
@@ -166,7 +163,7 @@ fn main() -> ExitCode {
     }
     if !moved.is_empty() {
         eprintln!(
-            "bench_gate: {} {EXACT_COUNTER_BENCH} {} from the baseline; \
+            "bench_gate: {} exact-row {} from the baseline; \
              if the search change is deliberate, re-record with --update-baseline",
             moved.len(),
             if moved.len() == 1 {
@@ -177,7 +174,12 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("bench_gate: {EXACT_COUNTER_BENCH} counters match the baseline exactly");
+    let exact = fresh
+        .iter()
+        .filter(|e| exact_counter_row(&e.bench, &e.id))
+        .filter(|e| baseline.iter().any(|b| b.bench == e.bench && b.id == e.id))
+        .count();
+    println!("bench_gate: the counters of {exact} exact rows match the baseline");
 
     // Clause-sharing health: a sharing counter that was alive in the
     // baseline (imports/exports > 0) must not collapse to zero — that
@@ -224,38 +226,6 @@ fn main() -> ExitCode {
         _ => println!("bench_gate: {SCALE_BENCH} scaling sweep absent on one side; skipped"),
     }
 
-    // Incremental-engine overhead on the fresh `minimize_incremental`
-    // records: the incremental engine may not run more than
-    // `--max-incremental-ratio` (default 1.25) slower than the
-    // fresh-per-probe baseline on `b3_m4`. The check only fires when
-    // both engines certified the *same* budget — the workload is
-    // timeout-bound, and a run that certified a tighter budget
-    // legitimately spent its extra wall on more probes (see
-    // `paired_wall_ratio`); incomparable runs are reported and skipped.
-    let max_incremental: f64 = arg_value(&args, "--max-incremental-ratio")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.25);
-    const INC_BENCH: &str = "minimize_incremental";
-    const INC_ID: &str = "incremental/b3_m4";
-    const FRESH_ID: &str = "fresh/b3_m4";
-    match paired_wall_ratio(&fresh, INC_BENCH, INC_ID, FRESH_ID, max_incremental) {
-        RatioVerdict::Within { ratio } => println!(
-            "bench_gate: {INC_ID} ran {ratio:.2}x the {FRESH_ID} wall \
-             (allowed {max_incremental}x)"
-        ),
-        RatioVerdict::Exceeded { ratio } => {
-            eprintln!(
-                "bench_gate: incremental engine regressed — {INC_ID} ran {ratio:.2}x \
-                 the {FRESH_ID} wall on the same certified budget \
-                 (allowed {max_incremental}x); check forget_stale_learnts hygiene"
-            );
-            return ExitCode::FAILURE;
-        }
-        RatioVerdict::Incomparable(reason) => {
-            println!("bench_gate: incremental ratio check skipped — {reason}");
-        }
-    }
-
-    println!("bench_gate: sharing counters, worker scaling, and engine ratios healthy");
+    println!("bench_gate: sharing counters and worker scaling healthy");
     ExitCode::SUCCESS
 }

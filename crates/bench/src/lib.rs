@@ -1,7 +1,7 @@
-//! Shared helpers for the `revpebble-bench` binaries and criterion
-//! benches: the Table I workload definitions, the `BENCH_sat.json`
-//! writer/parser behind the perf-regression gate, and a tiny
-//! CLI-argument parser (no external dependencies).
+//! Shared helpers for the `revpebble-bench` binaries and benches: the
+//! Table I workload definitions, the bench timer ([`time`]), the
+//! `BENCH_sat.json` writer/parser behind the perf-regression gate, and a
+//! tiny CLI-argument parser (no external dependencies).
 //!
 //! # Example
 //!
@@ -23,8 +23,8 @@
 //! job re-runs those benches into a *fresh* file (`BENCH_SAT_JSON=… cargo
 //! bench …`) and then runs the `bench_gate` binary, which fails when any
 //! entry's fresh wall-clock drifts more than 2× above the baseline, and
-//! when a deterministic `sat_solver` row's search counters differ from it
-//! at all ([`compare_exact_counters`]):
+//! when a deterministic row's search counters differ from it at all
+//! ([`compare_exact_counters`] on the [`exact_counter_row`]s):
 //!
 //! ```text
 //! BENCH_SAT_JSON=fresh.json cargo bench -p revpebble-bench --bench minimize_incremental
@@ -146,10 +146,10 @@ pub struct BenchRecord {
     /// before the import pass reached them (0 for solo runs).
     pub dropped: u64,
     /// The pebble budget the run certified, when the workload is a
-    /// minimize search (`None` for fixed-budget and pure-SAT benches).
-    /// The gate's engine-ratio check uses it to decide whether two
-    /// engines' walls are comparable: under a deterministic budget
-    /// schedule, equal certified budgets mean equal probe walks.
+    /// minimize search (`None` for fixed-budget and pure-SAT benches):
+    /// the row's Table I answer, recorded for the reader. No gate check
+    /// reads it, since the timeout-bound rows certify machine-dependent
+    /// budgets.
     pub certified: Option<u64>,
 }
 
@@ -411,27 +411,37 @@ pub fn compare_sharing_fields(
     problems
 }
 
-/// The bench whose rows [`compare_exact_counters`] gates: `sat_solver`
-/// solves fixed formulas on one thread with no clock, no quota and no
-/// pool, so its counters repeat exactly on any machine.
-pub const EXACT_COUNTER_BENCH: &str = "sat_solver";
+/// `true` for the rows [`compare_exact_counters`] gates: every
+/// `sat_solver` row (fixed formulas on one thread with no clock, no quota
+/// and no pool) and the decisive `minimize_incremental` rows (`fresh` and
+/// `incremental` on `paper` and `c17`, whose probes end in SAT or a step
+/// cap long before their 120 s clocks). Their counters repeat exactly on
+/// any machine. The `b3_m4` rows end probes on 2 s clocks, so only the
+/// wall check covers them.
+pub fn exact_counter_row(bench: &str, id: &str) -> bool {
+    bench == "sat_solver"
+        || (bench == "minimize_incremental"
+            && matches!(
+                id,
+                "fresh/paper" | "incremental/paper" | "fresh/c17" | "incremental/c17"
+            ))
+}
 
 /// Compares the search counters (propagations, conflicts, arena GCs) of
-/// the matched [`EXACT_COUNTER_BENCH`] entries exactly: on a
-/// deterministic workload any difference means the search itself
-/// changed, however the wall clock moved. Returns one message per
-/// differing counter; entries present on one side only, and counters
-/// either side lacks, are skipped.
+/// the matched [`exact_counter_row`] entries exactly: on a deterministic
+/// workload any difference means the search itself changed, however the
+/// wall clock moved. Returns one message per differing counter; entries
+/// present on one side only, and counters either side lacks, are
+/// skipped.
 pub fn compare_exact_counters(
     baseline: &[ParsedBenchEntry],
     fresh: &[ParsedBenchEntry],
 ) -> Vec<String> {
-    let bench = EXACT_COUNTER_BENCH;
     let mut problems = Vec::new();
-    for entry in fresh.iter().filter(|e| e.bench == bench) {
+    for entry in fresh.iter().filter(|e| exact_counter_row(&e.bench, &e.id)) {
         let Some(base) = baseline
             .iter()
-            .find(|b| b.bench == bench && b.id == entry.id)
+            .find(|b| b.bench == entry.bench && b.id == entry.id)
         else {
             continue;
         };
@@ -442,7 +452,7 @@ pub fn compare_exact_counters(
         ] {
             if let (Some(b), Some(f)) = (base_v, fresh_v) {
                 if b != f {
-                    problems.push(format!("{bench}/{}: {field} {b} -> {f}", entry.id));
+                    problems.push(format!("{}/{}: {field} {b} -> {f}", entry.bench, entry.id));
                 }
             }
         }
@@ -474,71 +484,68 @@ pub fn scaling_speedup(
     (high > 0.0).then(|| low / high)
 }
 
-/// Verdict of [`paired_wall_ratio`]: how one engine's wall clock compares
-/// to a rival's on the same workload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RatioVerdict {
-    /// The two runs did different amounts of work (certified budgets
-    /// differ, or one side is missing/unannotated): their walls are not
-    /// comparable, and skipping is not a regression.
-    Incomparable(String),
-    /// Comparable runs, ratio within the allowed bound.
-    Within {
-        /// `numerator wall / denominator wall`.
-        ratio: f64,
-    },
-    /// Comparable runs, ratio above the allowed bound.
-    Exceeded {
-        /// `numerator wall / denominator wall`.
-        ratio: f64,
-    },
+/// How many times [`time`] runs the workload `label` under the bench
+/// binary's arguments `args`: `None` when a bare argument (a filter, as in
+/// `cargo bench -- <filter>`) is not part of the label, once under
+/// `--test` (a smoke run), and otherwise `samples` clamped to `1..=10`.
+fn bench_runs(args: &[String], label: &str, samples: usize) -> Option<usize> {
+    if let Some(filter) = args.iter().find(|a| !a.starts_with('-')) {
+        if !label.contains(filter.as_str()) {
+            return None;
+        }
+    }
+    Some(if args.iter().any(|a| a == "--test") {
+        1
+    } else {
+        samples.clamp(1, 10)
+    })
 }
 
-/// Compares the wall clocks of two entries of one bench — e.g. the
-/// incremental vs the fresh-per-probe minimize engine on `b3_m4` — but
-/// only when the runs are *work-matched*: both entries must carry a
-/// [`certified`](ParsedBenchEntry::certified) budget and the budgets must
-/// be equal. Under a deterministic budget schedule, equal certified
-/// budgets mean both engines walked the same probe sequence, so their
-/// walls measure the same work; a timeout-bound run that certified a
-/// *tighter* budget legitimately spent more wall on more probes, and
-/// gating that as a regression would be noise.
-///
-/// The `bench_gate` binary uses this on the fresh `minimize_incremental`
-/// records to enforce incremental ≤ `max_ratio` × fresh on `b3_m4`.
-pub fn paired_wall_ratio(
-    entries: &[ParsedBenchEntry],
-    bench: &str,
-    numerator_id: &str,
-    denominator_id: &str,
-    max_ratio: f64,
-) -> RatioVerdict {
-    let find = |id: &str| entries.iter().find(|e| e.bench == bench && e.id == id);
-    let (Some(num), Some(den)) = (find(numerator_id), find(denominator_id)) else {
-        return RatioVerdict::Incomparable(format!(
-            "{bench}: {numerator_id} or {denominator_id} not recorded"
-        ));
-    };
-    let (Some(num_certified), Some(den_certified)) = (num.certified, den.certified) else {
-        return RatioVerdict::Incomparable(format!(
-            "{bench}: certified budgets not recorded (old baseline shape)"
-        ));
-    };
-    if num_certified != den_certified {
-        return RatioVerdict::Incomparable(format!(
-            "{bench}: certified budgets differ ({numerator_id} -> {num_certified}, \
-             {denominator_id} -> {den_certified}): different probe walks"
-        ));
+/// Times `run` `samples` times (clamped to `1..=10`), then prints
+/// `bench {label} min … median … ({n} samples)`. Under `--test` (a smoke
+/// run) it runs once; when the bench binary got a bare argument (a
+/// filter, as in `cargo bench -- <filter>`) that is not part of `label`,
+/// not at all. Setup belongs outside `run`; its result is dropped after
+/// the clock stops.
+pub fn time<T>(label: &str, samples: usize, run: impl FnMut() -> T) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(Timing { min, median, runs }) = time_under(&args, label, samples, run) {
+        println!("bench {label:<50} min {min:>12.3?}   median {median:>12.3?}   ({runs} samples)");
     }
-    if den.wall_s <= 0.0 {
-        return RatioVerdict::Incomparable(format!("{bench}: {denominator_id} wall is zero"));
-    }
-    let ratio = num.wall_s / den.wall_s;
-    if ratio > max_ratio {
-        RatioVerdict::Exceeded { ratio }
-    } else {
-        RatioVerdict::Within { ratio }
-    }
+}
+
+/// The wall times [`time`] reports for one workload.
+#[derive(Debug)]
+struct Timing {
+    min: std::time::Duration,
+    median: std::time::Duration,
+    runs: usize,
+}
+
+/// [`time`] under the bench binary's arguments `args`, without printing:
+/// `None` when a filter skips `label`.
+fn time_under<T>(
+    args: &[String],
+    label: &str,
+    samples: usize,
+    mut run: impl FnMut() -> T,
+) -> Option<Timing> {
+    let runs = bench_runs(args, label, samples)?;
+    let mut times: Vec<std::time::Duration> = (0..runs)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let output = std::hint::black_box(run());
+            let elapsed = start.elapsed();
+            drop(output);
+            elapsed
+        })
+        .collect();
+    times.sort_unstable();
+    Some(Timing {
+        min: times[0],
+        median: times[runs / 2],
+        runs,
+    })
 }
 
 /// Parses `--flag value` style arguments; returns the value for `flag`.
@@ -693,13 +700,29 @@ mod tests {
             entry("sat_solver", "moved", Some([42_706, 3_494, 4])),
             entry("sat_solver", "unrecorded", None),
             entry("minimize_incremental", "timed", Some([10, 1, 0])),
+            entry(
+                "minimize_incremental",
+                "incremental/c17",
+                Some([12_573, 143, 0]),
+            ),
+            entry(
+                "minimize_incremental",
+                "fresh/b3_m4",
+                Some([75_128_104, 28_194, 0]),
+            ),
         ];
         let fresh = [
             entry("sat_solver", "same", Some([291_615, 21_813, 16])),
             entry("sat_solver", "moved", Some([42_707, 3_494, 5])), // two counters moved
             entry("sat_solver", "unrecorded", Some([1, 1, 1])),     // no baseline counters
             entry("sat_solver", "brand-new", Some([1, 1, 1])),      // no baseline row
-            entry("minimize_incremental", "timed", Some([20, 2, 1])), // not the gated bench
+            entry("minimize_incremental", "timed", Some([20, 2, 1])), // not a gated row
+            entry(
+                "minimize_incremental",
+                "incremental/c17",
+                Some([12_573, 144, 0]),
+            ), // gated
+            entry("minimize_incremental", "fresh/b3_m4", Some([1, 1, 1])), // clock-bound: not gated
         ];
         let problems = compare_exact_counters(&baseline, &fresh);
         assert_eq!(
@@ -707,60 +730,16 @@ mod tests {
             [
                 "sat_solver/moved: propagations 42706 -> 42707",
                 "sat_solver/moved: arena_gcs 4 -> 5",
+                "minimize_incremental/incremental/c17: conflicts 143 -> 144",
             ]
         );
         assert!(compare_exact_counters(&baseline, &baseline).is_empty());
-    }
-
-    #[test]
-    fn engine_ratio_gates_only_work_matched_runs() {
-        let entry = |id: &str, wall_s, certified| ParsedBenchEntry {
-            bench: "minimize_incremental".to_string(),
-            id: id.to_string(),
-            wall_s,
-            certified,
-            ..ParsedBenchEntry::default()
-        };
-        let check = |entries: &[ParsedBenchEntry]| {
-            paired_wall_ratio(
-                entries,
-                "minimize_incremental",
-                "incremental/b3_m4",
-                "fresh/b3_m4",
-                1.25,
-            )
-        };
-        // Same certified budget: walls are comparable, ratio gates.
-        let matched = [
-            entry("fresh/b3_m4", 6.0, Some(20)),
-            entry("incremental/b3_m4", 6.6, Some(20)),
-        ];
-        assert!(
-            matches!(check(&matched), RatioVerdict::Within { ratio } if (ratio - 1.1).abs() < 1e-9)
-        );
-        let regressed = [
-            entry("fresh/b3_m4", 6.0, Some(20)),
-            entry("incremental/b3_m4", 9.0, Some(20)),
-        ];
-        assert_eq!(check(&regressed), RatioVerdict::Exceeded { ratio: 1.5 });
-        // A tighter certified budget bought with more wall is more work,
-        // not a regression: incomparable, skipped.
-        let deeper = [
-            entry("fresh/b3_m4", 6.0, Some(21)),
-            entry("incremental/b3_m4", 9.0, Some(18)),
-        ];
-        assert!(matches!(check(&deeper), RatioVerdict::Incomparable(_)));
-        // Old baseline shape (no certified field): skipped.
-        let unannotated = [
-            entry("fresh/b3_m4", 6.0, None),
-            entry("incremental/b3_m4", 9.0, None),
-        ];
-        assert!(matches!(check(&unannotated), RatioVerdict::Incomparable(_)));
-        // Missing entries: skipped.
-        assert!(matches!(
-            check(&[entry("fresh/b3_m4", 6.0, Some(20))]),
-            RatioVerdict::Incomparable(_)
-        ));
+        // The committed baseline holds all eight gated rows.
+        let committed = parse_bench_json(include_str!("../../../BENCH_sat.json"));
+        let gated = committed
+            .iter()
+            .filter(|e| exact_counter_row(&e.bench, &e.id));
+        assert_eq!(gated.count(), 8);
     }
 
     #[test]
@@ -915,6 +894,47 @@ mod tests {
         // can log it as `new-bench (no baseline)` instead of losing it.
         assert_eq!(unmatched_fresh_keys(&baseline, &fresh), ["b/brand-new"]);
         assert!(unmatched_fresh_keys(&baseline, &baseline[..3]).is_empty());
+    }
+
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn groups_run_benches_and_capture_timing() {
+        let mut ran = 0;
+        let timing = |argv: &[&str], samples, ran: &mut usize| {
+            time_under(&args(argv), "fig34/solve/4", samples, || *ran += 1).unwrap()
+        };
+        // Test mode: exactly one sample, whatever the bench asks for.
+        let smoke = timing(&["--test", "--bench"], 20, &mut ran);
+        assert_eq!((smoke.runs, ran), (1, 1));
+        assert_eq!(smoke.min, smoke.median);
+        // Bench mode: the requested samples, clamped to 1..=10.
+        for (samples, want) in [(20, 10), (0, 1), (3, 3)] {
+            ran = 0;
+            let bench = timing(&["--bench"], samples, &mut ran);
+            assert_eq!((bench.runs, ran), (want, want));
+            assert!(bench.min <= bench.median);
+        }
+    }
+
+    #[test]
+    fn filter_skips_non_matching_benches() {
+        let mut ran = 0;
+        let skipped = time_under(&args(&["--bench", "solve/5"]), "fig34/solve/4", 5, || {
+            ran += 1
+        });
+        assert!(skipped.is_none());
+        assert_eq!(ran, 0);
+        let matched = time_under(&args(&["--bench", "solve/4"]), "fig34/solve/4", 5, || {
+            ran += 1
+        });
+        assert_eq!(matched.map(|t| t.runs), Some(5));
+        assert_eq!(ran, 5);
+        let runs = |argv: &[&str]| bench_runs(&args(argv), "fig34/solve/4", 5);
+        assert_eq!(runs(&["--test", "solve/4"]), Some(1));
+        assert_eq!(runs(&["--test", "random_3sat"]), None);
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! loop sweeping solver options over one DAG. The SAT work is seconds;
 //! the answer is a few words. This module memoizes it.
 //!
-//! The key pairs [`Dag::canonical_fingerprint`](revpebble_graph::Dag::canonical_fingerprint)
-//! — invariant under
-//! pebbling isomorphism, so renamed or reordered copies of a netlist hit
-//! the same entry — with a hash of the session plan (engine, solver
+//! A cache key pairs the asking DAG's pebbling structure *as
+//! numbered* — per node, in id order, its weight, output mark and
+//! node-child ids — with a hash of the session plan (engine, solver
 //! options, budgets), because the *answer* ("minimum = 4, floor = 4")
 //! depends on both the instance and how hard the session was allowed to
-//! look for it. Every [`SessionRuntime`](crate::session::SessionRuntime)
-//! owns one cache, and only sessions it
+//! look for it. Keys compare in full, never by a hash alone, so a hit
+//! answers exactly the question that was asked, and its strategy is over
+//! the asker's own node ids. Names, operations and primary-input fanins
+//! stay out of the key: a renamed copy of a netlist hits, while a copy
+//! whose nodes are numbered in another order misses, which costs only
+//! time. Every [`SessionRuntime`](crate::session::SessionRuntime) owns
+//! one cache, and only sessions it
 //! [`spawn`](crate::session::SessionRuntime::spawn)s consult it; a
 //! session [`run`](crate::session::PebblingSession::run) inline never
 //! does.
@@ -25,20 +29,52 @@
 //! run at the same time both solve. The cache counts each session once,
 //! as one hit or one miss.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::session::SessionOutcome;
+use revpebble_graph::Dag;
 
-/// A result-cache key: canonical DAG fingerprint × session-plan hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+use crate::session::{SessionOutcome, SessionPlan};
+
+/// Most key words a cache holds at once (16 MiB). Besides the entry
+/// cap, the oldest entries are evicted until the held keys fit, so a
+/// stream of huge DAGs cannot pin unbounded memory in keys.
+const MAX_KEY_WORDS: usize = 4 << 20;
+
+/// A result-cache key: the asking DAG as numbered × session-plan hash
+/// (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    /// [`Dag::canonical_fingerprint`](revpebble_graph::Dag::canonical_fingerprint).
-    pub fingerprint: [u64; 2],
-    /// Hash of every plan field that can change the answer.
-    pub plan: u64,
+    /// Per node, in id order: weight, output mark, node-child count and
+    /// node-child ids. The map and the FIFO order share one allocation.
+    dag: Arc<[u32]>,
+    /// Hash of the plan's `Debug` rendering: [`SessionPlan`] aggregates
+    /// plain-data option structs that all derive `Debug`, so the
+    /// rendering is a faithful digest of every field that can change the
+    /// answer, and cannot silently miss a newly added one.
+    plan: u64,
+}
+
+impl CacheKey {
+    /// The key of asking `plan` about `dag`.
+    pub(crate) fn new(dag: &Dag, plan: &SessionPlan) -> Self {
+        let mut words = Vec::with_capacity(4 * dag.num_nodes());
+        for id in dag.node_ids() {
+            let output = u32::from(dag.is_output(id));
+            let child_count = dag.children(id).count() as u32;
+            words.extend([dag.node(id).weight, output, child_count]);
+            words.extend(dag.children(id).map(|child| child.index() as u32));
+        }
+        let mut hasher = DefaultHasher::new();
+        format!("{plan:?}").hash(&mut hasher);
+        CacheKey {
+            dag: words.into(),
+            plan: hasher.finish(),
+        }
+    }
 }
 
 /// The replayable part of a finished session: everything a
@@ -68,6 +104,8 @@ pub struct ResultCache {
 struct Inner {
     map: HashMap<CacheKey, CachedReport>,
     order: VecDeque<CacheKey>,
+    /// Words held by the keys in `order`.
+    key_words: usize,
 }
 
 impl ResultCache {
@@ -129,7 +167,7 @@ impl ResultCache {
 
     pub(crate) fn insert(&self, key: CacheKey, value: CachedReport) {
         let mut inner = self.inner.lock().expect("result cache");
-        match inner.map.entry(key) {
+        match inner.map.entry(key.clone()) {
             Entry::Occupied(mut slot) => {
                 // Refresh in place; the FIFO order entry stays put.
                 slot.insert(value);
@@ -139,11 +177,14 @@ impl ResultCache {
                 slot.insert(value);
             }
         }
+        inner.key_words += key.dag.len();
         inner.order.push_back(key);
-        while inner.order.len() > self.capacity {
-            if let Some(evicted) = inner.order.pop_front() {
-                inner.map.remove(&evicted);
-            }
+        while inner.order.len() > self.capacity || inner.key_words > MAX_KEY_WORDS {
+            let Some(evicted) = inner.order.pop_front() else {
+                break;
+            };
+            inner.key_words -= evicted.dag.len();
+            inner.map.remove(&evicted);
         }
     }
 }
@@ -161,9 +202,9 @@ mod tests {
     use super::*;
     use crate::solver::PebbleOutcome;
 
-    fn key(n: u64) -> CacheKey {
+    fn key(n: u32) -> CacheKey {
         CacheKey {
-            fingerprint: [n, n ^ 0xABCD],
+            dag: Arc::from([n, n ^ 0xABCD]),
             plan: 7,
         }
     }
@@ -219,6 +260,77 @@ mod tests {
         cache.insert(key(1), report(9));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.lookup(&key(1)).expect("cached").floor, 9);
+    }
+
+    #[test]
+    fn held_key_words_are_bounded_oldest_first() {
+        let cache = ResultCache::new(16);
+        // One allocation shared by every key: the bound counts words
+        // per held key, as distinct frames would take them.
+        let huge: Arc<[u32]> = vec![0; MAX_KEY_WORDS / 2].into();
+        let key = |plan| CacheKey {
+            dag: Arc::clone(&huge),
+            plan,
+        };
+        cache.insert(key(1), report(1));
+        cache.insert(key(2), report(2));
+        assert_eq!(cache.len(), 2, "exactly at the bound");
+        cache.insert(key(3), report(3));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.hit(&key(1)).is_none(), "oldest entry evicted");
+        assert!(cache.hit(&key(3)).is_some());
+        // A key over the bound on its own is not held at all.
+        cache.insert(
+            CacheKey {
+                dag: vec![0; MAX_KEY_WORDS + 1].into(),
+                plan: 4,
+            },
+            report(4),
+        );
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn keys_see_numbered_structure_and_plans_but_not_names() {
+        use revpebble_graph::{Op, Source};
+        // Three `BUF` leaves a, b, c and three `AND` outputs over
+        // `pairs` of leaves, with the given names.
+        let build = |pairs: [(usize, usize); 3], names: [&str; 3]| {
+            let mut dag = Dag::new();
+            let x = dag.add_input("x");
+            let leaves: Vec<Source> = (0..3)
+                .map(|i| {
+                    let leaf = dag.add_node(format!("l{i}"), Op::Buf, [x]).expect("valid");
+                    leaf.into()
+                })
+                .collect();
+            for ((a, b), name) in pairs.into_iter().zip(names) {
+                let node = dag
+                    .add_node(name, Op::And, [leaves[a], leaves[b]])
+                    .expect("valid");
+                dag.mark_output(node);
+            }
+            dag
+        };
+        let triangle = build([(0, 1), (1, 2), (2, 0)], ["p", "q", "r"]);
+        let renamed = build([(0, 1), (1, 2), (2, 0)], ["u", "v", "w"]);
+        let shared = build([(0, 1), (0, 1), (2, 2)], ["p", "q", "r"]);
+        let renumbered = build([(1, 2), (0, 1), (2, 0)], ["q", "p", "r"]);
+        let plan = |dag: &Dag| {
+            crate::session::PebblingSession::new(dag)
+                .minimize()
+                .plan()
+                .expect("valid")
+        };
+        let key = |dag: &Dag| CacheKey::new(dag, &plan(dag));
+        assert_eq!(key(&triangle), key(&renamed));
+        assert_ne!(key(&triangle), key(&shared));
+        assert_ne!(key(&triangle), key(&renumbered));
+        let fixed = crate::session::PebblingSession::new(&triangle)
+            .pebbles(5)
+            .plan()
+            .expect("valid");
+        assert_ne!(key(&triangle), CacheKey::new(&triangle, &fixed));
     }
 
     #[test]

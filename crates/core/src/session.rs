@@ -53,8 +53,9 @@
 //!   A fired token ends the run promptly with a partial [`Report`] whose
 //!   [`stop_reason`](Report::stop_reason) names the cause.
 //! - A [`SessionRuntime`] is one fixed [`Executor`] pool, one
-//!   [`ResultCache`] keyed by [`Dag::canonical_fingerprint`] (repeated
-//!   instances skip the solver) and one root token. Its
+//!   [`ResultCache`] keyed by the DAG as numbered and the plan (a
+//!   repeated question skips the solver; a renamed copy is a repeat)
+//!   and one root token. Its
 //!   [`spawn`](SessionRuntime::spawn) answers a question the cache holds
 //!   at once and submits any other session to the pool as one job;
 //!   either way it returns a [`SessionHandle`] (join / cancel /
@@ -63,9 +64,7 @@
 //! Many DAGs, one pool: spawn each session, then join the handles in
 //! submit order (see [`SessionRuntime`] for an example).
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -1138,17 +1137,6 @@ impl<'a> PebblingSession<'a> {
     }
 }
 
-/// Hash of every plan field that can change a session's answer — the
-/// plan half of a [`CacheKey`]. [`SessionPlan`] aggregates plain-data
-/// option structs that all derive `Debug`, so the debug rendering is a
-/// faithful digest of the whole configuration that cannot silently miss
-/// a newly added field.
-fn plan_hash(plan: &SessionPlan) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    format!("{plan:?}").hash(&mut hasher);
-    hasher.finish()
-}
-
 /// The report of a session served whole from the result cache: no
 /// solver runs and no worker reports; the stream is the terminal event
 /// alone. [`SessionRuntime::spawn`] builds it for a hit at spawn, and
@@ -1406,7 +1394,7 @@ impl SessionHandle {
 }
 
 /// The shared substrate one process multiplexes many sessions onto: a
-/// fixed [`Executor`] pool, a fingerprint-keyed [`ResultCache`], one
+/// fixed [`Executor`] pool, a structure-keyed [`ResultCache`], one
 /// root [`CancelToken`] and a default per-session conflict quota.
 ///
 /// [`spawn`](Self::spawn) is the one way a session leaves the caller's
@@ -1523,10 +1511,7 @@ impl SessionRuntime {
         // Always `Some`: the cancel token and quota installed above.
         let token = session.compose_token().unwrap_or_default();
         let callback = session.on_event.take();
-        let key = CacheKey {
-            fingerprint: session.dag.canonical_fingerprint(),
-            plan: plan_hash(&plan),
-        };
+        let key = CacheKey::new(session.dag, &plan);
         let (report_tx, receiver) = mpsc::channel();
         let mut handle = SessionHandle {
             token: token.clone(),

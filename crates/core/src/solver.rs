@@ -536,7 +536,10 @@ impl<'a> PebbleSolver<'a> {
                     // conflict-budget callers), retrying the same K could
                     // spin forever, so K must advance regardless — and
                     // once it cannot, the budget outcome is final.
-                    per_query = per_query.map(|q| q * 2);
+                    // Saturating: when a conflict quota, not the clock,
+                    // ends each query, the doubling outruns `Duration`
+                    // long before the probe's own clock ends the retries.
+                    per_query = per_query.map(|q| q.saturating_mul(2));
                     if self.options.encoding.bound_mode == BoundMode::Baked || per_query.is_none() {
                         if k == self.options.max_steps && per_query.is_none() {
                             return PebbleOutcome::Timeout { steps_reached: k };
@@ -1797,5 +1800,51 @@ mod tests {
         let _ = solver.solve();
         assert!(solver.stats().queries >= 3); // K = 10, 11, 12
         assert_eq!(solver.stats().max_k, 12);
+    }
+
+    #[test]
+    fn a_conflict_bounded_exponential_probe_retries_until_its_clock() {
+        // One conflict per query: queries return in microseconds, and an
+        // assumption-bounded probe retries each inconclusive one with a
+        // doubled per-query clock until its own clock ends it. The
+        // doubling must saturate: from a sixteenth of 3 s it overflows
+        // `Duration` at the 67th retry, which an unoptimized build
+        // reaches about 1 s into the probe.
+        let dag = paper_example();
+        let clock = Duration::from_secs(3);
+        let options = SolverOptions {
+            schedule: StepSchedule::ExponentialRefine,
+            query_conflicts: Some(1),
+            ..SolverOptions::default()
+        };
+        std::thread::scope(|scope| {
+            let solo = scope.spawn(|| {
+                let mut solver = PebbleSolver::new(
+                    &dag,
+                    SolverOptions {
+                        encoding: EncodingOptions {
+                            max_pebbles: Some(3),
+                            bound_mode: BoundMode::Assumed,
+                            ..EncodingOptions::default()
+                        },
+                        timeout: Some(clock),
+                        ..options
+                    },
+                );
+                solver.solve()
+            });
+            let report = PebblingSession::new(&dag)
+                .solver_options(options)
+                .minimize()
+                .incremental(true)
+                .per_query_timeout(clock)
+                .run()
+                .expect("valid pebbling configuration");
+            assert_eq!(report.stop_reason, None);
+            let strategy = report.strategy().expect("a certified budget");
+            strategy.validate(&dag, report.minimum).expect("valid");
+            let outcome = solo.join().expect("no overflow");
+            assert!(!matches!(outcome, PebbleOutcome::Solved(_)));
+        });
     }
 }

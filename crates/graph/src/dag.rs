@@ -486,19 +486,20 @@ impl Dag {
         result
     }
 
-    /// A 128-bit canonical fingerprint of the DAG's *pebbling-relevant*
-    /// structure, suitable as a result-cache key.
+    /// A 128-bit fingerprint of the DAG's *pebbling-relevant* structure,
+    /// for deduplicating a corpus. It is not an identity: do not key
+    /// answers on it.
     ///
     /// Two DAGs receive the same fingerprint whenever they are isomorphic
     /// as pebbling instances: per node only the weight, the output mark
     /// and the multiset of child subtree fingerprints enter the hash —
     /// not node names, operations, insertion order or primary-input
     /// fanins (inputs are always available and never pebbled, so they
-    /// don't constrain any strategy). Isomorphic instances admit exactly
-    /// the same pebbling strategies, which is what makes the fingerprint
-    /// sound as a cache key; 128 bits come from two independently salted
-    /// streams so accidental collisions are out of reach for any
-    /// realistic workload.
+    /// don't constrain any strategy). The converse fails. A node's hash
+    /// describes its unfolded tree, so the fingerprint cannot see which
+    /// nodes share a child: over three `BUF` leaves `a, b, c`, the
+    /// outputs `AND(a,b), AND(b,c), AND(c,a)` (minimum 5 pebbles) and
+    /// `AND(a,b), AND(a,b), AND(c,c)` (minimum 4) get one fingerprint.
     pub fn canonical_fingerprint(&self) -> [u64; 2] {
         const SALTS: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
         let mut fingerprint = [0u64; 2];

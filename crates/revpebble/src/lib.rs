@@ -110,8 +110,8 @@
 //!
 //! Sessions are first-class jobs: a [`SessionRuntime`](core::SessionRuntime)
 //! is one worker pool, an optional per-session conflict quota and a
-//! shared [`ResultCache`](core::ResultCache) keyed by canonical DAG
-//! fingerprint, so repeated instances skip the solver. Its
+//! shared [`ResultCache`](core::ResultCache) keyed by the DAG's
+//! numbered structure, so repeated instances skip the solver. Its
 //! [`spawn`](core::SessionRuntime::spawn) hands a session to the pool
 //! and returns a [`SessionHandle`](core::SessionHandle) to poll, cancel
 //! or join; serve a whole workload by spawning every session and joining

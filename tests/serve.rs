@@ -201,6 +201,50 @@ fn a_repeat_is_answered_while_the_only_worker_is_busy() {
 }
 
 #[test]
+fn a_cached_answer_is_never_served_to_a_different_dag() {
+    // Three `BUF` leaves a, b, c and three `AND` outputs: "shared" has
+    // AND(a,b) twice and AND(c,c) (minimum 4); "triangle" has AND(a,b),
+    // AND(b,c) and AND(c,a) (minimum 5). A structural fingerprint cannot
+    // tell them apart.
+    let frame = |name: &str, pairs: [&str; 3]| {
+        let nodes: Vec<String> = ["a", "b", "c"]
+            .iter()
+            .map(|leaf| format!(r#"{{"name":"{leaf}","op":"buf","fanins":["x"]}}"#))
+            .chain(pairs.iter().enumerate().map(|(index, pair)| {
+                let (left, right) = pair.split_at(1);
+                format!(r#"{{"name":"o{index}","op":"and","fanins":["{left}","{right}"]}}"#)
+            }))
+            .collect();
+        format!(
+            r#"{{"name":"{name}","minimize":true,"max_steps":44,"dag":{{"inputs":["x"],"nodes":[{}],"outputs":["o0","o1","o2"]}}}}"#,
+            nodes.join(",")
+        )
+    };
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr).expect("connect");
+    let mut ask = |frame: String| {
+        let response = client.send_raw(&frame).expect("a response line");
+        let report = parse_json(&response)
+            .expect("valid JSON")
+            .get("report")
+            .cloned()
+            .unwrap_or_else(|| panic!("an ok response: {response}"));
+        let count = |key: &str| report.get(key).and_then(JsonValue::as_u64);
+        (count("minimum"), count("cache_hits"))
+    };
+    assert_eq!(ask(frame("shared", ["ab", "ab", "cc"])), (Some(4), Some(0)));
+    assert_eq!(
+        ask(frame("triangle", ["ab", "bc", "ca"])),
+        (Some(5), Some(0))
+    );
+    assert_eq!(ask(frame("again", ["ab", "bc", "ca"])), (Some(5), Some(1)));
+    server.finish();
+}
+
+#[test]
 fn request_quotas_are_enforced_over_the_wire() {
     // Server-side default quota 50; the request's own quota may tighten
     // but never widen it.
