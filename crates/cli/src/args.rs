@@ -27,11 +27,14 @@ pub struct Args {
     /// `--mode seq|par`.
     pub mode: MoveMode,
     /// `--portfolio N`: race `N` solver configurations on worker threads,
-    /// first winner takes all (0 picks one worker per available core).
+    /// first winner takes all (0 picks one worker per available core; the
+    /// session rejects more than 64 as `PortfolioTooLarge`).
     pub portfolio: Option<usize>,
-    /// `--workers N`: run the session's fan-out on a shared `N`-thread
-    /// `Executor` (the `batch` pool size; `0` is rejected by the
-    /// session as `ZeroWorkerPool`).
+    /// `--workers N`: the thread count of the `SessionRuntime` the
+    /// command runs on. `pebble`, `minimize` and `frontier` spawn their
+    /// one session on it as one job and join it; `batch` and `serve`
+    /// spread all their sessions over it. `0` is rejected by the runtime
+    /// as `ZeroWorkerPool`.
     pub workers: Option<usize>,
     /// `--quota N`: cap each session at `N` SAT conflicts; an exhausted
     /// session stops with `stop_reason: "quota"` (`0` is rejected by the

@@ -25,7 +25,10 @@
 //!
 //! `pebble --portfolio N` races `N` solver configurations (deepening
 //! schedule × move semantics × cardinality encoding) on worker threads;
-//! the first strategy found cancels the rest (`0` = one per core).
+//! the first strategy found cancels the rest (`0` = one per core, at
+//! most 64). `--workers N` runs the session as one job on an `N`-thread
+//! `SessionRuntime`, whose threads the race then shares; `batch` and
+//! `serve` spread all their sessions over such a runtime.
 //!
 //! `pebble --minimize` searches for the smallest feasible budget with a
 //! fresh solver per probe (the paper's Table I methodology);
@@ -44,7 +47,6 @@
 
 use std::io::Read as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use revpebble::circuit::lowering;
@@ -103,12 +105,12 @@ const USAGE: &str = "usage:
   revpebble info     <input>
   revpebble bennett  <input> [--grid]
   revpebble pebble   <input> --pebbles P [--mode seq|par] [--portfolio N] [--timeout S]
-                             [--retries N] [--grid] [--qasm] [--json]
+                             [--workers N] [--retries N] [--grid] [--qasm] [--json]
   revpebble pebble   <input> --minimize [--incremental] [--portfolio N] [--share-clauses]
-                             [--diversify] [--timeout S] [--retries N] [--json]
+                             [--diversify] [--timeout S] [--workers N] [--retries N] [--json]
   revpebble minimize <input> [--timeout S] [--incremental] [--portfolio N] [--share-clauses]
-                             [--diversify] [--retries N] [--json]
-  revpebble frontier <input> [--timeout S] [--retries N] [--json]
+                             [--diversify] [--workers N] [--retries N] [--json]
+  revpebble frontier <input> [--timeout S] [--workers N] [--retries N] [--json]
   revpebble batch    <input> [<input>...] [--workers N] [--quota C] [--pebbles P | --minimize]
                              [--timeout S] [--retries N]
   revpebble serve    [--addr HOST:PORT] [--workers N] [--connections N] [--max-pending N]
@@ -122,7 +124,11 @@ inputs: a .bench file path, '-' (stdin), or a built-in:
   paper | c17 | andtree9 | chain12 | hop | b3_m4 | kummer | edwards | adder4
 portfolio: race N configurations (schedule x move mode x cardinality
   encoding) on worker threads; first winner cancels the rest (0 = one
-  worker per core)
+  worker per core; at most 64)
+workers: --workers N runs a solving command's session as one job on an
+  N-thread session runtime, whose threads its race shares (without it,
+  a race runs one thread per worker); batch and serve spread all their
+  sessions over such a runtime
 minimize: --incremental reuses one assumption-bounded encoding/solver
   across all budget probes; --portfolio N races N incremental budget
   schedules (binary search vs descending strides); --share-clauses makes
@@ -256,19 +262,27 @@ fn configure_session<'a>(
     session
 }
 
-/// [`configure_session`] plus the `--workers` pool: fan the session's
-/// portfolio workers onto one shared `Executor` instead of a private
-/// thread per worker. `--workers 0` is rejected like the library
-/// rejects it.
+/// [`configure_session`] on a fresh session over `dag`, armed with the
+/// `--fault-plan`.
 fn session_for<'a>(dag: &'a Dag, args: &Args) -> Result<PebblingSession<'a>, CliError> {
     let faults = parse_fault_plan(args)?;
-    let mut session = configure_session(PebblingSession::new(dag), args, faults);
-    match args.workers {
-        None => {}
-        Some(0) => return Err(CliError::Invalid(SessionError::ZeroWorkerPool)),
-        Some(n) => session = session.executor(Arc::new(Executor::new(n))),
-    }
-    Ok(session)
+    Ok(configure_session(PebblingSession::new(dag), args, faults))
+}
+
+/// Runs a solving command's session with its probe events streaming to
+/// stderr: inline, or with `--workers N` as one job on an `N`-thread
+/// [`SessionRuntime`], which is what `--workers` means for `batch` and
+/// `serve` too. `--workers 0` is rejected like the library rejects it.
+fn run_session(session: PebblingSession<'_>, args: &Args) -> Result<Report, CliError> {
+    let session = session.on_event(|event| eprintln!("  {event}"));
+    let Some(workers) = args.workers else {
+        return session.run().map_err(CliError::Invalid);
+    };
+    let runtime = SessionRuntime::new(workers).map_err(CliError::Invalid)?;
+    let handle = runtime
+        .spawn(session, runtime.root().child())
+        .map_err(CliError::Invalid)?;
+    Ok(handle.join())
 }
 
 /// `pebble --pebbles P`: one fixed-budget solve, optionally raced by a
@@ -286,10 +300,7 @@ fn run_pebble(dag: &Dag, args: &Args) -> Result<(), CliError> {
             eprintln!("  worker {index}: {}", describe_options(config));
         }
     }
-    let report = session
-        .on_event(|event| eprintln!("  {event}"))
-        .run()
-        .map_err(CliError::Invalid)?;
+    let report = run_session(session, args)?;
     if plan.engine == Engine::SinglePortfolio {
         for (index, worker) in report.workers.iter().enumerate() {
             eprintln!(
@@ -381,10 +392,7 @@ fn run_minimize(dag: &Dag, args: &Args) -> Result<(), CliError> {
     if args.portfolio.is_none() {
         session = session.incremental(args.incremental);
     }
-    let report = session
-        .on_event(|event| eprintln!("  {event}"))
-        .run()
-        .map_err(CliError::Invalid)?;
+    let report = run_session(session, args)?;
     let SessionOutcome::Minimize(result) = &report.outcome else {
         unreachable!("a minimize session answers one minimize result");
     };
@@ -727,12 +735,10 @@ fn install_termination_handler() {}
 
 /// `frontier`: sweep the pebble/step trade-off through the session.
 fn run_frontier(dag: &Dag, args: &Args) -> Result<(), CliError> {
-    let report = session_for(dag, args)?
+    let session = session_for(dag, args)?
         .sweep_frontier()
-        .per_query_timeout(args.timeout.unwrap_or(Duration::from_secs(10)))
-        .on_event(|event| eprintln!("  {event}"))
-        .run()
-        .map_err(CliError::Invalid)?;
+        .per_query_timeout(args.timeout.unwrap_or(Duration::from_secs(10)));
+    let report = run_session(session, args)?;
     if args.json {
         println!("{}", report.to_json());
         return Ok(());

@@ -21,10 +21,41 @@ fn stderr(output: &Output) -> String {
 
 #[test]
 fn success_exits_zero() {
-    let output = revpebble(&["pebble", "paper", "--pebbles", "4"]);
-    assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("pebbles: 4"), "{stdout}");
+    // The second run races four workers as one job on a two-thread
+    // session runtime.
+    let inline = ["pebble", "paper", "--pebbles", "4"];
+    let spawned = [
+        "pebble",
+        "paper",
+        "--pebbles",
+        "4",
+        "--portfolio",
+        "4",
+        "--workers",
+        "2",
+    ];
+    for args in [&inline[..], &spawned[..]] {
+        let output = revpebble(args);
+        assert_eq!(
+            output.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("pebbles: 4"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn session_errors_exit_two_portfolio_too_large() {
+    let output = revpebble(&["pebble", "paper", "--pebbles", "4", "--portfolio", "65"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = stderr(&output);
+    assert!(
+        stderr.contains("a portfolio of 65 workers exceeds the limit of 64"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -243,7 +274,17 @@ fn runtime_failures_exit_one() {
     // 3: a valid configuration whose *search* fails, alone or raced.
     let single = ["pebble", "paper", "--pebbles", "2"];
     let raced = ["pebble", "paper", "--pebbles", "2", "--portfolio", "2"];
-    for args in [&single[..], &raced[..]] {
+    let spawned = [
+        "pebble",
+        "paper",
+        "--pebbles",
+        "2",
+        "--portfolio",
+        "2",
+        "--workers",
+        "1",
+    ];
+    for args in [&single[..], &raced[..], &spawned[..]] {
         let output = revpebble(args);
         assert_eq!(output.status.code(), Some(1), "{args:?}");
         let stderr = stderr(&output);

@@ -1,14 +1,13 @@
-//! A fixed-size shared worker pool for session execution.
+//! A fixed-size worker pool for session execution, private to the crate.
 //!
-//! Every engine in this crate used to spawn scoped threads ad hoc: one
-//! per portfolio rival, one per session observer. That model cannot serve
-//! *many* sessions at once — each racing session would oversubscribe the
-//! machine with its own private thread per worker. The [`Executor`] is
-//! the replacement: a process-wide pool of `N` OS threads fed from one
-//! job queue. Engines submit closures instead of spawning; a
-//! [`SessionRuntime`](crate::session::SessionRuntime) serving dozens of
-//! DAGs and a lone [`PebblingSession`](crate::session::PebblingSession)
-//! share the same worker budget.
+//! An [`Executor`] is a pool of `N` OS threads fed from one job queue.
+//! Engines submit closures instead of spawning threads. Every race runs
+//! on one, and the session picks it: a
+//! [`SessionRuntime`](crate::session::SessionRuntime) owns one pool that
+//! serves every session spawned on it and their races, so many sessions
+//! share one worker budget. A race run inline through
+//! [`PebblingSession::run`](crate::session::PebblingSession::run) gets a
+//! pool of its own, one thread per worker.
 //!
 //! ## Help-while-waiting
 //!
@@ -44,17 +43,9 @@ struct Inner {
 /// A fixed-size worker pool with one shared job queue (see the [module
 /// docs](self)). Dropping the executor finishes every already-queued job
 /// and joins the workers.
-pub struct Executor {
+pub(crate) struct Executor {
     inner: Arc<Inner>,
     workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("workers", &self.workers.len())
-            .finish_non_exhaustive()
-    }
 }
 
 impl Executor {
@@ -65,7 +56,7 @@ impl Executor {
     /// Panics when `workers == 0` — a pool nobody drains deadlocks every
     /// submitter. The session layer rejects the request first with
     /// [`SessionError::ZeroWorkerPool`](crate::session::SessionError::ZeroWorkerPool).
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         assert!(workers > 0, "an executor needs at least one worker");
         let inner = Arc::new(Inner {
             queue: Mutex::new(Queue::default()),
@@ -86,7 +77,7 @@ impl Executor {
     /// Enqueues a job for the pool. Never blocks; the queue is unbounded
     /// (backpressure is the submitters' problem — a race waits for its
     /// workers' results, so it can only ever be one fan-out ahead).
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn submit(&self, job: impl FnOnce() + Send + 'static) {
         let mut queue = self.inner.queue.lock().expect("executor queue");
         queue.jobs.push_back(Box::new(job));
         drop(queue);

@@ -58,7 +58,7 @@ pub mod cache;
 pub mod config;
 pub mod encoding;
 pub mod exact;
-pub mod exec;
+mod exec;
 pub mod frontier;
 pub mod optimize;
 pub mod portfolio;
@@ -71,7 +71,6 @@ pub use cache::ResultCache;
 pub use config::PebbleConfig;
 pub use encoding::{BoundMode, EncodingOptions, MoveMode, PebbleEncoding};
 pub use exact::{exact_min_pebbles, solve_exact, ExactOutcome};
-pub use exec::Executor;
 pub use frontier::FrontierPoint;
 pub use portfolio::{
     default_minimize_portfolio, default_portfolio, diversify_minimize_portfolio, MinimizeConfig,
@@ -89,5 +88,5 @@ pub use strategy::{InvalidStrategy, Move, Step, Strategy};
 
 pub use revpebble_sat::card::CardEncoding;
 pub use revpebble_sat::faults;
-pub use revpebble_sat::pool::{PoolConfig, PoolStats, SharedClausePool};
+pub use revpebble_sat::pool::SharedClausePool;
 pub use revpebble_sat::{CancelReason, CancelToken, FaultKind, FaultPlan, FaultSite};

@@ -7,8 +7,8 @@
 //! choice: exponential deepening wins on hard instances, linear deepening
 //! on easy ones; the totalizer beats the sequential counter on wide
 //! cardinality bounds and loses on narrow ones. A *portfolio* sidesteps
-//! the choice: submit one job per configuration to a shared
-//! [`Executor`], each on its own
+//! the choice: submit one job per configuration to the session's thread
+//! pool, each on its own
 //! [`PebbleEncoding`](crate::encoding::PebbleEncoding), race them on the
 //! same instance, and let the first worker to finish cancel the rest
 //! through a shared race [`CancelToken`] threaded all the way into the
@@ -59,7 +59,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use revpebble_graph::Dag;
 use revpebble_sat::card::CardEncoding;
 use revpebble_sat::faults::FaultSite;
-use revpebble_sat::{CancelToken, PoolConfig, SharedClausePool};
+use revpebble_sat::{CancelToken, SharedClausePool};
 
 use crate::encoding::MoveMode;
 use crate::exec::{scatter_settle, Executor};
@@ -324,12 +324,7 @@ pub(crate) fn race_minimize(
     shared: bool,
     executor: &Executor,
 ) -> Race {
-    let pool = shared.then(|| {
-        Arc::new(SharedClausePool::with_config(PoolConfig {
-            max_workers: configs.len().max(1),
-            ..PoolConfig::default()
-        }))
-    });
+    let pool = shared.then(|| Arc::new(SharedClausePool::new(configs.len().max(1))));
     let blackboard = shared.then(|| Arc::new(SharedSearchState::new()));
     let reference = configs[0].base;
     // The pool copies literals verbatim, which is sound only between
@@ -458,9 +453,9 @@ mod tests {
     use proptest::prelude::*;
     use revpebble_graph::generators::{paper_example, random_dag};
 
-    /// Runs an incremental minimize race the way a session without an
-    /// installed executor does: on a private pool with one thread per
-    /// worker, under no session token.
+    /// Runs an incremental minimize race the way an inline session does:
+    /// on a private pool with one thread per worker, under no session
+    /// token.
     fn race_minimize_configs(
         dag: &Dag,
         configs: &[MinimizeConfig],
@@ -862,7 +857,7 @@ mod tests {
         // second must import at the start of its own queries.
         use crate::encoding::BoundMode;
         let dag = revpebble_graph::parse_bench(revpebble_graph::data::C17_BENCH).expect("parses");
-        let pool = Arc::new(revpebble_sat::SharedClausePool::new());
+        let pool = Arc::new(revpebble_sat::SharedClausePool::new(2));
         let options = SolverOptions {
             encoding: EncodingOptions {
                 bound_mode: BoundMode::Assumed,

@@ -52,7 +52,7 @@
 //!   [`PebblingSession::quota`] caps the session's total SAT conflicts.
 //!   A fired token ends the run promptly with a partial [`Report`] whose
 //!   [`stop_reason`](Report::stop_reason) names the cause.
-//! - A [`SessionRuntime`] is one fixed [`Executor`] pool, one
+//! - A [`SessionRuntime`] is one fixed thread pool, one
 //!   [`ResultCache`] keyed by the DAG as numbered and the plan (a
 //!   repeated question skips the solver; a renamed copy is a repeat)
 //!   and one root token. Its
@@ -257,6 +257,10 @@ impl fmt::Display for ProbeEvent {
     }
 }
 
+/// The widest race a session runs: [`PebblingSession::portfolio`] above
+/// it is rejected at plan time with [`SessionError::PortfolioTooLarge`].
+pub const MAX_PORTFOLIO: usize = 64;
+
 /// A configuration the session builder rejects at plan time.
 ///
 /// Every invalid combination of setters maps to a variant here — the
@@ -319,6 +323,15 @@ pub enum SessionError {
     },
     /// A worker pool of zero threads can never run a job.
     ZeroWorkerPool,
+    /// A race wider than [`MAX_PORTFOLIO`] workers: each worker costs a
+    /// thread or a pool job, a solver and a clause-pool ring, so an
+    /// unbounded request is unbounded memory.
+    PortfolioTooLarge {
+        /// The requested worker count.
+        workers: usize,
+        /// The limit, [`MAX_PORTFOLIO`].
+        max: usize,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -378,6 +391,10 @@ impl fmt::Display for SessionError {
             SessionError::ZeroWorkerPool => {
                 write!(f, "a worker pool needs at least one worker")
             }
+            SessionError::PortfolioTooLarge { workers, max } => write!(
+                f,
+                "a portfolio of {workers} workers exceeds the limit of {max}"
+            ),
         }
     }
 }
@@ -774,13 +791,12 @@ pub struct PebblingSession<'a> {
     cancel: Option<CancelToken>,
     quota: Option<u64>,
     retry: RetryPolicy,
-    executor: Option<Arc<Executor>>,
     on_event: Option<SessionCallback>,
 }
 
 /// The observer installed with [`PebblingSession::on_event`]. `'static`
-/// (+ `Send`) so a session can be handed to an [`Executor`] whole; borrow
-/// state through an `Arc` to collect events.
+/// (+ `Send`) so a session can be handed to a runtime's pool thread whole;
+/// borrow state through an `Arc` to collect events.
 type SessionCallback = Box<dyn FnMut(ProbeEvent) + Send + 'static>;
 
 impl fmt::Debug for PebblingSession<'_> {
@@ -799,7 +815,6 @@ impl fmt::Debug for PebblingSession<'_> {
             .field("cancel", &self.cancel)
             .field("quota", &self.quota)
             .field("retry", &self.retry)
-            .field("executor", &self.executor.is_some())
             .field("on_event", &self.on_event.is_some())
             .finish_non_exhaustive()
     }
@@ -825,7 +840,6 @@ impl<'a> PebblingSession<'a> {
             cancel: None,
             quota: None,
             retry: RetryPolicy::none(),
-            executor: None,
             on_event: None,
         }
     }
@@ -877,7 +891,7 @@ impl<'a> PebblingSession<'a> {
 
     /// Race `n` workers (`0` = one per available core): diverse solver
     /// configurations for a fixed budget, incremental budget schedules
-    /// for a minimize search.
+    /// for a minimize search. At most [`MAX_PORTFOLIO`].
     pub fn portfolio(mut self, n: usize) -> Self {
         self.portfolio = Some(n);
         self
@@ -956,8 +970,8 @@ impl<'a> PebblingSession<'a> {
     /// — unless the session's cancel token fired, in which case the
     /// stream ends without certifying. Keep it brief: the emitting worker
     /// waits for each call to return. `'static` + `Send` so the whole
-    /// session can be handed to an [`Executor`]; collect events through
-    /// an `Arc<Mutex<_>>` or a channel sender.
+    /// session can be handed to a [`SessionRuntime`]; collect events
+    /// through an `Arc<Mutex<_>>` or a channel sender.
     pub fn on_event(mut self, callback: impl FnMut(ProbeEvent) + Send + 'static) -> Self {
         self.on_event = Some(Box::new(callback));
         self
@@ -992,14 +1006,6 @@ impl<'a> PebblingSession<'a> {
         self
     }
 
-    /// Runs this session's portfolio workers as jobs on a shared
-    /// [`Executor`] instead of a private per-race worker pool.
-    /// Single-threaded engines ignore it.
-    pub fn executor(mut self, executor: Arc<Executor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
     /// Validates the configuration and names the engine it will drive,
     /// without running anything. Every cross-field invariant is checked
     /// here; [`run`](Self::run) cannot panic on configuration errors.
@@ -1015,6 +1021,12 @@ impl<'a> PebblingSession<'a> {
         }
         if self.quota == Some(0) {
             return Err(SessionError::QuotaExceeded { quota: 0 });
+        }
+        if let Some(workers) = self.portfolio.filter(|&n| n > MAX_PORTFOLIO) {
+            return Err(SessionError::PortfolioTooLarge {
+                workers,
+                max: MAX_PORTFOLIO,
+            });
         }
         if let (true, Some(budget)) = (self.base.encoding.weighted, self.pebbles) {
             let total_weight = usize::try_from(self.dag.total_weight()).unwrap_or(usize::MAX);
@@ -1114,12 +1126,7 @@ impl<'a> PebblingSession<'a> {
         let token = self.compose_token();
         let callback = self.on_event.take();
         Ok(run_with_runtime(
-            self.dag,
-            &plan,
-            callback,
-            token,
-            None,
-            self.executor.as_ref(),
+            self.dag, &plan, callback, token, None, None,
         ))
     }
 
@@ -1176,7 +1183,7 @@ fn run_with_runtime(
     callback: Option<SessionCallback>,
     token: Option<CancelToken>,
     cache: Option<(&ResultCache, CacheKey)>,
-    executor: Option<&Arc<Executor>>,
+    executor: Option<&Executor>,
 ) -> Report {
     let start = Instant::now();
     let events = ProbeEventSender::new(callback);
@@ -1280,11 +1287,6 @@ pub struct SessionHandle {
     started: Instant,
 }
 
-/// How often [`SessionHandle::join`]'s watchdog wakes to check the
-/// session's token and its conflict count while blocking on the report
-/// channel.
-const WATCHDOG_POLL: Duration = Duration::from_millis(25);
-
 impl SessionHandle {
     /// Fires the session's cancel token. The running session stops at
     /// its next poll point and [`join`](Self::join) returns a partial
@@ -1293,9 +1295,10 @@ impl SessionHandle {
         self.token.cancel();
     }
 
-    /// How long [`join`](Self::join) keeps waiting after the session's
-    /// token fired while its conflict count stands still, before it
-    /// detaches with a [`StopReason::Detached`] report (default 5s).
+    /// How long [`join`](Self::join) waits for the report between two
+    /// looks at the session's token (default 5s). Once the token has
+    /// fired, a conflict count that stands still for one whole grace
+    /// period detaches with a [`StopReason::Detached`] report.
     pub fn detach_grace(mut self, grace: Duration) -> Self {
         self.detach_grace = grace;
         self
@@ -1326,23 +1329,26 @@ impl SessionHandle {
     ///
     /// `join` never unwinds: a session job that panicked past its own
     /// containment yields a [`StopReason::WorkerPanicked`] placeholder
-    /// report. While the session's token is quiet, `join` waits as long
-    /// as the job runs. Once the token has fired, it never blocks
-    /// forever: a watchdog tracks the session token's conflict count
-    /// ([`CancelToken::used`], charged on every SAT conflict) — if it
-    /// stands still for the whole detach grace period, the wedged job is
-    /// cancelled (again) and *detached*: join returns a
-    /// [`StopReason::Detached`] placeholder and the job's thread is left
-    /// to die on its own.
+    /// report. It blocks on the report and wakes once per detach grace
+    /// period to look at the session's token. While the token is quiet,
+    /// `join` waits as long as the job runs. Once the token has fired,
+    /// it never blocks forever: each wake-up compares the token's
+    /// conflict count ([`CancelToken::used`], charged on every SAT
+    /// conflict) with the count at the previous wake-up. A count that
+    /// did not move in a whole grace period means the job is wedged: it
+    /// is cancelled (again) and *detached*, join returns a
+    /// [`StopReason::Detached`] placeholder, and the job's thread is
+    /// left to die on its own. A wedged job is thus detached one to two
+    /// grace periods after its token fired.
     pub fn join(mut self) -> Report {
         if let Some(report) = self.report.take() {
             return report;
         }
-        // `None` until the token fires; then the conflict count last
-        // seen and when it was seen, to measure stalls.
-        let mut stalled: Option<(u64, Instant)> = None;
+        // The conflict count at the previous wake-up that found the
+        // token fired.
+        let mut seen = None;
         loop {
-            match self.receiver.recv_timeout(WATCHDOG_POLL) {
+            match self.receiver.recv_timeout(self.detach_grace) {
                 Ok(report) => return report,
                 // The job died without reporting: its panic escaped
                 // every containment layer below.
@@ -1359,18 +1365,13 @@ impl SessionHandle {
             // poll sees it.
             self.token.cancel();
             let used = self.token.used();
-            let now = Instant::now();
-            match stalled {
-                Some((seen, _)) if seen != used => stalled = Some((used, now)),
-                Some((_, since)) if now.duration_since(since) >= self.detach_grace => {
-                    // Escalation, step 2: cancelled, and no conflict in
-                    // a whole grace period — the job is wedged
-                    // somewhere that polls nothing. Detach.
-                    return self.placeholder(StopReason::Detached);
-                }
-                Some(_) => {}
-                None => stalled = Some((used, now)),
+            if seen == Some(used) {
+                // Escalation, step 2: cancelled, and no conflict in a
+                // whole grace period — the job is wedged somewhere that
+                // polls nothing. Detach.
+                return self.placeholder(StopReason::Detached);
             }
+            seen = Some(used);
         }
     }
 
@@ -1394,8 +1395,8 @@ impl SessionHandle {
 }
 
 /// The shared substrate one process multiplexes many sessions onto: a
-/// fixed [`Executor`] pool, a structure-keyed [`ResultCache`], one
-/// root [`CancelToken`] and a default per-session conflict quota.
+/// fixed thread pool, a structure-keyed [`ResultCache`], one root
+/// [`CancelToken`] and a default per-session conflict quota.
 ///
 /// [`spawn`](Self::spawn) is the one way a session leaves the caller's
 /// thread. The CLI `batch` command spawns every input on one runtime and
@@ -1548,7 +1549,7 @@ impl SessionRuntime {
                 callback,
                 Some(token),
                 Some((&cache, key)),
-                Some(&executor),
+                Some(&*executor),
             );
             let _ = report_tx.send(report);
         });
@@ -1598,13 +1599,10 @@ fn race_rows(
         .collect()
 }
 
-/// Runs a race of `workers` on the session's executor or, when none is
-/// installed, on a private pool with one thread per worker.
-fn on_pool<T>(
-    executor: Option<&Arc<Executor>>,
-    workers: usize,
-    race: impl FnOnce(&Executor) -> T,
-) -> T {
+/// Runs a race of `workers` on its runtime's pool when the session was
+/// spawned, or on a private pool with one thread per worker when it runs
+/// inline.
+fn on_pool<T>(executor: Option<&Executor>, workers: usize, race: impl FnOnce(&Executor) -> T) -> T {
     match executor {
         Some(executor) => race(executor),
         None => race(&Executor::new(workers.max(1))),
@@ -1623,7 +1621,7 @@ fn execute_plan(
     plan: &SessionPlan,
     events: &ProbeEventSender,
     cancel: Option<&CancelToken>,
-    executor: Option<&Arc<Executor>>,
+    executor: Option<&Executor>,
 ) -> ((Option<usize>, usize), SessionOutcome, Vec<WorkerSummary>) {
     let start = Instant::now();
     let fixed = plan.pebbles.is_some();
@@ -1839,6 +1837,12 @@ mod tests {
                 .minimize()
                 .portfolio(2)
                 .share_clauses(),
+            // A shared race twice as wide as the runtime's pool: four
+            // rings, sized by the race, on two threads.
+            PebblingSession::new(&dag)
+                .minimize()
+                .portfolio(4)
+                .share_clauses(),
             PebblingSession::new(&dag).pebbles(4).portfolio(2),
             PebblingSession::new(&dag).sweep_frontier(),
             PebblingSession::new(&dag)
@@ -2012,6 +2016,19 @@ mod tests {
             err(PebblingSession::new(&empty).pebbles(1)),
             SessionError::EmptyDag
         );
+        assert_eq!(
+            err(PebblingSession::new(&dag).minimize().portfolio(65)),
+            SessionError::PortfolioTooLarge {
+                workers: 65,
+                max: 64
+            }
+        );
+        // The limit itself plans.
+        assert!(PebblingSession::new(&dag)
+            .minimize()
+            .portfolio(64)
+            .plan()
+            .is_ok());
     }
 
     #[test]

@@ -766,7 +766,6 @@ pub(crate) fn sum_stats(a: SolverStats, b: SolverStats) -> SolverStats {
         imported_clauses: a.imported_clauses + b.imported_clauses,
         arena_gcs: a.arena_gcs + b.arena_gcs,
         dropped_clauses: a.dropped_clauses + b.dropped_clauses,
-        overwritten_clauses: a.overwritten_clauses + b.overwritten_clauses,
         // The earlier run's stop reason wins: it is the one that ended
         // the combined search.
         stop_reason: a.stop_reason.or(b.stop_reason),

@@ -148,7 +148,7 @@ pub mod prelude {
     pub use crate::circuit::{compile, verify, Circuit, CompiledCircuit, VerifyOutcome};
     pub use crate::core::baselines::{bennett, cone_wise};
     pub use crate::core::{
-        BudgetSchedule, CancelReason, CancelToken, CardEncoding, EncodingOptions, Engine, Executor,
+        BudgetSchedule, CancelReason, CancelToken, CardEncoding, EncodingOptions, Engine,
         FaultKind, FaultPlan, FaultSite, MinimizeResult, Move, MoveMode, PebbleOutcome,
         PebbleSolver, PebblingSession, ProbeEvent, ProbeVerdict, Report, ResultCache, RetryPolicy,
         SessionError, SessionHandle, SessionOutcome, SessionRuntime, SharedClausePool,

@@ -50,9 +50,9 @@ pub enum FaultSite {
     /// The learnt-clause export path, just before
     /// `SharedClausePool::publish`.
     PoolPublish,
-    /// The start of a job submitted to the `Executor` (session jobs and
-    /// portfolio worker tasks). A session answered from the result cache
-    /// at spawn runs no job, so it never visits this site.
+    /// The start of a job on a session's thread pool (spawned session
+    /// jobs and portfolio worker tasks). A session answered from the
+    /// result cache at spawn runs no job, so it never visits this site.
     ExecJob,
     /// The result-cache insert at the end of a session run.
     CacheInsert,

@@ -60,6 +60,6 @@ pub mod types;
 pub use cancel::{CancelReason, CancelToken};
 pub use dimacs::{parse_dimacs, Cnf, ParseDimacsError};
 pub use faults::{FaultKind, FaultPlan, FaultSite};
-pub use pool::{ClauseBatch, PoolConfig, PoolStats, Publish, RingStats, SharedClausePool};
+pub use pool::SharedClausePool;
 pub use solver::{SolveResult, Solver, SolverConfig, SolverStats};
 pub use types::{LBool, Lit, Var};

@@ -10,7 +10,7 @@
 //! [`PebblingSession`](revpebble_core::session::PebblingSession)
 //! multiplexed onto a process-wide
 //! [`SessionRuntime`](revpebble_core::session::SessionRuntime) —
-//! one `Executor` pool, one structure-keyed `ResultCache`, one
+//! one thread pool, one structure-keyed `ResultCache`, one
 //! cancellation tree — and the answer comes back as the session's
 //! `Report::to_json()`.
 //!

@@ -16,7 +16,7 @@
 //! | `dag`          | string or object  | builtin name, or an adjacency description       |
 //! | `pebbles`      | integer           | fixed pebble budget                             |
 //! | `minimize`     | bool              | search for the minimum budget (the default when no budget is given) |
-//! | `portfolio`    | integer           | race N diversified workers                      |
+//! | `portfolio`    | integer           | race N diversified workers (at most 64; more answers `PortfolioTooLarge`) |
 //! | `share_clauses`| bool              | exchange learnt clauses between workers         |
 //! | `diversify`    | bool              | jitter worker configurations                    |
 //! | `incremental`  | bool              | keep one solver across probes                   |

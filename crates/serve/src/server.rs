@@ -8,7 +8,7 @@
 //! - `connections` handler threads each own one client connection at a
 //!   time (accepted sockets are handed over a bounded channel; overflow
 //!   is shed at the door with an `"overloaded"` response);
-//! - the runtime's `Executor` owns the solver worker pool.
+//! - the runtime's thread pool runs the solver sessions.
 //!
 //! ## Cancellation tree
 //!

@@ -9,7 +9,6 @@
 //! certified one or a partial one whose `stop_reason` names the fault.
 //! No cell may hang — CI wraps this suite in a hard `timeout`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -356,7 +355,6 @@ proptest! {
             .portfolio(4)
             .share_clauses()
             .per_query_timeout(Duration::from_secs(60))
-            .executor(Arc::new(Executor::new(4)))
             .run()
             .expect("a valid configuration");
 

@@ -10,12 +10,11 @@
 //! run in the decisive regime (generous budgets, adequate step caps) so
 //! the answers are theorems, not clock races.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use revpebble::core::{
-    BudgetSchedule, Executor, MinimizeResult, MoveMode, PebblingSession, Report, SessionOutcome,
+    BudgetSchedule, MinimizeResult, MoveMode, PebblingSession, Report, SessionOutcome,
     SessionRuntime, SolverOptions,
 };
 use revpebble::graph::generators::random_dag;
@@ -194,23 +193,28 @@ proptest! {
 
         // Cooperative minimize race: the shared portfolio and the
         // single-worker incremental engine certify the same minimum in
-        // the decisive regime — whether the race runs on its private
-        // per-worker threads or on a shared two-worker executor.
+        // the decisive regime — whether the race runs inline on its
+        // private per-worker threads or spawned on a two-thread runtime.
         let single = session_minimize(&dag, base, BudgetSchedule::Binary, true);
         let minimum = |best: &Option<(usize, revpebble::core::Strategy)>| {
             best.as_ref().map(|&(p, _)| p)
         };
-        for shared_pool in [false, true] {
-            let mut session = PebblingSession::new(&dag)
+        for spawned in [false, true] {
+            let session = PebblingSession::new(&dag)
                 .solver_options(base)
                 .minimize()
                 .portfolio(2)
                 .share_clauses()
                 .per_query_timeout(PER_QUERY);
-            if shared_pool {
-                session = session.executor(Arc::new(Executor::new(2)));
-            }
-            let shared_report = session.run().expect("a valid configuration");
+            let shared_report = if spawned {
+                let runtime = SessionRuntime::new(2).expect("two workers");
+                runtime
+                    .spawn(session, runtime.root().child())
+                    .expect("a valid configuration")
+                    .join()
+            } else {
+                session.run().expect("a valid configuration")
+            };
             let SessionOutcome::Minimize(shared) = &shared_report.outcome else {
                 panic!("a minimize race answers one minimize result");
             };

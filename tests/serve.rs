@@ -322,6 +322,19 @@ fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
         .expect("response");
     assert_eq!(status_of(&duplicate_field), "error");
 
+    // A race wider than the session allows is refused before any ring,
+    // solver or pool job is allocated for it.
+    let too_wide = client
+        .send_raw(r#"{"dag":"paper","portfolio":65}"#)
+        .expect("response");
+    let value = parse_json(&too_wide).expect("valid JSON");
+    assert_eq!(status_of(&too_wide), "error");
+    assert_eq!(value.get("kind").and_then(|k| k.as_str()), Some("session"));
+    assert_eq!(
+        value.get("code").and_then(|c| c.as_str()),
+        Some("PortfolioTooLarge")
+    );
+
     // Same connection, next frame: served normally.
     let ok = client
         .send(&fast_request("after-garbage"))
@@ -329,7 +342,7 @@ fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
     assert_eq!(status_of(&ok), "ok");
 
     let stats = server.finish();
-    assert_eq!(stats.errors, 3);
+    assert_eq!(stats.errors, 4);
     assert_eq!(stats.ok, 1);
     assert_eq!(stats.connections, 1);
 }
