@@ -121,8 +121,12 @@ fn workloads() -> Vec<Workload> {
     vec![
         Workload {
             name: "c17",
+            // c17 needs 12 steps at 4 pebbles and 10 at 5, so under an
+            // 11-step cap its minimum (5) sits above the floor of 4
+            // proven without SAT: the budget-4 probe is step-capped and
+            // raises the shared floor, the tightening the audit expects.
             dag: parse_bench(revpebble::graph::data::C17_BENCH).expect("parses"),
-            base: base(MoveMode::Sequential, StepSchedule::Linear, 60),
+            base: base(MoveMode::Sequential, StepSchedule::Linear, 11),
             per_query: Duration::from_secs(20),
             assert_cooperation: true,
             assert_imports: false,

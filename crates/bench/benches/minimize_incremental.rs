@@ -6,11 +6,12 @@
 //! re-proves a refutation a looser budget already paid for.
 //!
 //! Alongside the wall-clock numbers a one-off audit prints the total SAT
-//! conflicts and queries of both engines. On the Table I workload `c17`
+//! conflicts and queries of both engines; the single-instance claim
+//! itself is audited via `sat.solves == search.queries`. Both searches
+//! start at the floor proven without SAT, which is the minimum of `paper`
+//! and `c17`, so neither pays for a refuting probe there: on `c17`
 //! (exponential deepening, the `table1` harness configuration) the
-//! incremental engine reports strictly fewer total conflicts than the
-//! fresh-per-probe baseline; the single-instance claim itself is audited
-//! via `sat.solves == search.queries`.
+//! incremental engine's 154 conflicts exceed the fresh baseline's 91.
 //!
 //! Every audited run also lands in the machine-readable `BENCH_sat.json`
 //! (wall-clock + propagations + conflicts + arena GCs for `paper`, `c17`

@@ -5,8 +5,11 @@
 //! pebble budget — and proves infeasibility when the target is
 //! unreachable, something the SAT loop can only do per step bound. It is
 //! exponential in the number of nodes and guarded accordingly; its role is
-//! ground truth for tests and tiny designs, cross-validating the SAT
-//! engine (`tests/prop_pipeline.rs`, `exact` module tests).
+//! the reference for tests and tiny designs, cross-validating the SAT
+//! engine (`tests/prop_pipeline.rs`, `exact` module tests) and the floor
+//! proven without SAT (`tests/prop_floor.rs`). That floor,
+//! [`subdag_lower_bound`](crate::bounds::subdag_lower_bound), runs its own
+//! search, so this module stays an independent check on it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -158,19 +161,11 @@ mod tests {
 
     #[test]
     fn chain_pebbling_numbers_are_logarithmic() {
-        // Known values of the reversible pebbling number of chains:
-        // length 1→1, 2→2, 3→2? No: unpebbling needs predecessors.
-        // Measured ground truth (validated strategies): the sequence is
-        // non-decreasing and ≈ log-scale.
-        let numbers: Vec<usize> = (1..=9).map(|len| exact_min_pebbles(&chain(len))).collect();
-        // Sanity: monotone non-decreasing, starts at 1, stays ≤ ceil(log2)+1.
-        assert_eq!(numbers[0], 1);
-        for w in numbers.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-        for (i, &p) in numbers.iter().enumerate() {
-            let len = i + 1;
-            assert!(p <= (usize::BITS - len.leading_zeros()) as usize + 1);
+        // A chain of `len` nodes needs exactly ⌈log₂ len⌉ + 1 pebbles:
+        // Bennett's recursive strategy pebbles 2^k nodes with k + 1.
+        for len in 1..=9usize {
+            let closed_form = (usize::BITS - (len - 1).leading_zeros()) as usize + 1;
+            assert_eq!(exact_min_pebbles(&chain(len)), closed_form, "chain({len})");
         }
     }
 

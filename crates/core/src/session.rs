@@ -70,12 +70,13 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use revpebble_graph::{Dag, DagError};
+use revpebble_sat::card::weighted_unary_size;
 use revpebble_sat::faults::FaultSite;
 use revpebble_sat::{CancelReason, CancelToken};
 
-use crate::bounds::budget_window;
+use crate::bounds::{budget_window, subdag_lower_bound};
 use crate::cache::{CacheKey, CachedReport, ResultCache};
-use crate::encoding::MoveMode;
+use crate::encoding::{BoundMode, MoveMode};
 use crate::exec::Executor;
 use crate::frontier::{frontier_on, FrontierPoint};
 use crate::portfolio::{
@@ -261,6 +262,13 @@ impl fmt::Display for ProbeEvent {
 /// it is rejected at plan time with [`SessionError::PortfolioTooLarge`].
 pub const MAX_PORTFOLIO: usize = 64;
 
+/// The largest weighted counter a session builds per time point, in
+/// clauses plus output literals (see [`SessionError::EncodingTooLarge`]).
+/// It admits two nodes of weight 1,446 but not 1,447, up to 2,036 nodes
+/// of weight 1 or 510 of weight 4, and every built-in design at weight 4
+/// (`b3_m4` needs 34,048).
+const MAX_COUNTER_CLAUSES: u64 = 1 << 21;
+
 /// A configuration the session builder rejects at plan time.
 ///
 /// Every invalid combination of setters maps to a variant here — the
@@ -332,6 +340,18 @@ pub enum SessionError {
         /// The limit, [`MAX_PORTFOLIO`].
         max: usize,
     },
+    /// A weighted plan whose counter would be too large to build: a
+    /// node of weight `w` enters the unary counter of every time point as
+    /// `w` copies of its literal, and merging two parts of weights `a`
+    /// and `b` takes about `a · b` clauses, so two nodes of weight 65,535
+    /// would ask for 4.3 × 10⁹ clauses per time point.
+    EncodingTooLarge {
+        /// One time point's counter: its clauses plus its output
+        /// literals.
+        clauses: u64,
+        /// The limit, 2,097,152.
+        max: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -394,6 +414,11 @@ impl fmt::Display for SessionError {
             SessionError::PortfolioTooLarge { workers, max } => write!(
                 f,
                 "a portfolio of {workers} workers exceeds the limit of {max}"
+            ),
+            SessionError::EncodingTooLarge { clauses, max } => write!(
+                f,
+                "the node weights ask for a counter of {clauses} clauses per time point; \
+                 the limit is {max}"
             ),
         }
     }
@@ -614,10 +639,13 @@ pub struct Report {
     /// The smallest certified budget (weight units in weighted mode), or
     /// `None` when nothing was certified.
     pub minimum: Option<usize>,
-    /// The certified budget floor at the end of the run — step-cap
-    /// relative for the minimize and frontier engines (see
-    /// [`crate::sharing`]; a fresh run's stays structural), the
-    /// structural lower bound for a fixed budget.
+    /// The certified budget floor at the end of the run. An unweighted
+    /// minimize or frontier search starts from the floor proven without
+    /// SAT ([`subdag_lower_bound`]), which holds at every step count; an
+    /// incremental search raises it with step-cap-relative refutations
+    /// (see [`crate::sharing`]), while a fresh one keeps it. A weighted
+    /// search starts from the weighted structural bound, and a fixed
+    /// budget reports the structural lower bound.
     pub floor: usize,
     /// One summary per worker, in configuration order.
     pub workers: Vec<WorkerSummary>,
@@ -1037,6 +1065,16 @@ impl<'a> PebblingSession<'a> {
                 });
             }
         }
+        if self.base.encoding.weighted {
+            let clauses =
+                weighted_counter_size(self.dag, self.pebbles, self.base.encoding.bound_mode);
+            if clauses > MAX_COUNTER_CLAUSES {
+                return Err(SessionError::EncodingTooLarge {
+                    clauses,
+                    max: MAX_COUNTER_CLAUSES,
+                });
+            }
+        }
         let engine = if self.frontier {
             if self.minimize {
                 return Err(SessionError::FrontierWithMinimize);
@@ -1142,6 +1180,26 @@ impl<'a> PebblingSession<'a> {
             (None, Some(quota)) => Some(CancelToken::with_limits(None, Some(quota))),
         }
     }
+}
+
+/// The size of one time point's weighted counter, in clauses plus
+/// output literals, counted without building it: a search over budgets
+/// builds the full counter, a fixed budget `p` baked into the clauses one
+/// truncated at `p + 1` outputs, and none once `p` reaches the total
+/// weight.
+fn weighted_counter_size(dag: &Dag, pebbles: Option<usize>, bound_mode: BoundMode) -> u64 {
+    let weights: Vec<usize> = dag
+        .node_ids()
+        .map(|v| dag.node(v).weight as usize)
+        .collect();
+    let total = usize::try_from(dag.total_weight()).unwrap_or(usize::MAX);
+    let cap = match (pebbles, bound_mode) {
+        (Some(p), BoundMode::Baked) if p >= total => return 0,
+        (Some(p), BoundMode::Baked) => p + 1,
+        _ => usize::MAX,
+    };
+    let (clauses, outputs) = weighted_unary_size(&weights, cap);
+    clauses.saturating_add(outputs)
 }
 
 /// The report of a session served whole from the result cache: no
@@ -1625,6 +1683,15 @@ fn execute_plan(
 ) -> ((Option<usize>, usize), SessionOutcome, Vec<WorkerSummary>) {
     let start = Instant::now();
     let fixed = plan.pebbles.is_some();
+    // A search over budgets starts at the floor proven without SAT,
+    // computed once for every run of the session. A fixed budget has no
+    // budgets below it to skip, and weighted budgets keep the weighted
+    // structural bound.
+    let proven_floor = if fixed || plan.base.encoding.weighted {
+        0
+    } else {
+        subdag_lower_bound(dag)
+    };
     let run = MinimizeContext {
         base: plan.base,
         per_query: if fixed {
@@ -1638,6 +1705,7 @@ fn execute_plan(
         cancel: cancel.cloned(),
         events: events.clone(),
         retry: plan.retry,
+        proven_floor,
         ..MinimizeContext::default()
     };
     let describe: fn(&MinimizeConfig) -> String = if fixed {
@@ -2029,6 +2097,38 @@ mod tests {
             .portfolio(64)
             .plan()
             .is_ok());
+        // Two nodes of weight 65,535 would ask a weighted search for
+        // 65,536² − 1 merge clauses per time point; it is refused before
+        // any of them exists.
+        let mut heavy = Dag::new();
+        let x = heavy.add_input("x");
+        let a = heavy
+            .add_node_weighted("a", Op::Buf, [x], 65_535)
+            .expect("valid");
+        let b = heavy
+            .add_node_weighted("b", Op::Buf, [a.into()], 65_535)
+            .expect("valid");
+        heavy.mark_output(b);
+        assert_eq!(
+            err(PebblingSession::new(&heavy).weighted(true).minimize()),
+            SessionError::EncodingTooLarge {
+                clauses: 65_536 * 65_536 - 1 + 131_070,
+                max: MAX_COUNTER_CLAUSES
+            }
+        );
+        // A fixed budget bakes a counter truncated at `p + 1`, and one
+        // that reaches the total weight builds none.
+        assert!(matches!(
+            err(PebblingSession::new(&heavy).weighted(true).pebbles(65_535)),
+            SessionError::EncodingTooLarge { .. }
+        ));
+        assert!(PebblingSession::new(&heavy)
+            .weighted(true)
+            .pebbles(131_070)
+            .plan()
+            .is_ok());
+        // Unweighted, the same DAG is two unit nodes.
+        assert!(PebblingSession::new(&heavy).minimize().plan().is_ok());
     }
 
     #[test]

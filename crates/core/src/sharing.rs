@@ -61,8 +61,12 @@ impl SharedSearchState {
         Self::default()
     }
 
-    /// Raises the floor to a bound known by other means (the structural
-    /// lower bound) without counting it as a search-derived tightening.
+    /// Raises the floor to a bound known by other means — the structural
+    /// lower bound, or the floor proven without SAT
+    /// ([`subdag_lower_bound`](crate::bounds::subdag_lower_bound)) that
+    /// every run of an unweighted minimize or frontier session is primed
+    /// with — without counting it as a search-derived tightening. Such a
+    /// bound holds at every step count, so it is sound under any cap.
     pub fn prime_floor(&self, floor: usize) {
         self.floor.fetch_max(floor, Ordering::Relaxed);
     }

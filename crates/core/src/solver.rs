@@ -680,9 +680,12 @@ pub struct MinimizeResult {
     /// its pool.
     pub sat: SolverStats,
     /// The certified budget lower bound at the end of the search: the
-    /// structural bound, raised by every probe that UNSAT-refuted its
-    /// whole step range. Certified *relative to the step cap*
-    /// (`base.max_steps`) — see [`crate::sharing`]. When
+    /// floor the run was primed with — the structural bound, or, for an
+    /// unweighted search over budgets, the floor proven without SAT
+    /// ([`subdag_lower_bound`](crate::bounds::subdag_lower_bound)), which
+    /// holds at every step count — raised by every probe that
+    /// UNSAT-refuted its whole step range. A raise is certified *relative
+    /// to the step cap* (`base.max_steps`) — see [`crate::sharing`]. When
     /// [`best`](Self::best) is `Some((p, _))`, `floor ≤ p` always holds,
     /// and `floor == p` means the minimum is certified optimal (within
     /// the cap), not merely the smallest budget that happened to solve.
@@ -812,8 +815,8 @@ impl<'a> Prober<'a> {
 
     /// The refutation blackboard driving probe pruning: the incremental
     /// solver's (possibly portfolio-shared) state, or a detached default
-    /// for the fresh baseline (whose floor stays at the primed structural
-    /// bound).
+    /// for the fresh baseline (whose floor stays where the run primed
+    /// it).
     fn shared_state(&self) -> Arc<SharedSearchState> {
         match self {
             Prober::Incremental(solver) => Arc::clone(solver.shared_state()),
@@ -892,6 +895,9 @@ pub(crate) struct MinimizeRun<'a> {
     /// Last floor observed, so only actual raises emit
     /// [`ProbeEvent::FloorRaised`].
     last_floor: usize,
+    /// The floor proven without SAT ([`MinimizeContext::proven_floor`]):
+    /// [`attempt`](Self::attempt) answers a budget below it at once.
+    proven_floor: usize,
     /// Fail-point plan (from `base.sat.faults`); polls `session.probe`
     /// at the top of every probe attempt.
     faults: FaultPlan,
@@ -904,7 +910,8 @@ pub(crate) struct MinimizeRun<'a> {
 impl<'a> MinimizeRun<'a> {
     /// Sets up a run over `ctx.window` (`None` = the [`budget_window`],
     /// in weight units in weighted mode): builds the prober and primes
-    /// its blackboard with the structural bound.
+    /// its blackboard with the structural bound, or with the floor proven
+    /// without SAT when the session computed one.
     pub(crate) fn new(dag: &'a Dag, ctx: MinimizeContext) -> Self {
         let weighted = ctx.base.encoding.weighted;
         let (structural, top) = budget_window(dag, weighted);
@@ -913,7 +920,7 @@ impl<'a> MinimizeRun<'a> {
         let shared = prober.shared_state();
         // A window reaching below the structural bound still probes its low
         // end, and the probe itself reports that budget infeasible.
-        shared.prime_floor(structural.min(window.0));
+        shared.prime_floor(structural.min(window.0).max(ctx.proven_floor));
         let last_floor = shared.floor();
         MinimizeRun {
             dag,
@@ -929,6 +936,7 @@ impl<'a> MinimizeRun<'a> {
             worker: ctx.worker,
             share_ticks: ctx.pool.is_some(),
             last_floor,
+            proven_floor: ctx.proven_floor,
             faults: ctx.base.sat.faults,
             retry: ctx.retry,
             retries: 0,
@@ -942,7 +950,8 @@ impl<'a> MinimizeRun<'a> {
     /// statistics snapshot and streamed as events. Returns the strategy
     /// with the budget it *actually certifies* — its own maximum pebble
     /// count (weight in weighted mode), which can undercut `p` — or the
-    /// verdict of a probe that found none.
+    /// verdict of a probe that found none. A budget below the floor
+    /// proven without SAT is answered `Infeasible` without a query.
     pub(crate) fn attempt(&mut self, p: usize) -> Result<(usize, Strategy), ProbeVerdict> {
         let probe = self.probes.len();
         let worker = self.worker;
@@ -953,6 +962,12 @@ impl<'a> MinimizeRun<'a> {
         });
         let mut attempt = 0u32;
         let outcome = loop {
+            // Proven infeasible without SAT: no query, nothing to retry.
+            if p < self.proven_floor {
+                break PebbleOutcome::Infeasible {
+                    lower_bound: self.proven_floor,
+                };
+            }
             attempt += 1;
             // Containment: each attempt runs under its own child of the
             // session token, so a cancellation of the *probe* (injected,
@@ -1119,6 +1134,12 @@ pub(crate) struct MinimizeContext {
     /// Worker index stamped on this run's events (portfolio executors
     /// number their workers; single runs use 0).
     pub(crate) worker: usize,
+    /// A pebble floor proven without SAT
+    /// ([`subdag_lower_bound`](crate::bounds::subdag_lower_bound)), which
+    /// the session computes once for an unweighted minimize or frontier
+    /// search; `0` (the default) proves nothing. Every run primes its
+    /// blackboard with it and answers budgets below it without a query.
+    pub(crate) proven_floor: usize,
     /// Per-probe [`RetryPolicy`] for transient failures (injected faults
     /// and spurious probe-token cancellations). The default never
     /// retries.
@@ -1402,26 +1423,38 @@ mod tests {
 
     #[test]
     fn minimize_descending_matches_binary_on_paper_example() {
+        // The paper example needs 12 steps at 4 pebbles and 10 at 5. Under
+        // an 11-step cap the floor proven without SAT (4) sits below the
+        // cap-relative minimum (5): probes go 5, 4 (step-capped) — exactly
+        // one failure. Under a 60-step cap the floor is the minimum, and
+        // probes go 5, 4 with no failure: budget 3 is never probed.
         let dag = paper_example();
-        let base = SolverOptions {
-            encoding: EncodingOptions {
-                move_mode: MoveMode::Sequential,
-                ..EncodingOptions::default()
-            },
-            max_steps: 60,
-            ..SolverOptions::default()
-        };
-        let descending = minimize_pebbles_descending(&dag, base, Duration::from_secs(20), 1);
-        let (p, strategy) = descending.best.expect("feasible");
-        assert_eq!(p, 4);
-        strategy.validate(&dag, Some(4)).expect("valid");
-        // Probes go 5, 4, 3(fail) — exactly one failure.
-        let failures = descending
-            .probes
-            .iter()
-            .filter(|&&(_, verdict)| verdict != ProbeVerdict::Solved)
-            .count();
-        assert_eq!(failures, 1);
+        for (max_steps, minimum, failures) in [(11, 5, 1), (60, 4, 0)] {
+            let base = SolverOptions {
+                encoding: EncodingOptions {
+                    move_mode: MoveMode::Sequential,
+                    ..EncodingOptions::default()
+                },
+                max_steps,
+                ..SolverOptions::default()
+            };
+            let descending = minimize_pebbles_descending(&dag, base, Duration::from_secs(20), 1);
+            let (p, strategy) = descending.best.expect("feasible");
+            assert_eq!(p, minimum, "cap {max_steps}");
+            strategy.validate(&dag, Some(minimum)).expect("valid");
+            let failed = descending
+                .probes
+                .iter()
+                .filter(|&&(_, verdict)| verdict != ProbeVerdict::Solved)
+                .count();
+            assert_eq!(failed, failures, "cap {max_steps}: {:?}", descending.probes);
+            let binary = minimize_pebbles(&dag, base, Duration::from_secs(20));
+            assert_eq!(
+                binary.best.map(|(p, _)| p),
+                Some(minimum),
+                "cap {max_steps}"
+            );
+        }
     }
 
     #[test]
@@ -1494,26 +1527,40 @@ mod tests {
     #[test]
     fn descending_falls_back_to_the_top_budget() {
         // stride 4 puts the first coarse probe at max(6 − 4, lower 3) = 3,
-        // which admits no strategy at any K. The search must certify the
+        // below the floor of 4 proven without SAT, so the coarse descent
+        // ends before its first probe. The search must certify the
         // trivially feasible full budget instead of returning best: None,
-        // then refine back down to the true optimum.
+        // then refine back down to the optimum. Under an 11-step cap that
+        // is 5 (4 pebbles need 12 steps), and the refinement ends on the
+        // step-capped probe at 4.
         let dag = paper_example();
-        let base = SolverOptions {
+        let base = |max_steps| SolverOptions {
             encoding: EncodingOptions {
                 move_mode: MoveMode::Sequential,
                 ..EncodingOptions::default()
             },
-            max_steps: 20, // keeps the doomed probe fast (StepLimit)
+            max_steps,
             ..SolverOptions::default()
         };
-        let result = minimize_pebbles_descending(&dag, base, Duration::from_secs(30), 4);
+        let result = minimize_pebbles_descending(&dag, base(11), Duration::from_secs(30), 4);
         let (p, strategy) = result.best.expect("fallback certifies the top budget");
-        assert_eq!(p, 4, "refinement descends 6 → 5 → 4");
+        assert_eq!(p, 5, "refinement descends from 6 and stops above 4");
         strategy.validate(&dag, Some(p)).expect("valid");
-        let refuted = (3, ProbeVerdict::StepLimit { steps_checked: 20 });
+        let refuted = (4, ProbeVerdict::StepLimit { steps_checked: 11 });
         assert!(result.probes.contains(&refuted), "{:?}", result.probes);
         let solved = (6, ProbeVerdict::Solved);
         assert!(result.probes.contains(&solved), "{:?}", result.probes);
+        // Under a 20-step cap the floor is the optimum: the fallback and
+        // the refinement never probe below it, and no probe raises it.
+        let result = minimize_pebbles_descending(&dag, base(20), Duration::from_secs(30), 4);
+        assert_eq!(result.best.as_ref().map(|&(p, _)| p), Some(4));
+        assert!(result.probes.contains(&solved), "{:?}", result.probes);
+        assert!(
+            result.probes.iter().all(|&(p, _)| p >= 4),
+            "{:?}",
+            result.probes
+        );
+        assert_eq!((result.floor, result.floor_raises), (4, 0));
     }
 
     #[test]
@@ -1631,28 +1678,33 @@ mod tests {
 
     #[test]
     fn minimize_certifies_the_floor_at_the_optimum() {
-        // With a step cap comfortably above every optimum, the budget-3
-        // probe ends in StepLimit and raises the certified floor to 4 —
-        // exactly the minimum found. The core-derived lower bound can
-        // never exceed the certified best.
+        // Under an 11-step cap the floor proven without SAT (4) sits below
+        // the cap-relative minimum: the budget-4 probe ends in StepLimit
+        // (4 pebbles need 12 steps) and raises the certified floor to 5 —
+        // exactly the minimum found. Under a cap comfortably above every
+        // optimum the floor proven without SAT is the minimum already,
+        // and no probe raises it. The certified bound can never exceed
+        // the certified best.
         let dag = paper_example();
-        let base = SolverOptions {
-            encoding: EncodingOptions {
-                move_mode: MoveMode::Sequential,
-                ..EncodingOptions::default()
-            },
-            max_steps: 60,
-            ..SolverOptions::default()
-        };
-        let result = minimize_pebbles(&dag, base, Duration::from_secs(30));
-        let (best, _) = result.best.clone().expect("feasible");
-        assert_eq!(best, 4);
-        assert_eq!(result.floor, 4, "floor certifies the optimum");
-        assert!(result.floor_raises >= 1);
-        assert!(
-            result.floor <= best,
-            "a certified bound never exceeds the minimum"
-        );
+        for (max_steps, minimum, raises) in [(11, 5, 1), (60, 4, 0)] {
+            let base = SolverOptions {
+                encoding: EncodingOptions {
+                    move_mode: MoveMode::Sequential,
+                    ..EncodingOptions::default()
+                },
+                max_steps,
+                ..SolverOptions::default()
+            };
+            let result = minimize_pebbles(&dag, base, Duration::from_secs(30));
+            let (best, _) = result.best.clone().expect("feasible");
+            assert_eq!(best, minimum, "cap {max_steps}");
+            assert_eq!(result.floor, minimum, "floor certifies the optimum");
+            assert_eq!(result.floor_raises, raises, "cap {max_steps}");
+            assert!(
+                result.floor <= best,
+                "a certified bound never exceeds the minimum"
+            );
+        }
     }
 
     #[test]

@@ -359,6 +359,51 @@ fn build_weighted_unary(sink: &mut impl CnfSink, items: &[(Lit, usize)], cap: us
     }
 }
 
+/// The size of the weighted totalizer tree over `weights`, truncated to
+/// `cap` outputs, without building it: the clauses its merges emit and
+/// the length of its output vector (a lone weight-`w` leaf is `w` copies
+/// of one literal and emits nothing). [`IncrementalTotalizer::new_weighted`]
+/// builds the tree at `cap = usize::MAX` and [`weighted_at_most_k`] at
+/// `k + 1`. The count saturates at `u64::MAX`, so any weights can be
+/// sized before anything is allocated for them.
+pub fn weighted_unary_size(weights: &[usize], cap: usize) -> (u64, u64) {
+    fn size(weights: &[usize], cap: u128) -> (u128, u128) {
+        match weights {
+            [] => (0, 0),
+            &[w] => (0, (w as u128).min(cap)),
+            _ => {
+                let mid = weights.len() / 2;
+                let (left_clauses, left) = size(&weights[..mid], cap);
+                let (right_clauses, right) = size(&weights[mid..], cap);
+                let clauses = left_clauses.saturating_add(right_clauses);
+                if left == 0 || right == 0 {
+                    return (clauses, left + right);
+                }
+                // `merge_unary` emits one clause per `(α, β)` with
+                // `α ≤ left`, `β ≤ right` and `1 ≤ α + β ≤ out`: the
+                // triangle `α + β ≤ out` less its corners beyond either
+                // side (both at once is impossible, as `out ≤ left +
+                // right`) and less `(0, 0)`. Every output takes at least
+                // one clause, so from `u64::MAX` outputs on the count
+                // saturates.
+                let out = (left + right).min(cap);
+                let triangle = |x: u128| (x + 1) * (x + 2) / 2;
+                let beyond = |side: u128| out.checked_sub(side + 1).map_or(0, triangle);
+                let merged = if out >= u128::from(u64::MAX) {
+                    u128::MAX
+                } else {
+                    triangle(out) - beyond(left) - beyond(right) - 1
+                };
+                (clauses.saturating_add(merged), out)
+            }
+        }
+    }
+    let live: Vec<usize> = weights.iter().copied().filter(|&w| w > 0).collect();
+    let (clauses, outputs) = size(&live, cap as u128);
+    let saturate = |n: u128| u64::try_from(n).unwrap_or(u64::MAX);
+    (saturate(clauses), saturate(outputs))
+}
+
 fn build_totalizer(sink: &mut impl CnfSink, lits: &[Lit], cap: usize) -> Vec<Lit> {
     if lits.len() <= 1 {
         return lits.to_vec();
@@ -639,6 +684,53 @@ mod tests {
         assert_eq!(solver.model_value(heavy), Some(false));
         assert_eq!(solver.solve_with(&[heavy]), SolveResult::Unsat);
         assert_eq!(solver.solve_with(&[light]), SolveResult::Sat);
+    }
+
+    #[test]
+    fn weighted_unary_size_counts_what_the_build_emits() {
+        for weights in [
+            vec![1usize],
+            vec![7],
+            vec![2, 3],
+            vec![1, 1, 1, 1, 1],
+            vec![2, 3, 1, 2],
+            vec![5, 0, 4, 1, 3, 2, 6],
+            vec![12, 9],
+        ] {
+            let total: usize = weights.iter().sum();
+            for cap in [1, 2, 3, total, total + 1, usize::MAX] {
+                let mut cnf = Cnf::new(weights.len());
+                let items: Vec<(Lit, usize)> = weights
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &w)| (Var::from_index(i).positive(), w))
+                    .collect();
+                let outputs = build_weighted_unary(&mut cnf, &items, cap);
+                assert_eq!(
+                    weighted_unary_size(&weights, cap),
+                    (cnf.clauses.len() as u64, outputs.len() as u64),
+                    "weights {weights:?}, cap {cap}"
+                );
+            }
+        }
+        // Two nodes of weight 1,000 merge in 1001² − 1 clauses, and sizing
+        // the largest weights allocates nothing.
+        assert_eq!(
+            weighted_unary_size(&[1000, 1000], usize::MAX),
+            (1_002_000, 2000)
+        );
+        assert_eq!(
+            weighted_unary_size(&[u32::MAX as usize], usize::MAX),
+            (0, u64::from(u32::MAX))
+        );
+        assert_eq!(
+            weighted_unary_size(&[usize::MAX, usize::MAX], usize::MAX),
+            (u64::MAX, u64::MAX)
+        );
+        assert_eq!(
+            weighted_unary_size(&[65_535, 65_535], usize::MAX).0,
+            65_536 * 65_536 - 1
+        );
     }
 
     #[test]

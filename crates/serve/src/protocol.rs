@@ -20,7 +20,7 @@
 //! | `share_clauses`| bool              | exchange learnt clauses between workers         |
 //! | `diversify`    | bool              | jitter worker configurations                    |
 //! | `incremental`  | bool              | keep one solver across probes                   |
-//! | `weighted`     | bool              | budget counts weight units                      |
+//! | `weighted`     | bool              | budget counts weight units (weights whose counter passes 2^21 clauses per time point answer `EncodingTooLarge`) |
 //! | `max_steps`    | integer           | step cap per probe                              |
 //! | `timeout_ms`   | integer           | per-budget-probe timeout (default 10 000); a fixed budget is one probe |
 //! | `deadline_ms`  | integer           | wall deadline for the whole request             |

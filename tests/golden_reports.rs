@@ -24,6 +24,46 @@
 //! refuted last probe certifies, whose `FloorRaised` event adds one to
 //! `events_emitted`. Only those fields were edited in place; every point,
 //! strategy and other row is unchanged.
+//!
+//! The 25 `fresh`, `incremental`, `descending`, `frontier` and
+//! `frontier-fresh` rows were re-pinned again when minimize and frontier
+//! sessions began at the pebble floor proven without SAT
+//! (`bounds::subdag_lower_bound`): budgets below it are skipped or
+//! answered without a query, so the worker's `probes`, `queries` and
+//! `conflicts`, the report's `probes` and `events_emitted` and, in the
+//! `fresh` and `frontier-fresh` rows, `floor` changed (old → new):
+//!
+//! | row | floor | probes | queries | conflicts | events |
+//! |---|---|---|---|---|---|
+//! | paper/fresh | 3 → 4 | | 38 → 4 | 355 → 82 | |
+//! | paper/incremental | | | 36 → 4 | 258 → 80 | 6 → 5 |
+//! | paper/descending | | 2 → 1 | 36 → 3 | 258 → 59 | 6 → 3 |
+//! | paper/frontier | | | 38 → 5 | 282 → 58 | 10 → 9 |
+//! | paper/frontier-fresh | 3 → 4 | | 40 → 5 | 382 → 94 | |
+//! | c17/fresh | 3 → 4 | | 38 → 4 | 146 → 53 | |
+//! | c17/incremental | | | 36 → 4 | 180 → 79 | 6 → 5 |
+//! | c17/descending | | 2 → 1 | 36 → 3 | 180 → 61 | 6 → 3 |
+//! | c17/frontier | | | 38 → 5 | 199 → 60 | 10 → 9 |
+//! | c17/frontier-fresh | 3 → 4 | | 40 → 5 | 170 → 68 | |
+//! | chain12/fresh | 2 → 5 | | 74 → 39 | 19,032 → 24,217 | |
+//! | chain12/incremental | | | 54 → 19 | 24,409 → 23,965 | 8 → 7 |
+//! | chain12/descending | | 5 → 4 | 54 → 20 | 71,241 → 20,327 | 12 → 9 |
+//! | chain12/frontier | | | 54 → 24 | 39,971 → 35,629 | 20 → 19 |
+//! | chain12/frontier-fresh | 2 → 5 | | 112 → 66 | 39,159 → 35,867 | |
+//! | hop/fresh | 4 → 6 | 3 → 1 | 83 → 1 | 737 → 60 | 7 → 3 |
+//! | hop/incremental | | 3 → 2 | 83 → 2 | 599 → 13 | 9 → 5 |
+//! | hop/descending | | 3 → 1 | 83 → 1 | 599 → 83 | 9 → 3 |
+//! | hop/frontier | | | 44 → 3 | 494 → 61 | 10 → 9 |
+//! | hop/frontier-fresh | 4 → 6 | | 44 → 3 | 770 → 233 | |
+//! | adder4/fresh | 5 → 6 | 3 → 2 | 50 → 2 | 1,366 → 977 | 7 → 5 |
+//! | adder4/incremental | | 3 → 2 | 50 → 2 | 1,680 → 1,130 | 8 → 5 |
+//! | adder4/descending | | 3 → 2 | 50 → 2 | 1,752 → 1,210 | 8 → 5 |
+//! | adder4/frontier | | | 54 → 6 | 2,456 → 1,780 | 16 → 15 |
+//! | adder4/frontier-fresh | 5 → 6 | | 54 → 6 | 4,389 → 4,000 | |
+//!
+//! `chain12/fresh` pays more conflicts for fewer queries: its binary
+//! search now starts at 5 and probes 8 first. Every `minimum`,
+//! `strategy` and `frontier` is unchanged.
 
 use std::time::Duration;
 

@@ -1,0 +1,126 @@
+//! The pebble floor proven without SAT, `bounds::subdag_lower_bound`,
+//! against the references it must respect: `exact_min_pebbles` (the
+//! breadth-first reference), a SAT refutation that uses no floor at all,
+//! Bennett's closed form on chains, and the minima of the built-in
+//! designs.
+
+use proptest::prelude::*;
+use revpebble::core::bounds::{pebble_lower_bound, subdag_lower_bound};
+use revpebble::core::{exact_min_pebbles, EncodingOptions, MoveMode, PebbleSolver, SolverOptions};
+use revpebble::graph::builtin_dag;
+use revpebble::graph::generators::{and_tree, binary_in_tree, chain, random_dag};
+use revpebble::graph::slp::h_operator_sized;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On a DAG of at most 18 nodes the first prefix is the whole DAG,
+    /// so the bound is the exact minimum.
+    #[test]
+    fn the_bound_is_the_exact_minimum_on_small_dags(
+        inputs in 1usize..5,
+        nodes in 1usize..=12,
+        seed in any::<u64>(),
+    ) {
+        let dag = random_dag(inputs, nodes, seed);
+        prop_assert_eq!(subdag_lower_bound(&dag), exact_min_pebbles(&dag));
+    }
+}
+
+#[test]
+fn the_bound_never_exceeds_the_minimum_on_larger_dags() {
+    // 19–22 nodes: the prefixes cover part of the DAG, so the bound can
+    // fall short of the minimum (`(2, 20, 4)`: 7 against 8). Each draw's
+    // bound is above `pebble_lower_bound`, and its minimum takes the
+    // breadth-first reference well under a second.
+    for (inputs, nodes, seed) in [(3, 19, 3), (3, 20, 3), (2, 20, 4), (3, 21, 2), (2, 22, 2)] {
+        let dag = random_dag(inputs, nodes, seed);
+        let bound = subdag_lower_bound(&dag);
+        let draw = format!("random_dag({inputs}, {nodes}, {seed})");
+        assert!(bound > pebble_lower_bound(&dag), "{draw}");
+        assert!(bound <= exact_min_pebbles(&dag), "{draw}");
+    }
+}
+
+#[test]
+fn a_sat_search_without_floors_refutes_the_budget_below_the_bound() {
+    // No breadth-first search on either side: `PebbleSolver` sees only
+    // the structural bound, and with sequential moves a strategy never
+    // needs more steps than there are configurations, so a step cap of
+    // `2^n` makes its refutation hold at every step count. A quarter of
+    // the draws (12 of 48) have a bound above the structural one.
+    for seed in 0..48 {
+        let nodes = 2 + (seed as usize % 5);
+        let dag = random_dag(3, nodes, seed);
+        let bound = subdag_lower_bound(&dag);
+        if bound - 1 < pebble_lower_bound(&dag) {
+            continue;
+        }
+        let options = SolverOptions {
+            encoding: EncodingOptions {
+                max_pebbles: Some(bound - 1),
+                move_mode: MoveMode::Sequential,
+                ..EncodingOptions::default()
+            },
+            max_steps: 1 << nodes,
+            ..SolverOptions::default()
+        };
+        let outcome = PebbleSolver::new(&dag, options).solve();
+        assert!(
+            outcome.strategy().is_none(),
+            "seed {seed}: budget {} solved below the bound {bound}",
+            bound - 1
+        );
+    }
+}
+
+#[test]
+fn the_bound_on_a_chain_is_bennetts_closed_form() {
+    // Bennett pebbles 2^k chain nodes with k + 1 pebbles, and no
+    // strategy does better; chains above 18 nodes are priced by their
+    // 18-node prefix.
+    for n in 2..=20usize {
+        let closed_form = (usize::BITS - (n - 1).leading_zeros()) as usize + 1;
+        assert_eq!(subdag_lower_bound(&chain(n)), closed_form, "chain({n})");
+    }
+}
+
+#[test]
+fn the_bound_of_every_named_design_is_pinned() {
+    // (design, bound, minimum where known). The minima of the designs of
+    // at most 12 nodes are `exact_min_pebbles`, checked below. `edwards`
+    // has a 7-pebble strategy (`pebble edwards --pebbles 7 --portfolio 2`
+    // finds one), so its bound is its minimum. The H-operator rows and
+    // `kummer` have no proven minimum.
+    let designs = [
+        ("paper", builtin_dag("paper"), 4, Some(4)),
+        ("c17", builtin_dag("c17"), 4, Some(4)),
+        ("andtree9", builtin_dag("andtree9"), 5, Some(5)),
+        ("andtree11", Some(and_tree(11)), 5, Some(5)),
+        ("bintree3", Some(binary_in_tree(3)), 5, Some(5)),
+        ("hop", builtin_dag("hop"), 6, Some(6)),
+        ("adder4", builtin_dag("adder4"), 6, Some(6)),
+        ("chain8", Some(chain(8)), 4, Some(4)),
+        ("chain10", Some(chain(10)), 5, Some(5)),
+        ("chain12", builtin_dag("chain12"), 5, Some(5)),
+        ("chain19", Some(chain(19)), 6, None),
+        ("chain20", Some(chain(20)), 6, None),
+        ("edwards", builtin_dag("edwards"), 7, Some(7)),
+        ("b3_m4", builtin_dag("b3_m4"), 7, None),
+        ("b2_m3", Some(h_operator_sized(74)), 7, None),
+        ("kummer", builtin_dag("kummer"), 9, None),
+    ];
+    for (name, dag, bound, minimum) in designs {
+        let dag = dag.expect("a built-in design");
+        assert_eq!(subdag_lower_bound(&dag), bound, "{name}");
+        if dag.num_nodes() <= 12 {
+            assert_eq!(minimum, Some(exact_min_pebbles(&dag)), "{name}");
+        }
+        if let Some(minimum) = minimum {
+            assert!(
+                bound <= minimum,
+                "{name}: bound {bound} > minimum {minimum}"
+            );
+        }
+    }
+}

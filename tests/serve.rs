@@ -335,6 +335,22 @@ fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
         Some("PortfolioTooLarge")
     );
 
+    // Two nodes of weight 65,535 would ask a weighted minimize for about
+    // 4.3 × 10⁹ counter clauses per time point; the frame is refused
+    // before any of them exists.
+    let too_heavy = client
+        .send_raw(
+            r#"{"dag":{"inputs":["x"],"nodes":[{"name":"a","op":"buf","fanins":["x"],"weight":65535},{"name":"b","op":"buf","fanins":["a"],"weight":65535}],"outputs":["b"]},"weighted":true}"#,
+        )
+        .expect("response");
+    let value = parse_json(&too_heavy).expect("valid JSON");
+    assert_eq!(status_of(&too_heavy), "error");
+    assert_eq!(value.get("kind").and_then(|k| k.as_str()), Some("session"));
+    assert_eq!(
+        value.get("code").and_then(|c| c.as_str()),
+        Some("EncodingTooLarge")
+    );
+
     // Same connection, next frame: served normally.
     let ok = client
         .send(&fast_request("after-garbage"))
@@ -342,7 +358,7 @@ fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
     assert_eq!(status_of(&ok), "ok");
 
     let stats = server.finish();
-    assert_eq!(stats.errors, 4);
+    assert_eq!(stats.errors, 5);
     assert_eq!(stats.ok, 1);
     assert_eq!(stats.connections, 1);
 }

@@ -84,6 +84,30 @@ fn assert_stream_invariants(report: &Report, events: &[ProbeEvent]) {
 #[test]
 fn single_minimize_stream_is_monotone_and_terminal() {
     let dag = revpebble::graph::generators::paper_example();
+    // Under an 11-step cap the paper example's minimum is 5 (4 pebbles
+    // need 12 steps), above the floor of 4 proven without SAT.
+    let (report, events) = collect(
+        PebblingSession::new(&dag)
+            .minimize()
+            .max_steps(11)
+            .per_query_timeout(Duration::from_secs(30)),
+    );
+    assert_stream_invariants(&report, &events);
+    assert_eq!(report.minimum, Some(5));
+    assert!(matches!(
+        events.last(),
+        Some(ProbeEvent::BudgetCertified { minimum: Some(5) })
+    ));
+    // The exhausted budget-4 probe raises the floor to the optimum; the
+    // raise is observable in the stream.
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, ProbeEvent::FloorRaised { floor: 5, .. })),
+        "{events:?}"
+    );
+    // Under a 60-step cap the floor proven without SAT is the minimum:
+    // nothing below it is probed and no probe raises it.
     let (report, events) = collect(
         PebblingSession::new(&dag)
             .minimize()
@@ -91,34 +115,35 @@ fn single_minimize_stream_is_monotone_and_terminal() {
             .per_query_timeout(Duration::from_secs(30)),
     );
     assert_stream_invariants(&report, &events);
-    assert_eq!(report.minimum, Some(4));
-    assert!(matches!(
-        events.last(),
-        Some(ProbeEvent::BudgetCertified { minimum: Some(4) })
-    ));
-    // The exhausted budget-3 probe raises the floor to the optimum; the
-    // raise is observable in the stream.
+    assert_eq!((report.minimum, report.floor), (Some(4), 4));
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, ProbeEvent::FloorRaised { floor: 4, .. })),
+        events.iter().all(|e| match *e {
+            ProbeEvent::ProbeStarted { budget, .. } => budget >= 4,
+            ProbeEvent::FloorRaised { .. } => false,
+            _ => true,
+        }),
         "{events:?}"
     );
 }
 
 #[test]
 fn shared_portfolio_emits_one_terminal_despite_cancelled_rivals() {
-    let dag = revpebble::graph::generators::paper_example();
+    // An 8-node chain needs 25 steps at its floor of 4 pebbles (proven
+    // without SAT) and 21 at 5. Under a 24-step cap the minimum is 5 and
+    // the budget-4 probe must refute ten step counts, so the race runs
+    // for many scheduler slices even on one core (the paper example's
+    // 11-step race ends in about a millisecond, before a rival starts).
+    let dag = revpebble::graph::generators::chain(8);
     let (report, events) = collect(
         PebblingSession::new(&dag)
             .minimize()
             .portfolio(4)
             .share_clauses()
-            .max_steps(60)
+            .max_steps(24)
             .per_query_timeout(Duration::from_secs(30)),
     );
     assert_stream_invariants(&report, &events);
-    assert_eq!(report.minimum, Some(4));
+    assert_eq!(report.minimum, Some(5));
     // The race ran real rivals...
     let workers: std::collections::BTreeSet<usize> = events
         .iter()
