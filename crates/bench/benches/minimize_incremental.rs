@@ -7,11 +7,12 @@
 //!
 //! Alongside the wall-clock numbers a one-off audit prints the total SAT
 //! conflicts and queries of both engines; the single-instance claim
-//! itself is audited via `sat.solves == search.queries`. Both searches
-//! start at the floor proven without SAT, which is the minimum of `paper`
-//! and `c17`, so neither pays for a refuting probe there: on `c17`
-//! (exponential deepening, the `table1` harness configuration) the
-//! incremental engine's 154 conflicts exceed the fresh baseline's 91.
+//! itself is audited via `sat.solves == search.queries`. The floor proven
+//! without SAT is the exact minimum of `paper` and `c17`, so both
+//! searches probe it first and certify it with that one probe, paying
+//! for no refutation: on `c17` (exponential deepening, the `table1`
+//! harness configuration) the incremental engine pays 60 conflicts
+//! against the fresh baseline's 82, and on `paper` 59 against 67.
 //!
 //! Every audited run also lands in the machine-readable `BENCH_sat.json`
 //! (wall-clock + propagations + conflicts + arena GCs for `paper`, `c17`

@@ -76,8 +76,14 @@ const MAX_EXPANSIONS: usize = 1 << 16;
 /// in all. A prefix of `|S|` nodes never costs more than `|S|` pebbles
 /// (pebble it in topological order, then unpebble its non-outputs in
 /// reverse), so a prefix no larger than the bound so far is skipped
-/// without a search. On a DAG of at most 18 nodes the first prefix is the
-/// whole DAG, and the bound is its exact minimum.
+/// without a search.
+///
+/// **When the bound is exact.** On a DAG of at most 18 nodes the first
+/// prefix is the whole DAG. When its search finishes under the work cap
+/// below, or it is skipped because the DAG has no more nodes than the
+/// bound so far (then `price ≤ n ≤ bound ≤ minimum`), the bound is the
+/// DAG's exact minimum at every step count, and no later prefix is
+/// searched. Minimize sessions probe such a floor first.
 ///
 /// **The price.** A depth-first search over the configurations of `D[S]`
 /// reachable from the empty one within `p` pebbles. `p` starts at the
@@ -107,6 +113,13 @@ const MAX_EXPANSIONS: usize = 1 << 16;
 /// [`crate::exact`] is the reference for exact prices, not this search:
 /// tests check the bound against [`crate::exact::exact_min_pebbles`].
 pub fn subdag_lower_bound(dag: &Dag) -> usize {
+    subdag_floor(dag).0
+}
+
+/// [`subdag_lower_bound`], and whether it is the DAG's exact minimum: the
+/// whole DAG was priced to the end, or skipped as no larger than the
+/// bound so far.
+pub(crate) fn subdag_floor(dag: &Dag) -> (usize, bool) {
     let mut bound = pebble_lower_bound(dag);
     let outputs = dag.outputs();
     let levels = dag.levels();
@@ -121,12 +134,18 @@ pub fn subdag_lower_bound(dag: &Dag) -> usize {
             break;
         }
         let prefix = bfs_prefix(dag, roots, &mut in_prefix);
+        let mut finished = true;
         if prefix.len() > bound && !prefixes.contains(&prefix) {
-            bound = bound.max(subdag_price(dag, &prefix, bound, &mut work));
+            let (price, done) = subdag_price(dag, &prefix, bound, &mut work);
+            bound = bound.max(price);
+            finished = done;
+        }
+        if finished && prefix.len() == dag.num_nodes() {
+            return (bound, true);
         }
         prefixes.push(prefix);
     }
-    bound
+    (bound, false)
 }
 
 /// The first [`MAX_PREFIX_NODES`] nodes a breadth-first search along
@@ -162,8 +181,9 @@ fn bfs_prefix(dag: &Dag, roots: &[NodeId], in_prefix: &mut [bool]) -> Vec<NodeId
 /// [`subdag_lower_bound`]): returns the budget at which the search met
 /// the final configuration or ran out of `work`, every smaller budget
 /// from `start` up having been exhausted, or `|S|` once every budget
-/// below it was.
-fn subdag_price(dag: &Dag, prefix: &[NodeId], start: usize, work: &mut usize) -> usize {
+/// below it was; and whether the search finished, that is, was not cut
+/// by running out of `work`.
+fn subdag_price(dag: &Dag, prefix: &[NodeId], start: usize, work: &mut usize) -> (usize, bool) {
     let size = prefix.len();
     let bit = |v: NodeId| prefix.iter().position(|&u| u == v).map_or(0, |i| 1u32 << i);
     let child_masks: Vec<u32> = prefix
@@ -186,7 +206,7 @@ fn subdag_price(dag: &Dag, prefix: &[NodeId], start: usize, work: &mut usize) ->
         .fold(0, |mask, &v| mask | bit(v))
         & !leaves;
     if target == 0 {
-        return start;
+        return (start, true);
     }
     let mut visited = vec![0u64; (1usize << size).div_ceil(64)];
     visited[0] = 1;
@@ -198,7 +218,7 @@ fn subdag_price(dag: &Dag, prefix: &[NodeId], start: usize, work: &mut usize) ->
     while p < size {
         while let Some(config) = stack.pop() {
             if *work == 0 {
-                return p;
+                return (p, false);
             }
             *work -= 1;
             // The nodes whose children in the configuration are all
@@ -220,7 +240,7 @@ fn subdag_price(dag: &Dag, prefix: &[NodeId], start: usize, work: &mut usize) ->
                 }
                 let next = config ^ (1 << i);
                 if next == target {
-                    return p;
+                    return (p, true);
                 }
                 let (word, mask) = (next as usize / 64, 1u64 << (next % 64));
                 if visited[word] & mask == 0 {
@@ -237,7 +257,7 @@ fn subdag_price(dag: &Dag, prefix: &[NodeId], start: usize, work: &mut usize) ->
         p += 1;
         std::mem::swap(&mut stack, &mut capped);
     }
-    size
+    (size, true)
 }
 
 /// The weighted analogue of [`pebble_lower_bound`]: a lower bound on the
@@ -380,6 +400,21 @@ mod tests {
             .into_strategy()
             .expect("budget 2 is feasible");
         strategy.validate(&dag, Some(2)).expect("valid");
+    }
+
+    #[test]
+    fn a_floor_search_cut_by_the_work_cap_is_not_exact() {
+        use revpebble_graph::generators::random_dag;
+        // 18 nodes, so the first prefix is the whole DAG, but its search
+        // runs out of expansions at budget 8, and 8 pebbles do not suffice.
+        let dag = random_dag(5, 18, 266);
+        assert_eq!(subdag_floor(&dag), (8, false));
+        assert!(crate::exact::solve_exact(&dag, 8).into_strategy().is_none());
+        // A whole-DAG search that finishes is exact.
+        assert_eq!(subdag_floor(&chain(18)), (6, true));
+        assert_eq!(subdag_floor(&paper_example()), (4, true));
+        // Above 18 nodes no prefix is the whole DAG.
+        assert_eq!(subdag_floor(&chain(19)), (6, false));
     }
 
     #[test]

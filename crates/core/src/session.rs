@@ -74,7 +74,7 @@ use revpebble_sat::card::weighted_unary_size;
 use revpebble_sat::faults::FaultSite;
 use revpebble_sat::{CancelReason, CancelToken};
 
-use crate::bounds::{budget_window, subdag_lower_bound};
+use crate::bounds::{budget_window, subdag_floor};
 use crate::cache::{CacheKey, CachedReport, ResultCache};
 use crate::encoding::{BoundMode, MoveMode};
 use crate::exec::Executor;
@@ -262,11 +262,12 @@ impl fmt::Display for ProbeEvent {
 /// it is rejected at plan time with [`SessionError::PortfolioTooLarge`].
 pub const MAX_PORTFOLIO: usize = 64;
 
-/// The largest weighted counter a session builds per time point, in
-/// clauses plus output literals (see [`SessionError::EncodingTooLarge`]).
-/// It admits two nodes of weight 1,446 but not 1,447, up to 2,036 nodes
-/// of weight 1 or 510 of weight 4, and every built-in design at weight 4
-/// (`b3_m4` needs 34,048).
+/// The largest counter a session builds per time point, in clauses plus
+/// output literals (see [`SessionError::EncodingTooLarge`]). It admits
+/// two nodes of weight 1,446 but not 1,447, up to 2,036 nodes of weight 1
+/// (so an unweighted incremental search on up to 2,036 nodes; the largest
+/// Table I row, 1,257 nodes, needs 803,689) or 510 of weight 4, and every
+/// built-in design at weight 4 (`b3_m4` needs 34,048).
 const MAX_COUNTER_CLAUSES: u64 = 1 << 21;
 
 /// A configuration the session builder rejects at plan time.
@@ -340,11 +341,14 @@ pub enum SessionError {
         /// The limit, [`MAX_PORTFOLIO`].
         max: usize,
     },
-    /// A weighted plan whose counter would be too large to build: a
-    /// node of weight `w` enters the unary counter of every time point as
-    /// `w` copies of its literal, and merging two parts of weights `a`
-    /// and `b` takes about `a · b` clauses, so two nodes of weight 65,535
-    /// would ask for 4.3 × 10⁹ clauses per time point.
+    /// A plan whose counter would be too large to build: a node of
+    /// weight `w` enters the unary counter of every time point as `w`
+    /// copies of its literal, and merging two parts of weights `a` and
+    /// `b` takes about `a · b` clauses, so two nodes of weight 65,535
+    /// would ask for 4.3 × 10⁹ clauses per time point. Every weighted
+    /// plan is counted, and every plan that chooses its bound by
+    /// assumption (the incremental minimize and frontier searches), where
+    /// each node weighs one: 2,100 nodes would ask for about 2.2 million.
     EncodingTooLarge {
         /// One time point's counter: its clauses plus its output
         /// literals.
@@ -641,7 +645,8 @@ pub struct Report {
     pub minimum: Option<usize>,
     /// The certified budget floor at the end of the run. An unweighted
     /// minimize or frontier search starts from the floor proven without
-    /// SAT ([`subdag_lower_bound`]), which holds at every step count; an
+    /// SAT ([`subdag_lower_bound`](crate::bounds::subdag_lower_bound)),
+    /// which holds at every step count; an
     /// incremental search raises it with step-cap-relative refutations
     /// (see [`crate::sharing`]), while a fresh one keeps it. A weighted
     /// search starts from the weighted structural bound, and a fixed
@@ -1065,16 +1070,6 @@ impl<'a> PebblingSession<'a> {
                 });
             }
         }
-        if self.base.encoding.weighted {
-            let clauses =
-                weighted_counter_size(self.dag, self.pebbles, self.base.encoding.bound_mode);
-            if clauses > MAX_COUNTER_CLAUSES {
-                return Err(SessionError::EncodingTooLarge {
-                    clauses,
-                    max: MAX_COUNTER_CLAUSES,
-                });
-            }
-        }
         let engine = if self.frontier {
             if self.minimize {
                 return Err(SessionError::FrontierWithMinimize);
@@ -1137,6 +1132,21 @@ impl<'a> PebblingSession<'a> {
                 Engine::Single
             }
         };
+        let incremental = self.incremental.unwrap_or(true);
+        // The incremental engine searches budgets by assumption on a full
+        // counter per time point, weighted or not.
+        let assumed = self.base.encoding.bound_mode == BoundMode::Assumed
+            || (self.pebbles.is_none() && incremental);
+        if self.base.encoding.weighted || assumed {
+            let clauses =
+                counter_size(self.dag, self.base.encoding.weighted, self.pebbles, assumed);
+            if clauses > MAX_COUNTER_CLAUSES {
+                return Err(SessionError::EncodingTooLarge {
+                    clauses,
+                    max: MAX_COUNTER_CLAUSES,
+                });
+            }
+        }
         let mut base = self.base;
         // A fixed budget is one probe, so an explicit per-probe bound
         // bounds the whole solve.
@@ -1151,7 +1161,7 @@ impl<'a> PebblingSession<'a> {
             pebbles: self.pebbles,
             workers: self.portfolio.unwrap_or(0),
             diversify: self.diversify,
-            incremental: self.incremental.unwrap_or(true),
+            incremental,
             retry: self.retry,
         })
     }
@@ -1182,20 +1192,24 @@ impl<'a> PebblingSession<'a> {
     }
 }
 
-/// The size of one time point's weighted counter, in clauses plus
-/// output literals, counted without building it: a search over budgets
-/// builds the full counter, a fixed budget `p` baked into the clauses one
-/// truncated at `p + 1` outputs, and none once `p` reaches the total
-/// weight.
-fn weighted_counter_size(dag: &Dag, pebbles: Option<usize>, bound_mode: BoundMode) -> u64 {
-    let weights: Vec<usize> = dag
-        .node_ids()
-        .map(|v| dag.node(v).weight as usize)
-        .collect();
-    let total = usize::try_from(dag.total_weight()).unwrap_or(usize::MAX);
-    let cap = match (pebbles, bound_mode) {
-        (Some(p), BoundMode::Baked) if p >= total => return 0,
-        (Some(p), BoundMode::Baked) => p + 1,
+/// The size of one time point's counter, in clauses plus output
+/// literals, counted without building it. A bound chosen by assumption,
+/// or a search over budgets, needs the full counter; a fixed budget `p`
+/// baked into the clauses needs one truncated at `p + 1` outputs, and
+/// none once `p` reaches the total weight. Unweighted, every node weighs
+/// one, whatever its `weight` field says.
+fn counter_size(dag: &Dag, weighted: bool, pebbles: Option<usize>, assumed: bool) -> u64 {
+    let weights: Vec<usize> = if weighted {
+        dag.node_ids()
+            .map(|v| dag.node(v).weight as usize)
+            .collect()
+    } else {
+        vec![1; dag.num_nodes()]
+    };
+    let total = weights.iter().fold(0usize, |sum, &w| sum.saturating_add(w));
+    let cap = match pebbles {
+        Some(p) if !assumed && p >= total => return 0,
+        Some(p) if !assumed => p + 1,
         _ => usize::MAX,
     };
     let (clauses, outputs) = weighted_unary_size(&weights, cap);
@@ -1684,13 +1698,13 @@ fn execute_plan(
     let start = Instant::now();
     let fixed = plan.pebbles.is_some();
     // A search over budgets starts at the floor proven without SAT,
-    // computed once for every run of the session. A fixed budget has no
-    // budgets below it to skip, and weighted budgets keep the weighted
-    // structural bound.
-    let proven_floor = if fixed || plan.base.encoding.weighted {
-        0
+    // computed once for every run of the session, and probes it first
+    // when it is exact. A fixed budget has no budgets below it to skip,
+    // and weighted budgets keep the weighted structural bound.
+    let (proven_floor, floor_is_exact) = if fixed || plan.base.encoding.weighted {
+        (0, false)
     } else {
-        subdag_lower_bound(dag)
+        subdag_floor(dag)
     };
     let run = MinimizeContext {
         base: plan.base,
@@ -1706,6 +1720,7 @@ fn execute_plan(
         events: events.clone(),
         retry: plan.retry,
         proven_floor,
+        floor_is_exact,
         ..MinimizeContext::default()
     };
     let describe: fn(&MinimizeConfig) -> String = if fixed {
@@ -2129,6 +2144,31 @@ mod tests {
             .is_ok());
         // Unweighted, the same DAG is two unit nodes.
         assert!(PebblingSession::new(&heavy).minimize().plan().is_ok());
+        // An incremental search counts every node as one: 2,100 nodes
+        // would ask for 2,227,154 clauses and 2,100 outputs per time
+        // point, 2,000 for 2,022,952 in all.
+        let long = revpebble_graph::generators::chain(2100);
+        assert_eq!(
+            err(PebblingSession::new(&long).minimize()),
+            SessionError::EncodingTooLarge {
+                clauses: 2_229_254,
+                max: MAX_COUNTER_CLAUSES
+            }
+        );
+        assert!(matches!(
+            err(PebblingSession::new(&long).sweep_frontier()),
+            SessionError::EncodingTooLarge { .. }
+        ));
+        let shorter = revpebble_graph::generators::chain(2000);
+        assert!(PebblingSession::new(&shorter).minimize().plan().is_ok());
+        // A fixed budget and the fresh engine bake their bound into the
+        // clauses and keep no such counter.
+        assert!(PebblingSession::new(&long).pebbles(12).plan().is_ok());
+        assert!(PebblingSession::new(&long)
+            .minimize()
+            .incremental(false)
+            .plan()
+            .is_ok());
     }
 
     #[test]

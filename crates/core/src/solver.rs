@@ -577,10 +577,19 @@ impl<'a> PebbleSolver<'a> {
 /// How a minimize search walks the budget axis. Minimize-portfolio
 /// workers race different schedules on the same instance (see
 /// [`default_minimize_portfolio`](crate::portfolio::default_minimize_portfolio)).
+///
+/// Under either schedule, an unweighted search whose floor proven
+/// without SAT is exact (the price of the whole DAG, on a design of at
+/// most 18 nodes; see [`subdag_lower_bound`](crate::bounds::subdag_lower_bound))
+/// probes that floor first. A model there certifies the minimum and ends
+/// the walk; a failed floor probe is a failed probe like any other, and
+/// the schedule goes on above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetSchedule {
     /// Binary search over `[lower bound, full budget]` — the paper's
-    /// Table I methodology. The default.
+    /// Table I methodology. The default. Its first probe is the exact
+    /// floor when there is one, else the middle of the window above the
+    /// floor.
     #[default]
     Binary,
     /// Descending linear search: probe `top − stride`, `top − 2·stride`, …
@@ -658,7 +667,10 @@ pub struct MinimizeResult {
     pub best: Option<(usize, Strategy)>,
     /// Every budget probed, with how its probe ended, in probe order.
     /// (The budgets *probed*; `best` can undercut them — see
-    /// [`best`](Self::best).) A race holds each worker's log in turn, in
+    /// [`best`](Self::best).) No budget appears twice in one walk. When
+    /// the floor is exact the walk opens with it, so a search whose step
+    /// cap admits the minimum's strategy logs exactly one probe,
+    /// `(minimum, Solved)`. A race holds each worker's log in turn, in
     /// configuration order.
     pub probes: Vec<(usize, ProbeVerdict)>,
     /// SAT-solver statistics after each probe, aligned with
@@ -1140,6 +1152,9 @@ pub(crate) struct MinimizeContext {
     /// search; `0` (the default) proves nothing. Every run primes its
     /// blackboard with it and answers budgets below it without a query.
     pub(crate) proven_floor: usize,
+    /// `proven_floor` is the DAG's exact minimum at every step count (the
+    /// whole DAG was priced): every minimize schedule probes it first.
+    pub(crate) floor_is_exact: bool,
     /// Per-probe [`RetryPolicy`] for transient failures (injected faults
     /// and spurious probe-token cancellations). The default never
     /// retries.
@@ -1154,13 +1169,31 @@ pub(crate) struct MinimizeContext {
 /// pebble count (not the probed budget) becomes the new upper end of the
 /// search, so a slack model can collapse several budget steps into one
 /// probe ([`MinimizeResult::best`]).
+///
+/// An exact floor ([`MinimizeContext::floor_is_exact`]) is probed first,
+/// under either schedule: a model there is the minimum, certified without
+/// refuting any budget, and ends the walk. A floor probe that fails
+/// (step-capped or timed out) is a failed probe like any other: the
+/// binary walk goes on above it and the descending refinement stops above
+/// it, so no budget is probed twice.
 pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> MinimizeResult {
     let schedule = ctx.schedule;
+    let exact_floor = ctx.floor_is_exact.then_some(ctx.proven_floor);
     let mut run = MinimizeRun::new(dag, ctx);
     let (lower, top) = run.window;
+    let mut failed_at = None;
+    if let Some(floor) = exact_floor.map(|floor| floor.max(lower)) {
+        // A rival that already refuted the floor leaves it to the schedule.
+        if floor <= top && floor >= run.floor() && !run.stopped() {
+            if run.probe(floor).is_some() {
+                return run.finish();
+            }
+            failed_at = Some(floor);
+        }
+    }
     match schedule {
         BudgetSchedule::Binary => {
-            let (mut low, mut high) = (lower, top);
+            let (mut low, mut high) = (failed_at.map_or(lower, |p| p + 1), top);
             while low <= high && !run.stopped() {
                 // Budgets below the certified floor cannot work; jump the
                 // window past them instead of probing.
@@ -1184,11 +1217,10 @@ pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> Mini
         }
         BudgetSchedule::Descending { stride } => {
             let stride = stride.max(1);
-            // Coarse descent.
+            // Coarse descent, down to the first failed budget.
             let mut p = top.saturating_sub(stride).max(lower);
-            let mut failed_at = None;
             loop {
-                if run.stopped() || p < run.floor() {
+                if run.stopped() || p < run.floor() || failed_at.is_some_and(|failed| p <= failed) {
                     break;
                 }
                 let Some(achieved) = run.probe(p) else {
@@ -1424,10 +1456,10 @@ mod tests {
     #[test]
     fn minimize_descending_matches_binary_on_paper_example() {
         // The paper example needs 12 steps at 4 pebbles and 10 at 5. Under
-        // an 11-step cap the floor proven without SAT (4) sits below the
-        // cap-relative minimum (5): probes go 5, 4 (step-capped) — exactly
-        // one failure. Under a 60-step cap the floor is the minimum, and
-        // probes go 5, 4 with no failure: budget 3 is never probed.
+        // an 11-step cap the exact floor (4) sits below the cap-relative
+        // minimum (5): probes go 4 (step-capped), 5 — exactly one
+        // failure. Under a 60-step cap the floor is the minimum, and its
+        // probe is the only one: budget 3 is never probed.
         let dag = paper_example();
         for (max_steps, minimum, failures) in [(11, 5, 1), (60, 4, 0)] {
             let base = SolverOptions {
@@ -1496,43 +1528,54 @@ mod tests {
 
     #[test]
     fn minimize_runs_every_probe_on_one_solver() {
+        // Under an 11-step cap the exact floor's probe (4 pebbles need 12
+        // steps) ends step-capped and the walk solves 5: two probes on one
+        // solver. Under a 60-step cap the floor's probe solves, and is the
+        // only one.
         let dag = paper_example();
-        let base = SolverOptions {
-            encoding: EncodingOptions {
-                move_mode: MoveMode::Sequential,
-                ..EncodingOptions::default()
-            },
-            max_steps: 60,
-            ..SolverOptions::default()
-        };
-        let result = minimize_pebbles(&dag, base, Duration::from_secs(20));
-        let (p, strategy) = result.best.expect("feasible");
-        assert_eq!(p, 4);
-        strategy.validate(&dag, Some(4)).expect("valid");
-        // Single-instance audit: one solver answered every query of every
-        // probe, and its counters only ever grew.
-        assert_eq!(result.sat.solves, result.search.queries as u64);
-        assert!(result.probes.len() >= 2);
-        for window in result.probe_stats.windows(2) {
-            assert!(window[1].conflicts >= window[0].conflicts);
-            assert!(window[1].restarts >= window[0].restarts);
-            assert!(window[1].solves > window[0].solves);
+        for (max_steps, minimum, probes) in [(11, 5, 2), (60, 4, 1)] {
+            let base = SolverOptions {
+                encoding: EncodingOptions {
+                    move_mode: MoveMode::Sequential,
+                    ..EncodingOptions::default()
+                },
+                max_steps,
+                ..SolverOptions::default()
+            };
+            let result = minimize_pebbles(&dag, base, Duration::from_secs(20));
+            let (p, strategy) = result.best.expect("feasible");
+            assert_eq!(p, minimum, "cap {max_steps}");
+            strategy.validate(&dag, Some(minimum)).expect("valid");
+            assert_eq!(result.probes[0].0, 4, "cap {max_steps}: the floor first");
+            assert_eq!(result.probes.len(), probes, "cap {max_steps}");
+            // Single-instance audit: one solver answered every query of
+            // every probe, and its counters only ever grew.
+            assert_eq!(result.sat.solves, result.search.queries as u64);
+            for window in result.probe_stats.windows(2) {
+                assert!(window[1].conflicts >= window[0].conflicts);
+                assert!(window[1].restarts >= window[0].restarts);
+                assert!(window[1].solves > window[0].solves);
+            }
+            // The fresh baseline agrees on the answer.
+            let fresh = minimize_pebbles_fresh(&dag, base, Duration::from_secs(20));
+            assert_eq!(
+                fresh.best.as_ref().map(|&(p, _)| p),
+                Some(minimum),
+                "cap {max_steps}"
+            );
+            assert_eq!(fresh.sat.solves, fresh.search.queries as u64);
         }
-        // The fresh baseline agrees on the answer.
-        let fresh = minimize_pebbles_fresh(&dag, base, Duration::from_secs(20));
-        assert_eq!(fresh.best.as_ref().map(|&(p, _)| p), Some(4));
-        assert_eq!(fresh.sat.solves, fresh.search.queries as u64);
     }
 
     #[test]
     fn descending_falls_back_to_the_top_budget() {
-        // stride 4 puts the first coarse probe at max(6 − 4, lower 3) = 3,
-        // below the floor of 4 proven without SAT, so the coarse descent
-        // ends before its first probe. The search must certify the
-        // trivially feasible full budget instead of returning best: None,
-        // then refine back down to the optimum. Under an 11-step cap that
-        // is 5 (4 pebbles need 12 steps), and the refinement ends on the
-        // step-capped probe at 4.
+        // Under an 11-step cap the exact floor's probe at 4 ends
+        // step-capped (4 pebbles need 12 steps). stride 4 then puts the
+        // first coarse probe at max(6 − 4, lower 3) = 3, below that floor,
+        // so the coarse descent ends before its first probe. The search
+        // must certify the trivially feasible full budget instead of
+        // returning best: None, then refine back down to the optimum
+        // under the cap, 5, stopping above the failed floor probe.
         let dag = paper_example();
         let base = |max_steps| SolverOptions {
             encoding: EncodingOptions {
@@ -1550,16 +1593,11 @@ mod tests {
         assert!(result.probes.contains(&refuted), "{:?}", result.probes);
         let solved = (6, ProbeVerdict::Solved);
         assert!(result.probes.contains(&solved), "{:?}", result.probes);
-        // Under a 20-step cap the floor is the optimum: the fallback and
-        // the refinement never probe below it, and no probe raises it.
+        // Under a 20-step cap the floor is the optimum: its probe solves
+        // and is the only one, and no probe raises the floor.
         let result = minimize_pebbles_descending(&dag, base(20), Duration::from_secs(30), 4);
         assert_eq!(result.best.as_ref().map(|&(p, _)| p), Some(4));
-        assert!(result.probes.contains(&solved), "{:?}", result.probes);
-        assert!(
-            result.probes.iter().all(|&(p, _)| p >= 4),
-            "{:?}",
-            result.probes
-        );
+        assert_eq!(result.probes, [(4, ProbeVerdict::Solved)]);
         assert_eq!((result.floor, result.floor_raises), (4, 0));
     }
 

@@ -64,6 +64,36 @@
 //! `chain12/fresh` pays more conflicts for fewer queries: its binary
 //! search now starts at 5 and probes 8 first. Every `minimum`,
 //! `strategy` and `frontier` is unchanged.
+//!
+//! Twelve `fresh`, `incremental` and `descending` rows were re-pinned a
+//! third time when minimize sessions began probing an exact floor (the
+//! price of the whole DAG, on designs of at most 18 nodes) first: each
+//! now certifies its minimum with one probe at the floor, so the worker's
+//! `probes`, `queries` and `conflicts` and the report's `probes` and
+//! `events_emitted` changed (old → new):
+//!
+//! | row | probes | queries | conflicts | events |
+//! |---|---|---|---|---|
+//! | paper/fresh | 2 → 1 | 4 → 3 | 82 → 67 | 5 → 3 |
+//! | paper/incremental | 2 → 1 | 4 → 3 | 80 → 59 | 5 → 3 |
+//! | c17/fresh | 2 → 1 | 4 → 3 | 53 → 44 | 5 → 3 |
+//! | c17/incremental | 2 → 1 | 4 → 3 | 79 → 61 | 5 → 3 |
+//! | chain12/fresh | 3 → 1 | 39 → 17 | 24,217 → 5,824 | 7 → 3 |
+//! | chain12/incremental | 3 → 1 | 19 → 17 | 23,965 → 4,288 | 7 → 3 |
+//! | chain12/descending | 4 → 1 | 20 → 17 | 20,327 → 4,288 | 9 → 3 |
+//! | hop/fresh | | | 60 → 159 | |
+//! | hop/incremental | 2 → 1 | 2 → 1 | 13 → 83 | 5 → 3 |
+//! | adder4/fresh | 2 → 1 | 2 → 1 | 977 → 866 | 5 → 3 |
+//! | adder4/incremental | 2 → 1 | 2 → 1 | 1,130 → 1,203 | 5 → 3 |
+//! | adder4/descending | 2 → 1 | 2 → 1 | 1,210 → 1,203 | 5 → 3 |
+//!
+//! `hop/fresh` already made one probe, at budget 7, whose 6-pebble model
+//! certified the minimum; its one probe is now at 6. A model found
+//! straight at the tight budget can cost more conflicts than a loose
+//! probe followed by the tight one (`hop`, `adder4/incremental`). The
+//! `descending` rows of `paper`, `c17` and `hop` already opened at the
+//! floor and are unchanged, as are every race's stable fields and every
+//! `single`, `portfolio`, `frontier` and `frontier-fresh` row.
 
 use std::time::Duration;
 

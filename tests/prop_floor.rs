@@ -2,20 +2,70 @@
 //! against the references it must respect: `exact_min_pebbles` (the
 //! breadth-first reference), a SAT refutation that uses no floor at all,
 //! Bennett's closed form on chains, and the minima of the built-in
-//! designs.
+//! designs. On a design of at most 18 nodes whose whole-DAG search
+//! finishes under its work cap the floor is exact, and every minimize walk
+//! probes it first: one probe certifies the minimum, a failed floor probe
+//! is never repeated, and larger designs keep their schedule's own first
+//! probe.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 use revpebble::core::bounds::{pebble_lower_bound, subdag_lower_bound};
-use revpebble::core::{exact_min_pebbles, EncodingOptions, MoveMode, PebbleSolver, SolverOptions};
+use revpebble::core::{
+    exact_min_pebbles, solve_exact, BudgetSchedule, EncodingOptions, MinimizeResult, MoveMode,
+    PebbleSolver, PebblingSession, ProbeVerdict, SessionOutcome, SolverOptions,
+};
 use revpebble::graph::builtin_dag;
-use revpebble::graph::generators::{and_tree, binary_in_tree, chain, random_dag};
+use revpebble::graph::generators::{and_tree, binary_in_tree, chain, paper_example, random_dag};
 use revpebble::graph::slp::h_operator_sized;
+use revpebble::graph::Dag;
+
+/// Minimize walks a one-worker session can run: binary and descending,
+/// on the incremental and on the fresh engine.
+fn walks() -> [(&'static str, BudgetSchedule, bool); 4] {
+    [
+        ("binary", BudgetSchedule::Binary, true),
+        ("binary/fresh", BudgetSchedule::Binary, false),
+        ("desc2", BudgetSchedule::Descending { stride: 2 }, true),
+        (
+            "desc4/fresh",
+            BudgetSchedule::Descending { stride: 4 },
+            false,
+        ),
+    ]
+}
+
+/// A minimize session with sequential moves under a step cap of `cap`,
+/// or the decisive `4n + 20`, and a per-query clock far above need.
+fn minimize(
+    dag: &Dag,
+    schedule: BudgetSchedule,
+    incremental: bool,
+    cap: Option<usize>,
+    quota: Option<u64>,
+) -> MinimizeResult {
+    let mut session = PebblingSession::new(dag)
+        .minimize()
+        .budget(schedule)
+        .incremental(incremental)
+        .move_mode(MoveMode::Sequential)
+        .max_steps(cap.unwrap_or(4 * dag.num_nodes() + 20))
+        .per_query_timeout(Duration::from_secs(600));
+    if let Some(quota) = quota {
+        session = session.quota(quota);
+    }
+    match session.run().expect("a valid configuration").outcome {
+        SessionOutcome::Minimize(result) => result,
+        _ => unreachable!("a one-worker minimize session answers a minimize result"),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On a DAG of at most 18 nodes the first prefix is the whole DAG,
-    /// so the bound is the exact minimum.
+    /// On a DAG of at most 12 nodes the first prefix is the whole DAG,
+    /// priced well within the work cap, so the bound is the exact minimum.
     #[test]
     fn the_bound_is_the_exact_minimum_on_small_dags(
         inputs in 1usize..5,
@@ -24,6 +74,91 @@ proptest! {
     ) {
         let dag = random_dag(inputs, nodes, seed);
         prop_assert_eq!(subdag_lower_bound(&dag), exact_min_pebbles(&dag));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An exact floor is probed first, and under a decisive step cap its
+    /// probe solves: one probe certifies the minimum, no probe raises the
+    /// floor, and the strategy is step-minimal at the minimum.
+    #[test]
+    fn one_probe_at_an_exact_floor_certifies_the_minimum(
+        inputs in 1usize..5,
+        nodes in 1usize..=10,
+        seed in any::<u64>(),
+    ) {
+        let dag = random_dag(inputs, nodes, seed);
+        let minimum = exact_min_pebbles(&dag);
+        let steps = solve_exact(&dag, minimum)
+            .into_strategy()
+            .expect("the minimum is feasible")
+            .num_steps();
+        for (walk, schedule, incremental) in walks() {
+            let result = minimize(&dag, schedule, incremental, None, None);
+            prop_assert_eq!(&result.probes, &vec![(minimum, ProbeVerdict::Solved)], "{}", walk);
+            prop_assert_eq!((result.floor, result.floor_raises), (minimum, 0), "{}", walk);
+            let (best, strategy) = result.best.expect("the floor probe solved");
+            prop_assert_eq!(best, minimum, "{}", walk);
+            prop_assert_eq!(strategy.num_steps(), steps, "{}", walk);
+            prop_assert!(strategy.validate(&dag, Some(minimum)).is_ok(), "{}", walk);
+        }
+    }
+}
+
+#[test]
+fn a_step_capped_floor_probe_is_never_repeated() {
+    // `paper` needs 12 steps at its minimum of 4 and 10 at 5. Under an
+    // 11-step cap the floor probe ends step-capped, and every walk goes
+    // on above it to certify 5 without probing 4 again.
+    let dag = paper_example();
+    let capped = (4, ProbeVerdict::StepLimit { steps_checked: 11 });
+    let strides = [1, 2, 4].map(|stride| BudgetSchedule::Descending { stride });
+    for schedule in std::iter::once(BudgetSchedule::Binary).chain(strides) {
+        for incremental in [true, false] {
+            let walk = format!("{schedule:?}, incremental {incremental}");
+            let result = minimize(&dag, schedule, incremental, Some(11), None);
+            assert_eq!(result.probes.first(), Some(&capped), "{walk}");
+            let mut budgets: Vec<usize> = result.probes.iter().map(|&(p, _)| p).collect();
+            budgets.sort_unstable();
+            budgets.dedup();
+            assert_eq!(
+                budgets.len(),
+                result.probes.len(),
+                "{walk}: {:?}",
+                result.probes
+            );
+            assert_eq!(result.best.map(|(p, _)| p), Some(5), "{walk}");
+        }
+    }
+}
+
+#[test]
+fn a_floor_that_is_not_exact_is_not_probed_first() {
+    // Above 18 nodes the floor prices a prefix, not the whole DAG, so the
+    // walks open where their schedule does: binary mid-window, descending
+    // one stride below the top. A quota of one conflict stops each
+    // session in or after its first probe.
+    for (name, dag) in [
+        ("chain19", chain(19)),
+        ("edwards", builtin_dag("edwards").expect("built-in")),
+    ] {
+        let floor = subdag_lower_bound(&dag);
+        let top = dag.num_nodes();
+        for (walk, schedule, incremental) in walks() {
+            let first = match schedule {
+                BudgetSchedule::Binary => floor + (top - floor) / 2,
+                BudgetSchedule::Descending { stride } => top - stride,
+            };
+            let result = minimize(&dag, schedule, incremental, None, Some(1));
+            assert_eq!(
+                result.probes.first().map(|&(p, _)| p),
+                Some(first),
+                "{name} {walk}"
+            );
+            assert_ne!(first, floor, "{name} {walk}");
+        }
     }
 }
 

@@ -351,6 +351,32 @@ fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
         Some("EncodingTooLarge")
     );
 
+    // Unweighted, an incremental minimize keeps a full counter per time
+    // point too: a 2,100-node chain would ask for about 2.2 million
+    // clauses per time point, and is refused the same way.
+    let nodes: Vec<String> = (0..2100)
+        .map(|i| {
+            let fanin = if i == 0 {
+                "x".to_owned()
+            } else {
+                format!("n{}", i - 1)
+            };
+            format!(r#"{{"name":"n{i}","op":"buf","fanins":["{fanin}"]}}"#)
+        })
+        .collect();
+    let too_long = client
+        .send_raw(&format!(
+            r#"{{"dag":{{"inputs":["x"],"nodes":[{}],"outputs":["n2099"]}},"minimize":true}}"#,
+            nodes.join(",")
+        ))
+        .expect("response");
+    let value = parse_json(&too_long).expect("valid JSON");
+    assert_eq!(status_of(&too_long), "error");
+    assert_eq!(
+        value.get("code").and_then(|c| c.as_str()),
+        Some("EncodingTooLarge")
+    );
+
     // Same connection, next frame: served normally.
     let ok = client
         .send(&fast_request("after-garbage"))
@@ -358,7 +384,7 @@ fn a_malformed_frame_answers_an_error_and_the_connection_survives() {
     assert_eq!(status_of(&ok), "ok");
 
     let stats = server.finish();
-    assert_eq!(stats.errors, 5);
+    assert_eq!(stats.errors, 6);
     assert_eq!(stats.ok, 1);
     assert_eq!(stats.connections, 1);
 }
