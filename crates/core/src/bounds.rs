@@ -2,6 +2,9 @@
 
 use revpebble_graph::{Dag, NodeId};
 
+use crate::baselines::cone_wise;
+use crate::solver::achieved_budget;
+
 /// The distinct children of `v` — `Dag::children` repeats a node used as
 /// several fanins (e.g. `AND(a, a)`), which must count once as a pebble.
 fn distinct_children(dag: &Dag, v: NodeId) -> Vec<NodeId> {
@@ -305,6 +308,27 @@ pub(crate) fn budget_window(dag: &Dag, weighted: bool) -> (usize, usize) {
     }
 }
 
+/// The top of a minimize walk's window, in the units of
+/// [`budget_window`]: the smaller of the full budget and the peak of the
+/// [`cone_wise`] strategy, which is built without SAT, when that strategy
+/// has at most `max_steps` steps.
+///
+/// Within a step cap the minimum is at most the peak of any valid
+/// strategy that fits the cap. `cone_wise` is sequential, and a
+/// sequential strategy of `M` moves is also a parallel one of at most
+/// `M` steps, so its peak bounds the minimum in either move mode as long
+/// as its moves fit `max_steps`; past that the full budget stays the top.
+/// The top only bounds which budgets a walk probes: answers still come
+/// from SAT probes, and no floor or certificate reads it.
+pub(crate) fn known_top(dag: &Dag, weighted: bool, max_steps: usize) -> usize {
+    let full = budget_window(dag, weighted).1;
+    let known = cone_wise(dag);
+    if known.num_steps() > max_steps {
+        return full;
+    }
+    full.min(achieved_budget(dag, weighted, &known))
+}
+
 /// A lower bound on the number of *sequential* steps: every node lies in
 /// the fanin cone of some output (enforced by
 /// [`Dag::validate_for_pebbling`]), must be pebbled at least once, and
@@ -415,6 +439,19 @@ mod tests {
         assert_eq!(subdag_floor(&paper_example()), (4, true));
         // Above 18 nodes no prefix is the whole DAG.
         assert_eq!(subdag_floor(&chain(19)), (6, false));
+    }
+
+    #[test]
+    fn the_known_top_is_the_cone_wise_peak_within_the_step_cap() {
+        // `b3_m4`'s cone-wise strategy peaks at 27 of 64 pebbles in 188
+        // moves; under a tighter cap the full budget stays the top. Its
+        // weights are all 1, so the weighted top is the same.
+        let dag = revpebble_graph::builtin_dag("b3_m4").expect("built-in");
+        assert_eq!(known_top(&dag, false, 188), 27);
+        assert_eq!(known_top(&dag, true, 188), 27);
+        assert_eq!(known_top(&dag, false, 187), 64);
+        // A single cone is Bennett's strategy: no pebble saved.
+        assert_eq!(known_top(&chain(8), false, 15), 8);
     }
 
     #[test]

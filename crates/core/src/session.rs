@@ -74,7 +74,7 @@ use revpebble_sat::card::weighted_unary_size;
 use revpebble_sat::faults::FaultSite;
 use revpebble_sat::{CancelReason, CancelToken};
 
-use crate::bounds::{budget_window, subdag_floor};
+use crate::bounds::{budget_window, known_top, subdag_floor};
 use crate::cache::{CacheKey, CachedReport, ResultCache};
 use crate::encoding::{BoundMode, MoveMode};
 use crate::exec::Executor;
@@ -887,7 +887,10 @@ impl<'a> PebblingSession<'a> {
     }
 
     /// Search for the smallest certifiable pebble budget (the paper's
-    /// Table I methodology) instead of solving one fixed budget.
+    /// Table I methodology) instead of solving one fixed budget. No budget
+    /// above the full budget is probed, nor above the peak of
+    /// [`cone_wise`](crate::baselines::cone_wise) when its moves fit the
+    /// step cap.
     pub fn minimize(mut self) -> Self {
         self.minimize = true;
         self
@@ -1706,6 +1709,18 @@ fn execute_plan(
     } else {
         subdag_floor(dag)
     };
+    // A minimize walk probes no budget above the peak of a strategy known
+    // without SAT that fits the step cap. A frontier sweep keeps the full
+    // window: budgets above that peak can need fewer steps.
+    let weighted = plan.base.encoding.weighted;
+    let window = match plan.pebbles {
+        Some(p) => Some((p, p)),
+        None if plan.engine == Engine::Frontier => None,
+        None => Some((
+            budget_window(dag, weighted).0,
+            known_top(dag, weighted, plan.base.max_steps),
+        )),
+    };
     let run = MinimizeContext {
         base: plan.base,
         per_query: if fixed {
@@ -1713,7 +1728,7 @@ fn execute_plan(
         } else {
             Some(plan.per_query)
         },
-        window: plan.pebbles.map(|p| (p, p)),
+        window,
         schedule: plan.budget_schedule,
         incremental: plan.incremental && !fixed,
         cancel: cancel.cloned(),
@@ -1731,7 +1746,7 @@ fn execute_plan(
     // A fixed budget's one probe proves nothing below the budget, so it
     // certifies its strategy's own budget over the structural floor.
     let answer = |(minimum, outcome), rows| {
-        let floor = budget_window(dag, plan.base.encoding.weighted).0;
+        let floor = budget_window(dag, weighted).0;
         ((minimum, floor), SessionOutcome::Single(outcome), rows)
     };
     match plan.engine {

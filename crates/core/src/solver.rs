@@ -584,18 +584,25 @@ impl<'a> PebbleSolver<'a> {
 /// probes that floor first. A model there certifies the minimum and ends
 /// the walk; a failed floor probe is a failed probe like any other, and
 /// the schedule goes on above it.
+///
+/// A minimize session's window tops out at the full budget (the node
+/// count, or the total weight when weighted) or, when lower, at the peak
+/// of the [`cone_wise`](crate::baselines::cone_wise) strategy, provided
+/// its moves fit the step cap: some strategy within the cap needs no more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BudgetSchedule {
-    /// Binary search over `[lower bound, full budget]` — the paper's
-    /// Table I methodology. The default. Its first probe is the exact
-    /// floor when there is one, else the middle of the window above the
-    /// floor.
+    /// Binary search over the window `[lower bound, top]` — the paper's
+    /// Table I methodology, which searches up to the full budget. The
+    /// default. Its first probe is the exact floor when there is one, else
+    /// the middle of the window above the floor.
     #[default]
     Binary,
     /// Descending linear search: probe `top − stride`, `top − 2·stride`, …
     /// while probes keep succeeding, then refine the last gap with
     /// stride 1. At most one probe per stride level fails — on large
-    /// instances failed probes are the expensive ones.
+    /// instances failed probes are the expensive ones. With the
+    /// cone-wise top the first probe lands near a budget a known strategy
+    /// meets (27 on `b3_m4`), not near Bennett's full budget (64).
     Descending {
         /// Coarse step between probes (clamped to at least 1).
         stride: usize,
@@ -874,7 +881,7 @@ impl<'a> Prober<'a> {
 /// weight units in weighted mode, pebble counts otherwise. Every
 /// engine's `ProbeSolved { achieved }` (and the certified minimum) comes
 /// from this, so the event stream never mixes units.
-fn achieved_budget(dag: &Dag, weighted: bool, strategy: &Strategy) -> usize {
+pub(crate) fn achieved_budget(dag: &Dag, weighted: bool, strategy: &Strategy) -> usize {
     if weighted {
         usize::try_from(strategy.max_weight(dag)).unwrap_or(usize::MAX)
     } else {
@@ -1116,7 +1123,11 @@ pub(crate) struct MinimizeContext {
     pub(crate) per_query: Option<Duration>,
     /// The budgets the run may probe, `(low, high)`; `None` searches the
     /// [`budget_window`]. A fixed budget `p` is the one-point window
-    /// `(p, p)`; a frontier sweep walks the window downward.
+    /// `(p, p)`. A minimize session passes the structural bound and
+    /// [`known_top`](crate::bounds::known_top), the peak of a strategy
+    /// known without SAT, to every walk and race worker. A frontier sweep
+    /// walks the full window downward, since budgets above that peak can
+    /// need fewer steps.
     pub(crate) window: Option<(usize, usize)>,
     /// How the budget axis is walked.
     pub(crate) schedule: BudgetSchedule,
@@ -1235,9 +1246,10 @@ pub(crate) fn run_minimize_with_context(dag: &Dag, ctx: MinimizeContext) -> Mini
                 p = achieved.saturating_sub(stride).max(lower);
             }
             // Nothing certified yet (the very first probe failed): the
-            // full budget admits the Bennett strategy, so certify it
-            // before giving up instead of reporting `best: None` with a
-            // trivially feasible budget on the table.
+            // top admits a known strategy within the step cap (Bennett's
+            // at the full budget, the cone-wise one at its peak), so
+            // certify it before giving up instead of reporting
+            // `best: None` with a feasible budget on the table.
             if run.best.is_none() && !run.probed(top) && !run.stopped() {
                 run.probe(top);
             }

@@ -201,21 +201,38 @@ impl Strategy {
 
     /// Maximum number of pebbles in use at any time.
     pub fn max_pebbles(&self, dag: &Dag) -> usize {
-        self.configs(dag)
-            .iter()
-            .map(PebbleConfig::count)
-            .max()
-            .unwrap_or(0)
+        usize::try_from(self.peak(dag, |_| 1)).expect("a pebble count fits usize")
     }
 
     /// Maximum total node weight in use at any time.
     pub fn max_weight(&self, dag: &Dag) -> u64 {
-        let weights: Vec<u32> = dag.node_ids().map(|n| dag.node(n).weight).collect();
-        self.configs(dag)
-            .iter()
-            .map(|c| c.weighted_count(&weights))
-            .max()
-            .unwrap_or(0)
+        self.peak(dag, |n| u64::from(dag.node(n).weight))
+    }
+
+    /// The largest `cost` of any configuration [`configs`](Self::configs)
+    /// yields, replayed into one configuration with a running total: a
+    /// move counts only when it flips its node, and the maximum is taken
+    /// at step boundaries.
+    fn peak(&self, dag: &Dag, cost: impl Fn(NodeId) -> u64) -> u64 {
+        let mut current = PebbleConfig::empty(dag.num_nodes());
+        let (mut used, mut peak) = (0u64, 0u64);
+        for step in &self.steps {
+            for &mv in step {
+                match mv {
+                    Move::Pebble(n) if !current.is_pebbled(n) => {
+                        current.pebble(n);
+                        used += cost(n);
+                    }
+                    Move::Unpebble(n) if current.is_pebbled(n) => {
+                        current.unpebble(n);
+                        used -= cost(n);
+                    }
+                    _ => {}
+                }
+            }
+            peak = peak.max(used);
+        }
+        peak
     }
 
     /// The number of pebbles in use after every step (the "memory dynamic"
@@ -584,6 +601,67 @@ mod tests {
         assert_eq!(profile[0], 0);
         assert_eq!(*profile.iter().max().expect("nonempty"), 4);
         assert_eq!(profile[14], 2);
+    }
+
+    #[test]
+    fn peaks_match_the_configs_replay() {
+        use crate::baselines::{bennett, cone_wise};
+        use crate::encoding::{EncodingOptions, MoveMode};
+        use crate::solver::{PebbleSolver, SolverOptions};
+        use revpebble_graph::generators::random_dag;
+        use revpebble_graph::Dag;
+        // The draw's shape with weights 1–3, so weight and count differ.
+        let weighted = |dag: &Dag| {
+            let mut copy = Dag::new();
+            copy.add_inputs(dag.num_inputs());
+            for v in dag.node_ids() {
+                let node = dag.node(v);
+                let weight = 1 + (v.index() % 3) as u32;
+                copy.add_node_weighted(node.name.clone(), node.op, node.fanins.clone(), weight)
+                    .expect("a copy of a valid DAG");
+            }
+            for &output in dag.outputs() {
+                copy.mark_output(output);
+            }
+            copy
+        };
+        let replayed = |strategy: &Strategy, dag: &Dag| {
+            let weights: Vec<u32> = dag.node_ids().map(|v| dag.node(v).weight).collect();
+            let configs = strategy.configs(dag);
+            let count = configs.iter().map(PebbleConfig::count).max();
+            let weight = configs.iter().map(|c| c.weighted_count(&weights)).max();
+            (count.unwrap_or(0), weight.unwrap_or(0))
+        };
+        let mut parallel = 0;
+        for seed in 0..8 {
+            let dag = weighted(&random_dag(3, 10, seed));
+            let mut strategies = vec![bennett(&dag), cone_wise(&dag)];
+            for move_mode in [MoveMode::Sequential, MoveMode::Parallel] {
+                let options = SolverOptions {
+                    encoding: EncodingOptions {
+                        max_pebbles: Some(dag.num_nodes()),
+                        move_mode,
+                        ..EncodingOptions::default()
+                    },
+                    ..SolverOptions::default()
+                };
+                let found = PebbleSolver::new(&dag, options).solve().into_strategy();
+                let found = found.expect("the full budget is feasible");
+                parallel += usize::from(!found.is_sequential());
+                strategies.push(found);
+            }
+            // Moves that flip nothing count for nothing.
+            strategies.push(Strategy::from_steps(vec![
+                vec![Move::Pebble(n(0))],
+                vec![Move::Pebble(n(0)), Move::Unpebble(n(1))],
+            ]));
+            for strategy in &strategies {
+                let peaks = (strategy.max_pebbles(&dag), strategy.max_weight(&dag));
+                assert_eq!(peaks, replayed(strategy, &dag), "seed {seed}");
+            }
+        }
+        assert!(parallel > 0, "some SAT strategy has a parallel step");
+        assert_eq!(Strategy::default().max_pebbles(&paper_example()), 0);
     }
 
     #[test]

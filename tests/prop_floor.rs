@@ -6,12 +6,15 @@
 //! finishes under its work cap the floor is exact, and every minimize walk
 //! probes it first: one probe certifies the minimum, a failed floor probe
 //! is never repeated, and larger designs keep their schedule's own first
-//! probe.
+//! probe. A minimize window tops out at the peak of the cone-wise strategy
+//! when its moves fit the step cap, and that top never cuts off the
+//! fewest pebbles that fit the cap.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use revpebble::core::bounds::{pebble_lower_bound, subdag_lower_bound};
+use revpebble::core::baselines::cone_wise;
+use revpebble::core::bounds::{pebble_lower_bound, step_lower_bound, subdag_lower_bound};
 use revpebble::core::{
     exact_min_pebbles, solve_exact, BudgetSchedule, EncodingOptions, MinimizeResult, MoveMode,
     PebbleSolver, PebblingSession, ProbeVerdict, SessionOutcome, SolverOptions,
@@ -19,7 +22,7 @@ use revpebble::core::{
 use revpebble::graph::builtin_dag;
 use revpebble::graph::generators::{and_tree, binary_in_tree, chain, paper_example, random_dag};
 use revpebble::graph::slp::h_operator_sized;
-use revpebble::graph::Dag;
+use revpebble::graph::{Dag, Op};
 
 /// Minimize walks a one-worker session can run: binary and descending,
 /// on the incremental and on the fresh engine.
@@ -59,6 +62,14 @@ fn minimize(
         SessionOutcome::Minimize(result) => result,
         _ => unreachable!("a one-worker minimize session answers a minimize result"),
     }
+}
+
+/// The fewest sequential steps a strategy within `pebbles` needs, by the
+/// breadth-first reference, or `None` when no strategy fits.
+fn exact_steps(dag: &Dag, pebbles: usize) -> Option<usize> {
+    solve_exact(dag, pebbles)
+        .into_strategy()
+        .map(|strategy| strategy.num_steps())
 }
 
 proptest! {
@@ -138,14 +149,18 @@ fn a_step_capped_floor_probe_is_never_repeated() {
 fn a_floor_that_is_not_exact_is_not_probed_first() {
     // Above 18 nodes the floor prices a prefix, not the whole DAG, so the
     // walks open where their schedule does: binary mid-window, descending
-    // one stride below the top. A quota of one conflict stops each
-    // session in or after its first probe.
+    // one stride below the top. The top is the cone-wise strategy's peak,
+    // whose moves fit the step cap: 16 of 20 pebbles on `edwards`, so its
+    // binary walk opens at 11, and all 19 on `chain19`. A quota of one
+    // conflict stops each session in or after its first probe.
     for (name, dag) in [
         ("chain19", chain(19)),
         ("edwards", builtin_dag("edwards").expect("built-in")),
     ] {
         let floor = subdag_lower_bound(&dag);
-        let top = dag.num_nodes();
+        let known = cone_wise(&dag);
+        assert!(known.num_steps() <= 4 * dag.num_nodes() + 20, "{name}");
+        let top = known.max_pebbles(&dag);
         for (walk, schedule, incremental) in walks() {
             let first = match schedule {
                 BudgetSchedule::Binary => floor + (top - floor) / 2,
@@ -160,6 +175,91 @@ fn a_floor_that_is_not_exact_is_not_probed_first() {
             assert_ne!(first, floor, "{name} {walk}");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The cone-wise strategy is valid, so its peak, the window top
+    /// whenever its moves fit the step cap, is never below the exact
+    /// minimum. Under any cap from the step lower bound up, a minimize
+    /// walk certifies the fewest pebbles whose exact sequential step
+    /// count fits the cap, whether or not the cone-wise moves fit it.
+    #[test]
+    fn the_window_top_never_cuts_off_the_minimum(
+        inputs in 1usize..5,
+        nodes in 1usize..=12,
+        seed in any::<u64>(),
+        slack in 0usize..16,
+    ) {
+        let dag = random_dag(inputs, nodes, seed);
+        let known = cone_wise(&dag);
+        prop_assert!(known.validate(&dag, None).is_ok());
+        let minimum = exact_min_pebbles(&dag);
+        prop_assert!(known.max_pebbles(&dag) >= minimum);
+        let cap = step_lower_bound(&dag) + slack;
+        let fewest = (minimum..=dag.num_nodes())
+            .find(|&p| exact_steps(&dag, p).is_some_and(|k| k <= cap))
+            .expect("Bennett's strategy fits the step lower bound");
+        let result = minimize(&dag, BudgetSchedule::Binary, true, Some(cap), None);
+        prop_assert_eq!(result.best.map(|(p, _)| p), Some(fewest), "cap {}", cap);
+    }
+}
+
+#[test]
+fn a_known_strategy_past_the_step_cap_leaves_the_full_budget_on_top() {
+    // Chains A = a1 → a2, B and C; o1 reads A and C, o2 reads A and B, o3
+    // reads B and C. The cone-wise strategy peaks at 7 pebbles but needs
+    // 27 moves, while 7 pebbles need 17 steps and 8 need 15. Under a cap
+    // of 15 or 16 steps its peak would cut off the answer; the walks keep
+    // the full budget on top and certify 8 pebbles at 15 steps.
+    let mut dag = Dag::new();
+    let chain_end = |dag: &mut Dag, name: &str| {
+        let x = dag.add_input(format!("x{name}"));
+        let first = dag
+            .add_node(format!("{name}1"), Op::Buf, [x])
+            .expect("valid");
+        dag.add_node(format!("{name}2"), Op::Buf, [first.into()])
+            .expect("valid")
+    };
+    let [a, b, c] = ["a", "b", "c"].map(|name| chain_end(&mut dag, name));
+    for (name, pair) in [("o1", [a, c]), ("o2", [a, b]), ("o3", [b, c])] {
+        let output = dag
+            .add_node(name, Op::And, pair.map(Into::into))
+            .expect("valid");
+        dag.mark_output(output);
+    }
+    let known = cone_wise(&dag);
+    assert_eq!((known.max_pebbles(&dag), known.num_steps()), (7, 27));
+    assert_eq!(
+        (exact_steps(&dag, 7), exact_steps(&dag, 8)),
+        (Some(17), Some(15))
+    );
+    for cap in [15, 16] {
+        for (walk, schedule, incremental) in walks() {
+            let result = minimize(&dag, schedule, incremental, Some(cap), None);
+            let (best, strategy) = result.best.expect("8 pebbles fit 15 steps");
+            assert_eq!((best, strategy.num_steps()), (8, 15), "cap {cap}, {walk}");
+            strategy.validate(&dag, Some(8)).expect("valid");
+        }
+    }
+}
+
+#[test]
+fn a_walk_above_a_floor_that_is_not_exact_certifies_the_minimum() {
+    // 18 nodes, but the floor search runs out of work at 8, one below the
+    // minimum, so the walk does not open at the floor. Its window tops out
+    // at the cone-wise peak of 15 (77 moves, within the cap), so it opens
+    // at 11, not at 13, and it refutes 8 by SAT. That refutation is most
+    // of the run, so one walk, the default, stands for all.
+    let dag = random_dag(5, 18, 266);
+    let minimum = exact_min_pebbles(&dag);
+    assert_eq!((subdag_lower_bound(&dag), minimum), (8, 9));
+    let result = minimize(&dag, BudgetSchedule::Binary, true, None, None);
+    assert_eq!(result.probes.first(), Some(&(11, ProbeVerdict::Solved)));
+    let (best, strategy) = result.best.expect("the minimum fits the decisive cap");
+    assert_eq!(best, minimum);
+    strategy.validate(&dag, Some(minimum)).expect("valid");
 }
 
 #[test]
